@@ -203,6 +203,11 @@ class Evaluator {
   }
 
   Status ValidateExpr(const ScalarExpr* e) {
+    if (e->kind() == ScalarExpr::Kind::kParam) {
+      return InvalidArgumentError(
+          "the legacy evaluator takes no arguments for parameter $" +
+          std::string(ctx_.symbols().Name(e->param_name())));
+    }
     if (e->kind() == ScalarExpr::Kind::kApply) {
       std::string name(ctx_.symbols().Name(e->fn()));
       auto f = registry_.Get(name, static_cast<int>(e->args().size()));
@@ -229,6 +234,8 @@ class Evaluator {
         return view.at(e->col());
       case ScalarExpr::Kind::kConst:
         return ctx_.ConstantAt(e->const_id());
+      case ScalarExpr::Kind::kParam:
+        return Value();  // rejected by ValidateExpr
       case ScalarExpr::Kind::kApply: {
         std::vector<Value> args;
         args.reserve(e->args().size());
@@ -275,6 +282,7 @@ class Evaluator {
       case ScalarExpr::Kind::kCol:
         return side == 0 ? e->col() < split : e->col() >= split;
       case ScalarExpr::Kind::kConst:
+      case ScalarExpr::Kind::kParam:
         return true;
       case ScalarExpr::Kind::kApply:
         for (const ScalarExpr* a : e->args()) {

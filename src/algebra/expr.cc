@@ -26,6 +26,15 @@ const ScalarExpr* ExprFactory::ConstValue(const Value& v) {
   return Const(ctx_.InternConstant(v));
 }
 
+const ScalarExpr* ExprFactory::Param(int index, Symbol name) {
+  EMCALC_CHECK(index >= 0);
+  ScalarExpr* e = ctx_.arena().New<ScalarExpr>();
+  e->kind_ = ScalarExpr::Kind::kParam;
+  e->col_ = index;
+  e->fn_ = name;
+  return e;
+}
+
 const ScalarExpr* ExprFactory::Apply(Symbol fn,
                                      std::span<const ScalarExpr* const> args) {
   ScalarExpr* e = ctx_.arena().New<ScalarExpr>();
@@ -48,6 +57,7 @@ const ScalarExpr* ExprFactory::RemapColumns(const ScalarExpr* e,
       return target == e->col() ? e : Col(target);
     }
     case ScalarExpr::Kind::kConst:
+    case ScalarExpr::Kind::kParam:
       return e;
     case ScalarExpr::Kind::kApply: {
       std::vector<const ScalarExpr*> args;
@@ -69,6 +79,7 @@ int ExprFactory::MaxColumn(const ScalarExpr* e) {
     case ScalarExpr::Kind::kCol:
       return e->col();
     case ScalarExpr::Kind::kConst:
+    case ScalarExpr::Kind::kParam:
       return -1;
     case ScalarExpr::Kind::kApply: {
       int max = -1;
@@ -89,6 +100,8 @@ bool ScalarExprsEqual(const ScalarExpr* a, const ScalarExpr* b) {
       return a->col() == b->col();
     case ScalarExpr::Kind::kConst:
       return a->const_id() == b->const_id();
+    case ScalarExpr::Kind::kParam:
+      return a->param() == b->param();
     case ScalarExpr::Kind::kApply: {
       if (a->fn() != b->fn() || a->args().size() != b->args().size()) {
         return false;

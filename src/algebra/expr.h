@@ -13,12 +13,15 @@
 
 namespace emcalc {
 
-// A column reference (@i), constant, or scalar function application.
-// Arena-allocated in the same AstContext as the query being translated
-// (expressions reference the context's constant pool and symbol table).
+// A column reference (@i), constant, query parameter ($name), or scalar
+// function application. Arena-allocated in the same AstContext as the query
+// being translated (expressions reference the context's constant pool and
+// symbol table). A parameter is a constant whose value is supplied per
+// execution (PhysicalPlan::Execute's argument span), so plans over
+// parameters are built and lowered once.
 class ScalarExpr {
  public:
-  enum class Kind : uint8_t { kCol, kConst, kApply };
+  enum class Kind : uint8_t { kCol, kConst, kParam, kApply };
 
   Kind kind() const { return kind_; }
   bool is_col() const { return kind_ == Kind::kCol; }
@@ -27,6 +30,10 @@ class ScalarExpr {
   int col() const { return col_; }
   // kConst: constant-pool id.
   uint32_t const_id() const { return const_id_; }
+  // kParam: 0-based position in the execution's argument list, and the
+  // parameter variable it stands for (printed as $name).
+  int param() const { return col_; }
+  Symbol param_name() const { return fn_; }
   // kApply: function symbol and arguments.
   Symbol fn() const { return fn_; }
   std::span<const ScalarExpr* const> args() const {
@@ -55,6 +62,7 @@ class ExprFactory {
   const ScalarExpr* Col(int index);
   const ScalarExpr* Const(uint32_t const_id);
   const ScalarExpr* ConstValue(const Value& v);
+  const ScalarExpr* Param(int index, Symbol name);
   const ScalarExpr* Apply(Symbol fn, std::span<const ScalarExpr* const> args);
 
   // Rewrites column indices: @i becomes @map[i]. Used when an operator's

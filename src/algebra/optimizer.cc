@@ -38,6 +38,7 @@ const ScalarExpr* Compose(ExprFactory& exprs, const ScalarExpr* outer,
       EMCALC_CHECK(outer->col() < static_cast<int>(inner.size()));
       return inner[static_cast<size_t>(outer->col())];
     case ScalarExpr::Kind::kConst:
+    case ScalarExpr::Kind::kParam:
       return outer;
     case ScalarExpr::Kind::kApply: {
       std::vector<const ScalarExpr*> args;

@@ -11,6 +11,10 @@ void PrintExpr(const AstContext& ctx, const ScalarExpr* e, std::string& out) {
     case ScalarExpr::Kind::kConst:
       out += ctx.ConstantAt(e->const_id()).ToString();
       break;
+    case ScalarExpr::Kind::kParam:
+      out += "$";
+      out += ctx.symbols().Name(e->param_name());
+      break;
     case ScalarExpr::Kind::kApply: {
       out += ctx.symbols().Name(e->fn());
       out += "(";

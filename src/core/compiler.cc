@@ -124,15 +124,15 @@ void LogCompile(const std::string& text, const Status& status,
   log->Write(r);
 }
 
-void LogRunRecord(const std::string& text, bool ok, const std::string& error,
+void LogRunRecord(const PreparedPlan& p, bool ok, const std::string& error,
                   uint64_t rows_out, uint64_t wall_ns, uint64_t exec_threads,
                   const ExecProfile* profile, std::string aborted_limit) {
   obs::QueryLog* log = obs::GetQueryLog();
   if (log == nullptr) return;
   obs::QueryLogRecord r;
   r.event = "run";
-  r.query = text;
-  r.query_hash = obs::HashQueryText(text);
+  r.query = p.text;
+  r.query_hash = p.hash;
   r.ok = ok;
   r.error = error;
   r.rows_out = rows_out;
@@ -164,8 +164,7 @@ void LogRunRecord(const std::string& text, bool ok, const std::string& error,
 // where each query started and ended.
 class QueryObsScope {
  public:
-  explicit QueryObsScope(const std::string& text)
-      : hash_(obs::HashQueryText(text)) {
+  QueryObsScope(const std::string& text, uint64_t hash) : hash_(hash) {
     obs::SetCurrentQuery(text, hash_);
     obs::FlightRecord(obs::FlightEventKind::kQueryStart, "query", hash_);
   }
@@ -183,10 +182,9 @@ class QueryObsScope {
 // Updates run metrics + query log for one execution attempt. `profile`
 // (optional) contributes memory accounting, the aborting resource limit,
 // and the worst plan misestimate to the "run" record.
-template <typename ResultT>
-void ObserveRun(const std::string& text, const StatusOr<ResultT>& result,
+void ObserveRun(const PreparedPlan& p, const StatusOr<Relation>& result,
                 uint64_t start_ns, uint64_t exec_threads,
-                const ExecProfile* profile = nullptr) {
+                const ExecProfile* profile) {
   uint64_t wall = obs::NowNs() - start_ns;
   RunMetrics& m = RunMetrics::Get();
   m.runs.Add();
@@ -201,8 +199,7 @@ void ObserveRun(const std::string& text, const StatusOr<ResultT>& result,
   }
   if (obs::HistoryStore* store = obs::GetHistoryStore();
       store != nullptr && profile != nullptr) {
-    obs::RunObservation run =
-        CollectRunObservation(obs::HashQueryText(text), text, *profile);
+    obs::RunObservation run = CollectRunObservation(p.hash, p.text, *profile);
     run.ok = result.ok();
     run.aborted_limit = aborted_limit;
     run.wall_ns = wall;
@@ -218,24 +215,108 @@ void ObserveRun(const std::string& text, const StatusOr<ResultT>& result,
   }
   if (result.ok()) {
     m.rows_out.Add(result->size());
-    LogRunRecord(text, true, "", result->size(), wall, exec_threads, profile,
-                 "");
+    LogRunRecord(p, true, "", result->size(), wall, exec_threads, profile, "");
   } else {
     m.errors.Add();
     if (obs::PostmortemEnabled()) {
       // Best-effort bundle: failure to write must not mask the run error.
       obs::PostmortemInfo info;
       info.reason = aborted_limit.empty() ? "run_error" : "governor_abort";
-      info.query = text;
-      info.query_hash = obs::HashQueryText(text);
+      info.query = p.text;
+      info.query_hash = p.hash;
       info.error = result.status().ToString();
       info.aborted_limit = aborted_limit;
       if (profile != nullptr) info.profile_json = ExecProfileToJson(*profile);
       (void)obs::WritePostmortem(info);
     }
-    LogRunRecord(text, false, result.status().ToString(), 0, wall,
-                 exec_threads, profile, std::move(aborted_limit));
+    LogRunRecord(p, false, result.status().ToString(), 0, wall, exec_threads,
+                 profile, std::move(aborted_limit));
   }
+}
+
+// The one run path of CompiledQuery and ParameterizedQuery: executes the
+// prepared plan with `args` bound and reports the run (metrics, query log,
+// history store, postmortem). A non-null `profile` is always filled;
+// otherwise the run is profiled whenever a consumer exists — the caller's
+// `stats`, an installed query log (memory and misestimate fields per run
+// record), a history store that records actuals, or an abort bundle that
+// would want the partial profile.
+StatusOr<Relation> RunPrepared(const Compiler& owner, const PreparedPlan& p,
+                               const Database& db,
+                               std::span<const Value> args,
+                               AlgebraEvalStats* stats, ExecProfile* profile) {
+  obs::Span span("exec.run");
+  QueryObsScope obs_scope(p.text, p.hash);
+  uint64_t start_ns = obs::NowNs();
+  ExecProfile local;
+  if (profile == nullptr &&
+      (stats != nullptr || obs::GetQueryLog() != nullptr ||
+       obs::GetHistoryStore() != nullptr || obs::PostmortemEnabled())) {
+    profile = &local;
+  }
+  auto answer = [&]() -> StatusOr<Relation> {
+    if (p.physical != nullptr) {
+      return p.physical->ExecuteToRelation(db, profile, args);
+    }
+    // Lowering failed at compile time; redo it here to surface the error.
+    ExecOptions exec_options;
+    exec_options.query_hash = p.hash;
+    auto physical = Lower(owner.ctx(), p.plan, owner.functions(),
+                          exec_options, p.num_params);
+    if (!physical.ok()) return physical.status();
+    return physical->ExecuteToRelation(db, profile, args);
+  }();
+  if (answer.ok() && stats != nullptr) {
+    ExecTotals totals = SumProfile(*profile);
+    stats->tuples_scanned += totals.rows_in;
+    stats->tuples_produced += totals.rows_out;
+    stats->function_calls += totals.function_calls;
+    stats->tuple_copies += totals.tuple_copies;
+  }
+  ObserveRun(p, answer, start_ns,
+             EffectiveExecThreads(
+                 p.physical != nullptr ? p.physical->options().num_threads : 0),
+             profile);
+  return answer;
+}
+
+// EXPLAIN ANALYZE of one run: the plan, the bound arguments (`params`
+// names them; no line for a closed query), the answer size, and the
+// per-operator profile with memory, parallelism and estimate feedback.
+StatusOr<std::string> ExplainPrepared(const Compiler& owner,
+                                      const PreparedPlan& p,
+                                      const Database& db,
+                                      std::span<const Symbol> params,
+                                      std::span<const Value> args) {
+  ExecProfile profile;
+  auto answer = RunPrepared(owner, p, db, args, nullptr, &profile);
+  if (!answer.ok()) return answer.status();
+  std::string out = "plan: " + AlgExprToString(owner.ctx(), p.plan) + "\n";
+  if (!params.empty()) {
+    out += "args:";
+    for (size_t i = 0; i < params.size(); ++i) {
+      out += " $" + std::string(owner.ctx().symbols().Name(params[i])) + "=" +
+             args[i].ToString();
+    }
+    out += "\n";
+  }
+  out += "answer rows: " + std::to_string(answer->size()) + "\n";
+  out += ExecProfileToString(profile);
+  out += "memory: peak " + std::to_string(profile.total_peak_bytes) +
+         " bytes, allocated " +
+         std::to_string(profile.total_bytes_allocated) + " bytes\n";
+  ParallelSummary par = SumParallel(profile);
+  if (par.max_workers > 1) {
+    char line[128];
+    std::snprintf(line, sizeof(line),
+                  "parallelism: eff=%.0f%% workers=%u morsels=%llu\n",
+                  par.Efficiency() * 100.0, par.max_workers,
+                  static_cast<unsigned long long>(par.morsels));
+    out += line;
+  }
+  out += "feedback (est vs actual, worst first):\n";
+  out += BuildPlanFeedback(profile).ToString();
+  return out;
 }
 
 }  // namespace
@@ -258,90 +339,16 @@ std::string CompiledQuery::ExplainCompile() const {
 
 StatusOr<Relation> CompiledQuery::Run(const Database& db,
                                       AlgebraEvalStats* stats) const {
-  obs::Span span("exec.run");
-  QueryObsScope obs_scope(text_);
-  uint64_t start_ns = obs::NowNs();
-  ExecProfile profile;
-  bool profiled = false;
-  auto execute = [&]() -> StatusOr<Relation> {
-    if (physical_ == nullptr) {
-      // Lowering failed at compile time; EvaluateAlgebra re-lowers and
-      // surfaces the error.
-      return EvaluateAlgebra(owner_->ctx(), translation_.plan, db,
-                             owner_->functions(), stats);
-    }
-    // Profile whenever a consumer exists: the caller's stats, an installed
-    // query log (memory + misestimate fields per run record), a history
-    // store that records actuals, or an abort bundle that would want the
-    // partial profile.
-    profiled = stats != nullptr || obs::GetQueryLog() != nullptr ||
-               obs::GetHistoryStore() != nullptr || obs::PostmortemEnabled();
-    auto result =
-        physical_->ExecuteToRelation(db, profiled ? &profile : nullptr);
-    if (result.ok() && stats != nullptr) {
-      ExecTotals totals = SumProfile(profile);
-      stats->tuples_scanned += totals.rows_in;
-      stats->tuples_produced += totals.rows_out;
-      stats->function_calls += totals.function_calls;
-      stats->tuple_copies += totals.tuple_copies;
-    }
-    return result;
-  };
-  auto answer = execute();
-  ObserveRun(text_, answer, start_ns,
-             EffectiveExecThreads(
-                 physical_ != nullptr ? physical_->options().num_threads : 0),
-             profiled ? &profile : nullptr);
-  return answer;
+  return RunPrepared(*owner_, prepared_, db, {}, stats, nullptr);
 }
 
 StatusOr<Relation> CompiledQuery::RunWithProfile(const Database& db,
                                                  ExecProfile* profile) const {
-  obs::Span span("exec.run");
-  QueryObsScope obs_scope(text_);
-  uint64_t start_ns = obs::NowNs();
-  auto execute = [&]() -> StatusOr<Relation> {
-    if (physical_ != nullptr) {
-      return physical_->ExecuteToRelation(db, profile);
-    }
-    // Lowering failed at compile time; redo it here to surface the error.
-    ExecOptions exec_options;
-    exec_options.query_hash = obs::HashQueryText(text_);
-    auto physical = Lower(owner_->ctx(), translation_.plan,
-                          owner_->functions(), exec_options);
-    if (!physical.ok()) return physical.status();
-    return physical->ExecuteToRelation(db, profile);
-  };
-  auto answer = execute();
-  ObserveRun(text_, answer, start_ns,
-             EffectiveExecThreads(
-                 physical_ != nullptr ? physical_->options().num_threads : 0),
-             profile);
-  return answer;
+  return RunPrepared(*owner_, prepared_, db, {}, nullptr, profile);
 }
 
 StatusOr<std::string> CompiledQuery::ExplainAnalyze(const Database& db) const {
-  ExecProfile profile;
-  auto answer = RunWithProfile(db, &profile);
-  if (!answer.ok()) return answer.status();
-  std::string out = "plan: " + PlanString() + "\n";
-  out += "answer rows: " + std::to_string(answer->size()) + "\n";
-  out += ExecProfileToString(profile);
-  out += "memory: peak " + std::to_string(profile.total_peak_bytes) +
-         " bytes, allocated " +
-         std::to_string(profile.total_bytes_allocated) + " bytes\n";
-  ParallelSummary par = SumParallel(profile);
-  if (par.max_workers > 1) {
-    char line[128];
-    std::snprintf(line, sizeof(line),
-                  "parallelism: eff=%.0f%% workers=%u morsels=%llu\n",
-                  par.Efficiency() * 100.0, par.max_workers,
-                  static_cast<unsigned long long>(par.morsels));
-    out += line;
-  }
-  out += "feedback (est vs actual, worst first):\n";
-  out += BuildPlanFeedback(profile).ToString();
-  return out;
+  return ExplainPrepared(*owner_, prepared_, db, {}, {});
 }
 
 Compiler::Compiler() : Compiler(BuiltinFunctions()) {}
@@ -491,32 +498,17 @@ StatusOr<CompiledQuery> Compiler::CompileImpl(const Query& q,
     return fail(translation.status(), nullptr);
   }
 
-  std::shared_ptr<const PhysicalPlan> physical;
-  {
-    obs::PhaseTimer timer(&profile, "lower", "compile.lower");
-    ExecOptions exec_options;
-    exec_options.query_hash = obs::HashQueryText(text);
-    auto lowered = Lower(*ctx_, translation->plan, functions_, exec_options);
-    if (lowered.ok()) {
-      timer.SetDetail("ops=" + std::to_string(lowered->NumOperators()));
-      physical = std::make_shared<const PhysicalPlan>(
-          std::move(lowered).value());
-    } else {
-      // A stage-boundary verification failure means the lowered plan is
-      // structurally wrong — fail the compile rather than hand out a query
-      // that would re-lower into the same broken plan at execution.
-      std::vector<diag::Diagnostic> vd =
-          verify::DiagnosticsFromStatus(lowered.status());
-      if (!vd.empty()) {
-        if (lint_to_log) {
-          for (diag::Diagnostic& d : vd) log_diags.push_back(std::move(d));
-        }
-        return fail(lowered.status(), &*translation);
+  PreparedPlan prepared;
+  prepared.plan = translation->plan;
+  prepared.hash = obs::HashQueryText(text);
+  prepared.text = text;
+  if (Status s = LowerPrepared(prepared, profile); !s.ok()) {
+    if (lint_to_log) {
+      for (diag::Diagnostic& d : verify::DiagnosticsFromStatus(s)) {
+        log_diags.push_back(std::move(d));
       }
-      // Keep the query usable for inspection; executions will re-lower and
-      // report this error.
-      timer.SetDetail("failed: " + lowered.status().ToString());
     }
+    return fail(s, &*translation);
   }
 
   profile.wall_ns = obs::NowNs() - start_ns;
@@ -524,8 +516,32 @@ StatusOr<CompiledQuery> Compiler::CompileImpl(const Query& q,
   LogCompile(text, Status::Ok(), profile, &*translation, &expanded,
              std::move(log_diags));
   return CompiledQuery(this, expanded, std::move(translation).value(),
-                       std::move(profile), std::move(text),
-                       std::move(physical));
+                       std::move(profile), std::move(prepared));
+}
+
+Status Compiler::LowerPrepared(PreparedPlan& prepared,
+                               obs::CompilePhase& profile) {
+  obs::PhaseTimer timer(&profile, "lower", "compile.lower");
+  ExecOptions exec_options;
+  exec_options.query_hash = prepared.hash;
+  auto lowered = Lower(*ctx_, prepared.plan, functions_, exec_options,
+                       prepared.num_params);
+  if (lowered.ok()) {
+    timer.SetDetail("ops=" + std::to_string(lowered->NumOperators()));
+    prepared.physical =
+        std::make_shared<const PhysicalPlan>(std::move(lowered).value());
+    return Status::Ok();
+  }
+  // A stage-boundary verification failure means the lowered plan is
+  // structurally wrong — fail the compile rather than hand out a query
+  // that would re-lower into the same broken plan at execution.
+  if (!verify::DiagnosticsFromStatus(lowered.status()).empty()) {
+    return lowered.status();
+  }
+  // Keep the query usable for inspection; executions will re-lower and
+  // report this error.
+  timer.SetDetail("failed: " + lowered.status().ToString());
+  return Status::Ok();
 }
 
 std::string QueryAnalysis::Render() const {
@@ -649,68 +665,91 @@ StatusOr<ParameterizedQuery> Compiler::CompileParameterized(
   }
 
   // Safety relative to the parameter context ("em-allowed for X").
-  BoundOptions bound = options.bound;
-  for (const auto& [fn, inv] : options.inverse_fns) {
-    bound.invertible_fns.Insert(fn);
-  }
-  int find_count = 0;
-  size_t bd_computations = 0;
+  BoundOptions bound = EffectiveBound(options);
+  Translation t;  // the artifacts, for the compile record
   {
     obs::PhaseTimer timer(&profile, "safety", "compile.safety");
     EmAllowedChecker checker(*ctx_, bound);
-    SafetyResult safety = checker.CheckFormula(q.body, param_set);
-    bd_computations = checker.bound().computations();
-    if (safety.em_allowed) {
-      find_count = static_cast<int>(checker.bound().Bound(q.body).size());
+    t.safety = checker.CheckFormula(q.body, param_set);
+    t.bd_computations = checker.bound().computations();
+    if (t.safety.em_allowed) {
+      t.find_count = checker.bound().Bound(q.body).size();
     }
     timer.SetDetail(
-        (safety.em_allowed ? std::string("em-allowed") :
-                             std::string("rejected")) +
-        " bd_computations=" + std::to_string(bd_computations) +
-        " finds=" + std::to_string(find_count));
-    if (!safety.em_allowed) {
+        (t.safety.em_allowed ? std::string("em-allowed") :
+                               std::string("rejected")) +
+        " bd_computations=" + std::to_string(t.bd_computations) +
+        " finds=" + std::to_string(t.find_count));
+    if (!t.safety.em_allowed) {
       return fail(NotSafeError(
-          "query is not em-allowed for its parameters: " + safety.reason));
+          "query is not em-allowed for its parameters: " + t.safety.reason));
     }
   }
 
-  const Formula* enf = nullptr;
   {
     obs::PhaseTimer timer(&profile, "enf", "compile.enf");
     EnfOptions enf_options;
     enf_options.enable_t10 = options.enable_t10;
     enf_options.bound = bound;
-    enf = ToEnf(*ctx_, q.body, enf_options);
-    timer.SetDetail("size=" + std::to_string(FormulaSize(enf)));
+    t.enf = ToEnf(*ctx_, q.body, enf_options);
+    timer.SetDetail("size=" + std::to_string(FormulaSize(t.enf)));
   }
-  const Formula* ranf = nullptr;
   {
     obs::PhaseTimer timer(&profile, "ranf", "compile.ranf");
-    auto ranf_or = ToRanf(*ctx_, enf, param_set, bound.invertible_fns);
+    auto ranf_or = ToRanf(*ctx_, t.enf, param_set, bound.invertible_fns);
     if (!ranf_or.ok()) return fail(ranf_or.status());
-    ranf = *ranf_or;
-    timer.SetDetail("size=" + std::to_string(FormulaSize(ranf)));
+    t.ranf = *ranf_or;
+    timer.SetDetail("size=" + std::to_string(FormulaSize(t.ranf)));
   }
+
+  // The plan over the parameters, translated relative to their context:
+  // argument values never reach the compiler, each run binds them.
+  verify::AlgebraOptions verify_options;
+  verify_options.expected_arity = static_cast<int>(q.head.size());
+  verify_options.num_params = static_cast<int>(param_syms.size());
+  {
+    obs::PhaseTimer timer(&profile, "algebra_gen", "compile.algebra_gen");
+    AlgebraGenerator generator(*ctx_, options.inverse_fns, param_syms);
+    auto raw = generator.Translate(t.ranf, q.head);
+    if (!raw.ok()) return fail(raw.status());
+    t.raw_plan = *raw;
+    timer.SetDetail("nodes=" + std::to_string(t.raw_plan->NodeCount()));
+  }
+  if (verify::Enabled()) {
+    verify::VerifyReport vr =
+        verify::VerifyRanfAlgebra(*ctx_, t.ranf, param_set,
+                                  bound.invertible_fns, t.raw_plan,
+                                  verify_options);
+    if (!vr.ok()) return fail(vr.ToStatus());
+  }
+  {
+    obs::PhaseTimer timer(&profile, "optimize", "compile.optimize");
+    AlgebraFactory factory(*ctx_);
+    t.plan = OptimizePlan(factory, t.raw_plan);
+    timer.SetDetail("nodes " + std::to_string(t.raw_plan->NodeCount()) +
+                    "->" + std::to_string(t.plan->NodeCount()));
+  }
+  if (verify::Enabled()) {
+    verify_options.stage = verify::Stage::kOptimizedAlgebra;
+    verify::VerifyReport vr = verify::VerifyAlgebra(*ctx_, t.plan,
+                                                    verify_options);
+    if (!vr.ok()) return fail(vr.ToStatus());
+  }
+
+  PreparedPlan prepared;
+  prepared.plan = t.plan;
+  prepared.num_params = static_cast<int>(param_syms.size());
+  // Runs pool under the unparameterized query text in the run log and
+  // the history store.
+  prepared.text = QueryToString(*ctx_, q);
+  prepared.hash = obs::HashQueryText(prepared.text);
+  if (Status s = LowerPrepared(prepared, profile); !s.ok()) return fail(s);
 
   profile.wall_ns = obs::NowNs() - start_ns;
   CompileMetrics::Get().wall_ns.Observe(static_cast<double>(profile.wall_ns));
-  if (obs::GetQueryLog() != nullptr) {
-    obs::QueryLogRecord r;
-    r.event = "compile";
-    r.query = std::string(text);
-    r.query_hash = obs::HashQueryText(text);
-    r.ok = true;
-    r.em_allowed = true;
-    r.level = CountApplications(q.body);
-    r.find_count = find_count;
-    r.ranf_size = FormulaSize(ranf);
-    r.wall_ns = profile.wall_ns;
-    r.phase_ns = obs::FlattenPhases(profile);
-    r.string_pool_size = StringPool::Global().size();
-    obs::GetQueryLog()->Write(r);
-  }
-  return ParameterizedQuery(this, std::move(q), std::move(param_syms), ranf,
-                            options.inverse_fns);
+  LogCompile(std::string(text), Status::Ok(), profile, &t, &q);
+  return ParameterizedQuery(this, std::move(q), std::move(param_syms), t.ranf,
+                            options.inverse_fns, std::move(prepared));
 }
 
 StatusOr<const AlgExpr*> ParameterizedQuery::PlanFor(
@@ -738,70 +777,18 @@ StatusOr<const AlgExpr*> ParameterizedQuery::PlanFor(
 StatusOr<Relation> ParameterizedQuery::Run(const Database& db,
                                            const std::vector<Value>& args,
                                            AlgebraEvalStats* stats) const {
-  obs::Span span("exec.run");
-  std::string text = QueryToString(owner_->ctx(), query_);
-  QueryObsScope obs_scope(text);
-  uint64_t start_ns = obs::NowNs();
-  auto answer = [&]() -> StatusOr<Relation> {
-    auto plan = PlanFor(args);
-    if (!plan.ok()) return plan.status();
-    return EvaluateAlgebra(owner_->ctx(), *plan, db, owner_->functions(),
-                           stats);
-  }();
-  ObserveRun(text, answer, start_ns, EffectiveExecThreads(0));
-  return answer;
+  return RunPrepared(*owner_, prepared_, db, args, stats, nullptr);
 }
 
 StatusOr<Relation> ParameterizedQuery::RunWithProfile(
     const Database& db, const std::vector<Value>& args,
     ExecProfile* profile) const {
-  obs::Span span("exec.run");
-  std::string text = QueryToString(owner_->ctx(), query_);
-  QueryObsScope obs_scope(text);
-  uint64_t start_ns = obs::NowNs();
-  auto answer = [&]() -> StatusOr<Relation> {
-    auto plan = PlanFor(args);
-    if (!plan.ok()) return plan.status();
-    // History keyed on the parameterized text: runs with different
-    // arguments pool into one hash, so corrections are the mean actual
-    // over the argument mix seen so far.
-    ExecOptions exec_options;
-    exec_options.query_hash = obs::HashQueryText(text);
-    auto physical =
-        Lower(owner_->ctx(), *plan, owner_->functions(), exec_options);
-    if (!physical.ok()) return physical.status();
-    return physical->ExecuteToRelation(db, profile);
-  }();
-  ObserveRun(text, answer, start_ns, EffectiveExecThreads(0), profile);
-  return answer;
+  return RunPrepared(*owner_, prepared_, db, args, nullptr, profile);
 }
 
 StatusOr<std::string> ParameterizedQuery::ExplainAnalyze(
     const Database& db, const std::vector<Value>& args) const {
-  auto plan = PlanFor(args);
-  if (!plan.ok()) return plan.status();
-  ExecProfile profile;
-  auto answer = RunWithProfile(db, args, &profile);
-  if (!answer.ok()) return answer.status();
-  std::string out =
-      "plan: " + AlgExprToString(owner_->ctx(), *plan) + "\n";
-  out += "answer rows: " + std::to_string(answer->size()) + "\n";
-  out += ExecProfileToString(profile);
-  out += "memory: peak " + std::to_string(profile.total_peak_bytes) +
-         " bytes, allocated " +
-         std::to_string(profile.total_bytes_allocated) + " bytes\n";
-  ParallelSummary par = SumParallel(profile);
-  if (par.max_workers > 1) {
-    char line[128];
-    std::snprintf(line, sizeof(line),
-                  "parallelism: eff=%.0f%% workers=%u morsels=%llu\n",
-                  par.Efficiency() * 100.0, par.max_workers,
-                  static_cast<unsigned long long>(par.morsels));
-    out += line;
-  }
-  out += "feedback (est vs actual, worst first):\n";
-  out += BuildPlanFeedback(profile).ToString();
-  return out;
+  return ExplainPrepared(*owner_, prepared_, db, params_, args);
 }
 
 }  // namespace emcalc

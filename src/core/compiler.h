@@ -12,6 +12,8 @@
 #ifndef EMCALC_CORE_COMPILER_H_
 #define EMCALC_CORE_COMPILER_H_
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -56,6 +58,18 @@ struct QueryAnalysis {
   std::string ToJson() const;
 };
 
+// A plan lowered once at compile time and shared by every run of its
+// query; CompiledQuery and ParameterizedQuery both execute through one.
+struct PreparedPlan {
+  const AlgExpr* plan = nullptr;  // optimized algebra; $name marks a parameter
+  int num_params = 0;             // arguments each run binds
+  std::string text;   // query text (compile/run log and history correlation)
+  uint64_t hash = 0;  // obs::HashQueryText(text)
+  // Lowered with `hash`, so history corrections apply to every run; null
+  // when lowering failed (a run then re-lowers to surface the error).
+  std::shared_ptr<const PhysicalPlan> physical;
+};
+
 // A safety-checked, translated query ready to execute.
 class CompiledQuery {
  public:
@@ -96,20 +110,16 @@ class CompiledQuery {
  private:
   friend class Compiler;
   CompiledQuery(const Compiler* owner, Query query, Translation translation,
-                obs::CompilePhase profile, std::string text,
-                std::shared_ptr<const PhysicalPlan> physical)
+                obs::CompilePhase profile, PreparedPlan prepared)
       : owner_(owner), query_(std::move(query)),
         translation_(std::move(translation)), profile_(std::move(profile)),
-        text_(std::move(text)), physical_(std::move(physical)) {}
+        prepared_(std::move(prepared)) {}
 
   const Compiler* owner_;
   Query query_;
   Translation translation_;
   obs::CompilePhase profile_;
-  std::string text_;  // original query text (compile/run log correlation)
-  // Lowered once at compile time and shared by every Run; null when
-  // lowering failed (RunWithProfile then re-lowers to surface the error).
-  std::shared_ptr<const PhysicalPlan> physical_;
+  PreparedPlan prepared_;  // translation_.plan, lowered once
 };
 
 // A query with host-program parameters — the paper's "em-allowed for X"
@@ -121,45 +131,59 @@ class CompiledQuery {
 //       "{e | EMP(e, d, s) and with_raise(s) <= cap}", {"d", "cap"});
 //   auto answer = q->Run(db, {Value::Int(3), Value::Int(90000)});
 //
-// Each Run substitutes the argument values as constants into the stored
-// RANF form (constant substitution preserves RANF relative to the empty
-// context) and generates a fresh plan; generation is microsecond-scale.
+// Neither the safety check nor the RANF for the parameter context depends
+// on the argument values, so neither does the plan: CompileParameterized
+// translates, optimizes and lowers it once, with each parameter as a
+// scalar $name. A run only executes that plan with its arguments bound
+// into the execution; it allocates nothing in the compiler's AstContext,
+// so a long-lived query stays bounded in memory, and concurrent runs with
+// different arguments are safe.
 class ParameterizedQuery {
  public:
   const std::vector<Symbol>& parameters() const { return params_; }
   const Query& query() const { return query_; }
+  // The prepared plan, $name marking where a run reads each argument.
+  const AlgExpr* plan() const { return prepared_.plan; }
 
   // Executes with `args` bound to parameters() position-wise.
   StatusOr<Relation> Run(const Database& db, const std::vector<Value>& args,
                          AlgebraEvalStats* stats = nullptr) const;
 
-  // Executes through the physical layer and fills `profile` with the
-  // per-operator statistics tree — the parameterized counterpart of
-  // CompiledQuery::RunWithProfile.
+  // Executes and fills `profile` with the per-operator statistics tree —
+  // the parameterized counterpart of CompiledQuery::RunWithProfile.
   StatusOr<Relation> RunWithProfile(const Database& db,
                                     const std::vector<Value>& args,
                                     ExecProfile* profile) const;
 
   // EXPLAIN ANALYZE for one argument binding: executes against `db` and
-  // renders the generated plan plus the per-operator profile.
+  // renders the prepared plan, the bound arguments, and the per-operator
+  // profile.
   StatusOr<std::string> ExplainAnalyze(const Database& db,
                                        const std::vector<Value>& args) const;
 
-  // The plan for given argument values (for inspection).
+  // The plan for given argument values, built the slow way: the arguments
+  // are substituted as constants into the stored RANF, which is then
+  // translated and optimized afresh. For inspection and as a differential
+  // oracle only — every call allocates into the compiler's AstContext
+  // (arena and constant pool), which never frees, and so must not race
+  // with other users of the compiler.
   StatusOr<const AlgExpr*> PlanFor(const std::vector<Value>& args) const;
 
  private:
   friend class Compiler;
   ParameterizedQuery(Compiler* owner, Query query, std::vector<Symbol> params,
-                     const Formula* ranf, std::map<Symbol, Symbol> inverses)
+                     const Formula* ranf, std::map<Symbol, Symbol> inverses,
+                     PreparedPlan prepared)
       : owner_(owner), query_(std::move(query)), params_(std::move(params)),
-        ranf_(ranf), inverses_(std::move(inverses)) {}
+        ranf_(ranf), inverses_(std::move(inverses)),
+        prepared_(std::move(prepared)) {}
 
   Compiler* owner_;
   Query query_;  // head = output variables; body free vars = head + params
   std::vector<Symbol> params_;
   const Formula* ranf_;  // RANF for the context `params_`
   std::map<Symbol, Symbol> inverses_;  // declared function inverses
+  PreparedPlan prepared_;  // the plan over $params, lowered once
 };
 
 // Parses, safety-checks, and translates queries. Not copyable or movable:
@@ -217,6 +241,13 @@ class Compiler {
                                       const TranslateOptions& options,
                                       obs::CompilePhase profile,
                                       uint64_t start_ns, std::string text);
+
+  // Lowers `prepared.plan` with its query hash under a "lower" phase of
+  // `profile`, filling `prepared.physical`. Fails only when the lowered
+  // plan breaks a stage-boundary invariant (the compile must then fail);
+  // any other lowering error leaves `physical` null and the query usable
+  // for inspection, its runs reporting the error.
+  Status LowerPrepared(PreparedPlan& prepared, obs::CompilePhase& profile);
 
   std::unique_ptr<AstContext> ctx_;
   FunctionRegistry functions_;

@@ -22,6 +22,7 @@ bool OnSide(const ScalarExpr* e, int split, int side) {
     case ScalarExpr::Kind::kCol:
       return side == 0 ? e->col() < split : e->col() >= split;
     case ScalarExpr::Kind::kConst:
+    case ScalarExpr::Kind::kParam:
       return true;
     case ScalarExpr::Kind::kApply:
       for (const ScalarExpr* a : e->args()) {
@@ -37,11 +38,12 @@ bool OnSide(const ScalarExpr* e, int split, int side) {
 class Lowerer {
  public:
   Lowerer(const AstContext& ctx, const FunctionRegistry& registry,
-          const ExecOptions& options)
+          const ExecOptions& options, int num_params)
       : ctx_(ctx), registry_(registry) {
     plan_.ctx_ = &ctx;
     plan_.registry_ = &registry;
     plan_.options_ = options;
+    plan_.num_params_ = num_params;
   }
 
   StatusOr<PhysicalPlan> Lower(const AlgExpr* root) {
@@ -112,8 +114,15 @@ class Lowerer {
   }
 
   // Resolves a scalar expression's function applications, binding them
-  // into the plan's function table.
+  // into the plan's function table, and range-checks its parameters.
   Status ResolveExpr(const ScalarExpr* e) {
+    if (e->kind() == ScalarExpr::Kind::kParam &&
+        e->param() >= plan_.num_params_) {
+      return InvalidArgumentError(
+          "parameter $" + std::string(ctx_.symbols().Name(e->param_name())) +
+          " is argument " + std::to_string(e->param()) +
+          " but the plan binds " + std::to_string(plan_.num_params_));
+    }
     if (e->kind() == ScalarExpr::Kind::kApply) {
       std::string name(ctx_.symbols().Name(e->fn()));
       auto f = registry_.Get(name, static_cast<int>(e->args().size()));
@@ -275,12 +284,12 @@ class Lowerer {
 
 StatusOr<PhysicalPlan> Lower(const AstContext& ctx, const AlgExpr* plan,
                              const FunctionRegistry& registry,
-                             const ExecOptions& options) {
+                             const ExecOptions& options, int num_params) {
   obs::Span span("exec.lower");
   static obs::Counter& lowered =
       obs::MetricsRegistry::Instance().GetCounter("exec.plans_lowered");
   lowered.Add();
-  Lowerer lowerer(ctx, registry, options);
+  Lowerer lowerer(ctx, registry, options, num_params);
   auto physical = lowerer.Lower(plan);
   // Stage boundary 5: the physical plan must mirror the algebra plan it
   // was lowered from, operator by operator.

@@ -17,7 +17,9 @@
 //
 // Lowering resolves every scalar function against `registry` (errors are
 // reported here, before execution); relation bindings are validated per
-// execution, since the same plan may run against many databases.
+// execution, since the same plan may run against many databases. A plan
+// over query parameters (kParam expressions, see src/algebra/expr.h) is
+// lowered once with its parameter count; each execution binds the values.
 #ifndef EMCALC_EXEC_LOWER_H_
 #define EMCALC_EXEC_LOWER_H_
 
@@ -30,10 +32,12 @@
 namespace emcalc {
 
 // Lowers `plan` into an executable physical plan. `ctx` and `registry`
-// must outlive the returned plan.
+// must outlive the returned plan. Every kParam index must lie below
+// `num_params`, the number of arguments each execution will bind.
 StatusOr<PhysicalPlan> Lower(const AstContext& ctx, const AlgExpr* plan,
                              const FunctionRegistry& registry,
-                             const ExecOptions& options = {});
+                             const ExecOptions& options = {},
+                             int num_params = 0);
 
 }  // namespace emcalc
 

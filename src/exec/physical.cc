@@ -135,8 +135,11 @@ struct ExecContext {
   obs::QueryMemory qmem;
   obs::ResourceGovernor governor;
   std::vector<double> est;  // memoized per-op cardinality estimates
+  // Values of the plan's parameters (kParam expressions) for this run.
+  std::span<const Value> args;
 
-  ExecContext(const PhysicalPlan& p, const Database& d)
+  ExecContext(const PhysicalPlan& p, const Database& d,
+              std::span<const Value> a)
       : plan(p), db(d), stats(p.ops_.size()),
         memo(static_cast<size_t>(p.num_memo_slots_)),
         threads(p.options_.num_threads == 0 ? ThreadPool::HardwareThreads()
@@ -144,7 +147,7 @@ struct ExecContext {
         morsel_threshold(EffectiveMorselThreshold(p.options_)),
         qmem(p.ops_.size()),
         governor(obs::EffectiveLimits(p.options_.limits), &qmem, NowNs()),
-        est(p.ops_.size(), -1.0) {}
+        est(p.ops_.size(), -1.0), args(a) {}
 
   // Pre-execution cardinality estimate of `op`, memoized per operator.
   // Deliberately simple heuristics (sizes are known exactly for scans, a
@@ -226,16 +229,18 @@ Value ExecContext::EvalExpr(const ScalarExpr* e, const TupleView& view,
       return view.at(e->col());
     case ScalarExpr::Kind::kConst:
       return plan.ctx_->ConstantAt(e->const_id());
+    case ScalarExpr::Kind::kParam:
+      return args[static_cast<size_t>(e->param())];
     case ScalarExpr::Kind::kApply: {
-      std::vector<Value> args;
-      args.reserve(e->args().size());
+      std::vector<Value> argv;
+      argv.reserve(e->args().size());
       for (const ScalarExpr* a : e->args()) {
-        args.push_back(EvalExpr(a, view, s));
+        argv.push_back(EvalExpr(a, view, s));
       }
       ++s.function_calls;
       auto it = plan.fns_.find(e->fn());
       EMCALC_CHECK(it != plan.fns_.end());  // resolved at lowering
-      return it->second->fn(args);
+      return it->second->fn(argv);
     }
   }
   return Value();
@@ -532,7 +537,10 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchProject(
   const size_t bsz =
       std::min(plan.options_.batch_size, std::max<size_t>(n, 1));
   auto out = std::make_shared<Relation>(op->arity);
-  out->Reserve(n);
+  // Every input row yields an output row only without a fused filter; a
+  // filtered projection grows with its survivors instead of reserving for
+  // rows it drops (the answer may outlive the run, reservation and all).
+  if (cond == nullptr) out->Reserve(n);
   uint64_t survivors = 0;
   if (Parallel(n)) {
     const size_t num_morsels = (n + kMorselGrain - 1) / kMorselGrain;
@@ -559,14 +567,14 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchProject(
                 Selection::Dense(static_cast<uint32_t>(b), count);
             if (cond != nullptr) {
               OpStats& wf = fshards[worker];
-              sel = cond->RunFilter(data, in_arity, sel, fscratch[worker],
-                                    &wf.function_calls);
+              sel = cond->RunFilter(data, in_arity, sel, args,
+                                    fscratch[worker], &wf.function_calls);
               ++wf.batches;
               wf.batch_rows += count;
               wf.batch_sel_rows += sel.size();
             }
-            const Value* rows =
-                proj.RunProject(data, in_arity, sel, ps, &ws.function_calls);
+            const Value* rows = proj.RunProject(data, in_arity, sel, args, ps,
+                                                &ws.function_calls);
             buf.AppendRows(rows, sel.size());
             ++ws.batches;
             ws.batch_rows += count;
@@ -592,15 +600,15 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchProject(
         const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
         Selection sel = Selection::Dense(static_cast<uint32_t>(b), count);
         if (cond != nullptr) {
-          sel = cond->RunFilter(data, in_arity, sel, fs,
+          sel = cond->RunFilter(data, in_arity, sel, args, fs,
                                 &fstats->function_calls);
           ++fstats->batches;
           fstats->batch_rows += count;
           fstats->batch_sel_rows += sel.size();
           survivors += sel.size();
         }
-        const Value* rows =
-            proj.RunProject(data, in_arity, sel, ps, &s.function_calls);
+        const Value* rows = proj.RunProject(data, in_arity, sel, args, ps,
+                                            &s.function_calls);
         out->AppendRows(rows, sel.size());
         ++s.batches;
         s.batch_rows += count;
@@ -667,7 +675,7 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchFilter(
             const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
             Selection sel = cond.RunFilter(
                 data, in_arity,
-                Selection::Dense(static_cast<uint32_t>(b), count), sc,
+                Selection::Dense(static_cast<uint32_t>(b), count), args, sc,
                 &ws.function_calls);
             gather(sel, sc, buf, ws);
             ++ws.batches;
@@ -688,7 +696,7 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchFilter(
         const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
         Selection sel = cond.RunFilter(
             data, in_arity, Selection::Dense(static_cast<uint32_t>(b), count),
-            sc, &s.function_calls);
+            args, sc, &s.function_calls);
         gather(sel, sc, *out, s);
         ++s.batches;
         s.batch_rows += count;
@@ -1252,7 +1260,8 @@ StatusOr<ExecProfile> ExecProfileFromJson(std::string_view json) {
 }
 
 StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(
-    const Database& db, ExecProfile* profile) const {
+    const Database& db, ExecProfile* profile,
+    std::span<const Value> args) const {
   obs::Span span("exec.execute");
   if (span.enabled()) {
     span.SetDetail("ops=" + std::to_string(ops_.size()));
@@ -1260,6 +1269,11 @@ StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(
   static obs::Counter& executions =
       obs::MetricsRegistry::Instance().GetCounter("exec.plan_executions");
   executions.Add();
+  if (args.size() != static_cast<size_t>(num_params_)) {
+    return InvalidArgumentError(
+        "expected " + std::to_string(num_params_) + " arguments, got " +
+        std::to_string(args.size()));
+  }
   // Validate every Scan binding up front so a broken plan fails before any
   // operator runs (mirrors the legacy evaluator's Validate pass).
   for (const std::unique_ptr<PhysicalOp>& op : ops_) {
@@ -1273,7 +1287,7 @@ StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(
           std::to_string((*rel)->arity()));
     }
   }
-  ExecContext exec(*this, db);
+  ExecContext exec(*this, db, args);
   exec.EstimateRows(root_);  // pre-execution estimates for every op
   auto result = exec.Run(root_);
   // Fold per-op memory slots and estimates into the stats before the
@@ -1307,8 +1321,9 @@ StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(
 }
 
 StatusOr<Relation> PhysicalPlan::ExecuteToRelation(
-    const Database& db, ExecProfile* profile) const {
-  auto result = Execute(db, profile);
+    const Database& db, ExecProfile* profile,
+    std::span<const Value> args) const {
+  auto result = Execute(db, profile, args);
   if (!result.ok()) return result.status();
   if (result->owned != nullptr) return std::move(*result->owned);
   return *result->relation;  // borrowed (scan/materialized): copy out

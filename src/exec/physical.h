@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -268,19 +269,25 @@ class PhysicalPlan {
   // Executes against `db`. Scan bindings (relation existence and arity)
   // are validated before any operator runs. When `profile` is non-null it
   // is overwritten with this execution's per-operator statistics tree.
-  StatusOr<Result> Execute(const Database& db,
-                           ExecProfile* profile = nullptr) const;
+  // `args` binds the plan's parameters position-wise (kParam expressions);
+  // it must hold exactly NumParams() values and is only read during the
+  // call, so concurrent executions may bind different arguments.
+  StatusOr<Result> Execute(const Database& db, ExecProfile* profile = nullptr,
+                           std::span<const Value> args = {}) const;
 
   // Convenience: execute and return the answer by value (moving when the
   // result is exclusively owned).
-  StatusOr<Relation> ExecuteToRelation(const Database& db,
-                                       ExecProfile* profile = nullptr) const;
+  StatusOr<Relation> ExecuteToRelation(
+      const Database& db, ExecProfile* profile = nullptr,
+      std::span<const Value> args = {}) const;
 
   const PhysicalOp* root() const { return root_; }
   int NumOperators() const { return static_cast<int>(ops_.size()); }
   // Materialize cache slots allocated at lowering time; every Materialize
   // op's memo_slot must be a distinct index in [0, NumMemoSlots()).
   int NumMemoSlots() const { return num_memo_slots_; }
+  // Parameters the plan's kParam expressions index (0 for a closed query).
+  int NumParams() const { return num_params_; }
   // The constant pool kConst expressions resolve against (null only on a
   // default-constructed plan).
   const AstContext* ctx() const { return ctx_; }
@@ -299,6 +306,7 @@ class PhysicalPlan {
   const FunctionRegistry* registry_ = nullptr;  // AdomScan term closures
   std::unordered_map<Symbol, const ScalarFunction*> fns_;
   int num_memo_slots_ = 0;
+  int num_params_ = 0;
   ExecOptions options_;
 };
 

@@ -62,30 +62,62 @@ void GatherOrderKeys(const Value* v, uint32_t n, uint8_t* cls,
   }
 }
 
+// A thread keeps at most this many dead scratches' buffers, each at most
+// this large; larger ones go back to the allocator.
+constexpr size_t kMaxRecycled = 4;
+constexpr size_t kMaxRecycledBytes = size_t{1} << 20;
+
 }  // namespace
+
+std::vector<BatchScratch::Buffers>& BatchScratch::Recycled() {
+  thread_local std::vector<Buffers> recycled;
+  return recycled;
+}
+
+BatchScratch::BatchScratch() {
+  std::vector<Buffers>& recycled = Recycled();
+  if (recycled.empty()) return;
+  buf_ = std::move(recycled.back());
+  recycled.pop_back();
+}
+
+BatchScratch::~BatchScratch() {
+  std::vector<Buffers>& recycled = Recycled();
+  const size_t bytes =
+      (buf_.regs.capacity() + buf_.rows.capacity()) * sizeof(Value) +
+      buf_.sel.capacity() * sizeof(uint32_t) +
+      buf_.keys.capacity() * sizeof(uint64_t) + buf_.cls.capacity();
+  if (recycled.size() >= kMaxRecycled || bytes > kMaxRecycledBytes) return;
+  buf_.regs.clear();
+  buf_.rows.clear();
+  buf_.sel.clear();
+  buf_.keys.clear();
+  buf_.cls.clear();
+  recycled.push_back(std::move(buf_));
+}
 
 void BatchScratch::Prepare(const ScalarProgram& prog, size_t batch_size,
                            size_t row_width) {
   batch_size_ = std::max(batch_size_, batch_size);
   const size_t regs =
       static_cast<size_t>(prog.num_regs_) * batch_size_;
-  if (regs_.size() < regs) regs_.resize(regs);
+  if (buf_.regs.size() < regs) buf_.regs.resize(regs);
   const size_t rows = row_width * batch_size_;
-  if (rows_.size() < rows) rows_.resize(rows);
-  if (prog.has_cmp_stage_ && sel_.size() < batch_size_) {
-    sel_.resize(batch_size_);
+  if (buf_.rows.size() < rows) buf_.rows.resize(rows);
+  if (prog.has_cmp_stage_ && buf_.sel.size() < batch_size_) {
+    buf_.sel.resize(batch_size_);
   }
   if (prog.needs_order_keys_) {
-    if (keys_.size() < 2 * batch_size_) keys_.resize(2 * batch_size_);
-    if (cls_.size() < 2 * batch_size_) cls_.resize(2 * batch_size_);
+    if (buf_.keys.size() < 2 * batch_size_) buf_.keys.resize(2 * batch_size_);
+    if (buf_.cls.size() < 2 * batch_size_) buf_.cls.resize(2 * batch_size_);
   }
   // Manual sizing, so manual charging: the whole scratch is attributed to
-  // the calling thread's active MemoryScope (the owning operator).
+  // the calling thread's active MemoryScope (the owning operator). Sizes,
+  // not capacities: recycled storage may be larger than this use needs.
   charge_.Update(static_cast<int64_t>(
-      regs_.capacity() * sizeof(Value) + rows_.capacity() * sizeof(Value) +
-      sel_.capacity() * sizeof(uint32_t) +
-      keys_.capacity() * sizeof(uint64_t) +
-      cls_.capacity() * sizeof(uint8_t)));
+      buf_.regs.size() * sizeof(Value) + buf_.rows.size() * sizeof(Value) +
+      buf_.sel.size() * sizeof(uint32_t) + buf_.keys.size() * sizeof(uint64_t) +
+      buf_.cls.size() * sizeof(uint8_t)));
 }
 
 size_t ScalarProgram::ScratchBytes(size_t batch_size,
@@ -134,6 +166,22 @@ class ScalarProgram::Builder {
       }
       case ScalarExpr::Kind::kConst:
         return EmitConst(ctx_.ConstantAt(e->const_id()));
+      case ScalarExpr::Kind::kParam: {
+        // Splatted per batch from the execution's arguments; never in
+        // const_regs_, so applications over it are not folded.
+        std::string key = "p" + std::to_string(e->param());
+        if (auto it = numbers_.find(key); it != numbers_.end()) {
+          return it->second;
+        }
+        uint16_t r = NewReg();
+        Insn insn;
+        insn.op = Insn::Op::kParam;
+        insn.dst = r;
+        insn.col = e->param();
+        stage().insns.push_back(std::move(insn));
+        numbers_.emplace(std::move(key), r);
+        return r;
+      }
       case ScalarExpr::Kind::kApply: {
         std::vector<uint16_t> args;
         args.reserve(e->args().size());
@@ -242,11 +290,13 @@ ScalarProgram ScalarProgram::CompileFilter(
 }
 
 void ScalarProgram::RunInsns(const Stage& stage, const Value* input,
-                             int arity, Selection sel, BatchScratch& scratch,
+                             int arity, Selection sel,
+                             std::span<const Value> args,
+                             BatchScratch& scratch,
                              uint64_t* fn_calls) const {
   const uint32_t n = sel.size();
   const size_t stride = scratch.batch_size_;
-  Value* regs = scratch.regs_.data();
+  Value* regs = scratch.buf_.regs.data();
   for (const Insn& insn : stage.insns) {
     Value* dst = regs + static_cast<size_t>(insn.dst) * stride;
     switch (insn.op) {
@@ -257,6 +307,11 @@ void ScalarProgram::RunInsns(const Stage& stage, const Value* input,
       case Insn::Op::kConst:
         for (uint32_t i = 0; i < n; ++i) dst[i] = insn.constant;
         break;
+      case Insn::Op::kParam: {
+        const Value v = args[static_cast<size_t>(insn.col)];
+        for (uint32_t i = 0; i < n; ++i) dst[i] = v;
+        break;
+      }
       case Insn::Op::kCall: {
         const size_t nargs = insn.args.size();
         *fn_calls += n;  // one application per lane, as the tuple path
@@ -297,20 +352,21 @@ void ScalarProgram::RunInsns(const Stage& stage, const Value* input,
 }
 
 Selection ScalarProgram::RunFilter(const Value* input, int arity,
-                                   Selection sel, BatchScratch& scratch,
+                                   Selection sel, std::span<const Value> args,
+                                   BatchScratch& scratch,
                                    uint64_t* fn_calls) const {
   const size_t stride = scratch.batch_size_;
   for (const Stage& stage : stages_) {
     if (sel.empty()) break;
-    RunInsns(stage, input, arity, sel, scratch, fn_calls);
+    RunInsns(stage, input, arity, sel, args, scratch, fn_calls);
     if (!stage.has_cmp) continue;
-    const Value* l = scratch.regs_.data() +
+    const Value* l = scratch.buf_.regs.data() +
                      static_cast<size_t>(stage.lhs) * stride;
-    const Value* r = scratch.regs_.data() +
+    const Value* r = scratch.buf_.regs.data() +
                      static_cast<size_t>(stage.rhs) * stride;
     // Survivors compact in place: writes trail reads, so refining an
     // already-sparse selection backed by the same array is safe.
-    uint32_t* out = scratch.sel_.data();
+    uint32_t* out = scratch.buf_.sel.data();
     const uint32_t n = sel.size();
     uint32_t kept = 0;
     switch (stage.cmp) {
@@ -354,9 +410,9 @@ Selection ScalarProgram::RunFilter(const Value* input, int arity,
         }
         // Mixed batch: gather order keys once per side, then compare
         // words; a full string compare only settles prefix ties.
-        uint8_t* lcls = scratch.cls_.data();
+        uint8_t* lcls = scratch.buf_.cls.data();
         uint8_t* rcls = lcls + scratch.batch_size_;
-        uint64_t* lkey = scratch.keys_.data();
+        uint64_t* lkey = scratch.buf_.keys.data();
         uint64_t* rkey = lkey + scratch.batch_size_;
         GatherOrderKeys(l, n, lcls, lkey);
         GatherOrderKeys(r, n, rcls, rkey);
@@ -386,19 +442,21 @@ Selection ScalarProgram::RunFilter(const Value* input, int arity,
 }
 
 const Value* ScalarProgram::RunProject(const Value* input, int arity,
-                                       Selection sel, BatchScratch& scratch,
+                                       Selection sel,
+                                       std::span<const Value> args,
+                                       BatchScratch& scratch,
                                        uint64_t* fn_calls) const {
   if (!stages_.empty()) {
-    RunInsns(stages_.front(), input, arity, sel, scratch, fn_calls);
+    RunInsns(stages_.front(), input, arity, sel, args, scratch, fn_calls);
   }
   // Transpose the output registers row-major into the staging area, ready
   // for a bulk append into the arity-strided relation buffer.
   const uint32_t n = sel.size();
   const size_t width = outputs_.size();
   const size_t stride = scratch.batch_size_;
-  Value* rows = scratch.rows_.data();
+  Value* rows = scratch.buf_.rows.data();
   for (size_t j = 0; j < width; ++j) {
-    const Value* col = scratch.regs_.data() +
+    const Value* col = scratch.buf_.regs.data() +
                        static_cast<size_t>(outputs_[j]) * stride;
     Value* dst = rows + j;
     for (uint32_t i = 0; i < n; ++i) {

@@ -3,10 +3,12 @@
 // At lowering time every ProjectMap expression list and FilterSelect
 // condition list is compiled once into a flat register program. Registers
 // are column slices (one Value per active lane of the current batch);
-// instructions gather an input column, splat a constant, or apply a bound
+// instructions gather an input column, splat a constant or one of the
+// execution's arguments (a query parameter), or apply a bound
 // ScalarFunction to argument registers. Compilation performs
 //   - constant folding: an application whose arguments are all constants
-//     runs once at compile time (registry functions are pure and total),
+//     runs once at compile time (registry functions are pure and total);
+//     parameters are never folded, their values arrive per execution,
 //   - common-subexpression elimination: structurally equal subtrees within
 //     a stage share one register, so an expression repeated across output
 //     columns is computed once per batch,
@@ -48,34 +50,46 @@ namespace emcalc {
 class ScalarProgram;
 
 // Per-worker batch buffers: register columns, selection-index storage,
-// order-key gather arrays, and a row-major staging area for results. All
-// capacity is charged to the calling thread's active obs::MemoryScope (the
-// owning operator) and released when the scratch dies.
+// order-key gather arrays, and a row-major staging area for results. The
+// buffers a scratch is sized for are charged to the calling thread's
+// active obs::MemoryScope (the owning operator) and released when the
+// scratch dies. Their storage is recycled per thread: a dying scratch
+// hands its (bounded) buffers to the next scratch constructed on the same
+// thread, so a short execution repeated many times — a prepared query's
+// runs — does not return its buffers to the allocator and fault them back
+// in on every run.
 class BatchScratch {
  public:
-  BatchScratch() = default;
+  BatchScratch();
+  ~BatchScratch();
 
   BatchScratch(const BatchScratch&) = delete;
   BatchScratch& operator=(const BatchScratch&) = delete;
 
   // Sizes every buffer for `prog` at `batch_size` lanes plus a row staging
-  // area of `row_width` values per lane, and (re)charges the capacity.
+  // area of `row_width` values per lane, and (re)charges their size.
   // Idempotent for equal arguments; callable with different programs (the
   // buffers only grow).
   void Prepare(const ScalarProgram& prog, size_t batch_size,
                size_t row_width);
 
   // The row-major staging area (batch_size * row_width values).
-  Value* row_staging() { return rows_.data(); }
+  Value* row_staging() { return buf_.rows.data(); }
 
  private:
   friend class ScalarProgram;
 
-  std::vector<Value> regs_;     // num_regs columns of batch_size lanes
-  std::vector<Value> rows_;     // row-major result staging
-  std::vector<uint32_t> sel_;   // refined selection indexes
-  std::vector<uint64_t> keys_;  // order-key gather, lhs then rhs halves
-  std::vector<uint8_t> cls_;    // per-lane value class (0 = int, 1 = str)
+  struct Buffers {
+    std::vector<Value> regs;     // num_regs columns of batch_size lanes
+    std::vector<Value> rows;     // row-major result staging
+    std::vector<uint32_t> sel;   // refined selection indexes
+    std::vector<uint64_t> keys;  // order-key gather, lhs then rhs halves
+    std::vector<uint8_t> cls;    // per-lane value class (0 = int, 1 = str)
+  };
+  // This thread's buffers of dead scratches, awaiting reuse.
+  static std::vector<Buffers>& Recycled();
+
+  Buffers buf_;
   size_t batch_size_ = 0;
   obs::MemoryCharge charge_;
 };
@@ -108,25 +122,28 @@ class ScalarProgram {
   // arity-strided `input` buffer. The returned Selection (backed by
   // scratch) holds the surviving absolute row indexes, ascending.
   // `fn_calls` accumulates one count per lane per function application,
-  // matching the tuple interpreter's accounting.
+  // matching the tuple interpreter's accounting. `args` holds the values
+  // of the plan's parameters for this execution (empty for closed plans).
   Selection RunFilter(const Value* input, int arity, Selection sel,
-                      BatchScratch& scratch, uint64_t* fn_calls) const;
+                      std::span<const Value> args, BatchScratch& scratch,
+                      uint64_t* fn_calls) const;
 
   // Projection form: evaluates every output column over the `sel` rows of
   // `input` and transposes the results row-major into the scratch staging
   // area (sel.size() rows of num_outputs() values). Returns the staging
   // pointer, valid until the next use of `scratch`.
   const Value* RunProject(const Value* input, int arity, Selection sel,
-                          BatchScratch& scratch, uint64_t* fn_calls) const;
+                          std::span<const Value> args, BatchScratch& scratch,
+                          uint64_t* fn_calls) const;
 
  private:
   friend class BatchScratch;
 
   struct Insn {
-    enum class Op : uint8_t { kLoadCol, kConst, kCall };
+    enum class Op : uint8_t { kLoadCol, kConst, kParam, kCall };
     Op op = Op::kLoadCol;
     uint16_t dst = 0;
-    int col = 0;                          // kLoadCol
+    int col = 0;                          // kLoadCol column, kParam index
     Value constant;                       // kConst
     const ScalarFunction* fn = nullptr;   // kCall, resolved at compile
     std::vector<uint16_t> args;           // kCall argument registers
@@ -146,8 +163,8 @@ class ScalarProgram {
   class Builder;
 
   void RunInsns(const Stage& stage, const Value* input, int arity,
-                Selection sel, BatchScratch& scratch,
-                uint64_t* fn_calls) const;
+                Selection sel, std::span<const Value> args,
+                BatchScratch& scratch, uint64_t* fn_calls) const;
 
   std::vector<Stage> stages_;
   std::vector<uint16_t> outputs_;  // projection registers, one per column

@@ -27,6 +27,8 @@ StatusOr<const ScalarExpr*> AlgebraGenerator::CompileTerm(
     case Term::Kind::kVar: {
       int col = ColumnOf(cols, t->symbol());
       if (col < 0) {
+        int param = ColumnOf(params_, t->symbol());
+        if (param >= 0) return ef.Param(param, t->symbol());
         return InternalError("unbound variable in term compilation: " +
                              std::string(factory_.ctx().symbols().Name(
                                  t->symbol())));
@@ -70,9 +72,14 @@ StatusOr<BoundPlan> AlgebraGenerator::ApplyRel(const BoundPlan& input,
   // Non-binding positions get a sentinel no real variable can equal.
   ext_cols.resize(static_cast<size_t>(split + rel_arity),
                   Symbol{0xffffffffu});
+  // A parameter position is a condition ($p == column), handled with the
+  // non-variable arguments in pass 2.
+  auto binding_var = [&](const Term* t) {
+    return t->is_var() && !param_set_.Contains(t->symbol());
+  };
   for (int i = 0; i < rel_arity; ++i) {
     const Term* t = f->terms()[static_cast<size_t>(i)];
-    if (!t->is_var()) continue;
+    if (!binding_var(t)) continue;
     int here = split + i;
     Symbol v = t->symbol();
     int bound = ColumnOf(input.cols, v);
@@ -94,7 +101,7 @@ StatusOr<BoundPlan> AlgebraGenerator::ApplyRel(const BoundPlan& input,
   }
   for (int i = 0; i < rel_arity; ++i) {
     const Term* t = f->terms()[static_cast<size_t>(i)];
-    if (t->is_var()) continue;
+    if (binding_var(t)) continue;
     auto e = CompileTerm(t, ext_cols);
     if (!e.ok()) return e.status();
     conds.push_back({*e, AlgCompareOp::kEq, ef.Col(split + i)});
@@ -117,7 +124,7 @@ StatusOr<BoundPlan> AlgebraGenerator::ApplyRel(const BoundPlan& input,
 StatusOr<BoundPlan> AlgebraGenerator::ApplyEq(const BoundPlan& input,
                                               const Formula* f) {
   ExprFactory& ef = factory_.exprs();
-  SymbolSet bound(input.cols);
+  SymbolSet bound = Bound(input.cols);
   bool l_over = TermVars(f->lhs()).IsSubsetOf(bound);
   bool r_over = TermVars(f->rhs()).IsSubsetOf(bound);
   if (l_over && r_over) {
@@ -199,7 +206,7 @@ StatusOr<BoundPlan> AlgebraGenerator::ApplyOr(const BoundPlan& input,
   ExprFactory& ef = factory_.exprs();
   // Fix a common output column order: the input columns followed by the
   // new variables (sorted for determinism).
-  SymbolSet bound(input.cols);
+  SymbolSet bound = Bound(input.cols);
   SymbolSet new_vars = FreeVars(f).Minus(bound);
   std::vector<Symbol> out_cols = input.cols;
   out_cols.insert(out_cols.end(), new_vars.begin(), new_vars.end());

@@ -16,6 +16,12 @@
 //
 // The translation starts from E = unit (the arity-0 relation holding the
 // empty tuple) and finishes by projecting to the query head.
+//
+// A formula in RANF for a parameter context X (the paper's "em-allowed for
+// X", Section 9) translates relative to X: a parameter counts as bound
+// everywhere, compiles to the scalar $x (ExprFactory::Param), and in an
+// atom position becomes a join condition, never a new column. The plan is
+// then independent of the argument values, which each execution binds.
 #ifndef EMCALC_TRANSLATE_ALGEBRA_GEN_H_
 #define EMCALC_TRANSLATE_ALGEBRA_GEN_H_
 
@@ -42,9 +48,12 @@ class AlgebraGenerator {
   // `inverses` maps invertible function symbols to their inverse function
   // symbols: g(x) = t with g invertible compiles to binding x := ginv(t)
   // followed by the membership check g(x) == t (g need not be surjective).
+  // `params` are the parameter variables; params[i] compiles to $i.
   explicit AlgebraGenerator(AstContext& ctx,
-                            std::map<Symbol, Symbol> inverses = {})
-      : factory_(ctx), inverses_(std::move(inverses)) {}
+                            std::map<Symbol, Symbol> inverses = {},
+                            std::vector<Symbol> params = {})
+      : factory_(ctx), inverses_(std::move(inverses)),
+        params_(std::move(params)), param_set_(params_) {}
 
   // Applies `f` to the context plan. `f` must be in RANF for the variable
   // set of `input.cols`; violations produce kInternal errors (the RANF pass
@@ -58,8 +67,8 @@ class AlgebraGenerator {
   AlgebraFactory& factory() { return factory_; }
 
  private:
-  // Compiles a term over bound columns into a scalar expression; kInternal
-  // if the term mentions an unbound variable.
+  // Compiles a term over bound columns and parameters into a scalar
+  // expression; kInternal if the term mentions an unbound variable.
   StatusOr<const ScalarExpr*> CompileTerm(const Term* t,
                                           const std::vector<Symbol>& cols);
 
@@ -67,8 +76,15 @@ class AlgebraGenerator {
   StatusOr<BoundPlan> ApplyEq(const BoundPlan& input, const Formula* f);
   StatusOr<BoundPlan> ApplyOr(const BoundPlan& input, const Formula* f);
 
+  // Variables bound in the context plan: its columns plus the parameters.
+  SymbolSet Bound(const std::vector<Symbol>& cols) const {
+    return SymbolSet(cols).Union(param_set_);
+  }
+
   AlgebraFactory factory_;
   std::map<Symbol, Symbol> inverses_;
+  std::vector<Symbol> params_;
+  SymbolSet param_set_;
 };
 
 }  // namespace emcalc

@@ -37,6 +37,8 @@ constexpr MutationInfo kMutations[] = {
     {Mutation::kAlgUnitNonZeroArity, "alg-unit-nonzero-arity",
      "alg.unit-arity"},
     {Mutation::kAlgConstOutOfPool, "alg-const-out-of-pool", "alg.const-pool"},
+    {Mutation::kAlgParamOutOfRange, "alg-param-out-of-range",
+     "alg.param-range"},
     {Mutation::kAlgDropInputChild, "alg-drop-input-child",
      "alg.child-missing"},
     {Mutation::kAlgLeafExtraChild, "alg-leaf-extra-child", "alg.child-extra"},
@@ -233,6 +235,15 @@ const AlgExpr* PlanMutator::Corrupt(const AlgExpr* plan, Mutation m) {
       std::vector<const ScalarExpr*> es = project_exprs(node);
       es[0] = exprs.Const(
           static_cast<uint32_t>(ctx_.NumConstants()) + 7);
+      set_exprs(node, std::move(es));
+      return root;
+    }
+    case Mutation::kAlgParamOutOfRange: {
+      AlgExpr* node = FindFirst(plan, AlgKind::kProject);
+      if (node == nullptr || node->num_exprs_ == 0) return nullptr;
+      std::vector<const ScalarExpr*> es = project_exprs(node);
+      // Far beyond the parameter list of any query the harness verifies.
+      es[0] = exprs.Param(1000, ctx_.symbols().Intern("p"));
       set_exprs(node, std::move(es));
       return root;
     }

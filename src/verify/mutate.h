@@ -38,6 +38,7 @@ enum class Mutation : uint8_t {
   kAlgRelNegativeArity,    // kRel arity -1
   kAlgUnitNonZeroArity,    // kUnit with arity 1
   kAlgConstOutOfPool,      // kConst id beyond the constant pool
+  kAlgParamOutOfRange,     // kParam index beyond the query's parameters
   kAlgDropInputChild,      // unary node loses its input
   kAlgLeafExtraChild,      // leaf node grows a child
   kAlgInjectAdom,          // kAdom inside a directly-translated plan

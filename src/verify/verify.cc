@@ -161,6 +161,7 @@ struct ScalarScan {
   int max_col = -1;            // largest column referenced, -1 if none
   uint32_t bad_const = 0;      // an out-of-range constant-pool id
   bool has_bad_const = false;
+  int max_param = -1;          // largest parameter index, -1 if none
 };
 
 void ScanScalar(const ScalarExpr* e, const AstContext& ctx, ScalarScan& out) {
@@ -179,18 +180,22 @@ void ScanScalar(const ScalarExpr* e, const AstContext& ctx, ScalarScan& out) {
         out.bad_const = e->const_id();
       }
       break;
+    case ScalarExpr::Kind::kParam:
+      if (out.max_param < e->param()) out.max_param = e->param();
+      break;
     case ScalarExpr::Kind::kApply:
       for (const ScalarExpr* a : e->args()) ScanScalar(a, ctx, out);
       break;
   }
 }
 
-// Reports a scanned expression against its input schema width. `what`
-// labels the expression in messages ("projection expression 2", "join
-// condition 0 lhs", ...). The rule prefix selects alg.* or phys.* ids.
+// Reports a scanned expression against its input schema width and the
+// query's parameter count. `what` labels the expression in messages
+// ("projection expression 2", "join condition 0 lhs", ...). The rule
+// prefix selects alg.* or phys.* ids.
 void ReportScalar(VerifyReport& report, const ScalarScan& scan,
-                  int input_arity, const PathNode& path, const Label& what,
-                  bool physical) {
+                  int input_arity, int num_params, const PathNode& path,
+                  const Label& what, bool physical) {
   if (scan.has_null) {
     Add(report, physical ? "phys.expr-null" : "alg.expr-null", path,
         what.Str() + " is (or contains) a null expression");
@@ -206,6 +211,12 @@ void ReportScalar(VerifyReport& report, const ScalarScan& scan,
             std::to_string(scan.max_col + 1) +
             " but the input schema has " + std::to_string(input_arity) +
             " column(s)");
+  }
+  if (scan.max_param >= num_params) {
+    Add(report, physical ? "phys.param-range" : "alg.param-range", path,
+        what.Str() + " reads parameter " + std::to_string(scan.max_param) +
+            " but the query has " + std::to_string(num_params) +
+            " parameter(s)");
   }
 }
 
@@ -412,7 +423,8 @@ class AlgebraChecker {
                  const Label& what) {
     ScalarScan scan;
     ScanScalar(e, ctx_, scan);
-    ReportScalar(report_, scan, input_arity, path, what, /*physical=*/false);
+    ReportScalar(report_, scan, input_arity, options_.num_params, path, what,
+                 /*physical=*/false);
   }
 
   void CheckConds(const AlgExpr* node, int input_arity,
@@ -628,7 +640,8 @@ class PhysicalChecker {
                  const Label& what) {
     ScalarScan scan;
     ScanScalar(e, ctx(), scan);
-    ReportScalar(report_, scan, input_arity, path, what, /*physical=*/true);
+    ReportScalar(report_, scan, input_arity, plan_.NumParams(), path, what,
+                 /*physical=*/true);
   }
 
   void Walk(const PhysicalOp* op, const PathNode& path) {
@@ -753,9 +766,9 @@ class PhysicalChecker {
           ScalarScan l, r;
           ScanScalar(k.left_key, ctx(), l);
           ScanScalar(k.right_key, ctx(), r);
-          ReportScalar(report_, l, op->split, path,
+          ReportScalar(report_, l, op->split, plan_.NumParams(), path,
                        Label{"key ", idx, " left side"}, /*physical=*/true);
-          ReportScalar(report_, r, combined, path,
+          ReportScalar(report_, r, combined, plan_.NumParams(), path,
                        Label{"key ", idx, " right side"}, /*physical=*/true);
           if (l.max_col >= op->split) {
             Add(report_, "phys.key-side", path,

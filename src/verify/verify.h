@@ -112,11 +112,14 @@ struct AlgebraOptions {
   // The direct translation never emits kAdom (only the AB88 baseline
   // translator does), so plan verification rejects it by default.
   bool allow_adom = false;
+  // Parameters of the query (ParameterizedQuery); every kParam index must
+  // lie below it, so a closed query's plan admits no kParam at all.
+  int num_params = 0;
 };
 
 // Per-node arity agreement, column indices in range of the (concatenated,
 // for joins) input schema, non-null condition/projection expressions,
-// constant-pool ids in range, and acyclicity.
+// constant-pool ids and parameter indices in range, and acyclicity.
 VerifyReport VerifyAlgebra(const AstContext& ctx, const AlgExpr* plan,
                            const AlgebraOptions& options);
 
@@ -130,7 +133,8 @@ VerifyReport VerifyRanfAlgebra(const AstContext& ctx, const Formula* ranf,
 
 // --- Stage 5: physical -----------------------------------------------------
 // Kind-appropriate child counts, projection/filter/key expression indices
-// valid against input arities, join split points, unique Materialize cache
+// valid against input arities, parameter indices below the plan's
+// NumParams(), join split points, unique Materialize cache
 // slots, unique in-range operator ids (the memory-accounting MemoryScope
 // slots are indexed by op id, so this is the scheduling-safety rule that
 // every allocating operator is covered by a scope), and — when `algebra`

@@ -1,6 +1,11 @@
 // Tests for the Section-9 extensions: external comparison predicates
-// (<, <=, >, >=) and parameterized "em-allowed for X" queries.
+// (<, <=, >, >=) and parameterized "em-allowed for X" queries, including
+// the prepared-plan contract: one plan lowered at compile time, runs that
+// allocate nothing in the compiler, and concurrent runs (under TSAN in CI).
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 #include "src/algebra/eval.h"
 #include "src/algebra/printer.h"
@@ -209,6 +214,84 @@ TEST_F(ParameterizedTest, PlanForShowsGroundedPlan) {
   ASSERT_TRUE(plan.ok());
   std::string text = AlgExprToString(compiler_.ctx(), *plan);
   EXPECT_NE(text.find("succ(7)"), std::string::npos) << text;
+}
+
+TEST_F(ParameterizedTest, PreparedPlanReadsParameters) {
+  auto q = compiler_.CompileParameterized(
+      "{e | exists s (EMP(e, d, s) and cap <= s)}", {"d", "cap"});
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  // The prepared plan holds the parameters themselves, no argument values.
+  std::string plan = AlgExprToString(compiler_.ctx(), q->plan());
+  EXPECT_NE(plan.find("$d"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("$cap"), std::string::npos) << plan;
+
+  auto explain = q->ExplainAnalyze(db_, {Value::Int(10), Value::Int(60'000)});
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("plan: " + plan + "\n"), std::string::npos)
+      << *explain;
+  EXPECT_NE(explain->find("args: $d=10 $cap=60000\n"), std::string::npos)
+      << *explain;
+  EXPECT_NE(explain->find("answer rows: 1\n"), std::string::npos) << *explain;
+}
+
+TEST_F(ParameterizedTest, RunsAllocateNothingInTheCompiler) {
+  auto q = compiler_.CompileParameterized(
+      "{e | exists s (EMP(e, d, s) and cap <= succ(s))}", {"d", "cap"});
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const size_t arena = compiler_.ctx().arena().bytes_allocated();
+  const size_t constants = compiler_.ctx().NumConstants();
+  for (int i = 0; i < 10'000; ++i) {
+    auto answer =
+        q->Run(db_, {Value::Int(10 * (1 + i % 3)), Value::Int(i * 10)});
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  }
+  EXPECT_EQ(compiler_.ctx().arena().bytes_allocated(), arena);
+  EXPECT_EQ(compiler_.ctx().NumConstants(), constants);
+}
+
+TEST_F(ParameterizedTest, ConcurrentRunsMatchPlanFor) {
+  // Four threads run one query with different arguments; each answer must
+  // equal the substitute-and-retranslate plan for its own arguments.
+  // PlanFor allocates into the compiler, so the references are built
+  // before the threads start. EMP outgrows the morsel threshold, so each
+  // run's filter also fans out to the shared thread pool.
+  for (int64_t id = 4; id < 6'000; ++id) {
+    ASSERT_TRUE(db_.Insert("EMP", {Value::Int(id), Value::Int(10 * (id % 4)),
+                                   Value::Int(1'000 * id)})
+                    .ok());
+  }
+  auto q = compiler_.CompileParameterized(
+      "{e, s | EMP(e, d, s) and cap <= s and s != succ(cap)}", {"d", "cap"});
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  constexpr int kThreads = 4;
+  constexpr int kRunsPerThread = 50;
+  std::vector<std::vector<Value>> args;
+  std::vector<Relation> expected;
+  for (int t = 0; t < kThreads; ++t) {
+    args.push_back({Value::Int(10 * t), Value::Int(5'000 * t)});
+    auto plan = q->PlanFor(args.back());
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto answer =
+        EvaluateAlgebra(compiler_.ctx(), *plan, db_, compiler_.functions());
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    expected.push_back(std::move(answer).value());
+  }
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRunsPerThread; ++i) {
+        auto answer = q->Run(db_, args[static_cast<size_t>(t)]);
+        if (!answer.ok() || !(*answer == expected[static_cast<size_t>(t)])) {
+          ++mismatches[static_cast<size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
+  }
 }
 
 TEST_F(ParameterizedTest, AgreesWithConstantSubstitutedQuery) {

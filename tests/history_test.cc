@@ -398,5 +398,50 @@ TEST(HistoryFeedbackTest, WarmStoreCorrectsEstimatesKeepsAnswers) {
   }
 }
 
+// A parameterized query runs one plan lowered with its query hash at
+// compile time: plain Run calls record actuals (pooled over the argument
+// mix under the unparameterized text), and a query compiled against the
+// warm store runs with corrected estimates and unchanged answers.
+TEST(HistoryFeedbackTest, ParameterizedRunsRecordAndUseHistory) {
+  ScopedTempDir dir("hist_param");
+  auto store = obs::HistoryStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  ScopedHistoryStore scoped(store->get());
+
+  Database db;
+  AddRandomTuples(db, "R", 2, 1000, 20, 1);
+  AddRandomTuples(db, "S", 1, 10, 20, 2);
+  const std::string text = "{y | R(p, y) and S(y)}";
+  const std::vector<std::vector<Value>> bindings = {
+      {Value::Int(1)}, {Value::Int(4)}, {Value::Int(7)}};
+
+  Compiler cold;
+  auto q1 = cold.CompileParameterized(text, {"p"});
+  ASSERT_TRUE(q1.ok()) << q1.status().ToString();
+  std::vector<Relation> cold_answers;
+  for (const std::vector<Value>& args : bindings) {
+    auto answer = q1->Run(db, args);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    cold_answers.push_back(std::move(answer).value());
+  }
+  EXPECT_EQ(store->get()->total_runs(), bindings.size());
+
+  Compiler warm;
+  auto q2 = warm.CompileParameterized(text, {"p"});
+  ASSERT_TRUE(q2.ok()) << q2.status().ToString();
+  ExecProfile profile;
+  auto profiled = q2->RunWithProfile(db, bindings[0], &profile);
+  ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+  EXPECT_GT(CountHistoryCorrectedOps(profile), 0u);
+  for (size_t i = 0; i < bindings.size(); ++i) {
+    auto answer = q2->Run(db, bindings[i]);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_TRUE(*answer == cold_answers[i]) << "binding " << i;
+  }
+  auto explain = q2->ExplainAnalyze(db, bindings[1]);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("[history:"), std::string::npos) << *explain;
+}
+
 }  // namespace
 }  // namespace emcalc

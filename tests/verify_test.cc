@@ -143,6 +143,43 @@ TEST(VerifyMutationTest, EveryAlgebraMutationIsCaughtWithItsRule) {
   });
 }
 
+// Parameter indices are checked against the query's parameter count: a
+// prepared parameterized plan verifies clean with its own count, and the
+// same plan fails in a closed query (no parameters), in the algebra, the
+// physical plan, and after the out-of-range mutation.
+TEST(VerifyMutationTest, ParameterIndicesMatchTheParameterCount) {
+  ScopedVerify on(1);
+  Compiler compiler(TestFunctions());
+  auto q = compiler.CompileParameterized(
+      "{y | exists x (R(x, y) and f(p) = x and y != q)}", {"p", "q"});
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const AstContext& ctx = compiler.ctx();
+  AlgebraOptions opts;
+  opts.stage = Stage::kOptimizedAlgebra;
+  opts.num_params = 2;
+  EXPECT_TRUE(VerifyAlgebra(ctx, q->plan(), opts).ok());
+  opts.num_params = 1;  // $q is argument 1
+  EXPECT_TRUE(VerifyAlgebra(ctx, q->plan(), opts).Has("alg.param-range"));
+  opts.num_params = 0;  // a closed query admits no parameter at all
+  EXPECT_TRUE(VerifyAlgebra(ctx, q->plan(), opts).Has("alg.param-range"));
+
+  auto prepared = Lower(ctx, q->plan(), compiler.functions(), {}, 2);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_TRUE(VerifyPhysical(*prepared, q->plan()).ok());
+  // Lowering range-checks too, so a closed lowering of the plan fails
+  // before VerifyPhysical could see it.
+  auto closed = Lower(ctx, q->plan(), compiler.functions());
+  ASSERT_FALSE(closed.ok());
+  EXPECT_EQ(closed.status().code(), StatusCode::kInvalidArgument);
+
+  PlanMutator mutator(compiler.ctx());
+  const AlgExpr* bad =
+      mutator.Corrupt(q->plan(), Mutation::kAlgParamOutOfRange);
+  ASSERT_NE(bad, nullptr);
+  opts.num_params = 2;
+  EXPECT_TRUE(VerifyAlgebra(ctx, bad, opts).Has("alg.param-range"));
+}
+
 TEST(VerifyMutationTest, EveryPhysicalMutationIsCaughtWithItsRule) {
   ScopedVerify off(0);  // corrupt plans by hand, verify explicitly
   AstContext ctx;
