@@ -1,5 +1,7 @@
 // Tests for pushnot, simplification, the em-allowed criterion, and the
 // comparison criteria (GT91 allowed, AB88 range-restriction, Top91 safe).
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "src/calculus/parser.h"
@@ -96,9 +98,14 @@ TEST_F(SafetyTest, SimplifyIsIdempotentOnCorpus) {
 // --- em-allowed: the paper's named queries ---
 
 struct Case {
+  const char* name;
   const char* text;
   bool em_allowed;
 };
+
+// gtest_discover_tests names each case by its printed value; printing the
+// name (not the default byte dump of pointers) keeps ctest names stable.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 class EmAllowedCase : public SafetyTest,
                       public ::testing::WithParamInterface<Case> {};
@@ -114,23 +121,28 @@ INSTANTIATE_TEST_SUITE_P(
     PaperQueries, EmAllowedCase,
     ::testing::Values(
         // q1: project-style function query.
-        Case{"exists x (R(x) and y = g(f(x)))", true},
+        Case{"q1_project", "exists x (R(x) and y = g(f(x)))", true},
         // q2: em-allowed but not range-restricted (Section 2).
-        Case{"R(x) and exists y (f(x) = y and not R(y))", true},
+        Case{"q2_not_range_restricted",
+             "R(x) and exists y (f(x) = y and not R(y))", true},
         // q4 (with the bounding atom B(x); DESIGN.md R3): em-allowed.
-        Case{"B(x) and not (((f(x) != y and g(x) != y) or R(x, y)) and "
+        Case{"q4_bounded",
+             "B(x) and not (((f(x) != y and g(x) != y) or R(x, y)) and "
              "((h(x) != y and k(x) != y) or P(x, y)))",
              true},
         // q4 without any bounding for x: x escapes, not em-allowed.
-        Case{"not (((f(x) != y and g(x) != y) or R(x, y)) and "
+        Case{"q4_unbounded",
+             "not (((f(x) != y and g(x) != y) or R(x, y)) and "
              "((h(x) != y and k(x) != y) or P(x, y)))",
              false},
         // q5: em-allowed but not Top91-safe.
-        Case{"(R(x) and f(x) = y) or (S(y) and g(y) = x)", true},
+        Case{"q5_not_top91_safe",
+             "(R(x) and f(x) = y) or (S(y) and g(y) = x)", true},
         // q6: the classic difference query.
-        Case{"R(x, y, z) and not S(y, z)", true},
+        Case{"q6_difference", "R(x, y, z) and not S(y, z)", true},
         // q7: not embedded domain independent (Section 2 vs Top91).
-        Case{"x = 0 and forall u (exists v (plus(u, 1) = v))", false}));
+        Case{"q7_not_embedded_domain_independent",
+             "x = 0 and forall u (exists v (plus(u, 1) = v))", false}));
 
 class UnsafeCase : public SafetyTest,
                    public ::testing::WithParamInterface<const char*> {};
