@@ -7,9 +7,7 @@
 // tuple, with the bucket-map join EvalJoin used. Against it run the
 // symmetric hand-rolled kernels over the interned flat layout
 // ("flat_layout" — isolates the representation change) and the full
-// physical operator stack at 1, 2, and hardware threads, plus the
-// single-threaded "tuple" (batch_size=1) vs "batch" (batch_size=1024)
-// pair that isolates the vectorized scalar-program kernels. Rows/sec per
+// physical operator stack at 1, 2, and hardware threads. Rows/sec per
 // variant goes to BENCH_perf.json.
 #include <benchmark/benchmark.h>
 
@@ -158,8 +156,8 @@ size_t OldLayoutFilter(const OldRelation& in) {
 // The scalar-heavy projection shared by every project_map variant:
 //   out0 = plus(mix(succ(c0), double(succ(c0))), abs(neg(half(c0))))
 //   out1 = minus(max2(succ(c0), abs(neg(half(c0)))), min2(c0, c1))
-// — fifteen applications per row on the tuple path (shared subtrees
-// re-evaluated), ten compiled ops per batch (succ/half/neg/abs CSE'd).
+// — fifteen applications per row with shared subtrees re-evaluated (as the
+// hand kernels do), ten compiled ops per batch (succ/half/neg/abs CSE'd).
 // The builtins' totality coercion maps strings to their length; the
 // arithmetic below mirrors the builtin bodies exactly.
 int64_t NumCoerce(const OldValue& v) {
@@ -310,8 +308,8 @@ Plans MakePlans(AstContext& ctx, AlgebraFactory& factory) {
     return e.Apply(ctx.symbols().Intern(fn), args);
   };
   // The shared subtrees (succ(c0), abs(neg(half(c0)))) are CSE'd by the
-  // compiled batch program but re-evaluated by the tuple path — mirrors
-  // ChainOut0/ChainOut1 in the hand kernels above.
+  // compiled batch program; ChainOut0/ChainOut1 in the hand kernels above
+  // compute the same columns.
   const emcalc::ScalarExpr* s = apply1("succ", e.Col(0));
   const emcalc::ScalarExpr* a = apply1("abs", apply1("neg", apply1("half", e.Col(0))));
   const emcalc::ScalarExpr* out0 =
@@ -325,15 +323,12 @@ Plans MakePlans(AstContext& ctx, AlgebraFactory& factory) {
   return p;
 }
 
-// Best-of-reps wall time of one flat execution at `threads` workers and
-// `batch_size` rows per batch (1 = tuple-at-a-time, 0 = default batched).
+// Best-of-reps wall time of one flat execution at `threads` workers.
 uint64_t FlatWallNs(const AstContext& ctx, const AlgExpr* plan,
                     const Database& db, const FunctionRegistry& registry,
-                    size_t threads, size_t batch_size, size_t* out_rows,
-                    int reps = 3) {
+                    size_t threads, size_t* out_rows, int reps = 3) {
   ExecOptions options;
   options.num_threads = threads;
-  if (batch_size > 0) options.batch_size = batch_size;
   auto physical = Lower(ctx, plan, registry, options);
   if (!physical.ok()) return 0;
   uint64_t best = UINT64_MAX;
@@ -469,24 +464,13 @@ void ReportProfile(const DataProfile& profile) {
     struct Variant {
       const char* name;
       size_t threads;
-      size_t batch_size;  // 0 = ExecOptions default (batched)
     };
-    // flat_t1/t2/hw run the default batched kernels; "tuple" and "batch"
-    // pin batch_size at one thread so their ratio isolates the vectorized
-    // kernels from the layout and parallelism wins.
-    const Variant variants[] = {{"flat_t1", 1, 0},
-                                {"flat_t2", 2, 0},
-                                {"flat_hw", hw, 0},
-                                {"tuple", 1, 1},
-                                {"batch", 1, 1024}};
+    const Variant variants[] = {{"flat_t1", 1}, {"flat_t2", 2}, {"flat_hw", hw}};
     uint64_t t1_ns = 0;
-    uint64_t tuple_ns = 0;
     for (const Variant& v : variants) {
       size_t out_rows = 0;
-      uint64_t ns = FlatWallNs(ctx, s.plan, db, registry, v.threads,
-                               v.batch_size, &out_rows);
-      if (v.threads == 1 && v.batch_size == 0) t1_ns = ns;
-      if (v.batch_size == 1) tuple_ns = ns;
+      uint64_t ns = FlatWallNs(ctx, s.plan, db, registry, v.threads, &out_rows);
+      if (v.threads == 1) t1_ns = ns;
       EmitRecord(profile.name, s.op, v.name, v.threads, op_rows_in, out_rows, ns);
       double speedup = ns > 0 ? static_cast<double>(s.old_ns) /
                                     static_cast<double>(ns)
@@ -503,10 +487,6 @@ void ReportProfile(const DataProfile& profile) {
       if (v.threads == 2 && t1_ns > 0 && ns > 0) {
         std::printf("%-14s %-14s %33.2fx vs flat_t1\n", "", "",
                     static_cast<double>(t1_ns) / static_cast<double>(ns));
-      }
-      if (v.batch_size == 1024 && tuple_ns > 0 && ns > 0) {
-        std::printf("%-14s %-14s %33.2fx vs tuple\n", "", "",
-                    static_cast<double>(tuple_ns) / static_cast<double>(ns));
       }
     }
     std::printf("\n");

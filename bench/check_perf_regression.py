@@ -9,9 +9,9 @@ divided by the same run's legacy_layout rows_per_sec for that (data, op).
 A series regresses when current_speedup / baseline_speedup falls below the
 threshold (0.7 = a >30% slowdown relative to the in-run legacy baseline).
 
-Only the single-threaded variants are gated (flat_layout, flat_t1, and
-the tuple/batch kernel pair) — multi-thread numbers on shared CI runners
-are too noisy to gate on, and flat_hw depends on the core count. When a
+Only the single-threaded variants are gated (flat_layout and flat_t1) —
+multi-thread numbers on shared CI runners are too noisy to gate on, and
+flat_hw depends on the core count. When a
 file holds duplicate records for a series (appended re-runs), the latest
 record per (bench, data, op, variant, threads) wins. The full delta
 table is always printed, gated or not.
@@ -41,7 +41,7 @@ import argparse
 import json
 import sys
 
-GATED_VARIANTS = ("flat_layout", "flat_t1", "tuple", "batch")
+GATED_VARIANTS = ("flat_layout", "flat_t1")
 BASELINE_VARIANT = "legacy_layout"
 
 

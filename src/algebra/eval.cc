@@ -424,7 +424,6 @@ StatusOr<Relation> EvaluateAlgebra(const AstContext& ctx, const AlgExpr* plan,
   ExecOptions exec_options;
   exec_options.adom_budget = options.adom_budget;
   exec_options.num_threads = options.num_threads;
-  exec_options.batch_size = options.batch_size;
   auto physical = Lower(ctx, plan, registry, exec_options);
   if (!physical.ok()) return physical.status();
   ExecProfile profile;

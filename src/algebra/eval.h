@@ -44,11 +44,6 @@ struct AlgebraEvalOptions {
   // concurrency; 1 disables parallelism. Results are identical for every
   // value. Ignored by EvaluateAlgebraLegacy, which is always sequential.
   size_t num_threads = 0;
-  // Rows per execution batch for the vectorized ProjectMap/FilterSelect
-  // kernels (forwarded to ExecOptions::batch_size). 1 selects the
-  // tuple-at-a-time path; results are identical for every value. Ignored
-  // by EvaluateAlgebraLegacy.
-  size_t batch_size = 1024;
 };
 
 // Evaluates `plan` through the physical execution layer. Fails (without

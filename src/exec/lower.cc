@@ -114,7 +114,8 @@ class Lowerer {
   }
 
   // Resolves a scalar expression's function applications, binding them
-  // into the plan's function table, and range-checks its parameters.
+  // into the function table the programs compile against, and
+  // range-checks its parameters.
   Status ResolveExpr(const ScalarExpr* e) {
     if (e->kind() == ScalarExpr::Kind::kParam &&
         e->param() >= plan_.num_params_) {
@@ -127,7 +128,7 @@ class Lowerer {
       std::string name(ctx_.symbols().Name(e->fn()));
       auto f = registry_.Get(name, static_cast<int>(e->args().size()));
       if (!f.ok()) return f.status();
-      plan_.fns_.emplace(e->fn(), *f);
+      fns_.emplace(e->fn(), *f);
       for (const ScalarExpr* a : e->args()) {
         if (Status s = ResolveExpr(a); !s.ok()) return s;
       }
@@ -178,10 +179,10 @@ class Lowerer {
         PhysicalOp* op = NewOp(PhysOpKind::kProjectMap, node->arity());
         op->exprs.assign(node->exprs().begin(), node->exprs().end());
         op->left = *in;
-        // Batch form compiled once here: constant folding, per-stage CSE,
-        // and function-pointer binding all happen at lowering time.
+        // Compiled once here: constant folding, per-stage CSE, and
+        // function-pointer binding all happen at lowering time.
         op->program = std::make_shared<const ScalarProgram>(
-            ScalarProgram::CompileProject(op->exprs, ctx_, plan_.fns_));
+            ScalarProgram::CompileProject(op->exprs, ctx_, fns_));
         return op;
       }
       case AlgKind::kSelect: {
@@ -192,7 +193,7 @@ class Lowerer {
         op->conds.assign(node->conds().begin(), node->conds().end());
         op->left = *in;
         op->cond_program = std::make_shared<const ScalarProgram>(
-            ScalarProgram::CompileFilter(op->conds, ctx_, plan_.fns_));
+            ScalarProgram::CompileFilter(op->conds, ctx_, fns_));
         return op;
       }
       case AlgKind::kJoin:
@@ -272,6 +273,21 @@ class Lowerer {
     op->split = split;
     op->keys = std::move(keys);
     op->conds = std::move(residual);  // == all conditions when not hashing
+    if (hash) {
+      std::vector<const ScalarExpr*> probe, build;
+      for (const PhysicalOp::KeyPair& k : op->keys) {
+        probe.push_back(k.left_key);
+        build.push_back(k.right_key);
+      }
+      op->program = std::make_shared<const ScalarProgram>(
+          ScalarProgram::CompileProject(probe, ctx_, fns_));
+      op->build_program = std::make_shared<const ScalarProgram>(
+          ScalarProgram::CompileProject(build, ctx_, fns_, split));
+    }
+    if (!op->conds.empty()) {
+      op->cond_program = std::make_shared<const ScalarProgram>(
+          ScalarProgram::CompileFilter(op->conds, ctx_, fns_));
+    }
     return op;
   }
 
@@ -280,6 +296,8 @@ class Lowerer {
   PhysicalPlan plan_;
   std::unordered_map<const AlgExpr*, int> refs_;
   std::unordered_map<const AlgExpr*, const PhysicalOp*> memo_;
+  // Function bindings the scalar programs compile against.
+  std::unordered_map<Symbol, const ScalarFunction*> fns_;
 };
 
 StatusOr<PhysicalPlan> Lower(const AstContext& ctx, const AlgExpr* plan,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 
@@ -20,20 +19,6 @@
 namespace emcalc {
 namespace {
 
-// A tuple logically formed by concatenating `left` and `right` (either may
-// be empty for a plain single-tuple view). TupleRefs are two-word spans,
-// so views are passed by value.
-struct TupleView {
-  TupleRef left;
-  TupleRef right;
-
-  const Value& at(int i) const {
-    size_t ln = left.size();
-    if (static_cast<size_t>(i) < ln) return left[static_cast<size_t>(i)];
-    return right[static_cast<size_t>(i) - ln];
-  }
-};
-
 // Rows per morsel. Fixed (never derived from the thread count) so morsel
 // boundaries — and therefore per-morsel output buffers — are identical for
 // every num_threads; buffers concatenated in morsel order plus a final
@@ -41,19 +26,11 @@ struct TupleView {
 constexpr size_t kMorselGrain = 2048;
 // Default parallel fan-out floor: inputs smaller than this run on the
 // calling thread only. Overridable per query via
-// ExecOptions::morsel_threshold or the EMCALC_MORSEL_THRESHOLD env knob.
+// ExecOptions::morsel_threshold.
 constexpr size_t kParallelThreshold = 4096;
-
-size_t EffectiveMorselThreshold(const ExecOptions& opt) {
-  if (opt.morsel_threshold != 0) return opt.morsel_threshold;
-  if (const char* env = std::getenv("EMCALC_MORSEL_THRESHOLD");
-      env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<size_t>(v);
-  }
-  return kParallelThreshold;
-}
+// Rows per batch of the compiled scalar programs. Batches never straddle a
+// morsel boundary, so batch counts are the same for every thread count.
+constexpr size_t kBatchSize = 1024;
 // Hash partitions of the parallel join build (top bits of the key hash).
 constexpr size_t kJoinPartitionBits = 6;
 constexpr size_t kJoinPartitions = size_t{1} << kJoinPartitionBits;
@@ -70,6 +47,72 @@ uint64_t KeyHash(const Value* key, size_t nk) {
   for (size_t i = 0; i < nk; ++i) h = h * 1099511628211ULL ^ key[i].Hash();
   return h;
 }
+
+// An empty program: prepares a BatchScratch's row staging area alone.
+const ScalarProgram& NoConditions() {
+  static const ScalarProgram kNone;
+  return kNone;
+}
+
+// Join output: candidate rows a ++ b collect in the row staging area of a
+// BatchScratch and land in `out` one batch at a time. With residual
+// conditions each batch first runs through the condition program, and only
+// the surviving rows are appended.
+class JoinSink {
+ public:
+  JoinSink(const PhysicalOp* op, size_t batch_size,
+           std::span<const Value> args, BatchScratch& scratch, Relation& out,
+           uint64_t* fn_calls)
+      : cond_(op->cond_program.get()),
+        args_(args),
+        scratch_(scratch),
+        out_(out),
+        fn_calls_(fn_calls),
+        width_(static_cast<size_t>(op->arity)),
+        batch_size_(static_cast<uint32_t>(batch_size)) {
+    scratch_.Prepare(cond_ != nullptr ? *cond_ : NoConditions(), batch_size,
+                     width_);
+  }
+
+  void Add(TupleRef a, TupleRef b) {
+    Value* row = scratch_.row_staging() + staged_ * width_;
+    std::copy(a.begin(), a.end(), row);
+    std::copy(b.begin(), b.end(), row + a.size());
+    if (++staged_ == batch_size_) Flush();
+  }
+
+  void Flush() {
+    if (staged_ == 0) return;
+    Value* rows = scratch_.row_staging();
+    uint32_t kept = staged_;
+    if (cond_ != nullptr) {
+      Selection sel =
+          cond_->RunFilter(rows, static_cast<int>(width_),
+                           Selection::Dense(0, staged_), args_, scratch_,
+                           fn_calls_);
+      // Survivors ascend, so compacting in place only moves rows down.
+      for (uint32_t i = 0; i < sel.size(); ++i) {
+        if (sel[i] != i) {
+          std::copy_n(rows + size_t{sel[i]} * width_, width_,
+                      rows + size_t{i} * width_);
+        }
+      }
+      kept = sel.size();
+    }
+    out_.AppendRows(rows, kept);
+    staged_ = 0;
+  }
+
+ private:
+  const ScalarProgram* cond_;  // null: every candidate is an output row
+  std::span<const Value> args_;
+  BatchScratch& scratch_;
+  Relation& out_;
+  uint64_t* fn_calls_;
+  size_t width_;
+  uint32_t batch_size_;
+  uint32_t staged_ = 0;
+};
 
 std::string OpDetail(const PhysicalOp* op) {
   switch (op->kind) {
@@ -144,7 +187,9 @@ struct ExecContext {
         memo(static_cast<size_t>(p.num_memo_slots_)),
         threads(p.options_.num_threads == 0 ? ThreadPool::HardwareThreads()
                                             : p.options_.num_threads),
-        morsel_threshold(EffectiveMorselThreshold(p.options_)),
+        morsel_threshold(p.options_.morsel_threshold != 0
+                             ? p.options_.morsel_threshold
+                             : kParallelThreshold),
         qmem(p.ops_.size()),
         governor(obs::EffectiveLimits(p.options_.limits), &qmem, NowNs()),
         est(p.ops_.size(), -1.0), args(a) {}
@@ -203,48 +248,52 @@ struct ExecContext {
     ThreadPool::RegionStats rs;
   };
 
-  Value EvalExpr(const ScalarExpr* e, const TupleView& view, OpStats& s);
-  bool CondsHold(std::span<const AlgCondition> conds, const TupleView& view,
-                 OpStats& s);
+  // Runs fn(worker, begin, end, buf) over the morsels of `n` input rows.
+  // With one worker the morsels run in order on the calling thread and
+  // append to `out` directly; with more they run on the pool, each
+  // appending to its own buffer, and the buffers land in `out` in morsel
+  // order afterwards. Either way `out` receives the same rows in the same
+  // order. Morsels are skipped once the governor trips.
+  template <typename Fn>
+  void ForEachMorsel(size_t n, size_t workers, OpStats& s, Relation& out,
+                     Fn&& fn) {
+    if (workers <= 1) {
+      for (size_t begin = 0; begin < n; begin += kMorselGrain) {
+        if (governor.Check()) return;
+        fn(size_t{0}, begin, std::min(n, begin + kMorselGrain), out);
+      }
+      return;
+    }
+    const size_t num_morsels = (n + kMorselGrain - 1) / kMorselGrain;
+    std::vector<Relation> bufs;
+    bufs.reserve(num_morsels);
+    for (size_t i = 0; i < num_morsels; ++i) bufs.emplace_back(out.arity());
+    ParFold par(s);
+    ThreadPool::Global().ParallelFor(
+        n, kMorselGrain, workers,
+        [&](size_t worker, size_t begin, size_t end) {
+          if (governor.Check()) return;
+          fn(worker, begin, end, bufs[begin / kMorselGrain]);
+        },
+        &par.rs);
+    for (const Relation& buf : bufs) out.AppendAll(buf);
+  }
 
   StatusOr<Value_> RunHashJoin(const PhysicalOp* op, const Value_& l,
                                const Value_& r, OpStats& s);
+  Value_ RunNestedLoopJoin(const PhysicalOp* op, const Value_& l,
+                           const Value_& r, OpStats& s);
 
-  // Batch kernels (ExecOptions::batch_size > 1): run the compiled scalar
-  // programs over column slices of the input's flat buffer. `filter` is
-  // non-null when a FilterSelect child is fused into the ProjectMap — its
-  // surviving rows flow to the projection as selection indices, never
-  // materialized.
+  // Batch kernels: run the compiled scalar programs over column slices of
+  // the input's flat buffer. `filter` is non-null when a FilterSelect child
+  // is fused into the ProjectMap — its surviving rows flow to the
+  // projection as selection indices, never materialized.
   StatusOr<Value_> RunBatchProject(const PhysicalOp* op,
                                    const PhysicalOp* filter, const Value_& in,
                                    OpStats& s);
   StatusOr<Value_> RunBatchFilter(const PhysicalOp* op, const Value_& in,
                                   OpStats& s);
 };
-
-Value ExecContext::EvalExpr(const ScalarExpr* e, const TupleView& view,
-                            OpStats& s) {
-  switch (e->kind()) {
-    case ScalarExpr::Kind::kCol:
-      return view.at(e->col());
-    case ScalarExpr::Kind::kConst:
-      return plan.ctx_->ConstantAt(e->const_id());
-    case ScalarExpr::Kind::kParam:
-      return args[static_cast<size_t>(e->param())];
-    case ScalarExpr::Kind::kApply: {
-      std::vector<Value> argv;
-      argv.reserve(e->args().size());
-      for (const ScalarExpr* a : e->args()) {
-        argv.push_back(EvalExpr(a, view, s));
-      }
-      ++s.function_calls;
-      auto it = plan.fns_.find(e->fn());
-      EMCALC_CHECK(it != plan.fns_.end());  // resolved at lowering
-      return it->second->fn(argv);
-    }
-  }
-  return Value();
-}
 
 double ExecContext::EstimateRows(const PhysicalOp* op) {
   double& slot = est[static_cast<size_t>(op->id)];
@@ -316,33 +365,10 @@ double ExecContext::EstimateRows(const PhysicalOp* op) {
   return e;
 }
 
-bool ExecContext::CondsHold(std::span<const AlgCondition> conds,
-                            const TupleView& view, OpStats& s) {
-  for (const AlgCondition& c : conds) {
-    Value l = EvalExpr(c.lhs, view, s);
-    Value r = EvalExpr(c.rhs, view, s);
-    bool holds = false;
-    switch (c.op) {
-      case AlgCompareOp::kEq:
-        holds = l == r;
-        break;
-      case AlgCompareOp::kNe:
-        holds = l != r;
-        break;
-      case AlgCompareOp::kLt:
-        holds = l < r;
-        break;
-      case AlgCompareOp::kLe:
-        holds = l < r || l == r;
-        break;
-    }
-    if (!holds) return false;
-  }
-  return true;
-}
-
 // Equi-join over the open-addressing JoinTable. Build on the right input,
-// probe with the left. Large inputs run the partitioned parallel form:
+// probe with the left; both sides' keys are computed a batch at a time by
+// the op's compiled key programs. Large inputs run the partitioned parallel
+// form:
 //   1. morsel-parallel build-key computation,
 //   2. per-(morsel, partition) counts + prefix sums (sequential, O(m·P)),
 //   3. morsel-parallel scatter of build rows into partition order,
@@ -367,8 +393,10 @@ StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
   EMCALC_CHECK_MSG(bn < JoinTable::kEmpty, "join build side too large");
 
   const size_t nk = op->keys.size();
-  Tuple empty_left(static_cast<size_t>(op->split), Value());
-  const TupleRef empty_left_ref(empty_left);
+  const ScalarProgram& build_prog = *op->build_program;
+  const ScalarProgram& probe_prog = *op->program;
+  const Value* build_data = build.data();
+  const Value* probe_data = probe.data();
 
   // Phase 1: build-side keys and hashes.
   std::vector<Value> build_keys(bn * nk);
@@ -381,20 +409,30 @@ StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
   const bool parallel = Parallel(bn) || Parallel(pn);
   const size_t max_workers = parallel ? threads : 1;
   std::vector<OpStats> shards(max_workers);
+  // Per-worker scratch: key registers for both phases, and the candidate
+  // rows of the probe phase.
+  std::vector<BatchScratch> key_scratch(max_workers);
+  std::vector<BatchScratch> out_scratch(max_workers);
   ParFold par(s);
   ThreadPool::Global().ParallelFor(
       bn, kMorselGrain, max_workers,
       [&](size_t worker, size_t begin, size_t end) {
         if (governor.Check()) return;
         OpStats& ws = shards[worker];
-        for (size_t i = begin; i < end; ++i) {
-          TupleView view{empty_left_ref, build.row(i)};
-          Value* key = build_keys.data() + i * nk;
-          for (size_t j = 0; j < nk; ++j) {
-            key[j] = EvalExpr(op->keys[j].right_key, view, ws);
+        BatchScratch& ks = key_scratch[worker];
+        ks.Prepare(build_prog, std::min(kBatchSize, bn), nk);
+        for (size_t b = begin; b < end; b += kBatchSize) {
+          const size_t count = std::min(kBatchSize, end - b);
+          const Value* keys = build_prog.RunProject(
+              build_data, build.arity(),
+              Selection::Dense(static_cast<uint32_t>(b),
+                               static_cast<uint32_t>(count)),
+              args, ks, &ws.function_calls);
+          std::copy_n(keys, count * nk, build_keys.data() + b * nk);
+          for (size_t i = b; i < b + count; ++i) {
+            build_hash[i] = KeyHash(build_keys.data() + i * nk, nk);
           }
-          build_hash[i] = KeyHash(key, nk);
-          ++ws.build_rows;
+          ws.build_rows += count;
         }
       },
       &par.rs);
@@ -469,48 +507,65 @@ StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
   }
   if (governor.tripped()) return governor.status();
 
-  // Phase 5: probe. Per-morsel output buffers keep emission order
-  // deterministic; everything lands in `out` in morsel order.
-  const size_t probe_morsels = (pn + kMorselGrain - 1) / kMorselGrain;
-  std::vector<Relation> bufs;
-  bufs.reserve(probe_morsels);
-  for (size_t i = 0; i < probe_morsels; ++i) bufs.emplace_back(op->arity);
-  ThreadPool::Global().ParallelFor(
-      pn, kMorselGrain, max_workers,
-      [&](size_t worker, size_t begin, size_t end) {
-        if (governor.Check()) return;
-        OpStats& ws = shards[worker];
-        Relation& buf = bufs[begin / kMorselGrain];
-        std::vector<Value> key(nk);
-        Tuple row;
-        for (size_t i = begin; i < end; ++i) {
-          TupleRef a = probe.row(i);
-          TupleView view{a, TupleRef()};
-          for (size_t j = 0; j < nk; ++j) {
-            key[j] = EvalExpr(op->keys[j].left_key, view, ws);
-          }
-          ++ws.hash_probes;
-          uint64_t h = KeyHash(key.data(), nk);
-          tables[partition_of(h)].ForEachMatch(
-              h, key.data(), [&](uint32_t b_row) {
-                TupleRef b = build.row(b_row);
-                TupleView joined{a, b};
-                if (!op->conds.empty() && !CondsHold(op->conds, joined, ws)) {
-                  return;
-                }
-                row.clear();
-                row.insert(row.end(), a.begin(), a.end());
-                row.insert(row.end(), b.begin(), b.end());
-                buf.AppendRow(row.data());
-              });
-        }
-      },
-      &par.rs);
-  if (governor.tripped()) return governor.status();
+  // Phase 5: probe, emitting in morsel order.
   out->Reserve(pn);  // one match per probe row is the common shape here
-  for (const Relation& buf : bufs) out->AppendAll(buf);
+  const size_t out_batch = std::min(kBatchSize, std::max(pn, bn));
+  ForEachMorsel(
+      pn, max_workers, s, *out,
+      [&](size_t worker, size_t begin, size_t end, Relation& buf) {
+        OpStats& ws = shards[worker];
+        BatchScratch& ks = key_scratch[worker];
+        ks.Prepare(probe_prog, std::min(kBatchSize, pn), nk);
+        JoinSink sink(op, out_batch, args, out_scratch[worker], buf,
+                      &ws.function_calls);
+        for (size_t b = begin; b < end; b += kBatchSize) {
+          const size_t count = std::min(kBatchSize, end - b);
+          const Value* keys = probe_prog.RunProject(
+              probe_data, probe.arity(),
+              Selection::Dense(static_cast<uint32_t>(b),
+                               static_cast<uint32_t>(count)),
+              args, ks, &ws.function_calls);
+          for (size_t i = 0; i < count; ++i) {
+            const Value* key = keys + i * nk;
+            const uint64_t h = KeyHash(key, nk);
+            const TupleRef a = probe.row(b + i);
+            tables[partition_of(h)].ForEachMatch(
+                h, key, [&](uint32_t b_row) { sink.Add(a, build.row(b_row)); });
+          }
+          ws.hash_probes += count;
+        }
+        sink.Flush();
+      });
+  if (governor.tripped()) return governor.status();
   out->Normalize();
   MergeShards(s, shards);
+  s.rows_out += out->size();
+  return Value_{out, out};
+}
+
+// Cross product filtered by the op's condition program, if any: every pair
+// is staged as a candidate row, and each full batch of candidates is
+// filtered at once. Runs on the calling thread.
+ExecContext::Value_ ExecContext::RunNestedLoopJoin(const PhysicalOp* op,
+                                                   const Value_& l,
+                                                   const Value_& r,
+                                                   OpStats& s) {
+  const Relation& left = *l.rel;
+  const Relation& right = *r.rel;
+  const size_t ln = left.size();
+  const size_t rn = right.size();
+  s.rows_in += ln + rn;
+  auto out = std::make_shared<Relation>(op->arity);
+  BatchScratch scratch;
+  JoinSink sink(op, std::clamp<size_t>(ln * rn, 1, kBatchSize), args,
+                scratch, *out, &s.function_calls);
+  for (size_t i = 0; i < ln; ++i) {
+    if ((i & 255u) == 0 && governor.Check()) break;
+    const TupleRef a = left.row(i);
+    for (size_t j = 0; j < rn; ++j) sink.Add(a, right.row(j));
+  }
+  sink.Flush();
+  out->Normalize();
   s.rows_out += out->size();
   return Value_{out, out};
 }
@@ -534,88 +589,49 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchProject(
   OpStats* fstats =
       filter != nullptr ? &stats[static_cast<size_t>(filter->id)] : nullptr;
   if (fstats != nullptr) ++fstats->invocations;
-  const size_t bsz =
-      std::min(plan.options_.batch_size, std::max<size_t>(n, 1));
+  const size_t bsz = std::min(kBatchSize, std::max<size_t>(n, 1));
   auto out = std::make_shared<Relation>(op->arity);
   // Every input row yields an output row only without a fused filter; a
   // filtered projection grows with its survivors instead of reserving for
   // rows it drops (the answer may outlive the run, reservation and all).
   if (cond == nullptr) out->Reserve(n);
-  uint64_t survivors = 0;
-  if (Parallel(n)) {
-    const size_t num_morsels = (n + kMorselGrain - 1) / kMorselGrain;
-    std::vector<Relation> bufs;
-    bufs.reserve(num_morsels);
-    for (size_t i = 0; i < num_morsels; ++i) bufs.emplace_back(op->arity);
-    std::vector<OpStats> shards(threads);
-    std::vector<OpStats> fshards(cond != nullptr ? threads : 0);
-    std::vector<BatchScratch> pscratch(threads);
-    std::vector<BatchScratch> fscratch(cond != nullptr ? threads : 0);
-    ParFold par(s);
-    ThreadPool::Global().ParallelFor(
-        n, kMorselGrain, threads,
-        [&](size_t worker, size_t begin, size_t end) {
-          if (governor.Check()) return;
-          OpStats& ws = shards[worker];
-          Relation& buf = bufs[begin / kMorselGrain];
-          BatchScratch& ps = pscratch[worker];
-          ps.Prepare(proj, bsz, proj.num_outputs());
-          if (cond != nullptr) fscratch[worker].Prepare(*cond, bsz, 0);
-          for (size_t b = begin; b < end; b += bsz) {
-            const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
-            Selection sel =
-                Selection::Dense(static_cast<uint32_t>(b), count);
-            if (cond != nullptr) {
-              OpStats& wf = fshards[worker];
-              sel = cond->RunFilter(data, in_arity, sel, args,
-                                    fscratch[worker], &wf.function_calls);
-              ++wf.batches;
-              wf.batch_rows += count;
-              wf.batch_sel_rows += sel.size();
-            }
-            const Value* rows = proj.RunProject(data, in_arity, sel, args, ps,
-                                                &ws.function_calls);
-            buf.AppendRows(rows, sel.size());
-            ++ws.batches;
-            ws.batch_rows += count;
-            ws.batch_sel_rows += sel.size();
+  const size_t workers = Parallel(n) ? threads : 1;
+  std::vector<OpStats> shards(workers);
+  std::vector<OpStats> fshards(cond != nullptr ? workers : 0);
+  std::vector<BatchScratch> pscratch(workers);
+  std::vector<BatchScratch> fscratch(cond != nullptr ? workers : 0);
+  ForEachMorsel(
+      n, workers, s, *out,
+      [&](size_t worker, size_t begin, size_t end, Relation& buf) {
+        OpStats& ws = shards[worker];
+        BatchScratch& ps = pscratch[worker];
+        ps.Prepare(proj, bsz, proj.num_outputs());
+        if (cond != nullptr) fscratch[worker].Prepare(*cond, bsz, 0);
+        for (size_t b = begin; b < end; b += bsz) {
+          const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
+          Selection sel = Selection::Dense(static_cast<uint32_t>(b), count);
+          if (cond != nullptr) {
+            OpStats& wf = fshards[worker];
+            sel = cond->RunFilter(data, in_arity, sel, args, fscratch[worker],
+                                  &wf.function_calls);
+            ++wf.batches;
+            wf.batch_rows += count;
+            wf.batch_sel_rows += sel.size();
           }
-        },
-        &par.rs);
-    for (const Relation& buf : bufs) out->AppendAll(buf);
-    if (fstats != nullptr) {
-      for (const OpStats& w : fshards) survivors += w.batch_sel_rows;
-      MergeShards(*fstats, fshards);
-    }
-    MergeShards(s, shards);
-  } else {
-    BatchScratch ps;
-    ps.Prepare(proj, bsz, proj.num_outputs());
-    BatchScratch fs;
-    if (cond != nullptr) fs.Prepare(*cond, bsz, 0);
-    for (size_t m = 0; m < n; m += kMorselGrain) {
-      if (governor.Check()) break;
-      const size_t end = std::min(n, m + kMorselGrain);
-      for (size_t b = m; b < end; b += bsz) {
-        const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
-        Selection sel = Selection::Dense(static_cast<uint32_t>(b), count);
-        if (cond != nullptr) {
-          sel = cond->RunFilter(data, in_arity, sel, args, fs,
-                                &fstats->function_calls);
-          ++fstats->batches;
-          fstats->batch_rows += count;
-          fstats->batch_sel_rows += sel.size();
-          survivors += sel.size();
+          const Value* rows = proj.RunProject(data, in_arity, sel, args, ps,
+                                              &ws.function_calls);
+          buf.AppendRows(rows, sel.size());
+          ++ws.batches;
+          ws.batch_rows += count;
+          ws.batch_sel_rows += sel.size();
         }
-        const Value* rows = proj.RunProject(data, in_arity, sel, args, ps,
-                                            &s.function_calls);
-        out->AppendRows(rows, sel.size());
-        ++s.batches;
-        s.batch_rows += count;
-        s.batch_sel_rows += sel.size();
-      }
-    }
+      });
+  uint64_t survivors = 0;
+  if (fstats != nullptr) {
+    for (const OpStats& w : fshards) survivors += w.batch_sel_rows;
+    MergeShards(*fstats, fshards);
   }
+  MergeShards(s, shards);
   out->Normalize();
   // In fused form this operator logically consumes the filter's output,
   // so row accounting matches the unfused (and legacy) plans exactly.
@@ -639,8 +655,7 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchFilter(
   const auto width = static_cast<size_t>(in_arity);
   const Value* data = in_rel.data();
   const ScalarProgram& cond = *op->cond_program;
-  const size_t bsz =
-      std::min(plan.options_.batch_size, std::max<size_t>(n, 1));
+  const size_t bsz = std::min(kBatchSize, std::max<size_t>(n, 1));
   auto out = std::make_shared<Relation>(op->arity);
   auto gather = [&](Selection sel, BatchScratch& sc, Relation& buf,
                     OpStats& ws) {
@@ -655,55 +670,27 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchFilter(
     buf.AppendRows(staging, sel.size());
     ws.tuple_copies += sel.size();
   };
-  if (Parallel(n)) {
-    const size_t num_morsels = (n + kMorselGrain - 1) / kMorselGrain;
-    std::vector<Relation> bufs;
-    bufs.reserve(num_morsels);
-    for (size_t i = 0; i < num_morsels; ++i) bufs.emplace_back(op->arity);
-    std::vector<OpStats> shards(threads);
-    std::vector<BatchScratch> scratch(threads);
-    ParFold par(s);
-    ThreadPool::Global().ParallelFor(
-        n, kMorselGrain, threads,
-        [&](size_t worker, size_t begin, size_t end) {
-          if (governor.Check()) return;
-          OpStats& ws = shards[worker];
-          Relation& buf = bufs[begin / kMorselGrain];
-          BatchScratch& sc = scratch[worker];
-          sc.Prepare(cond, bsz, width);
-          for (size_t b = begin; b < end; b += bsz) {
-            const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
-            Selection sel = cond.RunFilter(
-                data, in_arity,
-                Selection::Dense(static_cast<uint32_t>(b), count), args, sc,
-                &ws.function_calls);
-            gather(sel, sc, buf, ws);
-            ++ws.batches;
-            ws.batch_rows += count;
-            ws.batch_sel_rows += sel.size();
-          }
-        },
-        &par.rs);
-    for (const Relation& buf : bufs) out->AppendAll(buf);
-    MergeShards(s, shards);
-  } else {
-    BatchScratch sc;
-    sc.Prepare(cond, bsz, width);
-    for (size_t m = 0; m < n; m += kMorselGrain) {
-      if (governor.Check()) break;
-      const size_t end = std::min(n, m + kMorselGrain);
-      for (size_t b = m; b < end; b += bsz) {
-        const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
-        Selection sel = cond.RunFilter(
-            data, in_arity, Selection::Dense(static_cast<uint32_t>(b), count),
-            args, sc, &s.function_calls);
-        gather(sel, sc, *out, s);
-        ++s.batches;
-        s.batch_rows += count;
-        s.batch_sel_rows += sel.size();
-      }
-    }
-  }
+  const size_t workers = Parallel(n) ? threads : 1;
+  std::vector<OpStats> shards(workers);
+  std::vector<BatchScratch> scratch(workers);
+  ForEachMorsel(
+      n, workers, s, *out,
+      [&](size_t worker, size_t begin, size_t end, Relation& buf) {
+        OpStats& ws = shards[worker];
+        BatchScratch& sc = scratch[worker];
+        sc.Prepare(cond, bsz, width);
+        for (size_t b = begin; b < end; b += bsz) {
+          const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
+          Selection sel = cond.RunFilter(
+              data, in_arity, Selection::Dense(static_cast<uint32_t>(b), count),
+              args, sc, &ws.function_calls);
+          gather(sel, sc, buf, ws);
+          ++ws.batches;
+          ws.batch_rows += count;
+          ws.batch_sel_rows += sel.size();
+        }
+      });
+  MergeShards(s, shards);
   out->Normalize();
   s.rows_in += n;
   s.rows_out += out->size();
@@ -746,12 +733,9 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
       return finish(Value_{RelationPtr(RelationPtr(), rel), nullptr});
     }
     case PhysOpKind::kProjectMap: {
-      const bool batch =
-          plan.options_.batch_size > 1 && op->program != nullptr;
       const PhysicalOp* fused = nullptr;
       const PhysicalOp* source = op->left;
-      if (batch && op->left->kind == PhysOpKind::kFilterSelect &&
-          op->left->cond_program != nullptr) {
+      if (op->left->kind == PhysOpKind::kFilterSelect) {
         // Fuse the child FilterSelect: shared subplans always sit behind a
         // Materialize, so this filter has no other consumer and its result
         // can stay a selection vector.
@@ -760,108 +744,16 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
       }
       auto in = Run(source);
       if (!in.ok()) return done(in.status());
-      if (batch) {
-        auto v = RunBatchProject(op, fused, *in, s);
-        if (!v.ok()) return done(v.status());
-        return finish(std::move(*v));
-      }
-      const Relation& in_rel = *in->rel;
-      const size_t n = in_rel.size();  // normalizes before the region
-      auto out = std::make_shared<Relation>(op->arity);
-      out->Reserve(n);
-      if (Parallel(n)) {
-        const size_t num_morsels = (n + kMorselGrain - 1) / kMorselGrain;
-        std::vector<Relation> bufs;
-        bufs.reserve(num_morsels);
-        for (size_t i = 0; i < num_morsels; ++i) bufs.emplace_back(op->arity);
-        std::vector<OpStats> shards(threads);
-        ParFold par(s);
-        ThreadPool::Global().ParallelFor(
-            n, kMorselGrain, threads,
-            [&](size_t worker, size_t begin, size_t end) {
-              if (governor.Check()) return;
-              OpStats& ws = shards[worker];
-              Relation& buf = bufs[begin / kMorselGrain];
-              Tuple row(op->exprs.size());
-              for (size_t i = begin; i < end; ++i) {
-                TupleView view{in_rel.row(i), TupleRef()};
-                for (size_t j = 0; j < op->exprs.size(); ++j) {
-                  row[j] = EvalExpr(op->exprs[j], view, ws);
-                }
-                buf.AppendRow(row.data());
-              }
-            },
-            &par.rs);
-        for (const Relation& buf : bufs) out->AppendAll(buf);
-        MergeShards(s, shards);
-      } else {
-        Tuple row(op->exprs.size());
-        size_t i = 0;
-        for (TupleRef t : in_rel) {
-          if ((i++ & 2047u) == 0 && governor.Check()) break;
-          TupleView view{t, TupleRef()};
-          for (size_t j = 0; j < op->exprs.size(); ++j) {
-            row[j] = EvalExpr(op->exprs[j], view, s);
-          }
-          out->AppendRow(row.data());
-        }
-      }
-      out->Normalize();
-      s.rows_in += n;
-      s.rows_out += out->size();
-      return finish(Value_{out, out});
+      auto v = RunBatchProject(op, fused, *in, s);
+      if (!v.ok()) return done(v.status());
+      return finish(std::move(*v));
     }
     case PhysOpKind::kFilterSelect: {
       auto in = Run(op->left);
       if (!in.ok()) return done(in.status());
-      if (plan.options_.batch_size > 1 && op->cond_program != nullptr) {
-        auto v = RunBatchFilter(op, *in, s);
-        if (!v.ok()) return done(v.status());
-        return finish(std::move(*v));
-      }
-      const Relation& in_rel = *in->rel;
-      const size_t n = in_rel.size();
-      auto out = std::make_shared<Relation>(op->arity);
-      if (Parallel(n)) {
-        const size_t num_morsels = (n + kMorselGrain - 1) / kMorselGrain;
-        std::vector<Relation> bufs;
-        bufs.reserve(num_morsels);
-        for (size_t i = 0; i < num_morsels; ++i) bufs.emplace_back(op->arity);
-        std::vector<OpStats> shards(threads);
-        ParFold par(s);
-        ThreadPool::Global().ParallelFor(
-            n, kMorselGrain, threads,
-            [&](size_t worker, size_t begin, size_t end) {
-              if (governor.Check()) return;
-              OpStats& ws = shards[worker];
-              Relation& buf = bufs[begin / kMorselGrain];
-              for (size_t i = begin; i < end; ++i) {
-                TupleRef t = in_rel.row(i);
-                TupleView view{t, TupleRef()};
-                if (CondsHold(op->conds, view, ws)) {
-                  buf.AppendRow(t.data());
-                  ++ws.tuple_copies;
-                }
-              }
-            },
-            &par.rs);
-        for (const Relation& buf : bufs) out->AppendAll(buf);
-        MergeShards(s, shards);
-      } else {
-        size_t i = 0;
-        for (TupleRef t : in_rel) {
-          if ((i++ & 2047u) == 0 && governor.Check()) break;
-          TupleView view{t, TupleRef()};
-          if (CondsHold(op->conds, view, s)) {
-            out->Insert(t);
-            ++s.tuple_copies;
-          }
-        }
-      }
-      out->Normalize();
-      s.rows_in += n;
-      s.rows_out += out->size();
-      return finish(Value_{out, out});
+      auto v = RunBatchFilter(op, *in, s);
+      if (!v.ok()) return done(v.status());
+      return finish(std::move(*v));
     }
     case PhysOpKind::kHashJoin:
     case PhysOpKind::kNestedLoopJoin: {
@@ -874,26 +766,7 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
         if (!j.ok()) return done(j.status());
         return finish(std::move(*j));
       }
-      auto out = std::make_shared<Relation>(op->arity);
-      Tuple row;
-      size_t li = 0;
-      for (TupleRef a : *l->rel) {
-        if ((li++ & 255u) == 0 && governor.Check()) break;
-        for (TupleRef b : *r->rel) {
-          TupleView joined{a, b};
-          if (!op->conds.empty() && !CondsHold(op->conds, joined, s)) {
-            continue;
-          }
-          row.clear();
-          row.insert(row.end(), a.begin(), a.end());
-          row.insert(row.end(), b.begin(), b.end());
-          out->AppendRow(row.data());
-        }
-      }
-      out->Normalize();
-      s.rows_in += l->rel->size() + r->rel->size();
-      s.rows_out += out->size();
-      return finish(Value_{out, out});
+      return finish(RunNestedLoopJoin(op, *l, *r, s));
     }
     case PhysOpKind::kUnionMerge: {
       auto l = Run(op->left);

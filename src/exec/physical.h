@@ -8,7 +8,7 @@
 //
 // Operator inventory:
 //   Scan           base-relation scan (borrows the Database's storage)
-//   ProjectMap     extended projection: one scalar program per output column
+//   ProjectMap     extended projection: one scalar program for all columns
 //   FilterSelect   selection by compiled conditions
 //   HashJoin       equi-join: build on the right input, probe with the left
 //   NestedLoopJoin fallback join when no equality key exists
@@ -26,7 +26,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -89,8 +88,8 @@ struct OpStats {
   uint64_t par_busy_ns = 0;    // summed per-thread drain time
   uint64_t par_morsels = 0;    // morsels claimed
   uint32_t par_workers = 0;    // most threads that did work in one region
-  // Batch-kernel telemetry (ProjectMap / FilterSelect with batch_size > 1);
-  // all zero on the tuple-at-a-time path.
+  // Batch-kernel telemetry of ProjectMap / FilterSelect (joins leave it
+  // zero).
   uint64_t batches = 0;         // batches executed
   uint64_t batch_rows = 0;      // rows entering batches (rows/batch basis)
   uint64_t batch_sel_rows = 0;  // rows surviving the batch's selection
@@ -167,16 +166,8 @@ struct ExecOptions {
   // bit-identical across thread counts. Scalar functions must be pure
   // (thread-safe) — every registry builtin is.
   size_t num_threads = 0;
-  // Rows per execution batch for the vectorized ProjectMap / FilterSelect
-  // kernels (compiled scalar programs over column slices, see
-  // src/exec/scalar_program.h). 1 selects the tuple-at-a-time
-  // interpreter, kept as a differential oracle; output is bit-identical
-  // across batch sizes.
-  size_t batch_size = 1024;
   // Minimum input rows before a morsel-parallel operator fans out to the
-  // thread pool. 0 defers to the EMCALC_MORSEL_THRESHOLD env knob, and
-  // absent that to the built-in default (4096); an explicit field wins
-  // over the env.
+  // thread pool. 0 selects the built-in default (4096).
   size_t morsel_threshold = 0;
   // Per-query resource ceilings (0 = unlimited), merged with the
   // EMCALC_MAX_QUERY_BYTES / EMCALC_MAX_QUERY_MS env knobs at execution
@@ -209,15 +200,23 @@ struct PhysicalOp {
   // kFilterSelect / join residuals: conditions over the (concatenated)
   // schema.
   std::vector<AlgCondition> conds;
-  // Batch forms compiled at lowering time (see src/exec/scalar_program.h):
-  // `program` for kProjectMap's expression list, `cond_program` for
-  // kFilterSelect's conditions. Shared so a fused FilterSelect→ProjectMap
-  // pair and the plan can reference them without ownership games; null
-  // when the op has no batch form.
+  // The executor evaluates scalar expressions only through these programs,
+  // compiled at lowering time (see src/exec/scalar_program.h):
+  //   program        kProjectMap: one output per expression;
+  //                  kHashJoin: one probe key per KeyPair, over the left
+  //                  input
+  //   build_program  kHashJoin: one build key per KeyPair, over the right
+  //                  input
+  //   cond_program   kFilterSelect: its conditions (always present);
+  //                  joins: the residual conditions over the concatenated
+  //                  schema, present exactly when `conds` is non-empty
+  // Shared so a fused FilterSelect→ProjectMap pair and the plan can
+  // reference them without ownership games.
   std::shared_ptr<const ScalarProgram> program;
+  std::shared_ptr<const ScalarProgram> build_program;
   std::shared_ptr<const ScalarProgram> cond_program;
-  // kHashJoin: equi-key pairs; left_key evaluates over the left tuple,
-  // right_key over the concatenated schema with an empty left part.
+  // kHashJoin: equi-key pairs; left_key reads the left input's columns,
+  // right_key the right input's, numbered over the concatenated schema.
   struct KeyPair {
     const ScalarExpr* left_key = nullptr;
     const ScalarExpr* right_key = nullptr;
@@ -247,8 +246,9 @@ struct PhysicalOp {
 };
 
 // An executable physical plan: the lowered operator DAG plus everything
-// resolved at lowering time (scalar function bindings, constants). The
-// AstContext and FunctionRegistry passed to Lower() must outlive the plan.
+// resolved at lowering time (compiled scalar programs with their function
+// bindings, constants). The AstContext and FunctionRegistry passed to
+// Lower() must outlive the plan.
 class PhysicalPlan {
  public:
   PhysicalPlan() = default;
@@ -304,7 +304,6 @@ class PhysicalPlan {
   const PhysicalOp* root_ = nullptr;
   const AstContext* ctx_ = nullptr;  // constant pool for kConst expressions
   const FunctionRegistry* registry_ = nullptr;  // AdomScan term closures
-  std::unordered_map<Symbol, const ScalarFunction*> fns_;
   int num_memo_slots_ = 0;
   int num_params_ = 0;
   ExecOptions options_;

@@ -1,7 +1,7 @@
 #include "src/exec/scalar_program.h"
 
 #include <algorithm>
-#include <string>
+#include <optional>
 #include <utility>
 
 #include "src/base/check.h"
@@ -38,7 +38,7 @@ void LoadColumn(const Value* input, size_t arity, size_t col, Selection sel,
 // total order except on string prefix ties. Int keys are sign-flipped so
 // unsigned word compares match signed value compares; string keys are the
 // pool's big-endian order_prefix. One pool gather per batch side replaces
-// per-comparison pool lookups in the tuple path.
+// a pool lookup per comparison.
 void GatherOrderKeys(const Value* v, uint32_t n, uint8_t* cls,
                      uint64_t* key) {
   const StringPool& pool = StringPool::Global();
@@ -137,128 +137,99 @@ size_t ScalarProgram::ScratchBytes(size_t batch_size,
 class ScalarProgram::Builder {
  public:
   Builder(ScalarProgram* prog, const AstContext& ctx,
-          const std::unordered_map<Symbol, const ScalarFunction*>& fns)
-      : prog_(prog), ctx_(ctx), fns_(fns) {}
+          const std::unordered_map<Symbol, const ScalarFunction*>& fns,
+          int col_base = 0)
+      : prog_(prog), ctx_(ctx), fns_(fns), col_base_(col_base) {}
 
   // Registers computed by earlier stages cover lanes the current (smaller)
-  // selection may not align with, so value numbers reset per stage; only
-  // the constant-ness of a register carries across.
-  void BeginStage() {
-    prog_->stages_.emplace_back();
-    numbers_.clear();
-  }
+  // selection may not align with, so each stage numbers its values anew.
+  void BeginStage() { prog_->stages_.emplace_back(); }
 
   uint16_t Emit(const ScalarExpr* e) {
+    Insn insn;
     switch (e->kind()) {
-      case ScalarExpr::Kind::kCol: {
-        std::string key = "c" + std::to_string(e->col());
-        if (auto it = numbers_.find(key); it != numbers_.end()) {
-          return it->second;
-        }
-        uint16_t r = NewReg();
-        Insn insn;
+      case ScalarExpr::Kind::kCol:
         insn.op = Insn::Op::kLoadCol;
-        insn.dst = r;
-        insn.col = e->col();
-        stage().insns.push_back(std::move(insn));
-        numbers_.emplace(std::move(key), r);
-        return r;
-      }
+        insn.col = e->col() - col_base_;
+        break;
       case ScalarExpr::Kind::kConst:
         return EmitConst(ctx_.ConstantAt(e->const_id()));
-      case ScalarExpr::Kind::kParam: {
-        // Splatted per batch from the execution's arguments; never in
-        // const_regs_, so applications over it are not folded.
-        std::string key = "p" + std::to_string(e->param());
-        if (auto it = numbers_.find(key); it != numbers_.end()) {
-          return it->second;
-        }
-        uint16_t r = NewReg();
-        Insn insn;
+      case ScalarExpr::Kind::kParam:
+        // Splatted per batch from the execution's arguments; never a
+        // constant register, so applications over it are not folded.
         insn.op = Insn::Op::kParam;
-        insn.dst = r;
         insn.col = e->param();
-        stage().insns.push_back(std::move(insn));
-        numbers_.emplace(std::move(key), r);
-        return r;
-      }
+        break;
       case ScalarExpr::Kind::kApply: {
-        std::vector<uint16_t> args;
-        args.reserve(e->args().size());
+        insn.op = Insn::Op::kCall;
+        insn.args.reserve(e->args().size());
         bool all_const = true;
         for (const ScalarExpr* a : e->args()) {
           uint16_t r = Emit(a);
-          all_const = all_const && const_regs_.count(r) > 0;
-          args.push_back(r);
+          all_const = all_const && constants_[r].has_value();
+          insn.args.push_back(r);
         }
         auto fit = fns_.find(e->fn());
         EMCALC_CHECK(fit != fns_.end());  // bound before compilation
-        const ScalarFunction* fn = fit->second;
+        insn.fn = fit->second;
         if (all_const) {
           // Registry functions are pure and total, so an all-constant
           // application has one value for every lane: run it once now.
           std::vector<Value> argv;
-          argv.reserve(args.size());
-          for (uint16_t r : args) argv.push_back(const_regs_.at(r));
-          return EmitConst(fn->fn(argv));
+          argv.reserve(insn.args.size());
+          for (uint16_t r : insn.args) argv.push_back(*constants_[r]);
+          return EmitConst(insn.fn->fn(argv));
         }
-        std::string key =
-            "a" + std::to_string(reinterpret_cast<uintptr_t>(fn));
-        for (uint16_t r : args) key += ":" + std::to_string(r);
-        if (auto it = numbers_.find(key); it != numbers_.end()) {
-          return it->second;
-        }
-        uint16_t r = NewReg();
-        Insn insn;
-        insn.op = Insn::Op::kCall;
-        insn.dst = r;
-        insn.fn = fn;
-        insn.args = std::move(args);
-        stage().insns.push_back(std::move(insn));
-        numbers_.emplace(std::move(key), r);
-        return r;
+        break;
       }
     }
-    return 0;  // unreachable: the switch covers every kind
+    return Intern(std::move(insn));
   }
 
  private:
   Stage& stage() { return prog_->stages_.back(); }
 
   uint16_t EmitConst(const Value& v) {
-    std::string key = "k" + std::to_string(v.raw());
-    if (auto it = numbers_.find(key); it != numbers_.end()) {
-      return it->second;
-    }
-    uint16_t r = NewReg();
     Insn insn;
     insn.op = Insn::Op::kConst;
-    insn.dst = r;
     insn.constant = v;
-    stage().insns.push_back(std::move(insn));
-    numbers_.emplace(std::move(key), r);
-    const_regs_.emplace(r, v);
-    return r;
+    return Intern(std::move(insn));
   }
 
-  uint16_t NewReg() {
+  // Common-subexpression elimination: an instruction equal to one already
+  // in this stage reuses its register. Stages are a handful of
+  // instructions, so a scan beats hashing a key.
+  uint16_t Intern(Insn insn) {
+    for (const Insn& prev : stage().insns) {
+      if (prev.op == insn.op && prev.col == insn.col &&
+          prev.constant.raw() == insn.constant.raw() && prev.fn == insn.fn &&
+          prev.args == insn.args) {
+        return prev.dst;
+      }
+    }
     EMCALC_CHECK_MSG(prog_->num_regs_ < 0xffff,
                      "scalar program exceeds 65534 registers");
-    return static_cast<uint16_t>(prog_->num_regs_++);
+    insn.dst = static_cast<uint16_t>(prog_->num_regs_++);
+    constants_.push_back(insn.op == Insn::Op::kConst
+                             ? std::optional<Value>(insn.constant)
+                             : std::nullopt);
+    stage().insns.push_back(std::move(insn));
+    return stage().insns.back().dst;
   }
 
   ScalarProgram* prog_;
   const AstContext& ctx_;
   const std::unordered_map<Symbol, const ScalarFunction*>& fns_;
-  std::unordered_map<std::string, uint16_t> numbers_;  // per-stage CSE
-  std::unordered_map<uint16_t, Value> const_regs_;     // for folding
+  const int col_base_;
+  std::vector<std::optional<Value>> constants_;  // per register, for folding
 };
 
 ScalarProgram ScalarProgram::CompileProject(
     std::span<const ScalarExpr* const> exprs, const AstContext& ctx,
-    const std::unordered_map<Symbol, const ScalarFunction*>& fns) {
+    const std::unordered_map<Symbol, const ScalarFunction*>& fns,
+    int col_base) {
   ScalarProgram prog;
-  Builder builder(&prog, ctx, fns);
+  Builder builder(&prog, ctx, fns, col_base);
   builder.BeginStage();
   prog.outputs_.reserve(exprs.size());
   for (const ScalarExpr* e : exprs) {
@@ -314,7 +285,7 @@ void ScalarProgram::RunInsns(const Stage& stage, const Value* input,
       }
       case Insn::Op::kCall: {
         const size_t nargs = insn.args.size();
-        *fn_calls += n;  // one application per lane, as the tuple path
+        *fn_calls += n;  // one application per lane
         if (insn.fn->batch && nargs <= kMaxInlineFnArgs) {
           std::span<const Value> arg_spans[kMaxInlineFnArgs];
           for (size_t j = 0; j < nargs; ++j) {

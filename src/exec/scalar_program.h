@@ -1,11 +1,12 @@
 // Compiled scalar programs: the batch execution form of ScalarExpr trees.
 //
-// At lowering time every ProjectMap expression list and FilterSelect
-// condition list is compiled once into a flat register program. Registers
-// are column slices (one Value per active lane of the current batch);
-// instructions gather an input column, splat a constant or one of the
-// execution's arguments (a query parameter), or apply a bound
-// ScalarFunction to argument registers. Compilation performs
+// At lowering time every scalar expression the executor evaluates — each
+// ProjectMap expression list, each HashJoin's probe and build keys, and
+// each FilterSelect or join condition list — is compiled once into a flat
+// register program. Registers are column slices (one Value per active lane
+// of the current batch); instructions gather an input column, splat a
+// constant or one of the execution's arguments (a query parameter), or
+// apply a bound ScalarFunction to argument registers. Compilation performs
 //   - constant folding: an application whose arguments are all constants
 //     runs once at compile time (registry functions are pure and total);
 //     parameters are never folded, their values arrive per execution,
@@ -17,8 +18,8 @@
 //
 // A filter program is staged: each condition gets its own instruction run
 // followed by a comparison that refines the batch's Selection, and later
-// stages evaluate only the surviving lanes. Per-lane work therefore never
-// exceeds the tuple-at-a-time interpreter's short-circuit evaluation.
+// stages evaluate only the surviving lanes, so per-lane work never exceeds
+// a short-circuiting row-at-a-time evaluation of the same conditions.
 // Comparisons on all-inline-int columns run a branch-light loop over the
 // raw value words (the inline encoding is order-preserving); mixed columns
 // first gather per-lane order keys (int value or StringPool order_prefix)
@@ -27,9 +28,9 @@
 //
 // All per-batch state lives in a BatchScratch the caller owns — one per
 // worker thread — whose buffers are charged to the active MemoryScope, so
-// governor limits and per-operator attribution stay accurate in batch
-// mode. Programs themselves are immutable after compilation and safe to
-// run from any number of threads concurrently.
+// governor limits and per-operator attribution stay accurate. Programs
+// themselves are immutable after compilation and safe to run from any
+// number of threads concurrently.
 #ifndef EMCALC_EXEC_SCALAR_PROGRAM_H_
 #define EMCALC_EXEC_SCALAR_PROGRAM_H_
 
@@ -98,9 +99,13 @@ class ScalarProgram {
  public:
   // Compiles a projection's output expressions. Every kApply symbol must
   // already be bound in `fns` (the Lowerer resolves before compiling).
+  // Column references are read relative to `col_base`: @(col_base + i)
+  // loads column i of the input, so a join's build keys, written over the
+  // concatenated schema, run directly over the build input.
   static ScalarProgram CompileProject(
       std::span<const ScalarExpr* const> exprs, const AstContext& ctx,
-      const std::unordered_map<Symbol, const ScalarFunction*>& fns);
+      const std::unordered_map<Symbol, const ScalarFunction*>& fns,
+      int col_base = 0);
 
   // Compiles a selection's conditions into one stage per condition.
   static ScalarProgram CompileFilter(
@@ -121,8 +126,8 @@ class ScalarProgram {
   // Filter form: runs the staged conditions over the `sel` rows of the
   // arity-strided `input` buffer. The returned Selection (backed by
   // scratch) holds the surviving absolute row indexes, ascending.
-  // `fn_calls` accumulates one count per lane per function application,
-  // matching the tuple interpreter's accounting. `args` holds the values
+  // `fn_calls` accumulates one count per lane per function application.
+  // `args` holds the values
   // of the plan's parameters for this execution (empty for closed plans).
   Selection RunFilter(const Value* input, int arity, Selection sel,
                       std::span<const Value> args, BatchScratch& scratch,

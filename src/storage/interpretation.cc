@@ -50,6 +50,21 @@ std::string AsText(const Value& v) {
   return v.is_int() ? std::to_string(v.AsInt()) : v.AsStr();
 }
 
+// Two's-complement arithmetic modulo 2^64: computed in uint64_t, where
+// overflow is defined, and converted back (modular since C++20).
+int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+
 // AsNum with the inline-int decode kept in the loop body; pooled values
 // (strings and big ints) take the out-of-line path.
 int64_t FastNum(const Value& v) {
@@ -102,21 +117,21 @@ FunctionRegistry BuiltinFunctions() {
                  [op](std::span<const Value> a) { return op(a[0], a[1]); });
   };
 
-  unary_num("succ", [](int64_t n) { return n + 1; });
-  unary_num("pred", [](int64_t n) { return n - 1; });
-  unary_num("double", [](int64_t n) { return n * 2; });
+  unary_num("succ", [](int64_t n) { return WrapAdd(n, 1); });
+  unary_num("pred", [](int64_t n) { return WrapSub(n, 1); });
+  unary_num("double", [](int64_t n) { return WrapMul(n, 2); });
   unary_num("half", [](int64_t n) { return n / 2; });
-  unary_num("abs", [](int64_t n) { return n < 0 ? -n : n; });
-  unary_num("neg", [](int64_t n) { return -n; });
+  unary_num("abs", [](int64_t n) { return n < 0 ? WrapSub(0, n) : n; });
+  unary_num("neg", [](int64_t n) { return WrapSub(0, n); });
   unary_num("len", [](int64_t n) { return n; });
   unary_str("first_char", [](const Value& v) {
     std::string s = AsText(v);
     return Value::Str(s.empty() ? "" : s.substr(0, 1));
   });
 
-  binary_num("plus", [](int64_t a, int64_t b) { return a + b; });
-  binary_num("minus", [](int64_t a, int64_t b) { return a - b; });
-  binary_num("times", [](int64_t a, int64_t b) { return a * b; });
+  binary_num("plus", [](int64_t a, int64_t b) { return WrapAdd(a, b); });
+  binary_num("minus", [](int64_t a, int64_t b) { return WrapSub(a, b); });
+  binary_num("times", [](int64_t a, int64_t b) { return WrapMul(a, b); });
   binary_num("min2", [](int64_t a, int64_t b) { return std::min(a, b); });
   binary_num("max2", [](int64_t a, int64_t b) { return std::max(a, b); });
   binary_str("concat", [](const Value& a, const Value& b) {

@@ -63,7 +63,12 @@ class FunctionRegistry {
 
 // A registry preloaded with total builtins. Functions must be total on the
 // whole mixed domain; string arguments to numeric functions are coerced to
-// their length (documented convention, keeps every builtin total):
+// their length (documented convention, keeps every builtin total). The
+// arithmetic builtins (succ, pred, double, abs, neg, plus, minus, times)
+// wrap modulo 2^64 in two's complement, so they are defined at the int64
+// boundaries: succ(INT64_MAX) = INT64_MIN, and abs(INT64_MIN) =
+// neg(INT64_MIN) = INT64_MIN. The scalar and batch forms of a builtin
+// share one op and agree on every input.
 //   succ/1, pred/1, double/1, half/1, abs/1, neg/1,
 //   plus/2, minus/2, times/2, min2/2, max2/2,
 //   len/1 (string length; ints pass through),

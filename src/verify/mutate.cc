@@ -59,6 +59,8 @@ constexpr MutationInfo kMutations[] = {
      "phys.join-split"},
     {Mutation::kPhysSwapJoinInputs, "phys-swap-join-inputs",
      "phys.join-split"},
+    {Mutation::kPhysJoinDropProgram, "phys-join-drop-program",
+     "phys.program"},
     {Mutation::kPhysScanArityUp, "phys-scan-arity-up", "phys.mirror"},
     {Mutation::kPhysUnionArityUp, "phys-union-arity-up", "phys.arity"},
     {Mutation::kPhysMemoDuplicate, "phys-memo-duplicate", "phys.memo-dup"},
@@ -347,6 +349,12 @@ bool PlanMutator::Corrupt(PhysicalPlan& plan, Mutation m) {
         return false;  // equal arities would keep the split consistent
       }
       std::swap(op->left, op->right);
+      return true;
+    }
+    case Mutation::kPhysJoinDropProgram: {
+      PhysicalOp* op = find(PhysOpKind::kHashJoin);
+      if (op == nullptr) return false;
+      op->build_program = nullptr;
       return true;
     }
     case Mutation::kPhysScanArityUp: {

@@ -52,6 +52,7 @@ enum class Mutation : uint8_t {
   kPhysJoinKeyWrongSide,   // probe key reads a build-side column
   kPhysJoinSplitSkew,      // join split != left input arity
   kPhysSwapJoinInputs,     // swapped join operands (unequal arities)
+  kPhysJoinDropProgram,    // HashJoin loses its compiled build-key program
   kPhysScanArityUp,        // Scan arity disagrees with the algebra
   kPhysUnionArityUp,       // UnionMerge arity disagrees with its inputs
   kPhysMemoDuplicate,      // two Materialize ops share a cache slot

@@ -839,6 +839,8 @@ class PhysicalChecker {
       }
     }
 
+    CheckPrograms(op, path);
+
     if (op->left != nullptr) {
       PathNode left{&path, ".left", -1};
       Walk(op->left, left);
@@ -848,6 +850,51 @@ class PhysicalChecker {
       Walk(op->right, right);
     }
     state_.At(slot) = State::kDone;
+  }
+
+  // The executor evaluates scalar expressions only through the compiled
+  // programs and dereferences them unconditionally: each operator must
+  // carry the programs its kind needs, with one output per expression
+  // (ProjectMap) or per key (HashJoin, each side).
+  void CheckPrograms(const PhysicalOp* op, const PathNode& path) {
+    const std::string kind = PhysOpKindName(op->kind);
+    auto outputs = [&](const std::shared_ptr<const ScalarProgram>& prog,
+                       const char* what, size_t want) {
+      if (prog == nullptr) {
+        Add(report_, "phys.program", path, kind + " has no " + what);
+      } else if (prog->num_outputs() != want) {
+        Add(report_, "phys.program", path,
+            kind + " " + what + " yields " +
+                std::to_string(prog->num_outputs()) + " output(s) for " +
+                std::to_string(want));
+      }
+    };
+    switch (op->kind) {
+      case PhysOpKind::kProjectMap:
+        outputs(op->program, "projection program", op->exprs.size());
+        break;
+      case PhysOpKind::kHashJoin:
+        outputs(op->program, "probe-key program", op->keys.size());
+        outputs(op->build_program, "build-key program", op->keys.size());
+        [[fallthrough]];
+      case PhysOpKind::kNestedLoopJoin:
+      case PhysOpKind::kFilterSelect: {
+        // A FilterSelect always runs its condition program; a join runs
+        // one exactly when it has residual conditions.
+        const bool want = op->kind == PhysOpKind::kFilterSelect ||
+                          !op->conds.empty();
+        if (want && op->cond_program == nullptr) {
+          Add(report_, "phys.program", path,
+              kind + " has no condition program");
+        } else if (!want && op->cond_program != nullptr) {
+          Add(report_, "phys.program", path,
+              kind + " has a condition program but no conditions");
+        }
+        break;
+      }
+      default:
+        break;
+    }
   }
 
   void CheckConds(const PhysicalOp* op, int input_arity,

@@ -1,9 +1,9 @@
 // Differential tests for the vectorized batch kernels (src/exec/
-// scalar_program.h, src/exec/selection.h): every (batch_size, num_threads)
-// combination must produce output bit-identical to the tuple-at-a-time
-// interpreter and to the legacy recursive evaluator, over the paper corpus
-// and a seeded random corpus; plus unit tests for Selection edge cases and
-// the compiled scalar program (CSE, constant folding, staged filters).
+// scalar_program.h, src/exec/selection.h): every num_threads setting must
+// produce output bit-identical to the legacy recursive evaluator, over the
+// paper corpus, a seeded random corpus, and hand-built join and filter
+// plans spanning several morsels; plus unit tests for Selection edge cases
+// and the compiled scalar program (CSE, constant folding, staged filters).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -47,7 +47,7 @@ TEST(SelectionTest, FullDenseBatchIndexesAbsoluteRows) {
 }
 
 TEST(SelectionTest, SingleRowTailBatch) {
-  // The last batch of a 4097-row input at batch_size 1024 covers one row.
+  // The last 1024-row batch of a 4097-row input covers one row.
   Selection sel = Selection::Dense(4096, 1);
   EXPECT_EQ(sel.size(), 1u);
   EXPECT_EQ(sel[0], 4096u);
@@ -93,28 +93,25 @@ class BatchProgramTest : public ::testing::Test {
 };
 
 // A subtree repeated across output columns is computed once per batch:
-// runtime function_calls drop below the tuple path's per-column count.
+// runtime function_calls drop below the legacy evaluator's per-column
+// count.
 TEST_F(BatchProgramTest, CommonSubexpressionsShareWork) {
   ExprFactory& e = factory_.exprs();
   const ScalarExpr* shared = Apply1("succ", e.Col(0));
   const AlgExpr* plan = factory_.Project(
       {Apply1("double", shared), Apply1("neg", shared)}, factory_.Rel("R", 2));
 
-  AlgebraEvalOptions tuple_opts;
-  tuple_opts.batch_size = 1;
-  tuple_opts.num_threads = 1;
   AlgebraEvalOptions batch_opts;
-  batch_opts.batch_size = 16;
   batch_opts.num_threads = 1;
-  AlgebraEvalStats ts, bs;
-  auto tuple = EvaluateAlgebra(ctx_, plan, db_, registry_, &ts, tuple_opts);
+  AlgebraEvalStats ls, bs;
+  auto legacy = EvaluateAlgebraLegacy(ctx_, plan, db_, registry_, &ls);
   auto batch = EvaluateAlgebra(ctx_, plan, db_, registry_, &bs, batch_opts);
-  ASSERT_TRUE(tuple.ok());
+  ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(*tuple, *batch);
-  // Tuple path: 3 applications per row (succ twice). Batch: 3 ops but the
-  // shared succ register evaluates once, so 3 counted lanes per row.
-  EXPECT_EQ(ts.function_calls, 4u * 50u);
+  EXPECT_EQ(*legacy, *batch);
+  // Legacy: 4 applications per row (succ twice). Batch: 3 ops, the shared
+  // succ register evaluated once, so 3 counted lanes per row.
+  EXPECT_EQ(ls.function_calls, 4u * 50u);
   EXPECT_EQ(bs.function_calls, 3u * 50u);
 }
 
@@ -126,7 +123,6 @@ TEST_F(BatchProgramTest, ConstantApplicationsFoldAtCompileTime) {
       factory_.Rel("R", 2));
 
   AlgebraEvalOptions batch_opts;
-  batch_opts.batch_size = 16;
   batch_opts.num_threads = 1;
   AlgebraEvalStats bs;
   auto batch = EvaluateAlgebra(ctx_, plan, db_, registry_, &bs, batch_opts);
@@ -136,7 +132,7 @@ TEST_F(BatchProgramTest, ConstantApplicationsFoldAtCompileTime) {
 }
 
 // Staged filter evaluation: a second condition only runs over lanes that
-// survived the first, so per-lane work never exceeds the tuple path's
+// survived the first, so per-lane work equals the legacy evaluator's
 // short-circuit count.
 TEST_F(BatchProgramTest, StagedFilterMatchesShortCircuitCounts) {
   ExprFactory& e = factory_.exprs();
@@ -145,25 +141,23 @@ TEST_F(BatchProgramTest, StagedFilterMatchesShortCircuitCounts) {
        {Apply1("succ", e.Col(0)), AlgCompareOp::kNe, e.Col(1)}},
       factory_.Rel("R", 2));
 
-  AlgebraEvalOptions tuple_opts;
-  tuple_opts.batch_size = 1;
-  tuple_opts.num_threads = 1;
   AlgebraEvalOptions batch_opts;
-  batch_opts.batch_size = 7;
   batch_opts.num_threads = 1;
-  AlgebraEvalStats ts, bs;
-  auto tuple = EvaluateAlgebra(ctx_, plan, db_, registry_, &ts, tuple_opts);
+  AlgebraEvalStats ls, bs;
+  auto legacy = EvaluateAlgebraLegacy(ctx_, plan, db_, registry_, &ls);
   auto batch = EvaluateAlgebra(ctx_, plan, db_, registry_, &bs, batch_opts);
-  ASSERT_TRUE(tuple.ok());
+  ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(*tuple, *batch);
-  EXPECT_EQ(bs.function_calls, ts.function_calls);
+  EXPECT_EQ(*legacy, *batch);
+  // half runs on all 50 rows; succ only on the rows where half(i) < 100-i.
+  EXPECT_EQ(ls.function_calls, 100u);
+  EXPECT_EQ(bs.function_calls, ls.function_calls);
 }
 
 // Mixed int/string comparison columns take the order-key gather path and
 // must order exactly like Value's total order (ints before strings,
 // strings lexicographic including 8-byte-prefix ties).
-TEST_F(BatchProgramTest, MixedOrderComparisonsMatchTuplePath) {
+TEST_F(BatchProgramTest, MixedOrderComparisonsMatchLegacy) {
   Database db;
   ASSERT_TRUE(db.AddRelation("M", 2).ok());
   const std::vector<Value> vals = {
@@ -186,24 +180,18 @@ TEST_F(BatchProgramTest, MixedOrderComparisonsMatchTuplePath) {
                           AlgCompareOp::kEq, AlgCompareOp::kNe}) {
     const AlgExpr* plan =
         factory_.Select({{e.Col(0), op, e.Col(1)}}, factory_.Rel("M", 2));
-    AlgebraEvalOptions tuple_opts;
-    tuple_opts.batch_size = 1;
-    AlgebraEvalOptions batch_opts;
-    batch_opts.batch_size = 1024;
-    auto tuple = EvaluateAlgebra(ctx_, plan, db, registry_,
-                                 /*stats=*/nullptr, tuple_opts);
-    auto batch = EvaluateAlgebra(ctx_, plan, db, registry_,
-                                 /*stats=*/nullptr, batch_opts);
-    ASSERT_TRUE(tuple.ok());
+    auto legacy = EvaluateAlgebraLegacy(ctx_, plan, db, registry_);
+    auto batch = EvaluateAlgebra(ctx_, plan, db, registry_);
+    ASSERT_TRUE(legacy.ok());
     ASSERT_TRUE(batch.ok());
-    EXPECT_EQ(tuple->ToString(), batch->ToString())
+    EXPECT_EQ(legacy->ToString(), batch->ToString())
         << "op=" << static_cast<int>(op);
   }
 }
 
 // The fused FilterSelect→ProjectMap pair must keep both operators' row
-// accounting identical to the unfused tuple path, and the batch counters
-// must surface in the profile.
+// accounting identical to the unfused plan, and the batch counters must
+// surface in the profile.
 TEST_F(BatchProgramTest, FusedFilterProjectKeepsRowAccounting) {
   ExprFactory& e = factory_.exprs();
   const AlgExpr* plan = factory_.Project(
@@ -211,34 +199,29 @@ TEST_F(BatchProgramTest, FusedFilterProjectKeepsRowAccounting) {
       factory_.Select({{e.Col(0), AlgCompareOp::kLt, e.Col(1)}},
                       factory_.Rel("R", 2)));
 
-  for (size_t batch_size : {size_t{1}, size_t{16}}) {
-    ExecOptions opts;
-    opts.batch_size = batch_size;
-    opts.num_threads = 1;
-    auto physical = Lower(ctx_, plan, registry_, opts);
-    ASSERT_TRUE(physical.ok());
-    ExecProfile profile;
-    auto result = physical->ExecuteToRelation(db_, &profile);
-    ASSERT_TRUE(result.ok());
-    ASSERT_EQ(profile.op, PhysOpKind::kProjectMap);
-    ASSERT_EQ(profile.children.size(), 1u);
-    const ExecProfile& filter = profile.children[0];
-    ASSERT_EQ(filter.op, PhysOpKind::kFilterSelect);
-    // R holds (i, 100-i) for i in [0,50): i < 100-i holds for every row.
-    EXPECT_EQ(filter.stats.rows_in, 50u);
-    EXPECT_EQ(filter.stats.rows_out, 50u);
-    EXPECT_EQ(profile.stats.rows_in, 50u);
-    if (batch_size > 1) {
-      EXPECT_GT(profile.stats.batches, 0u);
-      EXPECT_EQ(profile.stats.batch_rows, 50u);
-      EXPECT_EQ(profile.stats.batch_sel_rows, 50u);
-      // Fused: the filter materializes nothing, so it copies nothing.
-      EXPECT_EQ(filter.stats.tuple_copies, 0u);
-      std::string rendered = ExecProfileToString(profile);
-      EXPECT_NE(rendered.find("batches="), std::string::npos);
-      EXPECT_NE(rendered.find("sel_density="), std::string::npos);
-    }
-  }
+  ExecOptions opts;
+  opts.num_threads = 1;
+  auto physical = Lower(ctx_, plan, registry_, opts);
+  ASSERT_TRUE(physical.ok());
+  ExecProfile profile;
+  auto result = physical->ExecuteToRelation(db_, &profile);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(profile.op, PhysOpKind::kProjectMap);
+  ASSERT_EQ(profile.children.size(), 1u);
+  const ExecProfile& filter = profile.children[0];
+  ASSERT_EQ(filter.op, PhysOpKind::kFilterSelect);
+  // R holds (i, 100-i) for i in [0,50): i < 100-i holds for every row.
+  EXPECT_EQ(filter.stats.rows_in, 50u);
+  EXPECT_EQ(filter.stats.rows_out, 50u);
+  EXPECT_EQ(profile.stats.rows_in, 50u);
+  EXPECT_EQ(profile.stats.batches, 1u);
+  EXPECT_EQ(profile.stats.batch_rows, 50u);
+  EXPECT_EQ(profile.stats.batch_sel_rows, 50u);
+  // Fused: the filter materializes nothing, so it copies nothing.
+  EXPECT_EQ(filter.stats.tuple_copies, 0u);
+  std::string rendered = ExecProfileToString(profile);
+  EXPECT_NE(rendered.find("batches="), std::string::npos);
+  EXPECT_NE(rendered.find("sel_density="), std::string::npos);
 }
 
 // Profile JSON round-trip including the batch counters.
@@ -289,12 +272,11 @@ FunctionRegistry CorpusFunctions() {
   return reg;
 }
 
-const size_t kBatchSizes[] = {1, 7, 1024};
-const size_t kThreadCounts[] = {1, 4, 0};
+const size_t kThreadCounts[] = {1, 2, 4, 0};
 
 // Paper corpus on inputs large enough to exercise the parallel batch
-// kernels: every (batch_size, num_threads) cell must match the legacy
-// interpreter bit-for-bit (ToString compares the normalized rendering).
+// kernels: every num_threads setting must match the legacy interpreter
+// bit-for-bit (ToString compares the normalized rendering).
 TEST(BatchDifferentialTest, PaperCorpusIdenticalAcrossBatchGrid) {
   FunctionRegistry registry = CorpusFunctions();
   for (const CorpusQuery& cq : kPaperCorpus) {
@@ -311,26 +293,22 @@ TEST(BatchDifferentialTest, PaperCorpusIdenticalAcrossBatchGrid) {
     auto legacy = EvaluateAlgebraLegacy(ctx, t->plan, db, registry);
     ASSERT_TRUE(legacy.ok()) << cq.text;
     const std::string want = legacy->ToString();
-    for (size_t batch_size : kBatchSizes) {
-      for (size_t threads : kThreadCounts) {
-        AlgebraEvalOptions options;
-        options.batch_size = batch_size;
-        options.num_threads = threads;
-        auto phys = EvaluateAlgebra(ctx, t->plan, db, registry,
-                                    /*stats=*/nullptr, options);
-        ASSERT_TRUE(phys.ok()) << cq.text;
-        EXPECT_EQ(phys->ToString(), want)
-            << cq.text << " differs at batch_size=" << batch_size
-            << " num_threads=" << threads;
-      }
+    for (size_t threads : kThreadCounts) {
+      AlgebraEvalOptions options;
+      options.num_threads = threads;
+      auto phys = EvaluateAlgebra(ctx, t->plan, db, registry,
+                                  /*stats=*/nullptr, options);
+      ASSERT_TRUE(phys.ok()) << cq.text;
+      EXPECT_EQ(phys->ToString(), want)
+          << cq.text << " differs at num_threads=" << threads;
     }
   }
 }
 
-// 200 seeded random em-allowed queries through the full grid. Small
+// 200 seeded random em-allowed queries at every thread count. Small
 // databases sweep plan shapes (including odd arities and empty inputs)
 // through the batched entry points; function-call counts must never
-// exceed the tuple path's (CSE and folding only remove work).
+// exceed the legacy evaluator's (CSE and folding only remove work).
 TEST(BatchDifferentialTest, RandomQueriesIdenticalAcrossBatchGrid) {
   FunctionRegistry registry = CorpusFunctions();
   registry.Register("rf0", 1, [](std::span<const Value> a) {
@@ -362,25 +340,20 @@ TEST(BatchDifferentialTest, RandomQueriesIdenticalAcrossBatchGrid) {
       auto legacy = EvaluateAlgebraLegacy(ctx, t->plan, db, registry, &ls);
       ASSERT_TRUE(legacy.ok()) << QueryToString(ctx, *q);
       const std::string want = legacy->ToString();
-      for (size_t batch_size : kBatchSizes) {
-        for (size_t threads : kThreadCounts) {
-          AlgebraEvalOptions options;
-          options.batch_size = batch_size;
-          options.num_threads = threads;
-          AlgebraEvalStats ps;
-          auto phys = EvaluateAlgebra(ctx, t->plan, db, registry, &ps,
-                                      options);
-          ASSERT_TRUE(phys.ok()) << QueryToString(ctx, *q);
-          ASSERT_EQ(phys->ToString(), want)
-              << QueryToString(ctx, *q) << "\nplan: "
-              << AlgExprToString(ctx, t->plan)
-              << "\nbatch_size=" << batch_size
-              << " num_threads=" << threads;
-          EXPECT_EQ(ls.tuples_produced, ps.tuples_produced)
-              << QueryToString(ctx, *q) << " batch_size=" << batch_size;
-          EXPECT_LE(ps.function_calls, ls.function_calls)
-              << QueryToString(ctx, *q) << " batch_size=" << batch_size;
-        }
+      for (size_t threads : kThreadCounts) {
+        AlgebraEvalOptions options;
+        options.num_threads = threads;
+        AlgebraEvalStats ps;
+        auto phys = EvaluateAlgebra(ctx, t->plan, db, registry, &ps,
+                                    options);
+        ASSERT_TRUE(phys.ok()) << QueryToString(ctx, *q);
+        ASSERT_EQ(phys->ToString(), want)
+            << QueryToString(ctx, *q) << "\nplan: "
+            << AlgExprToString(ctx, t->plan) << "\nnum_threads=" << threads;
+        EXPECT_EQ(ls.tuples_produced, ps.tuples_produced)
+            << QueryToString(ctx, *q);
+        EXPECT_LE(ps.function_calls, ls.function_calls)
+            << QueryToString(ctx, *q);
       }
       ++checked;
     }
@@ -388,9 +361,8 @@ TEST(BatchDifferentialTest, RandomQueriesIdenticalAcrossBatchGrid) {
   EXPECT_EQ(checked, 200) << "generator exhausted before 200 queries";
 }
 
-// The morsel threshold knob: an explicit option forces tiny inputs onto
-// the parallel path (par_workers recorded), and the env knob is read only
-// when the option is 0.
+// The morsel threshold option: an explicit value forces tiny inputs onto
+// the parallel path (par_morsels recorded); 0 keeps the default floor.
 TEST(BatchDifferentialTest, MorselThresholdOptionControlsFanOut) {
   AstContext ctx;
   AlgebraFactory factory(ctx);
@@ -422,6 +394,92 @@ TEST(BatchDifferentialTest, MorselThresholdOptionControlsFanOut) {
   ExecOptions low_floor = default_opts;
   low_floor.morsel_threshold = 10;
   EXPECT_GT(run(low_floor), 0u);  // forced onto the parallel path
+}
+
+// Hand-built plans over 6500 rows: three full 2048-row morsels of two
+// 1024-row batches each, then a partial morsel holding one partial batch.
+// Every scalar program the executor runs is exercised across those
+// boundaries: function-term and residual-filtered HashJoins, a
+// NestedLoopJoin with conditions, and a fused filter→project, each at
+// every thread count against the legacy evaluator.
+TEST(BatchDifferentialTest, JoinsAndFusedFilterAcrossMorsels) {
+  AstContext ctx;
+  AlgebraFactory factory(ctx);
+  ExprFactory& e = factory.exprs();
+  FunctionRegistry registry = CorpusFunctions();
+  registry.Register("m", 1, [](std::span<const Value> a) {
+    return Value::Int(a[0].AsInt() % 1000);
+  });
+  constexpr int kRows = 6500;
+  Database db;
+  ASSERT_TRUE(db.AddRelation("R", 2).ok());
+  ASSERT_TRUE(db.AddRelation("S", 2).ok());
+  ASSERT_TRUE(db.AddRelation("T", 1).ok());
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(db.Insert("R", {Value::Int(i), Value::Int(i * 7 % 3001)}).ok());
+    ASSERT_TRUE(db.Insert("S", {Value::Int(i % 1500), Value::Int(i % 997)}).ok());
+  }
+  for (int i : {100, 2000, 4000}) {
+    ASSERT_TRUE(db.Insert("T", {Value::Int(i)}).ok());
+  }
+  auto m = [&](const ScalarExpr* a) {
+    return e.Apply(ctx.symbols().Intern("m"),
+                   std::vector<const ScalarExpr*>{a});
+  };
+  const AlgExpr* r = factory.Rel("R", 2);
+  const AlgExpr* s = factory.Rel("S", 2);
+  struct Case {
+    const char* name;
+    const AlgExpr* plan;
+    PhysOpKind root;
+  };
+  const Case cases[] = {
+      // Function-term keys on both sides: m(@1) == @3 probes with m over
+      // R's second column and builds on S's second column.
+      {"function-term key",
+       factory.Join({{m(e.Col(1)), AlgCompareOp::kEq, e.Col(3)}}, r, s),
+       PhysOpKind::kHashJoin},
+      // An equi-key plus a residual `<` over both sides.
+      {"residual <",
+       factory.Join({{e.Col(2), AlgCompareOp::kEq, m(e.Col(0))},
+                     {e.Col(1), AlgCompareOp::kLt, e.Col(3)}},
+                    r, s),
+       PhysOpKind::kHashJoin},
+      // No equi-key: every R × T pair is a candidate.
+      {"nested loop",
+       factory.Join({{e.Col(0), AlgCompareOp::kLt, e.Col(2)},
+                     {m(e.Col(1)), AlgCompareOp::kNe, e.Col(2)}},
+                    r, factory.Rel("T", 1)),
+       PhysOpKind::kNestedLoopJoin},
+      {"fused filter-project",
+       factory.Project(
+           {m(e.Col(0)), e.Col(1)},
+           factory.Select({{m(e.Col(1)), AlgCompareOp::kLe, m(e.Col(0))}},
+                          r)),
+       PhysOpKind::kProjectMap},
+  };
+  for (const Case& c : cases) {
+    AlgebraEvalStats ls;
+    auto legacy = EvaluateAlgebraLegacy(ctx, c.plan, db, registry, &ls);
+    ASSERT_TRUE(legacy.ok()) << c.name;
+    ASSERT_GT(legacy->size(), 1024u) << c.name << ": too few rows to batch";
+    const std::string want = legacy->ToString();
+    for (size_t threads : kThreadCounts) {
+      ExecOptions options;
+      options.num_threads = threads;
+      auto physical = Lower(ctx, c.plan, registry, options);
+      ASSERT_TRUE(physical.ok()) << c.name;
+      ASSERT_EQ(physical->root()->kind, c.root) << c.name;
+      ExecProfile profile;
+      auto got = physical->ExecuteToRelation(db, &profile);
+      ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
+      EXPECT_EQ(got->ToString(), want)
+          << c.name << " differs at num_threads=" << threads;
+      EXPECT_EQ(profile.stats.rows_out, legacy->size()) << c.name;
+      EXPECT_LE(SumProfile(profile).function_calls, ls.function_calls)
+          << c.name;
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // parameterized queries must agree with the equivalent "manual" queries on
 // random inputs. Parameterized runs execute one plan prepared at compile
 // time; the differential suite checks it bit for bit against the
-// substitute-and-retranslate plan (PlanFor) and the reference calculus
-// evaluator, at both the tuple and the batch execution paths.
+// substitute-and-retranslate plan (PlanFor), run through both the physical
+// layer and the legacy algebra evaluator, and the reference calculus
+// evaluator.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -47,9 +48,9 @@ Value LongString(int i) {
 }
 
 // Checks one argument binding of `pq` against every oracle: Run and the
-// prepared plan executed at batch sizes 1 and 1024 must equal PlanFor(args)
-// evaluated at both batch sizes and the calculus evaluator on the query
-// with the arguments substituted as constants.
+// prepared plan must equal PlanFor(args) run through the physical layer
+// and through the legacy algebra evaluator, and the calculus evaluator on
+// the query with the arguments substituted as constants.
 void ExpectRunMatchesOracles(Compiler& compiler, const ParameterizedQuery& pq,
                              const Database& db,
                              const std::vector<Value>& args,
@@ -69,28 +70,21 @@ void ExpectRunMatchesOracles(Compiler& compiler, const ParameterizedQuery& pq,
 
   auto plan = pq.PlanFor(args);
   ASSERT_TRUE(plan.ok()) << label << ": " << plan.status().ToString();
-  for (size_t batch : {size_t{1}, size_t{1024}}) {
-    AlgebraEvalOptions eval_options;
-    eval_options.batch_size = batch;
-    auto substituted = EvaluateAlgebra(ctx, *plan, db, compiler.functions(),
-                                       nullptr, eval_options);
-    ASSERT_TRUE(substituted.ok()) << label << ": "
-                                  << substituted.status().ToString();
-    EXPECT_TRUE(*run == *substituted)
-        << label << " vs PlanFor, batch_size=" << batch;
+  auto substituted = EvaluateAlgebra(ctx, *plan, db, compiler.functions());
+  ASSERT_TRUE(substituted.ok()) << label << ": "
+                                << substituted.status().ToString();
+  EXPECT_TRUE(*run == *substituted) << label << " vs PlanFor";
+  auto legacy =
+      EvaluateAlgebraLegacy(ctx, *plan, db, compiler.functions());
+  ASSERT_TRUE(legacy.ok()) << label << ": " << legacy.status().ToString();
+  EXPECT_TRUE(*run == *legacy) << label << " vs PlanFor, legacy evaluator";
 
-    ExecOptions exec_options;
-    exec_options.batch_size = batch;
-    auto prepared =
-        Lower(ctx, pq.plan(), compiler.functions(), exec_options,
-              static_cast<int>(pq.parameters().size()));
-    ASSERT_TRUE(prepared.ok()) << label << ": "
-                               << prepared.status().ToString();
-    auto bound = prepared->ExecuteToRelation(db, nullptr, args);
-    ASSERT_TRUE(bound.ok()) << label << ": " << bound.status().ToString();
-    EXPECT_TRUE(*run == *bound)
-        << label << " vs prepared plan, batch_size=" << batch;
-  }
+  auto prepared = Lower(ctx, pq.plan(), compiler.functions(), ExecOptions{},
+                        static_cast<int>(pq.parameters().size()));
+  ASSERT_TRUE(prepared.ok()) << label << ": " << prepared.status().ToString();
+  auto bound = prepared->ExecuteToRelation(db, nullptr, args);
+  ASSERT_TRUE(bound.ok()) << label << ": " << bound.status().ToString();
+  EXPECT_TRUE(*run == *bound) << label << " vs prepared plan";
 }
 
 // A query using a view must compute exactly what the hand-inlined query

@@ -349,9 +349,10 @@ TEST(ExecProfileTest, CarriesEstimatesAndMemoryPerOperator) {
 }
 
 // Batch-kernel scratch (register file, selection vectors, order keys) is
-// charged to the owning operator's memory slot: the ProjectMap's slot
-// grows versus the tuple path, while the fused FilterSelect — which no
-// longer materializes its output — shrinks.
+// charged to the owning operator's memory slot: the ProjectMap's slot holds
+// both fused programs' scratch on top of its output, while the fused
+// FilterSelect — which does not materialize its output — charges less than
+// the same filter run unfused as the plan root.
 TEST(ExecProfileTest, BatchScratchChargesOwningOperator) {
   FunctionRegistry registry = BuiltinFunctions();
   AstContext ctx;
@@ -363,16 +364,16 @@ TEST(ExecProfileTest, BatchScratchChargesOwningOperator) {
     ASSERT_TRUE(db.Insert("R", {Value::Int(i), Value::Int(i % 97)}).ok());
   }
   Symbol plus = ctx.symbols().Intern("plus");
+  const AlgExpr* filter = factory.Select(
+      {{e.Col(1), AlgCompareOp::kLt, e.Col(0)}}, factory.Rel("R", 2));
   const AlgExpr* plan = factory.Project(
       {e.Apply(plus, std::vector<const ScalarExpr*>{e.Col(0), e.Col(1)})},
-      factory.Select({{e.Col(1), AlgCompareOp::kLt, e.Col(0)}},
-                     factory.Rel("R", 2)));
+      filter);
 
-  auto run = [&](size_t batch_size) {
-    ExecOptions opts;
-    opts.batch_size = batch_size;
-    opts.num_threads = 1;
-    auto lowered = Lower(ctx, plan, registry, opts);
+  ExecOptions opts;
+  opts.num_threads = 1;
+  auto run = [&](const AlgExpr* p) {
+    auto lowered = Lower(ctx, p, registry, opts);
     EXPECT_TRUE(lowered.ok());
     ExecProfile profile;
     auto result = lowered->ExecuteToRelation(db, &profile);
@@ -380,23 +381,28 @@ TEST(ExecProfileTest, BatchScratchChargesOwningOperator) {
     return profile;
   };
 
-  ExecProfile tuple = run(1);
-  ExecProfile batch = run(1024);
-  ASSERT_EQ(batch.op, PhysOpKind::kProjectMap);
-  ASSERT_EQ(batch.children.size(), 1u);
-  ASSERT_EQ(batch.children[0].op, PhysOpKind::kFilterSelect);
-  // Both programs run inside the ProjectMap's frame, so their scratch
-  // lands on its slot on top of the output buffer the tuple path also
-  // pays for.
-  EXPECT_GT(batch.stats.bytes_allocated, tuple.stats.bytes_allocated);
-  EXPECT_GT(batch.stats.peak_bytes, 0);
+  ExecProfile unfused = run(filter);
+  ExecProfile fused = run(plan);
+  ASSERT_EQ(unfused.op, PhysOpKind::kFilterSelect);
+  ASSERT_EQ(fused.op, PhysOpKind::kProjectMap);
+  ASSERT_EQ(fused.children.size(), 1u);
+  ASSERT_EQ(fused.children[0].op, PhysOpKind::kFilterSelect);
+  // Both programs run inside the ProjectMap's frame, at 1024 rows per
+  // batch: their scratch lands on its slot on top of the output buffer.
+  auto lowered = Lower(ctx, plan, registry, opts);
+  ASSERT_TRUE(lowered.ok());
+  const PhysicalOp* project = lowered->root();
+  const size_t scratch = project->program->ScratchBytes(1024, 1) +
+                         project->left->cond_program->ScratchBytes(1024, 0);
+  EXPECT_GT(fused.stats.bytes_allocated, scratch);
+  EXPECT_GT(fused.stats.peak_bytes, 0);
   // The fused filter passes a selection vector instead of copying rows,
-  // so its own slot charges strictly less than the materializing path.
-  EXPECT_LT(batch.children[0].stats.bytes_allocated,
-            tuple.children[0].stats.bytes_allocated);
+  // so its own slot charges strictly less than the materializing run.
+  EXPECT_LT(fused.children[0].stats.bytes_allocated,
+            unfused.stats.bytes_allocated);
   // Operator slots still attribute within the query total.
-  EXPECT_LE(batch.stats.bytes_allocated + batch.children[0].stats.bytes_allocated,
-            batch.total_bytes_allocated);
+  EXPECT_LE(fused.stats.bytes_allocated + fused.children[0].stats.bytes_allocated,
+            fused.total_bytes_allocated);
 }
 
 TEST(ExecProfileTest, JsonRoundTripIsExact) {

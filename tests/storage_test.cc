@@ -2,10 +2,15 @@
 // domains, and term closures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/calculus/parser.h"
 #include "src/storage/adom.h"
@@ -304,6 +309,82 @@ TEST(BuiltinFunctionsTest, TotalOnMixedDomain) {
       }
     }
   }
+}
+
+// The arithmetic builtins wrap modulo 2^64 (two's complement) instead of
+// overflowing, which would be undefined behaviour: every numeric builtin's
+// scalar and batch forms agree with the wrapped result at the int64
+// boundaries. Runs under UBSan in the sanitizer build.
+TEST(BuiltinFunctionsTest, ArithmeticWrapsAtInt64Boundaries) {
+  using U = uint64_t;
+  auto wrap = [](U v) { return static_cast<int64_t>(v); };
+  const std::map<std::string, std::function<int64_t(int64_t)>> unary = {
+      {"succ", [&](int64_t a) { return wrap(U(a) + 1); }},
+      {"pred", [&](int64_t a) { return wrap(U(a) - 1); }},
+      {"double", [&](int64_t a) { return wrap(U(a) * 2); }},
+      {"half", [](int64_t a) { return a / 2; }},
+      {"abs", [&](int64_t a) { return a < 0 ? wrap(U(0) - U(a)) : a; }},
+      {"neg", [&](int64_t a) { return wrap(U(0) - U(a)); }},
+      {"len", [](int64_t a) { return a; }},
+  };
+  const std::map<std::string, std::function<int64_t(int64_t, int64_t)>>
+      binary = {
+          {"plus", [&](int64_t a, int64_t b) { return wrap(U(a) + U(b)); }},
+          {"minus", [&](int64_t a, int64_t b) { return wrap(U(a) - U(b)); }},
+          {"times", [&](int64_t a, int64_t b) { return wrap(U(a) * U(b)); }},
+          {"min2", [](int64_t a, int64_t b) { return std::min(a, b); }},
+          {"max2", [](int64_t a, int64_t b) { return std::max(a, b); }},
+          {"mix",
+           [](int64_t a, int64_t b) {
+             U x = U(a) * 0x9e3779b97f4a7c15ULL + U(b);
+             x ^= x >> 29;
+             return static_cast<int64_t>(x & 0x7fffffff);
+           }},
+      };
+  const std::vector<int64_t> bounds = {INT64_MIN, INT64_MIN + 1, -1, 0,
+                                       INT64_MAX};
+  FunctionRegistry reg = BuiltinFunctions();
+  size_t checked = 0;
+  for (const auto& [name, fn] : reg.functions()) {
+    if (!fn.batch) continue;  // string builtins have no numeric overflow
+    ++checked;
+    // One batch lane per input (pair), against the scalar form and the
+    // wrapped expectation.
+    std::vector<Value> a, b;
+    for (int64_t x : bounds) {
+      if (fn.arity == 1) {
+        a.push_back(Value::Int(x));
+        continue;
+      }
+      for (int64_t y : bounds) {
+        a.push_back(Value::Int(x));
+        b.push_back(Value::Int(y));
+      }
+    }
+    std::vector<std::span<const Value>> cols = {a};
+    if (fn.arity == 2) cols.push_back(b);
+    std::vector<Value> out(a.size());
+    fn.batch(cols, out);
+    for (size_t i = 0; i < a.size(); ++i) {
+      int64_t want;
+      if (fn.arity == 1) {
+        ASSERT_TRUE(unary.count(name)) << name << " has no expectation";
+        want = unary.at(name)(a[i].AsInt());
+      } else {
+        ASSERT_TRUE(binary.count(name)) << name << " has no expectation";
+        want = binary.at(name)(a[i].AsInt(), b[i].AsInt());
+      }
+      std::vector<Value> args = {a[i]};
+      if (fn.arity == 2) args.push_back(b[i]);
+      EXPECT_EQ(fn.fn(args), Value::Int(want)) << name << " scalar, lane " << i;
+      EXPECT_EQ(out[i], Value::Int(want)) << name << " batch, lane " << i;
+    }
+  }
+  EXPECT_EQ(checked, unary.size() + binary.size());
+  Value max_arg[] = {Value::Int(INT64_MAX)};
+  EXPECT_EQ(reg.Find("succ")->fn(max_arg), Value::Int(INT64_MIN));
+  Value min_arg[] = {Value::Int(INT64_MIN)};
+  EXPECT_EQ(reg.Find("abs")->fn(min_arg), Value::Int(INT64_MIN));
 }
 
 TEST(AdomTest, ActiveDomainCollectsAllColumns) {
