@@ -290,9 +290,7 @@ int main() {
         emcalc::obs::SetPostmortemDir("");
         std::printf("postmortem off\n");
       } else if (arg == "now") {
-        emcalc::obs::PostmortemInfo info;
-        info.reason = "manual";
-        auto path = emcalc::obs::WritePostmortem(info);
+        auto path = emcalc::obs::WritePostmortem("manual", nullptr, "");
         if (path.ok()) {
           std::printf("wrote %s\n", path->c_str());
         } else {

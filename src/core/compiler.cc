@@ -18,6 +18,7 @@
 #include "src/exec/feedback.h"
 #include "src/exec/lower.h"
 #include "src/obs/flight_recorder.h"
+#include "src/obs/history.h"
 #include "src/obs/metrics.h"
 #include "src/obs/postmortem.h"
 #include "src/obs/query_log.h"
@@ -106,11 +107,11 @@ void LogCompile(const std::string& text, const Status& status,
   if (log == nullptr) return;
   obs::QueryLogRecord r;
   r.event = "compile";
-  r.query = text;
-  r.query_hash = obs::HashQueryText(text);
-  r.ok = status.ok();
-  if (!status.ok()) r.error = status.ToString();
-  r.wall_ns = profile.wall_ns;
+  r.run.query = text;
+  r.run.query_hash = obs::HashQueryText(text);
+  r.run.ok = status.ok();
+  if (!status.ok()) r.run.error = status.ToString();
+  r.run.wall_ns = profile.wall_ns;
   r.phase_ns = obs::FlattenPhases(profile);
   if (t != nullptr) {
     r.em_allowed = t->safety.em_allowed;
@@ -121,41 +122,6 @@ void LogCompile(const std::string& text, const Status& status,
   if (query != nullptr) r.level = CountApplications(query->body);
   r.string_pool_size = StringPool::Global().size();
   r.diagnostics = std::move(diagnostics);
-  log->Write(r);
-}
-
-void LogRunRecord(const PreparedPlan& p, bool ok, const std::string& error,
-                  uint64_t rows_out, uint64_t wall_ns, uint64_t exec_threads,
-                  const ExecProfile* profile, std::string aborted_limit) {
-  obs::QueryLog* log = obs::GetQueryLog();
-  if (log == nullptr) return;
-  obs::QueryLogRecord r;
-  r.event = "run";
-  r.query = p.text;
-  r.query_hash = p.hash;
-  r.ok = ok;
-  r.error = error;
-  r.rows_out = rows_out;
-  r.wall_ns = wall_ns;
-  r.string_pool_size = StringPool::Global().size();
-  r.exec_threads = exec_threads;
-  r.aborted_limit = std::move(aborted_limit);
-  if (profile != nullptr) {
-    r.peak_bytes = static_cast<uint64_t>(
-        std::max<int64_t>(profile->total_peak_bytes, 0));
-    r.bytes_allocated = profile->total_bytes_allocated;
-    PlanFeedback feedback = BuildPlanFeedback(*profile);
-    if (!feedback.entries.empty()) {
-      r.misestimate_factor = feedback.max_factor;
-      r.misestimate_op = feedback.worst_op;
-    }
-    r.est_history_ops = CountHistoryCorrectedOps(*profile);
-    ParallelSummary par = SumParallel(*profile);
-    if (par.max_workers > 1) {
-      r.parallel_efficiency = par.Efficiency();
-      r.par_workers = par.max_workers;
-    }
-  }
   log->Write(r);
 }
 
@@ -179,68 +145,50 @@ class QueryObsScope {
   uint64_t hash_;
 };
 
-// Updates run metrics + query log for one execution attempt. `profile`
-// (optional) contributes memory accounting, the aborting resource limit,
-// and the worst plan misestimate to the "run" record.
+// Updates run metrics for one execution attempt. `observed_profile` is the
+// run's profile when a sink (query log, history store, postmortem
+// directory) is installed and null otherwise; with a profile, the run's one
+// RunRecord is built and handed to every installed sink.
 void ObserveRun(const PreparedPlan& p, const StatusOr<Relation>& result,
                 uint64_t start_ns, uint64_t exec_threads,
-                const ExecProfile* profile) {
+                const ExecProfile* observed_profile) {
   uint64_t wall = obs::NowNs() - start_ns;
   RunMetrics& m = RunMetrics::Get();
   m.runs.Add();
   m.wall_ns.Observe(static_cast<double>(wall));
-  // The governor phrases resource errors "<limit_name> exceeded: ..."; the
-  // first token names the tripped limit.
-  std::string aborted_limit;
-  if (!result.ok() &&
-      result.status().code() == StatusCode::kResourceExhausted) {
-    const std::string& msg = result.status().message();
-    aborted_limit = msg.substr(0, msg.find(' '));
-  }
-  if (obs::HistoryStore* store = obs::GetHistoryStore();
-      store != nullptr && profile != nullptr) {
-    obs::RunObservation run = CollectRunObservation(p.hash, p.text, *profile);
-    run.ok = result.ok();
-    run.aborted_limit = aborted_limit;
-    run.wall_ns = wall;
-    run.peak_bytes =
-        static_cast<uint64_t>(std::max<int64_t>(profile->total_peak_bytes, 0));
-    if (result.ok()) run.rows_out = result->size();
-    ParallelSummary par = SumParallel(*profile);
-    if (par.max_workers > 1) {
-      run.parallel_efficiency = par.Efficiency();
-      run.par_workers = par.max_workers;
-    }
-    store->RecordRun(run);
-  }
   if (result.ok()) {
     m.rows_out.Add(result->size());
-    LogRunRecord(p, true, "", result->size(), wall, exec_threads, profile, "");
   } else {
     m.errors.Add();
-    if (obs::PostmortemEnabled()) {
-      // Best-effort bundle: failure to write must not mask the run error.
-      obs::PostmortemInfo info;
-      info.reason = aborted_limit.empty() ? "run_error" : "governor_abort";
-      info.query = p.text;
-      info.query_hash = p.hash;
-      info.error = result.status().ToString();
-      info.aborted_limit = aborted_limit;
-      if (profile != nullptr) info.profile_json = ExecProfileToJson(*profile);
-      (void)obs::WritePostmortem(info);
-    }
-    LogRunRecord(p, false, result.status().ToString(), 0, wall, exec_threads,
-                 profile, std::move(aborted_limit));
+  }
+  if (observed_profile == nullptr) return;
+  obs::RunRecord run =
+      BuildRunRecord(p.hash, p.text, result.status(),
+                     result.ok() ? result->size() : 0, wall, exec_threads,
+                     *observed_profile);
+  if (obs::HistoryStore* store = obs::GetHistoryStore()) store->RecordRun(run);
+  if (!run.ok && obs::PostmortemEnabled()) {
+    // Best-effort bundle: failure to write must not mask the run error.
+    (void)obs::WritePostmortem(
+        run.aborted_limit.empty() ? "run_error" : "governor_abort", &run,
+        ExecProfileToJson(*observed_profile));
+  }
+  if (obs::QueryLog* log = obs::GetQueryLog()) {
+    obs::QueryLogRecord r;
+    r.event = "run";
+    r.run = std::move(run);
+    r.string_pool_size = StringPool::Global().size();
+    log->Write(r);
   }
 }
 
 // The one run path of CompiledQuery and ParameterizedQuery: executes the
 // prepared plan with `args` bound and reports the run (metrics, query log,
 // history store, postmortem). A non-null `profile` is always filled;
-// otherwise the run is profiled whenever a consumer exists — the caller's
-// `stats`, an installed query log (memory and misestimate fields per run
-// record), a history store that records actuals, or an abort bundle that
-// would want the partial profile.
+// otherwise the run is profiled when the caller's `stats` or an installed
+// sink needs it. Whether any sink is installed is asked once: the same
+// answer decides profiling and whether ObserveRun builds a RunRecord, so a
+// run with no sink builds neither.
 StatusOr<Relation> RunPrepared(const Compiler& owner, const PreparedPlan& p,
                                const Database& db,
                                std::span<const Value> args,
@@ -248,12 +196,11 @@ StatusOr<Relation> RunPrepared(const Compiler& owner, const PreparedPlan& p,
   obs::Span span("exec.run");
   QueryObsScope obs_scope(p.text, p.hash);
   uint64_t start_ns = obs::NowNs();
+  const bool observed = obs::GetQueryLog() != nullptr ||
+                        obs::GetHistoryStore() != nullptr ||
+                        obs::PostmortemEnabled();
   ExecProfile local;
-  if (profile == nullptr &&
-      (stats != nullptr || obs::GetQueryLog() != nullptr ||
-       obs::GetHistoryStore() != nullptr || obs::PostmortemEnabled())) {
-    profile = &local;
-  }
+  if (profile == nullptr && (stats != nullptr || observed)) profile = &local;
   auto answer = [&]() -> StatusOr<Relation> {
     if (p.physical != nullptr) {
       return p.physical->ExecuteToRelation(db, profile, args);
@@ -276,7 +223,7 @@ StatusOr<Relation> RunPrepared(const Compiler& owner, const PreparedPlan& p,
   ObserveRun(p, answer, start_ns,
              EffectiveExecThreads(
                  p.physical != nullptr ? p.physical->options().num_threads : 0),
-             profile);
+             observed ? profile : nullptr);
   return answer;
 }
 

@@ -3,7 +3,6 @@
 #include "src/algebra/printer.h"
 #include "src/calculus/analysis.h"
 #include "src/calculus/parser.h"
-#include "src/exec/lower.h"
 #include "src/calculus/printer.h"
 #include "src/finds/bound.h"
 #include "src/safety/allowed.h"
@@ -51,11 +50,6 @@ std::string Explanation::ToString() const {
          std::to_string(raw_plan_nodes) + ")\n";
   out += "  plan tree:\n";
   out += Indent(plan_tree);
-  if (!exec_profile_text.empty()) {
-    out += "  answer rows: " + std::to_string(answer_rows) + "\n";
-    out += "  execution profile:\n";
-    out += Indent(exec_profile_text);
-  }
   return out;
 }
 
@@ -95,28 +89,6 @@ StatusOr<Explanation> ExplainQuery(AstContext& ctx, std::string_view text,
   auto q = ParseQuery(ctx, text);
   if (!q.ok()) return q.status();
   return ExplainQuery(ctx, *q, options);
-}
-
-StatusOr<Explanation> ExplainAnalyzeQuery(AstContext& ctx,
-                                          std::string_view text,
-                                          const Database& db,
-                                          const FunctionRegistry& registry,
-                                          const TranslateOptions& options) {
-  auto q = ParseQuery(ctx, text);
-  if (!q.ok()) return q.status();
-  auto explanation = ExplainQuery(ctx, *q, options);
-  if (!explanation.ok() || !explanation->em_allowed) return explanation;
-  // Re-translate (cheap) to get the plan: ExplainQuery only keeps text.
-  auto t = TranslateQuery(ctx, *q, options);
-  if (!t.ok()) return t.status();
-  auto physical = Lower(ctx, t->plan, registry);
-  if (!physical.ok()) return physical.status();
-  auto answer = physical->ExecuteToRelation(db, &explanation->exec_profile);
-  if (!answer.ok()) return answer.status();
-  explanation->answer_rows = answer->size();
-  explanation->exec_profile_text =
-      ExecProfileToString(explanation->exec_profile);
-  return explanation;
 }
 
 }  // namespace emcalc

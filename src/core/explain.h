@@ -10,7 +10,6 @@
 
 #include "src/base/status.h"
 #include "src/calculus/ast.h"
-#include "src/exec/physical.h"
 #include "src/translate/pipeline.h"
 
 namespace emcalc {
@@ -33,11 +32,6 @@ struct Explanation {
   std::string plan_tree;
   int plan_nodes = 0;
   int raw_plan_nodes = 0;
-  // Only populated by ExplainAnalyzeQuery (EXPLAIN ANALYZE): the physical
-  // plan's per-operator runtime statistics for one execution.
-  ExecProfile exec_profile;
-  std::string exec_profile_text;
-  size_t answer_rows = 0;
 
   // Renders the whole explanation as an indented multi-line report.
   std::string ToString() const;
@@ -52,13 +46,6 @@ StatusOr<Explanation> ExplainQuery(AstContext& ctx, const Query& q,
 // Parses and analyzes query text.
 StatusOr<Explanation> ExplainQuery(AstContext& ctx, std::string_view text,
                                    const TranslateOptions& options = {});
-
-// EXPLAIN ANALYZE: analyzes `text` and, when it is em-allowed, lowers the
-// plan to the physical execution layer, runs it against `db`, and fills
-// the per-operator statistics (rows in/out, hash build/probes, timing).
-StatusOr<Explanation> ExplainAnalyzeQuery(
-    AstContext& ctx, std::string_view text, const Database& db,
-    const FunctionRegistry& registry, const TranslateOptions& options = {});
 
 }  // namespace emcalc
 

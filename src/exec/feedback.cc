@@ -141,10 +141,10 @@ void WalkPlanPaths(const PhysicalOp* op, const std::string& path,
 // and shared re-visits are shared_ref stubs, so paths line up with
 // WalkPlanPaths by construction.
 void CollectRunOps(const ExecProfile& p, const std::string& path,
-                   std::vector<obs::RunObservation::Op>& ops) {
+                   std::vector<obs::RunRecord::Op>& ops) {
   if (p.shared_ref) return;
   if (p.op != PhysOpKind::kMaterialize && p.stats.est_rows >= 0) {
-    obs::RunObservation::Op op;
+    obs::RunRecord::Op op;
     op.path = path;
     op.op = PhysOpKindName(p.op);
     if (!p.detail.empty()) op.op += "(" + p.detail + ")";
@@ -173,14 +173,40 @@ std::vector<std::string> PlanOpPaths(const PhysicalPlan& plan) {
   return paths;
 }
 
-obs::RunObservation CollectRunObservation(uint64_t query_hash,
-                                          const std::string& query_text,
-                                          const ExecProfile& profile) {
-  obs::RunObservation run;
+obs::RunRecord BuildRunRecord(uint64_t query_hash, const std::string& query,
+                              const Status& status, uint64_t rows_out,
+                              uint64_t wall_ns, uint64_t exec_threads,
+                              const ExecProfile& profile) {
+  obs::RunRecord run;
   run.query_hash = query_hash;
-  run.query = query_text;
-  run.rows_out = profile.stats.rows_out;
+  run.query = query;
+  run.ok = status.ok();
+  if (!status.ok()) {
+    run.error = status.ToString();
+    if (status.code() == StatusCode::kResourceExhausted) {
+      const std::string& msg = status.message();
+      run.aborted_limit = msg.substr(0, msg.find(' '));
+    }
+  }
+  run.wall_ns = wall_ns;
+  run.rows_out = status.ok() ? rows_out : 0;
+  run.exec_threads = exec_threads;
+  run.peak_bytes =
+      static_cast<uint64_t>(std::max<int64_t>(profile.total_peak_bytes, 0));
+  run.bytes_allocated = profile.total_bytes_allocated;
+  run.est_history_ops = CountHistoryCorrectedOps(profile);
+  ParallelSummary par = SumParallel(profile);
+  if (par.max_workers > 1) {
+    run.parallel_efficiency = par.Efficiency();
+    run.par_workers = par.max_workers;
+  }
   CollectRunOps(profile, PhysOpKindName(profile.op), run.ops);
+  for (const obs::RunRecord::Op& op : run.ops) {
+    if (op.factor > run.misestimate_factor) {
+      run.misestimate_factor = op.factor;
+      run.misestimate_op = op.op;
+    }
+  }
   return run;
 }
 

@@ -3,8 +3,9 @@
 // rows_out. BuildPlanFeedback flattens a profile tree into a report
 // ranking operators by misestimation factor — the quotient of the larger
 // and the smaller of (estimate, actual), floored at 1 — so the worst
-// planning decisions surface first. Surfaced via EXPLAIN ANALYZE, the
-// query log, and the repl's .feedback command.
+// planning decisions surface first. Surfaced via EXPLAIN ANALYZE and the
+// repl's .feedback command; BuildRunRecord carries the same per-operator
+// samples to the query log, history store and postmortem bundles.
 #ifndef EMCALC_EXEC_FEEDBACK_H_
 #define EMCALC_EXEC_FEEDBACK_H_
 
@@ -12,8 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "src/base/status.h"
 #include "src/exec/physical.h"
-#include "src/obs/history.h"
+#include "src/obs/run_record.h"
 
 namespace emcalc {
 
@@ -73,14 +75,19 @@ PlanFeedback BuildPlanFeedback(const ExecProfile& profile);
 // path) map to "".
 std::vector<std::string> PlanOpPaths(const PhysicalPlan& plan);
 
-// Flattens one executed profile into a history observation: fills
-// query_hash, query, rows_out (root), and per-op path/est/actual/factor
-// samples (same skip rules as BuildPlanFeedback). Run-level outcome
-// fields (ok, aborted_limit, wall_ns, peak_bytes, parallel efficiency)
-// are left for the caller.
-obs::RunObservation CollectRunObservation(uint64_t query_hash,
-                                          const std::string& query_text,
-                                          const ExecProfile& profile);
+// The one place an execution's RunRecord (src/obs/run_record.h) is built.
+// Fills identity and outcome from the arguments: ok/error from `status`,
+// aborted_limit from a kResourceExhausted status's first word (the
+// governor phrases trips "<limit> exceeded: ..."), and rows_out = 0 for
+// every failed run. From `profile` it derives memory, history-corrected op
+// count, parallel efficiency, and one est-vs-actual sample per operator
+// (same skip rules as BuildPlanFeedback); misestimate_* names the first
+// sample in DFS order with the largest factor, the same operator
+// BuildPlanFeedback ranks worst.
+obs::RunRecord BuildRunRecord(uint64_t query_hash, const std::string& query,
+                              const Status& status, uint64_t rows_out,
+                              uint64_t wall_ns, uint64_t exec_threads,
+                              const ExecProfile& profile);
 
 // Number of operators in `profile` whose estimate was history-corrected
 // (est_history_runs > 0; shared-reference stubs excluded).

@@ -20,7 +20,10 @@ namespace emcalc::obs {
 
 namespace {
 
-constexpr int kHistoryFormatVersion = 1;
+// Run lines moved to the RunRecord keys in version 2; agg lines are
+// unchanged since version 1.
+constexpr int kRunLineVersion = 2;
+constexpr int kAggLineVersion = 1;
 constexpr const char kHistoryFileName[] = "history.jsonl";
 
 struct HistoryMetrics {
@@ -134,72 +137,21 @@ Histogram::Snapshot DigestFromJson(const JsonValue* v,
 
 // ---- Line serialization ------------------------------------------------
 
-std::string RunLineJson(const RunObservation& run) {
-  std::string out = "{\"v\":" + std::to_string(kHistoryFormatVersion);
-  out += ",\"type\":\"run\"";
-  // 64-bit hash travels as a decimal string (JSON numbers are doubles).
-  out += ",\"hash\":\"" + std::to_string(run.query_hash) + "\"";
-  if (!run.query.empty()) {
-    out += ",\"query\":\"" + JsonEscape(run.query) + "\"";
-  }
-  out += ",\"ok\":";
-  out += run.ok ? "true" : "false";
-  if (!run.aborted_limit.empty()) {
-    out += ",\"aborted\":\"" + JsonEscape(run.aborted_limit) + "\"";
-  }
-  out += ",\"wall_ns\":" + std::to_string(run.wall_ns);
-  out += ",\"peak_bytes\":" + std::to_string(run.peak_bytes);
-  out += ",\"rows_out\":" + std::to_string(run.rows_out);
-  if (run.par_workers > 0) {
-    out += ",\"par_eff\":" + FormatDouble(run.parallel_efficiency);
-    out += ",\"par_workers\":" + std::to_string(run.par_workers);
-  }
-  out += ",\"ops\":[";
-  for (size_t i = 0; i < run.ops.size(); ++i) {
-    const RunObservation::Op& op = run.ops[i];
-    if (i > 0) out += ",";
-    out += "{\"path\":\"" + JsonEscape(op.path) + "\"";
-    out += ",\"op\":\"" + JsonEscape(op.op) + "\"";
-    out += ",\"est\":" + FormatDouble(op.est_rows);
-    out += ",\"actual\":" + std::to_string(op.actual_rows);
-    out += ",\"factor\":" + FormatDouble(op.factor);
-    out += "}";
-  }
-  out += "]}";
-  return out;
-}
-
-RunObservation RunFromJson(const JsonValue& v) {
-  RunObservation run;
-  run.query_hash =
-      std::strtoull(v.StringOr("hash", "0").c_str(), nullptr, 10);
-  run.query = v.StringOr("query", "");
-  run.ok = v.BoolOr("ok", true);
-  run.aborted_limit = v.StringOr("aborted", "");
-  run.wall_ns = static_cast<uint64_t>(v.NumberOr("wall_ns", 0));
-  run.peak_bytes = static_cast<uint64_t>(v.NumberOr("peak_bytes", 0));
-  run.rows_out = static_cast<uint64_t>(v.NumberOr("rows_out", 0));
-  run.parallel_efficiency = v.NumberOr("par_eff", 0);
-  run.par_workers = static_cast<uint32_t>(v.NumberOr("par_workers", 0));
-  if (const JsonValue* ops = v.Find("ops");
-      ops != nullptr && ops->is_array()) {
-    run.ops.reserve(ops->array.size());
-    for (const JsonValue& o : ops->array) {
-      if (!o.is_object()) continue;
-      RunObservation::Op op;
-      op.path = o.StringOr("path", "");
-      op.op = o.StringOr("op", "");
-      op.est_rows = o.NumberOr("est", -1);
-      op.actual_rows = static_cast<uint64_t>(o.NumberOr("actual", 0));
-      op.factor = o.NumberOr("factor", 1);
-      run.ops.push_back(std::move(op));
+// Version-1 run lines spelled three RunRecord keys differently.
+void RenameV1RunKeys(JsonValue& line) {
+  for (auto& [key, value] : line.object) {
+    if (key == "hash") {
+      key = "query_hash";
+    } else if (key == "aborted") {
+      key = "aborted_limit";
+    } else if (key == "par_eff") {
+      key = "parallel_efficiency";
     }
   }
-  return run;
 }
 
 std::string AggLineJson(const QueryHistory& h, uint64_t generation) {
-  std::string out = "{\"v\":" + std::to_string(kHistoryFormatVersion);
+  std::string out = "{\"v\":" + std::to_string(kAggLineVersion);
   out += ",\"type\":\"agg\"";
   out += ",\"gen\":" + std::to_string(generation);
   out += ",\"hash\":\"" + std::to_string(h.query_hash) + "\"";
@@ -361,8 +313,9 @@ LoadedFile LoadHistoryText(std::string_view text) {
       loaded.total_runs += h.runs;
       MergeHistory(loaded.entries[h.query_hash], std::move(h));
     } else if (type == "run") {
-      RunObservation run = RunFromJson(*json);
-      FoldRunObservation(loaded.entries[run.query_hash], run);
+      if (json->NumberOr("v", 1) < kRunLineVersion) RenameV1RunKeys(*json);
+      RunRecord run = RunRecordFromJson(*json);
+      FoldRunRecord(loaded.entries[run.query_hash], run);
       ++loaded.total_runs;
     } else {
       ++loaded.bad_lines;
@@ -394,7 +347,7 @@ const std::vector<double>& DefaultSizeBucketsBytes() {
   return *bounds;
 }
 
-void FoldRunObservation(QueryHistory& agg, const RunObservation& run) {
+void FoldRunRecord(QueryHistory& agg, const RunRecord& run) {
   agg.query_hash = run.query_hash;
   if (!run.query.empty()) agg.query = run.query;
   ++agg.runs;
@@ -418,7 +371,7 @@ void FoldRunObservation(QueryHistory& agg, const RunObservation& run) {
   if (agg.wall_trend.size() > kHistoryTrendLen) {
     agg.wall_trend.erase(agg.wall_trend.begin());
   }
-  for (const RunObservation::Op& op : run.ops) {
+  for (const RunRecord::Op& op : run.ops) {
     OpHistory& slot = agg.ops[op.path];
     slot.op = op.op;
     ++slot.runs;
@@ -515,11 +468,13 @@ HistoryStore::~HistoryStore() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void HistoryStore::RecordRun(const RunObservation& run) {
-  std::string line = RunLineJson(run);
-  line += '\n';
+void HistoryStore::RecordRun(const RunRecord& run) {
+  std::string line =
+      "{\"v\":" + std::to_string(kRunLineVersion) + ",\"type\":\"run\"";
+  AppendRunRecordJson(run, line);
+  line += "}\n";
   std::lock_guard<std::mutex> lock(mu_);
-  FoldRunObservation(entries_[run.query_hash], run);
+  FoldRunRecord(entries_[run.query_hash], run);
   ++total_runs_;
   if (fd_ >= 0 && WriteAll(fd_, line.data(), line.size())) {
     file_bytes_ += line.size();

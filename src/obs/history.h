@@ -8,15 +8,18 @@
 // Lower() (src/exec/lower.cc) asks LookupEstimate() for the historical
 // mean actual of a previously-seen (query hash, operator path) and uses it
 // as that operator's cardinality estimate instead of the static heuristic;
-// ObserveRun (src/core/compiler.cc) records every execution back into the
-// store. The op-path scheme is owned by src/exec/feedback.h (PlanOpPaths /
-// CollectRunOps) so the plan side and the profile side derive identical
-// keys.
+// ObserveRun (src/core/compiler.cc) records every execution's RunRecord
+// back into the store. The op-path scheme is owned by src/exec/feedback.h
+// (PlanOpPaths / BuildRunRecord) so the plan side and the profile side
+// derive identical keys.
 //
 // File format (one object per line, `<dir>/history.jsonl`):
-//   {"v":1,"type":"run","hash":"<dec64>","query":"...","ok":true,...}
+//   {"v":2,"type":"run",<RunRecord members: "query_hash":"<dec64>",...>}
 //   {"v":1,"type":"agg","gen":N,"hash":"<dec64>","runs":...,...}
-// Run lines are appended on every recorded execution. When the file
+// Run lines are appended on every recorded execution. Version-1 run lines
+// (written before the RunRecord) spelled three keys differently; the
+// loader renames hash, aborted and par_eff to query_hash, aborted_limit
+// and parallel_efficiency before reading them. When the file
 // outgrows its byte bound the store compacts: the in-memory aggregates are
 // rewritten as one "agg" line per hash into a temp file that atomically
 // replaces the log, and the generation counter increments ("generation
@@ -42,6 +45,7 @@
 
 #include "src/base/status.h"
 #include "src/obs/metrics.h"
+#include "src/obs/run_record.h"
 
 namespace emcalc::obs {
 
@@ -49,28 +53,6 @@ namespace emcalc::obs {
 // Lives here (not metrics.cc) because latency buckets are the registry
 // default; size digests are a history-store concern.
 const std::vector<double>& DefaultSizeBucketsBytes();
-
-// One recorded execution, flattened to plain data so this layer stays
-// independent of src/exec. Built by CollectRunObservation (feedback.h).
-struct RunObservation {
-  uint64_t query_hash = 0;
-  std::string query;          // raw text (stored for display; may be long)
-  bool ok = true;
-  std::string aborted_limit;  // tripped governor limit; "" if none
-  uint64_t wall_ns = 0;
-  uint64_t peak_bytes = 0;
-  uint64_t rows_out = 0;
-  double parallel_efficiency = 0;  // 0 when nothing ran in parallel
-  uint32_t par_workers = 0;
-  struct Op {
-    std::string path;  // stable operator path (feedback.h scheme)
-    std::string op;    // display name, "HashJoin(keys=1)"
-    double est_rows = -1;
-    uint64_t actual_rows = 0;
-    double factor = 1;  // capped misestimation factor (feedback.h guard)
-  };
-  std::vector<Op> ops;
-};
 
 // Per-operator aggregate within one query's history.
 struct OpHistory {
@@ -122,8 +104,8 @@ struct QueryHistory {
 // Samples kept per query for trend sparklines.
 inline constexpr size_t kHistoryTrendLen = 16;
 
-// Folds one observation into an aggregate (shared by recording and load).
-void FoldRunObservation(QueryHistory& agg, const RunObservation& run);
+// Folds one run into an aggregate (shared by recording and load).
+void FoldRunRecord(QueryHistory& agg, const RunRecord& run);
 
 // A loaded store file: per-hash aggregates plus load diagnostics.
 struct HistoryScan {
@@ -167,7 +149,7 @@ class HistoryStore {
 
   // Folds `run` into the in-memory aggregates and appends one line to the
   // log (compacting when past the byte bound). Thread-safe.
-  void RecordRun(const RunObservation& run);
+  void RecordRun(const RunRecord& run);
 
   // Historical mean actual for (query hash, operator path), with the
   // number of runs it is based on. nullopt when the pair was never seen.

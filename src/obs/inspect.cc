@@ -89,20 +89,20 @@ StatusOr<QueryLogScan> ReadQueryLogWithRotation(const std::string& path) {
 }
 
 std::string RenderTopSlowest(const QueryLogScan& scan, size_t k) {
-  std::vector<const QueryLogRecord*> runs;
+  std::vector<const RunRecord*> runs;
   for (const QueryLogRecord& r : scan.records) {
-    if (r.event == "run") runs.push_back(&r);
+    if (r.event == "run") runs.push_back(&r.run);
   }
   // Ties break on query hash so the listing is stable across qsorts.
   std::sort(runs.begin(), runs.end(),
-            [](const QueryLogRecord* a, const QueryLogRecord* b) {
+            [](const RunRecord* a, const RunRecord* b) {
               if (a->wall_ns != b->wall_ns) return a->wall_ns > b->wall_ns;
               return a->query_hash < b->query_hash;
             });
   if (runs.size() > k) runs.resize(k);
   std::string out = "top " + std::to_string(runs.size()) + " slowest runs\n";
   for (size_t i = 0; i < runs.size(); ++i) {
-    const QueryLogRecord& r = *runs[i];
+    const RunRecord& r = *runs[i];
     out += "  " + std::to_string(i + 1) + ". " + FormatMs(r.wall_ns);
     out += " rows=" + std::to_string(r.rows_out);
     if (!r.ok) {
@@ -122,8 +122,9 @@ std::string RenderAborts(const QueryLogScan& scan) {
   size_t plain_errors = 0;
   // limit -> (count, example query)
   std::map<std::string, std::pair<size_t, std::string>> by_limit;
-  for (const QueryLogRecord& r : scan.records) {
-    if (r.event != "run") continue;
+  for (const QueryLogRecord& record : scan.records) {
+    if (record.event != "run") continue;
+    const RunRecord& r = record.run;
     ++runs;
     if (r.ok) continue;
     if (r.aborted_limit.empty()) {
@@ -162,8 +163,9 @@ std::string RenderMisestimates(const QueryLogScan& scan, size_t k) {
     double sum = 0;
   };
   std::map<std::string, Agg> by_op;
-  for (const QueryLogRecord& r : scan.records) {
-    if (r.event != "run" || r.misestimate_factor <= 0) continue;
+  for (const QueryLogRecord& record : scan.records) {
+    const RunRecord& r = record.run;
+    if (record.event != "run" || r.misestimate_factor <= 0) continue;
     Agg& a = by_op[r.misestimate_op];
     ++a.count;
     a.sum += r.misestimate_factor;
@@ -196,12 +198,13 @@ std::string RenderLogSummary(const QueryLogScan& scan) {
   uint64_t wall_max = 0;
   uint64_t rows_total = 0;
   double eff_sum = 0;
-  for (const QueryLogRecord& r : scan.records) {
-    if (r.event == "compile") {
+  for (const QueryLogRecord& record : scan.records) {
+    if (record.event == "compile") {
       ++compiles;
       continue;
     }
-    if (r.event != "run") continue;
+    if (record.event != "run") continue;
+    const RunRecord& r = record.run;
     ++runs;
     wall_total += r.wall_ns;
     wall_max = std::max(wall_max, r.wall_ns);
@@ -414,10 +417,7 @@ StatusOr<PostmortemBundle> ParsePostmortemBundle(std::string_view json) {
   PostmortemBundle bundle;
   bundle.reason = doc->StringOr("reason", "");
   bundle.signal_name = doc->StringOr("signal_name", "");
-  bundle.query = doc->StringOr("query", "");
-  bundle.query_hash = doc->StringOr("query_hash", "");
-  bundle.error = doc->StringOr("error", "");
-  bundle.aborted_limit = doc->StringOr("aborted_limit", "");
+  bundle.run = RunRecordFromJson(*doc);
   if (const JsonValue* v = doc->Find("profile")) bundle.profile = *v;
   if (const JsonValue* v = doc->Find("metrics")) bundle.metrics = *v;
   if (const JsonValue* v = doc->Find("pool")) bundle.pool = *v;
@@ -451,15 +451,16 @@ std::string RenderBundle(const PostmortemBundle& bundle) {
   if (!bundle.signal_name.empty()) {
     out += "signal: " + bundle.signal_name + "\n";
   }
-  if (!bundle.aborted_limit.empty()) {
-    out += "aborted_limit: " + bundle.aborted_limit + "\n";
+  const RunRecord& run = bundle.run;
+  if (!run.aborted_limit.empty()) {
+    out += "aborted_limit: " + run.aborted_limit + "\n";
   }
-  if (!bundle.error.empty()) out += "error: " + bundle.error + "\n";
-  if (!bundle.query_hash.empty()) {
-    out += "query_hash: " + bundle.query_hash + "\n";
+  if (!run.error.empty()) out += "error: " + run.error + "\n";
+  if (run.query_hash != 0) {
+    out += "query_hash: " + std::to_string(run.query_hash) + "\n";
   }
-  if (!bundle.query.empty()) {
-    out += "query: " + ClipQuery(bundle.query, 200) + "\n";
+  if (!run.query.empty()) {
+    out += "query: " + ClipQuery(run.query, 200) + "\n";
   }
   std::map<std::string, size_t> by_kind;
   for (const BundleEvent& e : bundle.events) ++by_kind[e.kind];

@@ -15,6 +15,7 @@
 #include "src/obs/history.h"
 #include "src/obs/json.h"
 #include "src/obs/query_log.h"
+#include "src/obs/run_record.h"
 
 namespace emcalc::obs {
 
@@ -74,16 +75,15 @@ struct BundleEvent {
   std::string name;
 };
 
-// A parsed postmortem bundle. `profile` / `metrics` / `pool` hold the
-// embedded sub-documents verbatim (kind kNull when absent) so callers can
-// drill in without re-reading the file.
+// A parsed postmortem bundle. `run` holds the failed run's RunRecord
+// (defaults for a manual bundle; query and hash only for a signal bundle).
+// `profile` / `metrics` / `pool` hold the embedded sub-documents verbatim
+// (kind kNull when absent) so callers can drill in without re-reading the
+// file.
 struct PostmortemBundle {
   std::string reason;  // "governor_abort" | "run_error" | "signal" | ...
   std::string signal_name;
-  std::string query;
-  std::string query_hash;
-  std::string error;
-  std::string aborted_limit;
+  RunRecord run;
   JsonValue profile;
   JsonValue metrics;
   JsonValue pool;

@@ -216,7 +216,9 @@ void ClearCurrentQuery() {
   g_query_lock.clear(std::memory_order_release);
 }
 
-StatusOr<std::string> WritePostmortem(const PostmortemInfo& info) {
+StatusOr<std::string> WritePostmortem(std::string_view reason,
+                                      const RunRecord* run,
+                                      std::string_view profile_json) {
   std::string dir = PostmortemDir();
   if (dir.empty()) {
     return InvalidArgumentError(
@@ -227,18 +229,12 @@ StatusOr<std::string> WritePostmortem(const PostmortemInfo& info) {
                      std::to_string(static_cast<uint64_t>(::getpid())) + "-" +
                      std::to_string(seq) + ".json";
 
-  std::string out = "{\"schema\":1,\"reason\":\"" + JsonEscape(info.reason);
-  out += "\",\"query_hash\":\"" + std::to_string(info.query_hash) + "\"";
-  if (!info.query.empty()) {
-    out += ",\"query\":\"" + JsonEscape(info.query) + "\"";
+  std::string out = "{\"schema\":1,\"reason\":\"" + JsonEscape(reason) + "\"";
+  if (run != nullptr) AppendRunRecordJson(*run, out);
+  if (!profile_json.empty()) {
+    out += ",\"profile\":";
+    out += profile_json;
   }
-  if (!info.error.empty()) {
-    out += ",\"error\":\"" + JsonEscape(info.error) + "\"";
-  }
-  if (!info.aborted_limit.empty()) {
-    out += ",\"aborted_limit\":\"" + JsonEscape(info.aborted_limit) + "\"";
-  }
-  if (!info.profile_json.empty()) out += ",\"profile\":" + info.profile_json;
   out += ",\"metrics\":" + MetricsRegistry::Instance().JsonSnapshot();
   out += ",\"pool\":" + ThreadPool::GlobalTelemetryJson();
   out += ",\"flight_recorder\":" + FlightEventsToJson(DrainFlightRecorder());

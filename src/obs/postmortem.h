@@ -7,7 +7,8 @@
 //   - the partial ExecProfile (per-operator rows, wall time, and memory
 //     attribution), passed in pre-rendered as JSON so obs/ stays below exec/
 //   - a metrics-registry snapshot
-//   - the query text and its FNV-1a hash, plus the tripped limit name
+//   - the run's RunRecord (query text and FNV-1a hash, error, tripped
+//     limit, wall time, memory, per-operator est vs actual)
 //
 // Bundles land in the directory configured with SetPostmortemDir (or the
 // EMCALC_POSTMORTEM_DIR env knob); with no directory configured the writer
@@ -28,6 +29,7 @@
 #include <string_view>
 
 #include "src/base/status.h"
+#include "src/obs/run_record.h"
 
 namespace emcalc::obs {
 
@@ -61,21 +63,15 @@ class CurrentQueryScope {
   CurrentQueryScope& operator=(const CurrentQueryScope&) = delete;
 };
 
-// Everything the normal-path writer needs. All fields optional except
-// `reason`.
-struct PostmortemInfo {
-  std::string reason;         // "governor_abort" | "run_error" | "manual"
-  std::string query;
-  uint64_t query_hash = 0;
-  std::string error;          // status string of the failed run
-  std::string aborted_limit;  // tripped limit name, when governor-aborted
-  std::string profile_json;   // pre-rendered ExecProfile JSON (may be empty)
-};
-
 // Writes one bundle (drains the flight recorder, snapshots metrics and pool
-// telemetry) and returns its path. Fails when no directory is configured or
-// the file cannot be created.
-StatusOr<std::string> WritePostmortem(const PostmortemInfo& info);
+// telemetry) and returns its path. `reason` is "governor_abort",
+// "run_error" or "manual"; `run` (null for a manual bundle) contributes
+// its RunRecord members; `profile_json` is the pre-rendered ExecProfile
+// (may be empty). Fails when no directory is configured or the file cannot
+// be created.
+StatusOr<std::string> WritePostmortem(std::string_view reason,
+                                      const RunRecord* run,
+                                      std::string_view profile_json);
 
 // Total bundles written by this process (normal path only).
 uint64_t PostmortemCount();

@@ -24,13 +24,7 @@ uint64_t HashQueryText(std::string_view text) {
 
 std::string QueryLogRecordToJson(const QueryLogRecord& r) {
   std::string out = "{\"event\":\"" + JsonEscape(r.event) + "\"";
-  // The hash is a full 64-bit value; a JSON number (double) would lose the
-  // low bits, so it travels as a decimal string.
-  out += ",\"query_hash\":\"" + std::to_string(r.query_hash) + "\"";
-  if (!r.query.empty()) out += ",\"query\":\"" + JsonEscape(r.query) + "\"";
-  out += ",\"ok\":";
-  out += r.ok ? "true" : "false";
-  if (!r.error.empty()) out += ",\"error\":\"" + JsonEscape(r.error) + "\"";
+  AppendRunRecordJson(r.run, out);
   if (r.event == "compile") {
     out += ",\"em_allowed\":";
     out += r.em_allowed ? "true" : "false";
@@ -39,37 +33,10 @@ std::string QueryLogRecordToJson(const QueryLogRecord& r) {
     out += ",\"ranf_size\":" + std::to_string(r.ranf_size);
     out += ",\"plan_nodes\":" + std::to_string(r.plan_nodes);
   }
-  if (r.event == "run") {
-    out += ",\"rows_out\":" + std::to_string(r.rows_out);
-    out += ",\"exec_threads\":" + std::to_string(r.exec_threads);
-    out += ",\"peak_bytes\":" + std::to_string(r.peak_bytes);
-    out += ",\"bytes_allocated\":" + std::to_string(r.bytes_allocated);
-    if (!r.aborted_limit.empty()) {
-      out += ",\"aborted_limit\":\"" + JsonEscape(r.aborted_limit) + "\"";
-    }
-    if (r.misestimate_factor > 0) {
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.3g", r.misestimate_factor);
-      out += ",\"misestimate_factor\":";
-      out += buf;
-      out += ",\"misestimate_op\":\"" + JsonEscape(r.misestimate_op) + "\"";
-    }
-    if (r.est_history_ops > 0) {
-      out += ",\"est_history_ops\":" + std::to_string(r.est_history_ops);
-    }
-    if (r.par_workers > 0) {
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.3f", r.parallel_efficiency);
-      out += ",\"parallel_efficiency\":";
-      out += buf;
-      out += ",\"par_workers\":" + std::to_string(r.par_workers);
-    }
-  }
   out += ",\"string_pool_size\":" + std::to_string(r.string_pool_size);
   if (!r.diagnostics.empty()) {
     out += ",\"diagnostics\":" + diag::ToJson(r.diagnostics);
   }
-  out += ",\"wall_ns\":" + std::to_string(r.wall_ns);
   if (!r.phase_ns.empty()) {
     out += ",\"phases\":{";
     bool first = true;
@@ -95,31 +62,14 @@ StatusOr<QueryLogRecord> ParseQueryLogRecord(std::string_view line) {
   if (r.event.empty()) {
     return InvalidArgumentError("query-log line lacks an event field");
   }
-  r.query_hash = std::strtoull(json->StringOr("query_hash", "0").c_str(),
-                               nullptr, 10);
-  r.query = json->StringOr("query", "");
-  r.ok = json->BoolOr("ok", true);
-  r.error = json->StringOr("error", "");
+  r.run = RunRecordFromJson(*json);
   r.em_allowed = json->BoolOr("em_allowed", false);
   r.level = static_cast<int>(json->NumberOr("level", 0));
   r.find_count = static_cast<int>(json->NumberOr("find_count", 0));
   r.ranf_size = static_cast<int>(json->NumberOr("ranf_size", 0));
   r.plan_nodes = static_cast<int>(json->NumberOr("plan_nodes", 0));
-  r.rows_out = static_cast<uint64_t>(json->NumberOr("rows_out", 0));
-  r.wall_ns = static_cast<uint64_t>(json->NumberOr("wall_ns", 0));
   r.string_pool_size =
       static_cast<uint64_t>(json->NumberOr("string_pool_size", 0));
-  r.exec_threads = static_cast<uint64_t>(json->NumberOr("exec_threads", 0));
-  r.peak_bytes = static_cast<uint64_t>(json->NumberOr("peak_bytes", 0));
-  r.bytes_allocated =
-      static_cast<uint64_t>(json->NumberOr("bytes_allocated", 0));
-  r.aborted_limit = json->StringOr("aborted_limit", "");
-  r.misestimate_factor = json->NumberOr("misestimate_factor", 0);
-  r.misestimate_op = json->StringOr("misestimate_op", "");
-  r.est_history_ops =
-      static_cast<uint64_t>(json->NumberOr("est_history_ops", 0));
-  r.parallel_efficiency = json->NumberOr("parallel_efficiency", 0);
-  r.par_workers = static_cast<uint64_t>(json->NumberOr("par_workers", 0));
   if (const JsonValue* diags = json->Find("diagnostics");
       diags != nullptr && diags->is_array()) {
     r.diagnostics = diag::DiagnosticsFromJson(*diags);
@@ -199,7 +149,7 @@ void QueryLog::Write(const QueryLogRecord& record) {
   buf_ += '\n';
   // Error and abort records must not sit in the buffer: the process may be
   // about to die (fatal signal after a governor trip, operator crash).
-  bool urgent = !record.ok || !record.aborted_limit.empty();
+  bool urgent = !record.run.ok || !record.run.aborted_limit.empty();
   if (urgent || buf_.size() >= kQueryLogBufferFlushBytes) FlushLocked();
 }
 

@@ -3,8 +3,8 @@
 // The compiler emits a "compile" record per Compile/CompileParameterized
 // call (safety verdict, ||phi|| level proxy, FinD count, RANF size, plan
 // node count, per-phase durations, error status) and a "run" record per
-// execution (rows out, wall time, error status). Records share the query
-// text hash so compile and run lines join.
+// execution carrying the run's RunRecord (src/obs/run_record.h). Records
+// share the query text hash so compile and run lines join.
 //
 // A process-global sink is installed with SetQueryLog (or EMCALC_QUERY_LOG
 // via InitQueryLogFromEnv); with none installed, logging is a single
@@ -24,50 +24,24 @@
 
 #include "src/base/status.h"
 #include "src/diag/diagnostic.h"
+#include "src/obs/run_record.h"
 
 namespace emcalc::obs {
 
-// One query-log line. Field availability depends on `event`:
-// "compile" records fill the analysis fields; "run" records fill rows_out.
+// One query-log line. The identity, outcome and wall time of either event
+// live in `run`; its execution fields are filled on "run" records only.
+// The analysis fields below are "compile" records only.
 struct QueryLogRecord {
-  std::string event;      // "compile" | "run"
-  uint64_t query_hash = 0;
-  std::string query;      // raw query text (may be empty if unavailable)
-  bool ok = true;
-  std::string error;      // status string when !ok
+  std::string event;  // "compile" | "run"
+  RunRecord run;
   bool em_allowed = false;
   int level = 0;          // function-application count (||phi|| proxy)
   int find_count = 0;     // |bd(body)| after the safety check
   int ranf_size = 0;      // formula nodes in the RANF form
   int plan_nodes = 0;     // nodes in the optimized plan
-  uint64_t rows_out = 0;  // answer rows ("run" records)
-  uint64_t wall_ns = 0;   // total compile / run wall time
   // Interned values in the process StringPool when the record was emitted
   // (both events): tracks intern-pool growth across a workload.
   uint64_t string_pool_size = 0;
-  // Effective worker-thread cap of the execution ("run" records; 0 until
-  // populated). See ExecOptions::num_threads.
-  uint64_t exec_threads = 0;
-  // Memory accounting of the execution ("run" records): the query-level
-  // high-water mark and cumulative allocation of tracked bytes.
-  uint64_t peak_bytes = 0;
-  uint64_t bytes_allocated = 0;
-  // Name of the resource limit that aborted the execution ("max_bytes",
-  // "max_rows", ...); empty when the query ran to completion.
-  std::string aborted_limit;
-  // Plan-feedback summary ("run" records): the plan's worst estimate-vs-
-  // actual misestimation factor and the operator responsible. factor 0
-  // means no feedback was computed.
-  double misestimate_factor = 0;
-  std::string misestimate_op;
-  // Operators whose estimate was corrected from the history store
-  // ("run" records); 0 when every estimate was heuristic.
-  uint64_t est_history_ops = 0;
-  // Contention telemetry ("run" records): aggregate parallel efficiency
-  // busy/(wall*workers) over the plan's parallel regions, in [0,1], and the
-  // largest worker count any operator used. 0 when nothing ran in parallel.
-  double parallel_efficiency = 0;
-  uint64_t par_workers = 0;
   std::vector<std::pair<std::string, uint64_t>> phase_ns;  // per-phase
   // Front-end diagnostics attached to "compile" records (lint findings and,
   // on rejection, the safety blame trace). Populated when the compiler runs

@@ -569,7 +569,7 @@ TEST_F(QueryLogLintTest, LintWarningsAttachToCompileRecords) {
   auto records = Records();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].event, "compile");
-  EXPECT_TRUE(records[0].ok);
+  EXPECT_TRUE(records[0].run.ok);
   ASSERT_EQ(records[0].diagnostics.size(), 1u);
   EXPECT_EQ(records[0].diagnostics[0].code, "lint.cross-product");
   EXPECT_EQ(records[0].diagnostics[0].severity, Severity::kWarning);
@@ -581,7 +581,7 @@ TEST_F(QueryLogLintTest, SafetyBlameAttachesOnRejection) {
   ASSERT_FALSE(q.ok());
   auto records = Records();
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_FALSE(records[0].ok);
+  EXPECT_FALSE(records[0].run.ok);
   EXPECT_FALSE(records[0].em_allowed);
   ASSERT_FALSE(records[0].diagnostics.empty());
   const Diagnostic& blame = records[0].diagnostics[0];

@@ -1,6 +1,7 @@
 // Tests for the ExplainQuery reporting API.
 #include <gtest/gtest.h>
 
+#include "src/core/compiler.h"
 #include "src/core/explain.h"
 #include "src/storage/interpretation.h"
 
@@ -25,27 +26,26 @@ TEST(ExplainTest, SafeQueryFullReport) {
   EXPECT_NE(report.find("plan tree:"), std::string::npos);
 }
 
+// EXPLAIN ANALYZE goes through the compiler's one run path.
 TEST(ExplainTest, ExplainAnalyzeIncludesExecutionProfile) {
-  AstContext ctx;
+  Compiler compiler;
   Database db;
   ASSERT_TRUE(db.Insert("R", {Value::Int(1), Value::Int(2),
                               Value::Int(3)}).ok());
   ASSERT_TRUE(db.Insert("S", {Value::Int(2), Value::Int(3)}).ok());
-  FunctionRegistry registry = BuiltinFunctions();
-  auto e = ExplainAnalyzeQuery(ctx, "{x, y, z | R(x, y, z) and not S(y, z)}",
-                               db, registry);
-  ASSERT_TRUE(e.ok()) << e.status().ToString();
-  EXPECT_EQ(e->answer_rows, 0u);  // the single R row matches S
-  std::string report = e->ToString();
-  EXPECT_NE(report.find("execution profile:"), std::string::npos) << report;
-  EXPECT_NE(report.find("rows_in="), std::string::npos) << report;
-  EXPECT_NE(report.find("rows_out="), std::string::npos) << report;
-  EXPECT_NE(report.find("time="), std::string::npos) << report;
-  // Rejected queries still explain, without a profile.
-  auto rejected = ExplainAnalyzeQuery(ctx, "{x | not R3(x)}", db, registry);
-  ASSERT_TRUE(rejected.ok());
-  EXPECT_FALSE(rejected->em_allowed);
-  EXPECT_TRUE(rejected->exec_profile_text.empty());
+  auto q = compiler.Compile("{x, y, z | R(x, y, z) and not S(y, z)}");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto report = q->ExplainAnalyze(db);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // The single R row matches S.
+  EXPECT_NE(report->find("answer rows: 0\n"), std::string::npos) << *report;
+  EXPECT_NE(report->find("rows_in="), std::string::npos) << *report;
+  EXPECT_NE(report->find("rows_out="), std::string::npos) << *report;
+  EXPECT_NE(report->find("time="), std::string::npos) << *report;
+  // Rejected queries never reach execution.
+  auto rejected = compiler.Compile("{x | not R3(x)}");
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kNotSafe);
 }
 
 TEST(ExplainTest, UnsafeQueryCarriesReason) {

@@ -59,15 +59,15 @@ class ScopedHistoryStore {
   obs::HistoryStore* saved_;
 };
 
-obs::RunObservation MakeRun(uint64_t hash, uint64_t wall_ns,
-                            uint64_t actual_rows) {
-  obs::RunObservation run;
+obs::RunRecord MakeRun(uint64_t hash, uint64_t wall_ns,
+                       uint64_t actual_rows) {
+  obs::RunRecord run;
   run.query_hash = hash;
   run.query = "{x | Q" + std::to_string(hash) + "(x)}";
   run.wall_ns = wall_ns;
   run.peak_bytes = 1 << 16;
   run.rows_out = actual_rows;
-  obs::RunObservation::Op op;
+  obs::RunRecord::Op op;
   op.path = "FilterSelect/0:Scan";
   op.op = "Scan(R)";
   op.est_rows = 100;
@@ -175,6 +175,72 @@ TEST(HistoryStoreTest, ReadHistoryFileMatchesStoreScan) {
   EXPECT_EQ(scan->entries[1].query_hash, 6u);
   EXPECT_FALSE(
       obs::ReadHistoryFile(dir.path() + "/no_such_file.jsonl").ok());
+}
+
+// tests/testdata/history_v1.jsonl was written by the HistoryStore that
+// predates the RunRecord (version-1 run lines spell hash, aborted and
+// par_eff): one agg line for hash A (three runs, one plain error), an
+// aborted run line for A, two parallel run lines for hash 42, and a tail
+// torn by a crash. It must load to the aggregates the version-1 loader
+// produced.
+TEST(HistoryStoreTest, VersionOneStoreStillLoads) {
+  const std::string v1 =
+      std::string(EMCALC_TESTDATA_DIR) + "/history_v1.jsonl";
+  auto scan = obs::ReadHistoryFile(v1);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan->bad_lines, 1u);
+  EXPECT_EQ(scan->generation, 1u);
+  EXPECT_EQ(scan->total_runs, 6u);
+  ASSERT_EQ(scan->entries.size(), 2u);
+
+  constexpr uint64_t kHashA = 17297757506775570040ULL;  // above 2^53
+  const obs::QueryHistory* a = FindHash(*scan, kHashA);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->query, "{x | A(x)}");
+  EXPECT_EQ(a->runs, 4u);
+  EXPECT_EQ(a->aborts, 1u);
+  EXPECT_EQ(a->errors, 1u);
+  EXPECT_EQ(a->rows_out_last, 7u);
+  EXPECT_EQ(a->par_runs, 0u);
+  EXPECT_EQ(a->wall.count, 4u);
+  EXPECT_DOUBLE_EQ(a->wall.sum, 11e6);
+  EXPECT_DOUBLE_EQ(a->factor_worst, 10.0);
+  ASSERT_EQ(a->ops.size(), 2u);
+  EXPECT_EQ(a->ops.at("Scan").runs, 4u);
+  EXPECT_DOUBLE_EQ(a->ops.at("Scan").MeanActual(), 6.75);
+  EXPECT_DOUBLE_EQ(a->ops.at("HashJoin/0:Scan").MeanActual(), 6.75);
+
+  const obs::QueryHistory* b = FindHash(*scan, 42);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->runs, 2u);
+  EXPECT_EQ(b->aborts, 0u);
+  EXPECT_EQ(b->errors, 0u);
+  EXPECT_EQ(b->rows_out_last, 90u);
+  EXPECT_EQ(b->par_runs, 2u);
+  EXPECT_DOUBLE_EQ(b->par_eff_sum, 1.125);
+  ASSERT_EQ(b->ops.size(), 2u);
+  EXPECT_DOUBLE_EQ(b->ops.at("Scan").MeanActual(), 95.0);
+  EXPECT_DOUBLE_EQ(b->ops.at("HashJoin/0:Scan").MeanActual(), 95.0);
+  EXPECT_DOUBLE_EQ(b->ops.at("HashJoin/0:Scan").factor_worst, 10.0);
+
+  // A store opened on the version-1 file appends version-2 run lines, and
+  // the mixed file reloads with every run counted.
+  ScopedTempDir dir("hist_v1");
+  std::filesystem::copy_file(v1, obs::ResolveHistoryPath(dir.path()));
+  {
+    auto store = obs::HistoryStore::Open(dir.path());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    (*store)->RecordRun(MakeRun(42, 500000, 80));
+  }
+  auto mixed = obs::ReadHistoryFile(obs::ResolveHistoryPath(dir.path()));
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  EXPECT_EQ(mixed->bad_lines, 1u);
+  EXPECT_EQ(mixed->total_runs, 7u);
+  const obs::QueryHistory* b2 = FindHash(*mixed, 42);
+  ASSERT_NE(b2, nullptr);
+  EXPECT_EQ(b2->runs, 3u);
+  EXPECT_EQ(b2->rows_out_last, 80u);
+  EXPECT_EQ(b2->par_runs, 2u);
 }
 
 TEST(HistoryStoreTest, CompactionFoldsRunsIntoAggGenerations) {
@@ -298,7 +364,7 @@ TEST(MisestimateFactorTest, FeedbackJsonHasNoInfinity) {
 }
 
 // The plan side (PlanOpPaths, used at lowering time) and the profile side
-// (CollectRunObservation, used at recording time) must derive identical
+// (BuildRunRecord, used at recording time) must derive identical
 // operator paths, or the feedback loop silently never matches.
 TEST(HistoryFeedbackTest, PlanAndProfilePathsAlign) {
   AstContext ctx;
@@ -324,10 +390,11 @@ TEST(HistoryFeedbackTest, PlanAndProfilePathsAlign) {
   auto answer = plan->ExecuteToRelation(db, &profile);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
 
-  obs::RunObservation run =
-      CollectRunObservation(obs::HashQueryText("q"), "q", profile);
+  obs::RunRecord run =
+      BuildRunRecord(obs::HashQueryText("q"), "q", Status::Ok(),
+                     answer->size(), 0, 1, profile);
   ASSERT_FALSE(run.ops.empty());
-  for (const obs::RunObservation::Op& op : run.ops) {
+  for (const obs::RunRecord::Op& op : run.ops) {
     EXPECT_TRUE(plan_paths.count(op.path) > 0)
         << "profile path not derivable from the plan: " << op.path;
   }

@@ -92,17 +92,18 @@ obs::QueryLogScan GeneratedScan() {
   for (int i = 0; i < 1000; ++i) {
     obs::QueryLogRecord r;
     r.event = "run";
-    r.query = "q" + std::to_string(i);
-    r.query_hash = obs::HashQueryText(r.query);
-    r.wall_ns = static_cast<uint64_t>(i + 1) * 1000;
-    r.rows_out = static_cast<uint64_t>(i);
+    obs::RunRecord& run = r.run;
+    run.query = "q" + std::to_string(i);
+    run.query_hash = obs::HashQueryText(run.query);
+    run.wall_ns = static_cast<uint64_t>(i + 1) * 1000;
+    run.rows_out = static_cast<uint64_t>(i);
     if (i % 100 == 0) {
-      r.ok = false;
-      r.aborted_limit = "max_bytes";
-      r.error = "RESOURCE_EXHAUSTED: max_bytes exceeded";
+      run.ok = false;
+      run.aborted_limit = "max_bytes";
+      run.error = "RESOURCE_EXHAUSTED: max_bytes exceeded";
     } else if (i % 250 == 51) {
-      r.ok = false;
-      r.error = "INVALID_ARGUMENT: bad";
+      run.ok = false;
+      run.error = "INVALID_ARGUMENT: bad";
     }
     text += obs::QueryLogRecordToJson(r) + "\n";
   }
@@ -150,9 +151,9 @@ class ScopedTempDir {
 std::string RunLine(const std::string& query, uint64_t wall_ns) {
   obs::QueryLogRecord r;
   r.event = "run";
-  r.query = query;
-  r.query_hash = obs::HashQueryText(query);
-  r.wall_ns = wall_ns;
+  r.run.query = query;
+  r.run.query_hash = obs::HashQueryText(query);
+  r.run.wall_ns = wall_ns;
   return obs::QueryLogRecordToJson(r) + "\n";
 }
 
@@ -171,9 +172,9 @@ TEST(InspectRotationTest, ReadsRotatedSegmentOldestFirst) {
   auto scan = obs::ReadQueryLogWithRotation(log);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   ASSERT_EQ(scan->records.size(), 3u);
-  EXPECT_EQ(scan->records[0].query, "q_oldest");
-  EXPECT_EQ(scan->records[1].query, "q_older");
-  EXPECT_EQ(scan->records[2].query, "q_newest");
+  EXPECT_EQ(scan->records[0].run.query, "q_oldest");
+  EXPECT_EQ(scan->records[1].run.query, "q_older");
+  EXPECT_EQ(scan->records[2].run.query, "q_newest");
   EXPECT_EQ(scan->bad_lines, 1u);  // summed across both segments
 }
 
@@ -187,7 +188,7 @@ TEST(InspectRotationTest, NoRotatedSegmentReadsLiveFileOnly) {
   auto scan = obs::ReadQueryLogWithRotation(log);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   ASSERT_EQ(scan->records.size(), 1u);
-  EXPECT_EQ(scan->records[0].query, "q_only");
+  EXPECT_EQ(scan->records[0].run.query, "q_only");
   // A missing live file is an error even if a `.1` segment existed.
   EXPECT_FALSE(
       obs::ReadQueryLogWithRotation(dir.path() + "/no_such_log").ok());
@@ -200,7 +201,7 @@ obs::QueryHistory HistoryEntry(uint64_t hash, const std::string& query,
                                uint64_t aborts = 0) {
   obs::QueryHistory h;
   for (size_t i = 0; i < walls.size(); ++i) {
-    obs::RunObservation run;
+    obs::RunRecord run;
     run.query_hash = hash;
     run.query = query;
     run.wall_ns = walls[i];
@@ -209,14 +210,14 @@ obs::QueryHistory HistoryEntry(uint64_t hash, const std::string& query,
       run.ok = false;
       run.aborted_limit = "max_bytes";
     }
-    obs::RunObservation::Op op;
+    obs::RunRecord::Op op;
     op.path = "Scan";
     op.op = "Scan(R)";
     op.est_rows = 10;
     op.actual_rows = static_cast<uint64_t>(10 * factor);
     op.factor = factor;
     run.ops.push_back(op);
-    obs::FoldRunObservation(h, run);
+    obs::FoldRunRecord(h, run);
   }
   return h;
 }
@@ -291,8 +292,8 @@ TEST(InspectBundleTest, ParsesRendersAndConvertsToChromeTrace) {
   auto bundle = obs::ParsePostmortemBundle(json);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_EQ(bundle->reason, "governor_abort");
-  EXPECT_EQ(bundle->aborted_limit, "max_bytes");
-  EXPECT_EQ(bundle->query_hash, "42");
+  EXPECT_EQ(bundle->run.aborted_limit, "max_bytes");
+  EXPECT_EQ(bundle->run.query_hash, 42u);
   ASSERT_EQ(bundle->events.size(), 3u);
   EXPECT_EQ(bundle->events[1].kind, "governor_trip");
   EXPECT_EQ(bundle->events[1].arg, 4096u);

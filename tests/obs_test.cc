@@ -26,6 +26,7 @@
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/query_log.h"
+#include "src/obs/run_record.h"
 #include "src/obs/trace.h"
 #include "src/storage/csv.h"
 
@@ -314,42 +315,76 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
 TEST(QueryLogTest, RecordRoundTripsThroughJson) {
   obs::QueryLogRecord r;
   r.event = "compile";
-  r.query = "{x | R(x) and \"quoted\"}";
-  r.query_hash = obs::HashQueryText(r.query);
-  r.ok = false;
-  r.error = "NOT_SAFE: unbounded variable";
+  r.run.query = "{x | R(x) and \"quoted\"}";
+  r.run.query_hash = obs::HashQueryText(r.run.query);
+  r.run.ok = false;
+  r.run.error = "NOT_SAFE: unbounded variable";
+  r.run.wall_ns = 123456;
   r.em_allowed = false;
   r.level = 3;
   r.find_count = 4;
   r.ranf_size = 17;
   r.plan_nodes = 9;
-  r.rows_out = 0;
-  r.wall_ns = 123456;
   r.string_pool_size = 42;
-  r.exec_threads = 8;
   r.phase_ns = {{"parse", 1000}, {"translate.safety", 2500}};
 
   std::string line = obs::QueryLogRecordToJson(r);
   auto parsed = obs::ParseQueryLogRecord(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << line;
   EXPECT_EQ(parsed->event, r.event);
-  EXPECT_EQ(parsed->query, r.query);
-  EXPECT_EQ(parsed->query_hash, r.query_hash);
-  EXPECT_EQ(parsed->ok, r.ok);
-  EXPECT_EQ(parsed->error, r.error);
+  EXPECT_EQ(parsed->run, r.run);
   EXPECT_EQ(parsed->em_allowed, r.em_allowed);
   EXPECT_EQ(parsed->level, r.level);
   EXPECT_EQ(parsed->find_count, r.find_count);
   EXPECT_EQ(parsed->ranf_size, r.ranf_size);
   EXPECT_EQ(parsed->plan_nodes, r.plan_nodes);
-  EXPECT_EQ(parsed->wall_ns, r.wall_ns);
   EXPECT_EQ(parsed->string_pool_size, r.string_pool_size);
   EXPECT_EQ(parsed->phase_ns, r.phase_ns);
-  // exec_threads only travels on "run" records.
-  r.event = "run";
-  auto run = obs::ParseQueryLogRecord(obs::QueryLogRecordToJson(r));
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run->exec_threads, r.exec_threads);
+  // A compile record carries no execution fields.
+  EXPECT_EQ(line.find("rows_out"), std::string::npos) << line;
+  EXPECT_EQ(line.find("\"ops\""), std::string::npos) << line;
+}
+
+// The one RunRecord writer and reader are inverse: every field survives,
+// including the per-op samples and a hash above 2^53 (which a JSON number
+// would round).
+TEST(RunRecordTest, WriterThenReaderIsTheIdentity) {
+  obs::RunRecord run;
+  run.query_hash = (uint64_t{1} << 53) + 12345;
+  run.query = "{x | R(x) and \"quoted\"}";
+  run.ok = false;
+  run.error = "RESOURCE_EXHAUSTED: max_bytes exceeded: used 9 bytes";
+  run.aborted_limit = "max_bytes";
+  run.wall_ns = 987654321;
+  run.exec_threads = 4;
+  run.peak_bytes = 1 << 20;
+  run.bytes_allocated = 3 << 20;
+  run.est_history_ops = 2;
+  run.parallel_efficiency = 0.6180339887498949;
+  run.par_workers = 4;
+  run.misestimate_factor = 1e9;
+  run.misestimate_op = "HashJoin(keys=1)";
+  run.ops = {{"Diff", "Diff", 12.5, 3, 4.166666666666667},
+             {"Diff/0:HashJoin", "HashJoin(keys=1)", 0.1, 100000000, 1e9},
+             {"Diff/1:Scan", "Scan(R)", -1, 0, 1}};
+
+  std::string json = "{\"k\":0";
+  obs::AppendRunRecordJson(run, json);
+  json += "}";
+  auto doc = obs::ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << json;
+  EXPECT_EQ(obs::RunRecordFromJson(*doc), run) << json;
+
+  // Zero and empty members are omitted and read back as their defaults.
+  obs::RunRecord empty;
+  json = "{\"k\":0";
+  obs::AppendRunRecordJson(empty, json);
+  json += "}";
+  EXPECT_EQ(json,
+            "{\"k\":0,\"query_hash\":\"0\",\"ok\":true,\"wall_ns\":0}");
+  doc = obs::ParseJson(json);
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(obs::RunRecordFromJson(*doc), empty);
 }
 
 TEST(QueryLogTest, HashIsStableFnv1a) {
@@ -364,10 +399,10 @@ TEST(QueryLogTest, SinkEmitsOneValidJsonObjectPerLine) {
   obs::QueryLog log(&out);
   obs::QueryLogRecord r;
   r.event = "run";
-  r.query = "{x | R(x)}";
-  r.rows_out = 2;
+  r.run.query = "{x | R(x)}";
+  r.run.rows_out = 2;
   log.Write(r);
-  r.rows_out = 5;
+  r.run.rows_out = 5;
   log.Write(r);
 
   std::istringstream in(out.str());
@@ -515,23 +550,23 @@ TEST_F(ObsEndToEndTest, QueryLogRecordsCompileAndRunWithSharedHash) {
   ASSERT_EQ(records.size(), 3u);
 
   EXPECT_EQ(records[0].event, "compile");
-  EXPECT_TRUE(records[0].ok);
+  EXPECT_TRUE(records[0].run.ok);
   EXPECT_TRUE(records[0].em_allowed);
   EXPECT_GT(records[0].plan_nodes, 0);
-  EXPECT_GT(records[0].wall_ns, 0u);
+  EXPECT_GT(records[0].run.wall_ns, 0u);
   EXPECT_FALSE(records[0].phase_ns.empty());
-  EXPECT_EQ(records[0].query_hash, obs::HashQueryText(text));
+  EXPECT_EQ(records[0].run.query_hash, obs::HashQueryText(text));
 
   EXPECT_EQ(records[1].event, "run");
-  EXPECT_TRUE(records[1].ok);
-  EXPECT_EQ(records[1].rows_out, 3u);  // every EDGE node has a successor
-  EXPECT_EQ(records[1].query_hash, records[0].query_hash);
-  EXPECT_GE(records[1].exec_threads, 1u);  // 0 = hardware is resolved
+  EXPECT_TRUE(records[1].run.ok);
+  EXPECT_EQ(records[1].run.rows_out, 3u);  // every EDGE node has a successor
+  EXPECT_EQ(records[1].run.query_hash, records[0].run.query_hash);
+  EXPECT_GE(records[1].run.exec_threads, 1u);  // 0 = hardware is resolved
 
   EXPECT_EQ(records[2].event, "compile");
-  EXPECT_FALSE(records[2].ok);
+  EXPECT_FALSE(records[2].run.ok);
   EXPECT_FALSE(records[2].em_allowed);
-  EXPECT_FALSE(records[2].error.empty());
+  EXPECT_FALSE(records[2].run.error.empty());
 }
 
 TEST(MetricsTest, PrometheusExpositionRendersAllMetricKinds) {
@@ -584,15 +619,17 @@ class QueryLogFileTest : public ::testing::Test {
     return buf.str();
   }
 
-  static obs::QueryLogRecord RunRecord(const std::string& query, bool ok,
-                                       const std::string& aborted_limit) {
+  static obs::QueryLogRecord RunLine(const std::string& query, bool ok,
+                                     const std::string& aborted_limit) {
     obs::QueryLogRecord r;
     r.event = "run";
-    r.query = query;
-    r.query_hash = obs::HashQueryText(query);
-    r.ok = ok;
-    r.aborted_limit = aborted_limit;
-    if (!ok) r.error = "RESOURCE_EXHAUSTED: " + aborted_limit + " exceeded";
+    r.run.query = query;
+    r.run.query_hash = obs::HashQueryText(query);
+    r.run.ok = ok;
+    r.run.aborted_limit = aborted_limit;
+    if (!ok) {
+      r.run.error = "RESOURCE_EXHAUSTED: " + aborted_limit + " exceeded";
+    }
     return r;
   }
 
@@ -603,10 +640,10 @@ class QueryLogFileTest : public ::testing::Test {
 TEST_F(QueryLogFileTest, AbortRecordsBypassTheBuffer) {
   auto log = obs::QueryLog::Open(path_);
   ASSERT_TRUE(log.ok()) << log.status().ToString();
-  (*log)->Write(RunRecord("{x | A(x)}", true, ""));
+  (*log)->Write(RunLine("{x | A(x)}", true, ""));
   // A healthy record is buffered; nothing on disk yet.
   EXPECT_EQ(ReadAll(path_), "");
-  (*log)->Write(RunRecord("{x | B(x)}", false, "max_bytes"));
+  (*log)->Write(RunLine("{x | B(x)}", false, "max_bytes"));
   // The abort flushed the buffer: both lines are on disk immediately.
   std::string on_disk = ReadAll(path_);
   EXPECT_NE(on_disk.find("\"query\":\"{x | A(x)}\""), std::string::npos);
@@ -617,7 +654,7 @@ TEST_F(QueryLogFileTest, AbortRecordsBypassTheBuffer) {
 TEST_F(QueryLogFileTest, TrySignalFlushDrainsTheBuffer) {
   auto log = obs::QueryLog::Open(path_);
   ASSERT_TRUE(log.ok()) << log.status().ToString();
-  (*log)->Write(RunRecord("{x | A(x)}", true, ""));
+  (*log)->Write(RunLine("{x | A(x)}", true, ""));
   EXPECT_EQ(ReadAll(path_), "");
   EXPECT_TRUE((*log)->TrySignalFlush());
   EXPECT_NE(ReadAll(path_).find("\"query\":\"{x | A(x)}\""),
@@ -630,7 +667,7 @@ TEST_F(QueryLogFileTest, RotatesToDotOneAtSizeCap) {
   (*log)->SetRotationMaxBytes(512);
   constexpr int kRecords = 40;
   for (int i = 0; i < kRecords; ++i) {
-    (*log)->Write(RunRecord("{x | R" + std::to_string(i) + "(x)}", true, ""));
+    (*log)->Write(RunLine("{x | R" + std::to_string(i) + "(x)}", true, ""));
     (*log)->Flush();
   }
   EXPECT_GE((*log)->rotations(), 1u);
@@ -644,10 +681,10 @@ TEST_F(QueryLogFileTest, RotatesToDotOneAtSizeCap) {
   EXPECT_GT(rotated.records.size(), 0u);
   bool newest_present = false;
   for (const auto& r : live.records) {
-    if (r.query == "{x | R39(x)}") newest_present = true;
+    if (r.run.query == "{x | R39(x)}") newest_present = true;
   }
   for (const auto& r : rotated.records) {
-    if (r.query == "{x | R39(x)}") newest_present = true;
+    if (r.run.query == "{x | R39(x)}") newest_present = true;
   }
   EXPECT_TRUE(newest_present);
 }
@@ -658,7 +695,7 @@ TEST_F(QueryLogFileTest, EnvCapAppliesAtOpen) {
   unsetenv("EMCALC_QUERY_LOG_MAX_BYTES");
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   for (int i = 0; i < 20; ++i) {
-    (*log)->Write(RunRecord("{x | R" + std::to_string(i) + "(x)}", true, ""));
+    (*log)->Write(RunLine("{x | R" + std::to_string(i) + "(x)}", true, ""));
     (*log)->Flush();
   }
   EXPECT_GE((*log)->rotations(), 1u);

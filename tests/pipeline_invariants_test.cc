@@ -274,7 +274,7 @@ TEST(PipelineInvariantsTest, VerifyViolationsAttachToCompileRecords) {
   auto record = obs::ParseQueryLogRecord(line);
   ASSERT_TRUE(record.ok()) << line;
   EXPECT_EQ(record->event, "compile");
-  EXPECT_FALSE(record->ok);
+  EXPECT_FALSE(record->run.ok);
   bool found = false;
   for (const diag::Diagnostic& d : record->diagnostics) {
     if (d.code == "verify.form.rel-arity") found = true;

@@ -18,10 +18,12 @@
 #include "src/base/thread_pool.h"
 #include "src/core/compiler.h"
 #include "src/obs/flight_recorder.h"
+#include "src/obs/history.h"
 #include "src/obs/inspect.h"
 #include "src/obs/json.h"
 #include "src/obs/postmortem.h"
 #include "src/obs/query_log.h"
+#include "src/obs/run_record.h"
 #include "src/storage/csv.h"
 
 namespace emcalc {
@@ -160,23 +162,22 @@ TEST(PostmortemTest, BundleRoundTripsThroughInspect) {
   obs::FlightRecord(obs::FlightEventKind::kSpanBegin, "exec.run");
   obs::FlightRecord(obs::FlightEventKind::kSpanEnd, "exec.run");
 
-  obs::PostmortemInfo info;
-  info.reason = "manual";
-  info.query = "{x | R(x)}";
-  info.query_hash = obs::HashQueryText(info.query);
-  info.error = "RESOURCE_EXHAUSTED: max_bytes exceeded";
-  info.aborted_limit = "max_bytes";
-  info.profile_json = "{\"op\":\"Scan\"}";
-  auto path = obs::WritePostmortem(info);
+  obs::RunRecord run;
+  run.query = "{x | R(x)}";
+  run.query_hash = obs::HashQueryText(run.query);
+  run.ok = false;
+  run.error = "RESOURCE_EXHAUSTED: max_bytes exceeded";
+  run.aborted_limit = "max_bytes";
+  run.wall_ns = 4242;
+  run.peak_bytes = 1 << 12;
+  run.ops = {{"Scan", "Scan(R)", 10, 40, 4}};
+  auto path = obs::WritePostmortem("manual", &run, "{\"op\":\"Scan\"}");
   ASSERT_TRUE(path.ok()) << path.status().ToString();
 
   auto bundle = obs::ReadPostmortemBundle(*path);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_EQ(bundle->reason, "manual");
-  EXPECT_EQ(bundle->query, info.query);
-  EXPECT_EQ(bundle->query_hash, std::to_string(info.query_hash));
-  EXPECT_EQ(bundle->error, info.error);
-  EXPECT_EQ(bundle->aborted_limit, "max_bytes");
+  EXPECT_EQ(bundle->run, run);
   EXPECT_EQ(bundle->profile.StringOr("op", ""), "Scan");
   ASSERT_GE(bundle->events.size(), 2u);
 
@@ -195,9 +196,7 @@ TEST(PostmortemTest, BundleRoundTripsThroughInspect) {
 
 TEST(PostmortemTest, DisabledWriterFails) {
   ScopedPostmortemDir postmortem("");
-  obs::PostmortemInfo info;
-  info.reason = "manual";
-  EXPECT_FALSE(obs::WritePostmortem(info).ok());
+  EXPECT_FALSE(obs::WritePostmortem("manual", nullptr, "").ok());
 }
 
 TEST(PostmortemTest, GovernorAbortWritesBundleMatchingQueryLog) {
@@ -236,8 +235,8 @@ TEST(PostmortemTest, GovernorAbortWritesBundleMatchingQueryLog) {
   auto bundle = obs::ReadPostmortemBundle(files[0]);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_EQ(bundle->reason, "governor_abort");
-  EXPECT_EQ(bundle->aborted_limit, "max_bytes");
-  EXPECT_EQ(bundle->query, "{x | exists y (EDGE(x, y))}");
+  EXPECT_EQ(bundle->run.aborted_limit, "max_bytes");
+  EXPECT_EQ(bundle->run.query, "{x | exists y (EDGE(x, y))}");
 
   // The ring shows the aborting operator's span and the governor trip.
   bool saw_exec_span = false;
@@ -256,12 +255,97 @@ TEST(PostmortemTest, GovernorAbortWritesBundleMatchingQueryLog) {
   for (const obs::QueryLogRecord& r : scan.records) {
     if (r.event != "run") continue;
     found_run = true;
-    EXPECT_FALSE(r.ok);
-    EXPECT_EQ(r.aborted_limit, bundle->aborted_limit);
-    EXPECT_EQ(std::to_string(r.query_hash), bundle->query_hash);
+    EXPECT_FALSE(r.run.ok);
+    EXPECT_EQ(r.run.aborted_limit, bundle->run.aborted_limit);
+    EXPECT_EQ(r.run.query_hash, bundle->run.query_hash);
   }
   EXPECT_TRUE(found_run);
   obs::ResetFlightRingForTesting(obs::FlightRingCapacity());
+}
+
+// One aborted run, three sinks: the query log, the history store and the
+// postmortem bundle serialize the same RunRecord, so every field agrees.
+// (The history store used to take rows_out from the aborted root's
+// partial count — 1000 here — while the log wrote 0.)
+TEST(PostmortemTest, AllSinksAgreeOnAnAbortedRun) {
+  ScopedTempDir dir("sinks_agree");
+  ScopedPostmortemDir postmortem(dir.path() + "/bundles");
+  auto store = obs::HistoryStore::Open(dir.path() + "/history");
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  obs::HistoryStore* saved_store = obs::GetHistoryStore();
+  obs::SetHistoryStore(store->get());
+  std::ostringstream log_buffer;
+  obs::QueryLog log(&log_buffer);
+  obs::QueryLog* saved_log = obs::GetQueryLog();
+  obs::SetQueryLog(&log);
+
+  Compiler compiler;
+  Database db;
+  std::string csv;
+  for (int i = 0; i < 500; ++i) {
+    csv += std::to_string(i) + "," + std::to_string(i + 1) + "\n";
+  }
+  ASSERT_TRUE(LoadCsvText(db, "EDGE", csv).ok());
+  auto q = compiler.Compile("{x, y | EDGE(x, y) or EDGE(y, x)}");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  setenv("EMCALC_MAX_QUERY_BYTES", "8000", 1);
+  auto aborted = q->Run(db);
+  unsetenv("EMCALC_MAX_QUERY_BYTES");
+  obs::SetQueryLog(saved_log);
+  obs::SetHistoryStore(saved_store);
+  ASSERT_FALSE(aborted.ok());
+
+  std::vector<obs::RunRecord> logged;
+  for (const obs::QueryLogRecord& r :
+       obs::ParseQueryLogText(log_buffer.str()).records) {
+    if (r.event == "run") logged.push_back(r.run);
+  }
+  ASSERT_EQ(logged.size(), 1u);
+
+  std::vector<obs::RunRecord> stored;
+  std::ifstream history((*store)->path());
+  for (std::string line; std::getline(history, line);) {
+    auto doc = obs::ParseJson(line);
+    ASSERT_TRUE(doc.ok()) << line;
+    EXPECT_EQ(doc->NumberOr("v", 0), 2);
+    if (doc->StringOr("type", "") == "run") {
+      stored.push_back(obs::RunRecordFromJson(*doc));
+    }
+  }
+  ASSERT_EQ(stored.size(), 1u);
+
+  std::vector<std::string> bundles;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir.path() + "/bundles")) {
+    bundles.push_back(entry.path().string());
+  }
+  ASSERT_EQ(bundles.size(), 1u);
+  auto bundle = obs::ReadPostmortemBundle(bundles[0]);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+
+  const obs::RunRecord& run = logged[0];
+  EXPECT_EQ(run.query_hash, obs::HashQueryText(run.query));
+  EXPECT_FALSE(run.ok);
+  EXPECT_EQ(run.aborted_limit, "max_bytes");
+  EXPECT_EQ(run.rows_out, 0u);
+  EXPECT_GT(run.peak_bytes, 0u);
+  EXPECT_FALSE(run.ops.empty());
+  for (const obs::RunRecord* other : {&stored[0], &bundle->run}) {
+    EXPECT_EQ(other->query_hash, run.query_hash);
+    EXPECT_EQ(other->ok, run.ok);
+    EXPECT_EQ(other->error, run.error);
+    EXPECT_EQ(other->aborted_limit, run.aborted_limit);
+    EXPECT_EQ(other->wall_ns, run.wall_ns);
+    EXPECT_EQ(other->rows_out, 0u);
+    EXPECT_EQ(other->peak_bytes, run.peak_bytes);
+    EXPECT_EQ(other->ops, run.ops);
+    EXPECT_EQ(*other, run);  // and every other field
+  }
+  // The store's aggregate agrees too.
+  obs::HistoryScan scan = (*store)->Scan();
+  ASSERT_EQ(scan.entries.size(), 1u);
+  EXPECT_EQ(scan.entries[0].rows_out_last, 0u);
+  EXPECT_EQ(scan.entries[0].aborts, 1u);
 }
 
 }  // namespace

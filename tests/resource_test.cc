@@ -603,15 +603,15 @@ TEST(QueryLogResourceTest, RunRecordsCarryMemoryAndAbortFields) {
 
   std::vector<obs::QueryLogRecord> runs = log.RunRecords();
   ASSERT_EQ(runs.size(), 2u);
-  EXPECT_TRUE(runs[0].ok);
-  EXPECT_GT(runs[0].peak_bytes, 0u);
-  EXPECT_GT(runs[0].bytes_allocated, 0u);
-  EXPECT_TRUE(runs[0].aborted_limit.empty());
-  EXPECT_GE(runs[0].misestimate_factor, 1.0);
-  EXPECT_FALSE(runs[0].misestimate_op.empty());
+  EXPECT_TRUE(runs[0].run.ok);
+  EXPECT_GT(runs[0].run.peak_bytes, 0u);
+  EXPECT_GT(runs[0].run.bytes_allocated, 0u);
+  EXPECT_TRUE(runs[0].run.aborted_limit.empty());
+  EXPECT_GE(runs[0].run.misestimate_factor, 1.0);
+  EXPECT_FALSE(runs[0].run.misestimate_op.empty());
 
-  EXPECT_FALSE(runs[1].ok);
-  EXPECT_EQ(runs[1].aborted_limit, "max_bytes");
+  EXPECT_FALSE(runs[1].run.ok);
+  EXPECT_EQ(runs[1].run.aborted_limit, "max_bytes");
 }
 
 }  // namespace
