@@ -1,6 +1,5 @@
 #include "src/core/compiler.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -24,7 +23,6 @@
 #include "src/obs/query_log.h"
 #include "src/obs/trace.h"
 #include "src/translate/algebra_gen.h"
-#include "src/translate/ranf.h"
 #include "src/verify/verify.h"
 
 namespace emcalc {
@@ -72,16 +70,6 @@ struct RunMetrics {
 bool LintToLogEnabled() {
   const char* v = std::getenv("EMCALC_LINT");
   return v != nullptr && *v != '\0' && std::string_view(v) != "0";
-}
-
-// Effective bd options: fold declared inverses into the FinD analysis
-// (mirrors TranslateQuery).
-BoundOptions EffectiveBound(const TranslateOptions& options) {
-  BoundOptions bound = options.bound;
-  for (const auto& [fn, inv] : options.inverse_fns) {
-    bound.invertible_fns.Insert(fn);
-  }
-  return bound;
 }
 
 // Effective worker count of an execution: ExecOptions::num_threads with
@@ -305,45 +293,10 @@ Compiler::Compiler(FunctionRegistry functions)
 
 StatusOr<CompiledQuery> Compiler::Compile(std::string_view text,
                                           const TranslateOptions& options) {
-  obs::Span span("compile");
-  uint64_t start_ns = obs::NowNs();
-  obs::CompilePhase profile;
-  profile.name = "compile";
-  ParseErrorInfo parse_error;
-  StatusOr<Query> q = [&] {
-    obs::PhaseTimer timer(&profile, "parse", "compile.parse");
-    return ParseQuery(*ctx_, text, &parse_error);
-  }();
-  if (!q.ok()) {
-    CompileMetrics::Get().queries.Add();
-    CompileMetrics::Get().errors.Add();
-    profile.wall_ns = obs::NowNs() - start_ns;
-    std::vector<diag::Diagnostic> diags;
-    if (LintToLogEnabled()) {
-      diags.push_back(MakeParseDiagnostic(parse_error));
-    }
-    LogCompile(std::string(text), q.status(), profile, nullptr, nullptr,
-               std::move(diags));
-    return q.status();
-  }
-  // Stage boundary 1: the parsed tree. Parsed (as opposed to
-  // programmatically built) queries must carry source spans throughout.
-  if (verify::Enabled()) {
-    verify::VerifyReport vr =
-        verify::VerifyCalculus(*ctx_, *q, /*require_spans=*/true);
-    if (!vr.ok()) {
-      CompileMetrics::Get().queries.Add();
-      CompileMetrics::Get().errors.Add();
-      profile.wall_ns = obs::NowNs() - start_ns;
-      Status status = vr.ToStatus();
-      LogCompile(std::string(text), status, profile, nullptr, &*q,
-                 LintToLogEnabled() ? vr.ToDiagnostics()
-                                    : std::vector<diag::Diagnostic>{});
-      return status;
-    }
-  }
-  return CompileImpl(*q, options, std::move(profile), start_ns,
-                     std::string(text));
+  auto c = CompileImpl(std::string(text), nullptr, {}, options);
+  if (!c.ok()) return c.status();
+  return CompiledQuery(this, std::move(c->query), std::move(c->translation),
+                       std::move(c->profile), std::move(c->prepared));
 }
 
 Status Compiler::DefineView(std::string_view name,
@@ -363,60 +316,94 @@ Status Compiler::DefineView(std::string_view name,
 
 StatusOr<CompiledQuery> Compiler::CompileQuery(
     const Query& q, const TranslateOptions& options) {
-  obs::Span span("compile");
-  uint64_t start_ns = obs::NowNs();
-  obs::CompilePhase profile;
-  profile.name = "compile";
-  // Stage boundary 1 for programmatically built queries; these carry no
-  // source text, so spans are not required.
-  if (verify::Enabled()) {
-    verify::VerifyReport vr =
-        verify::VerifyCalculus(*ctx_, q, /*require_spans=*/false);
-    if (!vr.ok()) {
-      CompileMetrics::Get().queries.Add();
-      CompileMetrics::Get().errors.Add();
-      return vr.ToStatus();
-    }
-  }
-  return CompileImpl(q, options, std::move(profile), start_ns,
-                     QueryToString(*ctx_, q));
+  auto c = CompileImpl(QueryToString(*ctx_, q), &q, {}, options);
+  if (!c.ok()) return c.status();
+  return CompiledQuery(this, std::move(c->query), std::move(c->translation),
+                       std::move(c->profile), std::move(c->prepared));
 }
 
-StatusOr<CompiledQuery> Compiler::CompileImpl(const Query& q,
-                                              const TranslateOptions& options,
-                                              obs::CompilePhase profile,
-                                              uint64_t start_ns,
-                                              std::string text) {
+StatusOr<ParameterizedQuery> Compiler::CompileParameterized(
+    std::string_view text, const std::vector<std::string>& params,
+    const TranslateOptions& options) {
+  std::vector<Symbol> param_syms;
+  for (const std::string& p : params) {
+    param_syms.push_back(ctx_->symbols().Intern(p));
+  }
+  auto c = CompileImpl(std::string(text), nullptr, param_syms, options);
+  if (!c.ok()) return c.status();
+  return ParameterizedQuery(this, std::move(c->query), std::move(param_syms),
+                            c->translation.ranf, options.inverse_fns,
+                            std::move(c->prepared));
+}
+
+StatusOr<Compiler::Compiled> Compiler::CompileImpl(
+    std::string text, const Query* built, std::span<const Symbol> params,
+    const TranslateOptions& options) {
+  obs::Span span("compile");
+  uint64_t start_ns = obs::NowNs();
   CompileMetrics::Get().queries.Add();
-  // With EMCALC_LINT=1 every compile record carries the lint findings for
-  // the query as written (pre-expansion, so spans point at the source).
-  std::vector<diag::Diagnostic> log_diags;
+  Compiled out;
+  out.profile.name = "compile";
+  // With EMCALC_LINT=1 the compile record carries the front end's findings.
   const bool lint_to_log = LintToLogEnabled() && obs::GetQueryLog() != nullptr;
-  if (lint_to_log) log_diags = diag::LintQuery(*ctx_, q);
-  auto fail = [&](const Status& status,
-                  const Translation* t) -> StatusOr<CompiledQuery> {
+  std::vector<diag::Diagnostic> log_diags;
+  auto fail = [&](const Status& status, const Query* q,
+                  const Translation* t) -> StatusOr<Compiled> {
     CompileMetrics::Get().errors.Add();
-    profile.wall_ns = obs::NowNs() - start_ns;
-    LogCompile(text, status, profile, t, &q, std::move(log_diags));
+    out.profile.wall_ns = obs::NowNs() - start_ns;
+    LogCompile(text, status, out.profile, t, q, std::move(log_diags));
     return status;
   };
 
-  Query expanded = q;
+  if (built != nullptr) {
+    out.query = *built;
+  } else {
+    ParseErrorInfo parse_error;
+    StatusOr<Query> parsed = [&] {
+      obs::PhaseTimer timer(&out.profile, "parse", "compile.parse");
+      return ParseQuery(*ctx_, text, &parse_error);
+    }();
+    if (!parsed.ok()) {
+      if (lint_to_log) log_diags.push_back(MakeParseDiagnostic(parse_error));
+      return fail(parsed.status(), nullptr, nullptr);
+    }
+    out.query = std::move(parsed).value();
+  }
+  // The bare-formula form puts every free variable in the head; parameters
+  // are outputs of neither form.
+  const SymbolSet param_set(std::vector<Symbol>(params.begin(), params.end()));
+  std::erase_if(out.query.head,
+                [&](Symbol v) { return param_set.Contains(v); });
+  // Stage boundary 1: the parsed tree. Parsed (as opposed to
+  // programmatically built) queries must carry source spans throughout.
+  if (verify::Enabled()) {
+    verify::VerifyReport vr = verify::VerifyCalculus(
+        *ctx_, out.query, /*require_spans=*/built == nullptr);
+    if (!vr.ok()) {
+      if (lint_to_log) log_diags = vr.ToDiagnostics();
+      return fail(vr.ToStatus(), &out.query, nullptr);
+    }
+  }
+  // Lint findings for the query as written (pre-expansion, so spans point
+  // at the source).
+  if (lint_to_log) log_diags = diag::LintQuery(*ctx_, out.query);
+
   {
-    obs::PhaseTimer timer(&profile, "expand_views", "compile.expand_views");
-    auto body = ExpandViews(*ctx_, q.body, views_);
-    if (!body.ok()) return fail(body.status(), nullptr);
-    expanded.body = *body;
+    obs::PhaseTimer timer(&out.profile, "expand_views", "compile.expand_views");
+    auto body = ExpandViews(*ctx_, out.query.body, views_);
+    if (!body.ok()) return fail(body.status(), &out.query, nullptr);
+    out.query.body = *body;
   }
 
   // TranslateQuery emits its own "compile.translate" span; time the phase
   // here without a second span and graft the translation's phase tree
-  // (safety, ENF, RANF, algebra_gen, optimize) under this node.
+  // (rectify, safety, ENF, RANF, algebra_gen, optimize) under this node.
   uint64_t translate_start = obs::NowNs();
-  StatusOr<Translation> translation = TranslateQuery(*ctx_, expanded, options);
+  StatusOr<Translation> translation =
+      TranslateQuery(*ctx_, out.query, options, params);
   {
-    profile.children.emplace_back();
-    obs::CompilePhase& phase = profile.children.back();
+    out.profile.children.emplace_back();
+    obs::CompilePhase& phase = out.profile.children.back();
     phase.name = "translate";
     phase.wall_ns = obs::NowNs() - translate_start;
     if (translation.ok()) {
@@ -432,38 +419,40 @@ StatusOr<CompiledQuery> Compiler::CompileImpl(const Query& q,
       for (diag::Diagnostic& d : vd) log_diags.push_back(std::move(d));
     }
     if (lint_to_log && translation.status().code() == StatusCode::kNotSafe) {
-      // Re-run the safety check to attach the structured blame trace; the
-      // bd sets are memoized per formula, so this costs one extra closure.
-      Query rectified{expanded.head, Rectify(*ctx_, expanded.body)};
+      // Re-run the safety check, in the parameter context, to attach the
+      // structured blame trace; the bd sets are memoized per formula, so
+      // this costs one extra closure.
       EmAllowedChecker checker(*ctx_, EffectiveBound(options));
-      SafetyResult safety = checker.Check(rectified);
+      SafetyResult safety =
+          checker.CheckFormula(Rectify(*ctx_, out.query.body), param_set);
       if (!safety.em_allowed) {
         log_diags.push_back(
             diag::BuildSafetyBlame(*ctx_, checker.bound(), safety));
       }
     }
-    return fail(translation.status(), nullptr);
+    return fail(translation.status(), &out.query, nullptr);
   }
 
-  PreparedPlan prepared;
-  prepared.plan = translation->plan;
-  prepared.hash = obs::HashQueryText(text);
-  prepared.text = text;
-  if (Status s = LowerPrepared(prepared, profile); !s.ok()) {
+  out.prepared.plan = translation->plan;
+  out.prepared.num_params = static_cast<int>(params.size());
+  out.prepared.hash = obs::HashQueryText(text);
+  out.prepared.text = text;
+  if (Status s = LowerPrepared(out.prepared, out.profile); !s.ok()) {
     if (lint_to_log) {
       for (diag::Diagnostic& d : verify::DiagnosticsFromStatus(s)) {
         log_diags.push_back(std::move(d));
       }
     }
-    return fail(s, &*translation);
+    return fail(s, &out.query, &*translation);
   }
 
-  profile.wall_ns = obs::NowNs() - start_ns;
-  CompileMetrics::Get().wall_ns.Observe(static_cast<double>(profile.wall_ns));
-  LogCompile(text, Status::Ok(), profile, &*translation, &expanded,
+  out.profile.wall_ns = obs::NowNs() - start_ns;
+  CompileMetrics::Get().wall_ns.Observe(
+      static_cast<double>(out.profile.wall_ns));
+  LogCompile(text, Status::Ok(), out.profile, &*translation, &out.query,
              std::move(log_diags));
-  return CompiledQuery(this, expanded, std::move(translation).value(),
-                       std::move(profile), std::move(prepared));
+  out.translation = std::move(translation).value();
+  return out;
 }
 
 Status Compiler::LowerPrepared(PreparedPlan& prepared,
@@ -553,150 +542,6 @@ QueryAnalysis Compiler::Analyze(std::string_view text,
     }
   }
   return out;
-}
-
-StatusOr<ParameterizedQuery> Compiler::CompileParameterized(
-    std::string_view text, const std::vector<std::string>& params,
-    const TranslateOptions& options) {
-  obs::Span span("compile.parameterized");
-  uint64_t start_ns = obs::NowNs();
-  obs::CompilePhase profile;
-  profile.name = "compile";
-  CompileMetrics::Get().queries.Add();
-  auto fail = [&](const Status& status) -> StatusOr<ParameterizedQuery> {
-    CompileMetrics::Get().errors.Add();
-    profile.wall_ns = obs::NowNs() - start_ns;
-    LogCompile(std::string(text), status, profile, nullptr, nullptr);
-    return status;
-  };
-
-  StatusOr<Query> parsed = [&] {
-    obs::PhaseTimer timer(&profile, "parse", "compile.parse");
-    return ParseQuery(*ctx_, text);
-  }();
-  if (!parsed.ok()) return fail(parsed.status());
-  Query q = std::move(parsed).value();
-  {
-    obs::PhaseTimer timer(&profile, "expand_views", "compile.expand_views");
-    auto expanded_body = ExpandViews(*ctx_, q.body, views_);
-    if (!expanded_body.ok()) return fail(expanded_body.status());
-    q.body = *expanded_body;
-  }
-
-  std::vector<Symbol> param_syms;
-  for (const std::string& p : params) {
-    param_syms.push_back(ctx_->symbols().Intern(p));
-  }
-  SymbolSet param_set(param_syms);
-  if (param_set.size() != param_syms.size()) {
-    return fail(InvalidArgumentError("duplicate parameter name"));
-  }
-  // The bare-formula query form puts every free variable in the head;
-  // parameters are outputs of neither form.
-  q.head.erase(std::remove_if(q.head.begin(), q.head.end(),
-                              [&](Symbol v) { return param_set.Contains(v); }),
-               q.head.end());
-
-  if (Status s = CheckWellFormed(q.body, ctx_->symbols()); !s.ok()) {
-    return fail(s);
-  }
-  SymbolSet expected = SymbolSet(q.head).Union(param_set);
-  if (FreeVars(q.body) != expected) {
-    return fail(InvalidArgumentError(
-        "body's free variables must be exactly head + parameters"));
-  }
-  for (Symbol h : q.head) {
-    if (param_set.Contains(h)) {
-      return fail(InvalidArgumentError("head variable is also a parameter"));
-    }
-  }
-
-  // Safety relative to the parameter context ("em-allowed for X").
-  BoundOptions bound = EffectiveBound(options);
-  Translation t;  // the artifacts, for the compile record
-  {
-    obs::PhaseTimer timer(&profile, "safety", "compile.safety");
-    EmAllowedChecker checker(*ctx_, bound);
-    t.safety = checker.CheckFormula(q.body, param_set);
-    t.bd_computations = checker.bound().computations();
-    if (t.safety.em_allowed) {
-      t.find_count = checker.bound().Bound(q.body).size();
-    }
-    timer.SetDetail(
-        (t.safety.em_allowed ? std::string("em-allowed") :
-                               std::string("rejected")) +
-        " bd_computations=" + std::to_string(t.bd_computations) +
-        " finds=" + std::to_string(t.find_count));
-    if (!t.safety.em_allowed) {
-      return fail(NotSafeError(
-          "query is not em-allowed for its parameters: " + t.safety.reason));
-    }
-  }
-
-  {
-    obs::PhaseTimer timer(&profile, "enf", "compile.enf");
-    EnfOptions enf_options;
-    enf_options.enable_t10 = options.enable_t10;
-    enf_options.bound = bound;
-    t.enf = ToEnf(*ctx_, q.body, enf_options);
-    timer.SetDetail("size=" + std::to_string(FormulaSize(t.enf)));
-  }
-  {
-    obs::PhaseTimer timer(&profile, "ranf", "compile.ranf");
-    auto ranf_or = ToRanf(*ctx_, t.enf, param_set, bound.invertible_fns);
-    if (!ranf_or.ok()) return fail(ranf_or.status());
-    t.ranf = *ranf_or;
-    timer.SetDetail("size=" + std::to_string(FormulaSize(t.ranf)));
-  }
-
-  // The plan over the parameters, translated relative to their context:
-  // argument values never reach the compiler, each run binds them.
-  verify::AlgebraOptions verify_options;
-  verify_options.expected_arity = static_cast<int>(q.head.size());
-  verify_options.num_params = static_cast<int>(param_syms.size());
-  {
-    obs::PhaseTimer timer(&profile, "algebra_gen", "compile.algebra_gen");
-    AlgebraGenerator generator(*ctx_, options.inverse_fns, param_syms);
-    auto raw = generator.Translate(t.ranf, q.head);
-    if (!raw.ok()) return fail(raw.status());
-    t.raw_plan = *raw;
-    timer.SetDetail("nodes=" + std::to_string(t.raw_plan->NodeCount()));
-  }
-  if (verify::Enabled()) {
-    verify::VerifyReport vr =
-        verify::VerifyRanfAlgebra(*ctx_, t.ranf, param_set,
-                                  bound.invertible_fns, t.raw_plan,
-                                  verify_options);
-    if (!vr.ok()) return fail(vr.ToStatus());
-  }
-  {
-    obs::PhaseTimer timer(&profile, "optimize", "compile.optimize");
-    AlgebraFactory factory(*ctx_);
-    t.plan = OptimizePlan(factory, t.raw_plan);
-    timer.SetDetail("nodes " + std::to_string(t.raw_plan->NodeCount()) +
-                    "->" + std::to_string(t.plan->NodeCount()));
-  }
-  if (verify::Enabled()) {
-    verify_options.stage = verify::Stage::kOptimizedAlgebra;
-    verify::VerifyReport vr = verify::VerifyAlgebra(*ctx_, t.plan,
-                                                    verify_options);
-    if (!vr.ok()) return fail(vr.ToStatus());
-  }
-
-  PreparedPlan prepared;
-  prepared.plan = t.plan;
-  prepared.num_params = static_cast<int>(param_syms.size());
-  // Runs pool under the unparameterized query text in the run log and
-  // the history store.
-  prepared.text = QueryToString(*ctx_, q);
-  prepared.hash = obs::HashQueryText(prepared.text);
-  if (Status s = LowerPrepared(prepared, profile); !s.ok()) return fail(s);
-
-  profile.wall_ns = obs::NowNs() - start_ns;
-  CompileMetrics::Get().wall_ns.Observe(static_cast<double>(profile.wall_ns));
-  LogCompile(std::string(text), Status::Ok(), profile, &t, &q);
-  return ParameterizedQuery(this, std::move(q), std::move(param_syms), t.ranf,
-                            options.inverse_fns, std::move(prepared));
 }
 
 StatusOr<const AlgExpr*> ParameterizedQuery::PlanFor(

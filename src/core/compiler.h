@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -215,7 +216,9 @@ class Compiler {
 
   // Compiles a parameterized query: the body's free variables must be
   // exactly the head variables plus `params`, and the body must be
-  // em-allowed *for* the parameter set.
+  // em-allowed *for* the parameter set. Parameters are dropped from the
+  // head (the bare-formula form lists every free variable there). Compiles
+  // through Compile's path, with `params` as TranslateQuery's context.
   StatusOr<ParameterizedQuery> CompileParameterized(
       std::string_view text, const std::vector<std::string>& params,
       const TranslateOptions& options = {});
@@ -233,14 +236,23 @@ class Compiler {
   const FunctionRegistry& functions() const { return functions_; }
 
  private:
-  // Shared tail of Compile/CompileQuery: view expansion, translation,
-  // lowering, profile assembly, metrics, and query-log emission. `profile`
-  // carries phases already timed by the caller (parse); `start_ns` is when
-  // the whole compilation began; `text` is the raw query text when known.
-  StatusOr<CompiledQuery> CompileImpl(const Query& q,
-                                      const TranslateOptions& options,
-                                      obs::CompilePhase profile,
-                                      uint64_t start_ns, std::string text);
+  // What the one compile path produces.
+  struct Compiled {
+    Query query;  // views expanded, parameters dropped from the head
+    Translation translation;
+    obs::CompilePhase profile;
+    PreparedPlan prepared;
+  };
+
+  // The one compile path of Compile, CompileQuery and CompileParameterized:
+  // parses `text` (unless `built` is the query already), drops `params`
+  // from the head, verifies the tree (stage 1), lints it for the query log,
+  // expands views, translates relative to `params`, lowers, and records
+  // metrics and the compile record. `text` is the query's one text: its
+  // compile record and its prepared plan's runs are logged under it.
+  StatusOr<Compiled> CompileImpl(std::string text, const Query* built,
+                                 std::span<const Symbol> params,
+                                 const TranslateOptions& options);
 
   // Lowers `prepared.plan` with its query hash under a "lower" phase of
   // `profile`, filling `prepared.physical`. Fails only when the lowered

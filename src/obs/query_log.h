@@ -1,10 +1,13 @@
 // Structured per-query logging: one JSON object per line (JSON Lines).
 //
-// The compiler emits a "compile" record per Compile/CompileParameterized
-// call (safety verdict, ||phi|| level proxy, FinD count, RANF size, plan
-// node count, per-phase durations, error status) and a "run" record per
-// execution carrying the run's RunRecord (src/obs/run_record.h). Records
-// share the query text hash so compile and run lines join.
+// The compiler emits a "compile" record per Compile, CompileQuery or
+// CompileParameterized call (safety verdict, ||phi|| level proxy, FinD
+// count, RANF size, plan node count, per-phase durations, error status)
+// and a "run" record per execution carrying the run's RunRecord
+// (src/obs/run_record.h). A query has one text, logged by both kinds of
+// record: the text as written for Compile and CompileParameterized, the
+// printed query for CompileQuery. Records share that text's hash, so
+// compile and run lines join.
 //
 // A process-global sink is installed with SetQueryLog (or EMCALC_QUERY_LOG
 // via InitQueryLogFromEnv); with none installed, logging is a single

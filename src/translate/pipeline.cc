@@ -12,12 +12,48 @@
 
 namespace emcalc {
 
+namespace {
+
+// Well-formedness of `q` relative to the parameter set `params` (of
+// `num_params` names): with no parameters, the query-level check; with
+// some, the body's free variables are exactly head ∪ params instead.
+Status CheckWellFormedFor(const Query& q, const SymbolSet& params,
+                          size_t num_params, const SymbolTable& symbols) {
+  if (num_params == 0) return CheckWellFormed(q, symbols);
+  if (params.size() != num_params) {
+    return InvalidArgumentError("duplicate parameter name");
+  }
+  for (Symbol h : q.head) {
+    if (params.Contains(h)) {
+      return InvalidArgumentError("head variable is also a parameter");
+    }
+  }
+  if (Status s = CheckWellFormed(q.body, symbols); !s.ok()) return s;
+  if (FreeVars(q.body) != SymbolSet(q.head).Union(params)) {
+    return InvalidArgumentError(
+        "body's free variables must be exactly head + parameters");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+BoundOptions EffectiveBound(const TranslateOptions& options) {
+  BoundOptions bound = options.bound;
+  for (const auto& [fn, inv] : options.inverse_fns) {
+    bound.invertible_fns.Insert(fn);
+  }
+  return bound;
+}
+
 StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
-                                     const TranslateOptions& options) {
+                                     const TranslateOptions& options,
+                                     std::span<const Symbol> params) {
   obs::Span span("compile.translate");
   uint64_t start_ns = obs::NowNs();
   Translation out;
   out.profile.name = "translate";
+  const SymbolSet param_set(std::vector<Symbol>(params.begin(), params.end()));
 
   // Shadowed quantifiers are legal calculus; rename them apart so the
   // remaining passes (and the well-formedness check) can assume distinct
@@ -26,20 +62,20 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
   {
     obs::PhaseTimer timer(&out.profile, "rectify", "compile.rectify");
     query.body = Rectify(ctx, q.body);
-    if (Status s = CheckWellFormed(query, ctx.symbols()); !s.ok()) return s;
+    if (Status s = CheckWellFormedFor(query, param_set, params.size(),
+                                      ctx.symbols());
+        !s.ok()) {
+      return s;
+    }
   }
 
-  // Effective bd options: fold declared inverses into the FinD analysis.
-  BoundOptions bound = options.bound;
-  for (const auto& [fn, inv] : options.inverse_fns) {
-    bound.invertible_fns.Insert(fn);
-  }
+  const BoundOptions bound = EffectiveBound(options);
 
   {
     obs::PhaseTimer timer(&out.profile, "safety", "compile.safety");
     if (options.check_safety) {
       EmAllowedChecker checker(ctx, bound);
-      out.safety = checker.Check(query);
+      out.safety = checker.CheckFormula(query.body, param_set);
       out.bd_computations = checker.bound().computations();
       if (out.safety.em_allowed) {
         out.find_count = checker.bound().Bound(query.body).size();
@@ -50,7 +86,9 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
           " bd_computations=" + std::to_string(out.bd_computations) +
           " finds=" + std::to_string(out.find_count));
       if (!out.safety.em_allowed) {
-        return NotSafeError("query is not em-allowed: " + out.safety.reason);
+        return NotSafeError(std::string("query is not em-allowed") +
+                            (params.empty() ? "" : " for its parameters") +
+                            ": " + out.safety.reason);
       }
     } else {
       out.safety = SafetyResult::Accept();
@@ -84,7 +122,7 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
 
   {
     obs::PhaseTimer timer(&out.profile, "ranf", "compile.ranf");
-    auto ranf = ToRanf(ctx, pre_ranf, SymbolSet{}, bound.invertible_fns);
+    auto ranf = ToRanf(ctx, pre_ranf, param_set, bound.invertible_fns);
     if (!ranf.ok()) return ranf.status();
     out.ranf = *ranf;
     timer.SetDetail("size=" + std::to_string(FormulaSize(out.ranf)));
@@ -92,7 +130,9 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
 
   {
     obs::PhaseTimer timer(&out.profile, "algebra_gen", "compile.algebra_gen");
-    AlgebraGenerator generator(ctx, options.inverse_fns);
+    AlgebraGenerator generator(
+        ctx, options.inverse_fns,
+        std::vector<Symbol>(params.begin(), params.end()));
     auto plan = generator.Translate(out.ranf, query.head);
     if (!plan.ok()) return plan.status();
     out.raw_plan = *plan;
@@ -100,12 +140,14 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
   }
 
   // Stage boundary 3: the RANF formula and the raw translated plan.
+  verify::AlgebraOptions verify_options;
+  verify_options.expected_arity = static_cast<int>(query.head.size());
+  verify_options.num_params = static_cast<int>(params.size());
   if (verify::Enabled()) {
-    verify::AlgebraOptions opts;
-    opts.expected_arity = static_cast<int>(query.head.size());
     verify::VerifyReport vr =
-        verify::VerifyRanfAlgebra(ctx, out.ranf, SymbolSet{},
-                                  bound.invertible_fns, out.raw_plan, opts);
+        verify::VerifyRanfAlgebra(ctx, out.ranf, param_set,
+                                  bound.invertible_fns, out.raw_plan,
+                                  verify_options);
     if (!vr.ok()) return vr.ToStatus();
   }
 
@@ -122,10 +164,9 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
   // Stage boundary 4: the optimized plan (the optimizer must preserve
   // every structural invariant the raw plan had).
   if (options.optimize && verify::Enabled()) {
-    verify::AlgebraOptions opts;
-    opts.stage = verify::Stage::kOptimizedAlgebra;
-    opts.expected_arity = static_cast<int>(query.head.size());
-    verify::VerifyReport vr = verify::VerifyAlgebra(ctx, out.plan, opts);
+    verify_options.stage = verify::Stage::kOptimizedAlgebra;
+    verify::VerifyReport vr =
+        verify::VerifyAlgebra(ctx, out.plan, verify_options);
     if (!vr.ok()) return vr.ToStatus();
   }
 

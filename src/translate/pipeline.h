@@ -6,6 +6,12 @@
 //   (4) generate an extended-algebra plan,
 //   plus a final plan-simplification pass.
 //
+// Every stage runs relative to a set X of parameter variables: free in the
+// body, bound by the host program (the "em-allowed for X" form of
+// Section 9). A closed query is the case X = ∅. In the plan, the i-th
+// parameter is the scalar `$i` (rendered `$name`), read from the arguments
+// each run binds; it is never a column.
+//
 // Safety is checked first: only em-allowed queries are translated, and the
 // pipeline is total on them — an em-allowed query that fails to translate
 // is a bug (kInternal), which the test suite treats as such.
@@ -13,6 +19,7 @@
 #define EMCALC_TRANSLATE_PIPELINE_H_
 
 #include <map>
+#include <span>
 
 #include "src/algebra/ast.h"
 #include "src/base/status.h"
@@ -61,11 +68,18 @@ struct Translation {
   size_t find_count = 0;
 };
 
-// Translates an em-allowed query into an equivalent extended-algebra plan.
-// Errors: kNotSafe (em-allowed check or RANF ordering failed),
+// The FinD options a translation runs with: `options.bound` with every
+// function that has a declared inverse marked invertible.
+BoundOptions EffectiveBound(const TranslateOptions& options);
+
+// Translates a query that is em-allowed for `params` (X, in `$i` order)
+// into an equivalent extended-algebra plan. The body's free variables must
+// be exactly the head plus `params`, with no parameter repeated or in the
+// head. Errors: kNotSafe (em-allowed check or RANF ordering failed),
 // kInvalidArgument (ill-formed query), kInternal (pipeline bug).
 StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
-                                     const TranslateOptions& options = {});
+                                     const TranslateOptions& options = {},
+                                     std::span<const Symbol> params = {});
 
 }  // namespace emcalc
 

@@ -589,6 +589,26 @@ TEST_F(QueryLogLintTest, SafetyBlameAttachesOnRejection) {
   ASSERT_TRUE(blame.span.has_value());
   EXPECT_EQ(blame.span->begin, 5u);
   EXPECT_FALSE(blame.notes.empty());
+
+  // A parameterized rejection is blamed in the parameter context: the
+  // parameter p is bound by the host, so only y is unbounded.
+  auto pq = compiler.CompileParameterized("{y | not EMP(p, y, y)}", {"p"});
+  ASSERT_FALSE(pq.ok());
+  records = Records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_FALSE(records[1].run.ok);
+  const Diagnostic* param_blame = nullptr;
+  for (const Diagnostic& d : records[1].diagnostics) {
+    if (d.code.rfind("safety.", 0) == 0) param_blame = &d;
+  }
+  ASSERT_NE(param_blame, nullptr);
+  EXPECT_EQ(param_blame->message,
+            "variables {y} cannot be confined to a finite set");
+  ASSERT_FALSE(param_blame->notes.empty());
+  const std::string& closure = param_blame->notes.back().message;
+  EXPECT_EQ(closure.substr(closure.find("never confined:")),
+            "never confined: {y}")
+      << closure;
 }
 
 TEST_F(QueryLogLintTest, NoDiagnosticsWithoutOptIn) {

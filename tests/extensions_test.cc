@@ -17,6 +17,7 @@
 #include "src/safety/pushnot.h"
 #include "src/safety/simplify.h"
 #include "src/translate/pipeline.h"
+#include "src/verify/verify.h"
 
 namespace emcalc {
 namespace {
@@ -295,16 +296,73 @@ TEST_F(ParameterizedTest, ConcurrentRunsMatchPlanFor) {
 }
 
 TEST_F(ParameterizedTest, AgreesWithConstantSubstitutedQuery) {
-  auto param = compiler_.CompileParameterized(
-      "{e | exists s (EMP(e, d, s) and s < cap)}", {"d", "cap"});
-  ASSERT_TRUE(param.ok());
-  auto direct = compiler_.Compile(
-      "{e | exists s (EMP(e, 10, s) and s < 70000)}");
-  ASSERT_TRUE(direct.ok());
-  auto a = param->Run(db_, {Value::Int(10), Value::Int(70'000)});
-  auto b = direct->Run(db_);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(*a, *b);
+  // Each query runs with d = 10 and cap = 70000 and must equal its closed
+  // twin, the same text with those constants substituted for d and cap.
+  struct Case {
+    const char* parameterized;
+    const char* closed;
+  };
+  const Case cases[] = {
+      {"{e | exists s (EMP(e, d, s) and s < cap)}",
+       "{e | exists s (EMP(e, 10, s) and s < 70000)}"},
+      // The inner quantifier shadows the parameter d.
+      {"{e | exists s (EMP(e, d, s) and exists d (EMP(e, d, s) and s < cap))}",
+       "{e | exists s (EMP(e, 10, s) and exists d (EMP(e, d, s) and "
+       "s < 70000))}"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.parameterized);
+    auto param = compiler_.CompileParameterized(c.parameterized, {"d", "cap"});
+    ASSERT_TRUE(param.ok()) << param.status().ToString();
+    auto direct = compiler_.Compile(c.closed);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    auto a = param->Run(db_, {Value::Int(10), Value::Int(70'000)});
+    auto b = direct->Run(db_);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_FALSE(b->empty());
+    EXPECT_EQ(*a, *b);
+  }
+}
+
+struct ScopedVerify {
+  explicit ScopedVerify(int mode) { verify::ForceEnabled(mode); }
+  ~ScopedVerify() { verify::ForceEnabled(-1); }
+};
+
+// A closed query is the parameterized case X = {}: with no parameters,
+// CompileParameterized yields Compile's plan under every translation
+// setting, with each stage boundary verified.
+TEST(ParameterizedPipelineTest, ZeroParametersGiveCompilesPlan) {
+  ScopedVerify on(1);
+  const char* const corpus[] = {
+      "{y | exists x (R(x) and y = g(f(x)))}",               // q1
+      "{x | R(x) and exists y (f(x) = y and not R(y))}",     // q2
+      "{x, y | B(x) and not (((f(x) != y and g(x) != y) or R(x, y)) and "
+      "((h(x) != y and k(x) != y) or P(x, y)))}",            // q4
+      "{x, y | (R(x) and f(x) = y) or (S(y) and g(y) = x)}",  // q5
+      "{x, y, z | R(x, y, z) and not S(y, z)}",              // q6
+  };
+  TranslateOptions no_optimize;
+  no_optimize.optimize = false;
+  TranslateOptions distribute;
+  distribute.distribute_disjunctions = true;
+  FunctionRegistry functions = BuiltinFunctions();
+  for (const char* fn : {"f", "g", "h", "k"}) {
+    functions.Register(fn, 1, [](std::span<const Value> a) { return a[0]; });
+  }
+  for (const TranslateOptions& options :
+       {TranslateOptions{}, no_optimize, distribute}) {
+    for (const char* text : corpus) {
+      SCOPED_TRACE(text);
+      Compiler compiler(functions);
+      auto param = compiler.CompileParameterized(text, {}, options);
+      ASSERT_TRUE(param.ok()) << param.status().ToString();
+      auto closed = compiler.Compile(text, options);
+      ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+      EXPECT_EQ(AlgExprToString(compiler.ctx(), param->plan()),
+                closed->PlanString());
+    }
+  }
 }
 
 }  // namespace

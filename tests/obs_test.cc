@@ -537,6 +537,12 @@ TEST_F(ObsEndToEndTest, QueryLogRecordsCompileAndRunWithSharedHash) {
   // A rejected query logs a failed compile record.
   auto bad = compiler_.Compile("{x | not EDGE(x, x)}");
   EXPECT_FALSE(bad.ok());
+  // A parameterized query spelled non-canonically: its runs are logged
+  // under the same text, and so the same hash, as its compile record.
+  const std::string param_text = "{y|EDGE(p,y)}";
+  auto pq = compiler_.CompileParameterized(param_text, {"p"});
+  ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+  ASSERT_TRUE(pq->Run(db_, {Value::Int(1)}).ok());
   obs::SetQueryLog(saved);
 
   std::vector<obs::QueryLogRecord> records;
@@ -547,7 +553,7 @@ TEST_F(ObsEndToEndTest, QueryLogRecordsCompileAndRunWithSharedHash) {
     ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << line;
     records.push_back(*std::move(r));
   }
-  ASSERT_EQ(records.size(), 3u);
+  ASSERT_EQ(records.size(), 5u);
 
   EXPECT_EQ(records[0].event, "compile");
   EXPECT_TRUE(records[0].run.ok);
@@ -567,6 +573,15 @@ TEST_F(ObsEndToEndTest, QueryLogRecordsCompileAndRunWithSharedHash) {
   EXPECT_FALSE(records[2].run.ok);
   EXPECT_FALSE(records[2].em_allowed);
   EXPECT_FALSE(records[2].run.error.empty());
+
+  EXPECT_EQ(records[3].event, "compile");
+  EXPECT_TRUE(records[3].run.ok);
+  EXPECT_EQ(records[3].run.query, param_text);
+  EXPECT_EQ(records[3].run.query_hash, obs::HashQueryText(param_text));
+  EXPECT_EQ(records[4].event, "run");
+  EXPECT_TRUE(records[4].run.ok);
+  EXPECT_EQ(records[4].run.query, param_text);
+  EXPECT_EQ(records[4].run.query_hash, records[3].run.query_hash);
 }
 
 TEST(MetricsTest, PrometheusExpositionRendersAllMetricKinds) {

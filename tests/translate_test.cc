@@ -223,6 +223,38 @@ TEST_F(TranslateTest, IllFormedQueriesRejected) {
   EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
 }
 
+// The parameter set X is the translation's context: the body's free
+// variables must be exactly head ∪ X, and the plan reads each parameter as
+// a scalar, never as a column.
+TEST_F(TranslateTest, ParametersAreTheTranslationContext) {
+  const Symbol p = ctx_.symbols().Intern("p");
+  const Symbol y = ctx_.symbols().Intern("y");
+  const Symbol one[] = {p};
+  auto t = TranslateQuery(ctx_, Parse("{y | succ(p) = y}"), {}, one);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_NE(AlgExprToString(ctx_, t->plan).find("succ($p)"),
+            std::string::npos)
+      << AlgExprToString(ctx_, t->plan);
+  // Closed, the same text is ill-formed: p is free but not in the head.
+  EXPECT_EQ(TranslateQuery(ctx_, Parse("{y | succ(p) = y}")).status().code(),
+            StatusCode::kInvalidArgument);
+
+  auto message = [&](std::string_view text,
+                     std::span<const Symbol> params) -> std::string {
+    return TranslateQuery(ctx_, Parse(text), {}, params).status().message();
+  };
+  const Symbol twice[] = {p, p};
+  EXPECT_EQ(message("{y | succ(p) = y}", twice), "duplicate parameter name");
+  const Symbol head[] = {y};
+  EXPECT_EQ(message("{y | R(y)}", head), "head variable is also a parameter");
+  EXPECT_EQ(message("{y | succ(1) = y}", one),
+            "body's free variables must be exactly head + parameters");
+  auto unsafe = TranslateQuery(ctx_, Parse("{y | not R(y) and R(p)}"), {}, one);
+  EXPECT_EQ(unsafe.status().code(), StatusCode::kNotSafe);
+  EXPECT_NE(unsafe.status().message().find("not em-allowed for its parameters"),
+            std::string::npos);
+}
+
 TEST_F(TranslateTest, T10AblationFailsOnQ4) {
   // q4 (with bounding atom B): translatable with T10, untranslatable with
   // GT91's transformation set (experiment E6 / paper Section 7).
