@@ -47,7 +47,7 @@ void Report() {
     for (size_t n : {100u, 1000u, 10000u}) {
       emcalc::Database db = emcalc::MakePayrollInstance(n, 8, 3);
       emcalc::ExecProfile profile;
-      auto r = q->RunWithProfile(db, &profile);
+      auto r = q->Run(db, &profile);
       if (!r.ok()) continue;
       emcalc::ExecTotals totals = emcalc::SumProfile(profile);
       std::printf("  |EMP|=%-6zu answers=%-6zu tuples_produced=%llu\n", n,

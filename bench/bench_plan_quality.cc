@@ -70,13 +70,15 @@ bool RunCorpusPass(std::vector<double>& factors, size_t& corrected_ops,
     if (!q.ok()) return false;
     emcalc::Database db = Instance(k);
     emcalc::ExecProfile profile;
-    auto answer = q->RunWithProfile(db, &profile);
+    auto answer = q->Run(db, &profile);
     if (!answer.ok()) return false;
+    emcalc::obs::RunRecord run = emcalc::BuildRunRecord(
+        /*query_hash=*/0, /*query=*/"", answer.status(), answer->size(),
+        /*wall_ns=*/0, /*exec_threads=*/0, profile);
     answers.push_back(std::move(answer).value());
-    corrected_ops += emcalc::CountHistoryCorrectedOps(profile);
-    for (const emcalc::PlanFeedbackEntry& e :
-         emcalc::BuildPlanFeedback(profile).entries) {
-      factors.push_back(e.factor);
+    corrected_ops += run.est_history_ops;
+    for (const emcalc::obs::RunRecord::Op& op : run.ops) {
+      factors.push_back(op.factor);
     }
   }
   return true;
@@ -185,7 +187,7 @@ void Report() {
     auto distributed = emcalc::TranslateQuery(ctx, *q, dist_options);
     if (!threaded.ok() || !distributed.ok()) continue;
     emcalc::Database db = Instance(k);
-    emcalc::AlgebraEvalStats ts, ds;
+    emcalc::ExecTotals ts, ds;
     auto a = emcalc::EvaluateAlgebra(ctx, threaded->plan, db, registry, &ts);
     auto b =
         emcalc::EvaluateAlgebra(ctx, distributed->plan, db, registry, &ds);
@@ -196,8 +198,8 @@ void Report() {
     }
     std::printf("%-12d %10d %12d %14llu %16llu\n", k,
                 threaded->plan->NodeCount(), distributed->plan->NodeCount(),
-                static_cast<unsigned long long>(ts.tuples_produced),
-                static_cast<unsigned long long>(ds.tuples_produced));
+                static_cast<unsigned long long>(ts.rows_out),
+                static_cast<unsigned long long>(ds.rows_out));
   }
 
   std::printf("\nplan simplifier (raw generated vs optimized):\n");
@@ -209,14 +211,14 @@ void Report() {
     auto t = emcalc::TranslateQuery(ctx, *q);
     if (!t.ok()) continue;
     emcalc::Database db = Instance(k);
-    emcalc::AlgebraEvalStats rs, os;
+    emcalc::ExecTotals rs, os;
     auto a = emcalc::EvaluateAlgebra(ctx, t->raw_plan, db, registry, &rs);
     auto b = emcalc::EvaluateAlgebra(ctx, t->plan, db, registry, &os);
     if (!a.ok() || !b.ok() || !(*a == *b)) continue;
     std::printf("%-12d %10d %12d %14llu %16llu\n", k,
                 t->raw_plan->NodeCount(), t->plan->NodeCount(),
-                static_cast<unsigned long long>(rs.tuples_produced),
-                static_cast<unsigned long long>(os.tuples_produced));
+                static_cast<unsigned long long>(rs.rows_out),
+                static_cast<unsigned long long>(os.rows_out));
   }
   std::printf("\n");
 

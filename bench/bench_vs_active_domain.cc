@@ -116,13 +116,13 @@ void RunPlan(benchmark::State& state, const char* text, bool use_adom) {
   emcalc::FunctionRegistry registry = emcalc::BuiltinFunctions();
   uint64_t produced = 0;
   for (auto _ : state) {
-    emcalc::AlgebraEvalStats stats;
-    auto r = emcalc::EvaluateAlgebra(ctx, plan, db, registry, &stats);
+    emcalc::ExecTotals totals;
+    auto r = emcalc::EvaluateAlgebra(ctx, plan, db, registry, &totals);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;
     }
-    produced = stats.tuples_produced;
+    produced = totals.rows_out;
     benchmark::DoNotOptimize(r->size());
   }
   state.counters["tuples"] = static_cast<double>(produced);

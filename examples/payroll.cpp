@@ -38,8 +38,8 @@ void Show(const emcalc::CompiledQuery& q, const emcalc::Database& db,
           const char* label) {
   std::printf("\n== %s ==\nquery: %s\nplan:  %s\n", label,
               q.QueryString().c_str(), q.PlanString().c_str());
-  emcalc::AlgebraEvalStats stats;
-  auto answer = q.Run(db, &stats);
+  emcalc::ExecProfile profile;
+  auto answer = q.Run(db, &profile);
   if (!answer.ok()) {
     std::printf("error: %s\n", answer.status().ToString().c_str());
     return;
@@ -55,7 +55,8 @@ void Show(const emcalc::CompiledQuery& q, const emcalc::Database& db,
     std::printf(")\n");
   }
   std::printf("work: %llu tuples produced\n",
-              static_cast<unsigned long long>(stats.tuples_produced));
+              static_cast<unsigned long long>(
+                  emcalc::SumProfile(profile).rows_out));
 }
 
 }  // namespace

@@ -41,17 +41,18 @@ int main() {
   std::printf("tree:\n%s", query->PlanTreeString().c_str());
 
   // 3. Run the plan.
-  emcalc::AlgebraEvalStats stats;
-  auto answer = query->Run(db, &stats);
+  emcalc::ExecProfile profile;
+  auto answer = query->Run(db, &profile);
   if (!answer.ok()) {
     std::printf("run error: %s\n", answer.status().ToString().c_str());
     return 1;
   }
   std::printf("answer (%zu tuples):\n%s", answer->size(),
               answer->ToString().c_str());
+  emcalc::ExecTotals totals = emcalc::SumProfile(profile);
   std::printf("work: %llu tuples produced, %llu scalar calls\n",
-              static_cast<unsigned long long>(stats.tuples_produced),
-              static_cast<unsigned long long>(stats.function_calls));
+              static_cast<unsigned long long>(totals.rows_out),
+              static_cast<unsigned long long>(totals.function_calls));
 
   // 4. Unsafe queries are rejected with an explanation instead of running
   //    forever or returning domain-dependent garbage.

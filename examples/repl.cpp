@@ -102,15 +102,16 @@ void RunQuery(emcalc::Compiler& compiler, emcalc::Database& db,
     std::printf("-- explain analyze --\n%s", report->c_str());
     return;
   }
-  emcalc::AlgebraEvalStats stats;
-  auto answer = q->Run(db, &stats);
+  emcalc::ExecProfile run_profile;
+  auto answer = q->Run(db, &run_profile);
   if (!answer.ok()) {
     std::printf("error: %s\n", answer.status().ToString().c_str());
     return;
   }
   std::printf("%s(%zu tuples, %llu produced while evaluating)\n",
               answer->ToString().c_str(), answer->size(),
-              static_cast<unsigned long long>(stats.tuples_produced));
+              static_cast<unsigned long long>(
+                  emcalc::SumProfile(run_profile).rows_out));
 }
 
 // `.lint`: the full diagnostic report (lint rules + safety blame).
@@ -154,14 +155,16 @@ void FeedbackQuery(emcalc::Compiler& compiler, emcalc::Database& db,
     return;
   }
   emcalc::ExecProfile profile;
-  auto answer = q->RunWithProfile(db, &profile);
+  auto answer = q->Run(db, &profile);
   if (!answer.ok()) {
     std::printf("error: %s\n", answer.status().ToString().c_str());
     return;
   }
   std::printf("answer rows: %zu\n", answer->size());
-  emcalc::PlanFeedback feedback = emcalc::BuildPlanFeedback(profile);
-  std::printf("%s", feedback.ToString().c_str());
+  emcalc::obs::RunRecord run = emcalc::BuildRunRecord(
+      emcalc::obs::HashQueryText(text), text, answer.status(), answer->size(),
+      /*wall_ns=*/0, /*exec_threads=*/0, profile);
+  std::printf("%s", emcalc::FeedbackToString(std::move(run.ops)).c_str());
 }
 
 // `.why`: just the safety verdict, with the blame trace on rejection.

@@ -29,10 +29,10 @@ struct TupleView {
 class Evaluator {
  public:
   Evaluator(const AstContext& ctx, const Database& db,
-            const FunctionRegistry& registry, AlgebraEvalStats* stats,
-            const AlgebraEvalOptions& options)
-      : ctx_(ctx), db_(db), registry_(registry), stats_(stats),
-        options_(options) {}
+            const FunctionRegistry& registry, ExecTotals* totals,
+            size_t adom_budget)
+      : ctx_(ctx), db_(db), registry_(registry), totals_(totals),
+        adom_budget_(adom_budget) {}
 
   // Counts how many parents each node has. Plans are DAGs (the translator
   // shares the context subplan between a difference's two sides and among
@@ -197,9 +197,9 @@ class Evaluator {
 
  private:
   void Count(uint64_t scanned, uint64_t produced) {
-    if (stats_ == nullptr) return;
-    stats_->tuples_scanned += scanned;
-    stats_->tuples_produced += produced;
+    if (totals_ == nullptr) return;
+    totals_->rows_in += scanned;
+    totals_->rows_out += produced;
   }
 
   Status ValidateExpr(const ScalarExpr* e) {
@@ -242,7 +242,7 @@ class Evaluator {
         for (const ScalarExpr* a : e->args()) {
           args.push_back(EvalExpr(a, view));
         }
-        if (stats_ != nullptr) ++stats_->function_calls;
+        if (totals_ != nullptr) ++totals_->function_calls;
         auto it = fn_cache_.find(e->fn());
         EMCALC_CHECK(it != fn_cache_.end());  // Validate ran
         return it->second->fn(args);
@@ -386,7 +386,7 @@ class Evaluator {
                        it->second->arity);
     }
     auto closed = TermClosure(std::move(base), fns, registry_,
-                              plan->adom_level(), options_.adom_budget);
+                              plan->adom_level(), adom_budget_);
     if (!closed.ok()) return closed.status();
     Relation out(1);
     for (const Value& v : *closed) out.Insert({v});
@@ -397,8 +397,8 @@ class Evaluator {
   const AstContext& ctx_;
   const Database& db_;
   const FunctionRegistry& registry_;
-  AlgebraEvalStats* stats_;
-  AlgebraEvalOptions options_;
+  ExecTotals* totals_;
+  size_t adom_budget_;
   std::unordered_map<Symbol, const ScalarFunction*> fn_cache_;
   std::unordered_map<const AlgExpr*, int> refs_;
   std::unordered_map<const AlgExpr*, Relation> memo_;
@@ -408,9 +408,10 @@ class Evaluator {
 
 StatusOr<Relation> EvaluateAlgebraLegacy(
     const AstContext& ctx, const AlgExpr* plan, const Database& db,
-    const FunctionRegistry& registry, AlgebraEvalStats* stats,
-    const AlgebraEvalOptions& options) {
-  Evaluator evaluator(ctx, db, registry, stats, options);
+    const FunctionRegistry& registry, ExecTotals* totals,
+    const ExecOptions& options) {
+  if (totals != nullptr) *totals = {};
+  Evaluator evaluator(ctx, db, registry, totals, options.adom_budget);
   if (Status s = evaluator.Validate(plan); !s.ok()) return s;
   evaluator.CountRefs(plan);
   return evaluator.Eval(plan);
@@ -419,24 +420,14 @@ StatusOr<Relation> EvaluateAlgebraLegacy(
 StatusOr<Relation> EvaluateAlgebra(const AstContext& ctx, const AlgExpr* plan,
                                    const Database& db,
                                    const FunctionRegistry& registry,
-                                   AlgebraEvalStats* stats,
-                                   const AlgebraEvalOptions& options) {
-  ExecOptions exec_options;
-  exec_options.adom_budget = options.adom_budget;
-  exec_options.num_threads = options.num_threads;
-  auto physical = Lower(ctx, plan, registry, exec_options);
+                                   ExecTotals* totals,
+                                   const ExecOptions& options) {
+  auto physical = Lower(ctx, plan, registry, options);
   if (!physical.ok()) return physical.status();
   ExecProfile profile;
   auto result =
-      physical->ExecuteToRelation(db, stats != nullptr ? &profile : nullptr);
-  if (!result.ok()) return result;
-  if (stats != nullptr) {
-    ExecTotals totals = SumProfile(profile);
-    stats->tuples_scanned += totals.rows_in;
-    stats->tuples_produced += totals.rows_out;
-    stats->function_calls += totals.function_calls;
-    stats->tuple_copies += totals.tuple_copies;
-  }
+      physical->ExecuteToRelation(db, totals != nullptr ? &profile : nullptr);
+  if (result.ok() && totals != nullptr) *totals = SumProfile(profile);
   return result;
 }
 

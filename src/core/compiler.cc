@@ -173,14 +173,14 @@ void ObserveRun(const PreparedPlan& p, const StatusOr<Relation>& result,
 // The one run path of CompiledQuery and ParameterizedQuery: executes the
 // prepared plan with `args` bound and reports the run (metrics, query log,
 // history store, postmortem). A non-null `profile` is always filled;
-// otherwise the run is profiled when the caller's `stats` or an installed
-// sink needs it. Whether any sink is installed is asked once: the same
-// answer decides profiling and whether ObserveRun builds a RunRecord, so a
-// run with no sink builds neither.
+// otherwise the run is profiled only when an installed sink needs it.
+// Whether any sink is installed is asked once: the same answer decides
+// profiling and whether ObserveRun builds a RunRecord, so a run with no
+// sink builds neither.
 StatusOr<Relation> RunPrepared(const Compiler& owner, const PreparedPlan& p,
                                const Database& db,
                                std::span<const Value> args,
-                               AlgebraEvalStats* stats, ExecProfile* profile) {
+                               ExecProfile* profile) {
   obs::Span span("exec.run");
   QueryObsScope obs_scope(p.text, p.hash);
   uint64_t start_ns = obs::NowNs();
@@ -188,7 +188,7 @@ StatusOr<Relation> RunPrepared(const Compiler& owner, const PreparedPlan& p,
                         obs::GetHistoryStore() != nullptr ||
                         obs::PostmortemEnabled();
   ExecProfile local;
-  if (profile == nullptr && (stats != nullptr || observed)) profile = &local;
+  if (profile == nullptr && observed) profile = &local;
   auto answer = [&]() -> StatusOr<Relation> {
     if (p.physical != nullptr) {
       return p.physical->ExecuteToRelation(db, profile, args);
@@ -201,13 +201,6 @@ StatusOr<Relation> RunPrepared(const Compiler& owner, const PreparedPlan& p,
     if (!physical.ok()) return physical.status();
     return physical->ExecuteToRelation(db, profile, args);
   }();
-  if (answer.ok() && stats != nullptr) {
-    ExecTotals totals = SumProfile(*profile);
-    stats->tuples_scanned += totals.rows_in;
-    stats->tuples_produced += totals.rows_out;
-    stats->function_calls += totals.function_calls;
-    stats->tuple_copies += totals.tuple_copies;
-  }
   ObserveRun(p, answer, start_ns,
              EffectiveExecThreads(
                  p.physical != nullptr ? p.physical->options().num_threads : 0),
@@ -224,7 +217,7 @@ StatusOr<std::string> ExplainPrepared(const Compiler& owner,
                                       std::span<const Symbol> params,
                                       std::span<const Value> args) {
   ExecProfile profile;
-  auto answer = RunPrepared(owner, p, db, args, nullptr, &profile);
+  auto answer = RunPrepared(owner, p, db, args, &profile);
   if (!answer.ok()) return answer.status();
   std::string out = "plan: " + AlgExprToString(owner.ctx(), p.plan) + "\n";
   if (!params.empty()) {
@@ -250,7 +243,10 @@ StatusOr<std::string> ExplainPrepared(const Compiler& owner,
     out += line;
   }
   out += "feedback (est vs actual, worst first):\n";
-  out += BuildPlanFeedback(profile).ToString();
+  out += FeedbackToString(BuildRunRecord(p.hash, p.text, answer.status(),
+                                        answer->size(), /*wall_ns=*/0,
+                                        /*exec_threads=*/0, profile)
+                             .ops);
   return out;
 }
 
@@ -273,13 +269,8 @@ std::string CompiledQuery::ExplainCompile() const {
 }
 
 StatusOr<Relation> CompiledQuery::Run(const Database& db,
-                                      AlgebraEvalStats* stats) const {
-  return RunPrepared(*owner_, prepared_, db, {}, stats, nullptr);
-}
-
-StatusOr<Relation> CompiledQuery::RunWithProfile(const Database& db,
-                                                 ExecProfile* profile) const {
-  return RunPrepared(*owner_, prepared_, db, {}, nullptr, profile);
+                                      ExecProfile* profile) const {
+  return RunPrepared(*owner_, prepared_, db, {}, profile);
 }
 
 StatusOr<std::string> CompiledQuery::ExplainAnalyze(const Database& db) const {
@@ -568,14 +559,8 @@ StatusOr<const AlgExpr*> ParameterizedQuery::PlanFor(
 
 StatusOr<Relation> ParameterizedQuery::Run(const Database& db,
                                            const std::vector<Value>& args,
-                                           AlgebraEvalStats* stats) const {
-  return RunPrepared(*owner_, prepared_, db, args, stats, nullptr);
-}
-
-StatusOr<Relation> ParameterizedQuery::RunWithProfile(
-    const Database& db, const std::vector<Value>& args,
-    ExecProfile* profile) const {
-  return RunPrepared(*owner_, prepared_, db, args, nullptr, profile);
+                                           ExecProfile* profile) const {
+  return RunPrepared(*owner_, prepared_, db, args, profile);
 }
 
 StatusOr<std::string> ParameterizedQuery::ExplainAnalyze(

@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/algebra/eval.h"
 #include "src/base/status.h"
 #include "src/calculus/ast.h"
 #include "src/calculus/views.h"
@@ -83,16 +82,12 @@ class CompiledQuery {
   std::string PlanString() const;
   std::string PlanTreeString() const;
 
-  // Executes the plan against `db` using the owning compiler's functions.
-  // The plan is lowered to the physical execution layer (src/exec/) and
-  // run there; `stats` receives the flat totals of the execution profile.
+  // Executes the plan against `db` using the owning compiler's functions,
+  // through the physical execution layer (src/exec/). A non-null `profile`
+  // receives the per-operator statistics tree (rows in/out, hash
+  // build/probe counts, wall time); SumProfile flattens it to totals.
   StatusOr<Relation> Run(const Database& db,
-                         AlgebraEvalStats* stats = nullptr) const;
-
-  // Executes and additionally fills `profile` with the per-operator
-  // statistics tree (rows in/out, hash build/probe counts, wall time).
-  StatusOr<Relation> RunWithProfile(const Database& db,
-                                    ExecProfile* profile) const;
+                         ExecProfile* profile = nullptr) const;
 
   // EXPLAIN ANALYZE: executes against `db` and renders the per-operator
   // profile as a multi-line report.
@@ -146,15 +141,10 @@ class ParameterizedQuery {
   // The prepared plan, $name marking where a run reads each argument.
   const AlgExpr* plan() const { return prepared_.plan; }
 
-  // Executes with `args` bound to parameters() position-wise.
+  // Executes with `args` bound to parameters() position-wise; `profile`
+  // as for CompiledQuery::Run.
   StatusOr<Relation> Run(const Database& db, const std::vector<Value>& args,
-                         AlgebraEvalStats* stats = nullptr) const;
-
-  // Executes and fills `profile` with the per-operator statistics tree —
-  // the parameterized counterpart of CompiledQuery::RunWithProfile.
-  StatusOr<Relation> RunWithProfile(const Database& db,
-                                    const std::vector<Value>& args,
-                                    ExecProfile* profile) const;
+                         ExecProfile* profile = nullptr) const;
 
   // EXPLAIN ANALYZE for one argument binding: executes against `db` and
   // renders the prepared plan, the bound arguments, and the per-operator

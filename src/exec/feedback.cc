@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "src/obs/json.h"
-
 namespace emcalc {
 
 double MisestimateFactor(double est_rows, double actual_rows) {
@@ -33,89 +31,6 @@ std::string FormatFactor(double v) {
   std::snprintf(buf, sizeof(buf), "%.1f", v);
   return buf;
 }
-
-void Collect(const ExecProfile& p, PlanFeedback& fb) {
-  if (!p.shared_ref && p.op != PhysOpKind::kMaterialize &&
-      p.stats.est_rows >= 0) {
-    PlanFeedbackEntry e;
-    e.op = PhysOpKindName(p.op);
-    if (!p.detail.empty()) e.op += "(" + p.detail + ")";
-    e.est_rows = p.stats.est_rows;
-    e.actual_rows = p.stats.rows_out;
-    auto actual = static_cast<double>(e.actual_rows);
-    e.factor = MisestimateFactor(e.est_rows, actual);
-    e.underestimate = actual > e.est_rows;
-    e.est_history_runs = p.stats.est_history_runs;
-    fb.entries.push_back(std::move(e));
-  }
-  if (!p.shared_ref) {
-    for (const ExecProfile& c : p.children) Collect(c, fb);
-  }
-}
-
-}  // namespace
-
-PlanFeedback BuildPlanFeedback(const ExecProfile& profile) {
-  PlanFeedback fb;
-  Collect(profile, fb);
-  std::stable_sort(fb.entries.begin(), fb.entries.end(),
-                   [](const PlanFeedbackEntry& a, const PlanFeedbackEntry& b) {
-                     return a.factor > b.factor;
-                   });
-  if (!fb.entries.empty()) {
-    fb.max_factor = fb.entries.front().factor;
-    fb.worst_op = fb.entries.front().op;
-  }
-  return fb;
-}
-
-std::string PlanFeedback::ToString() const {
-  if (entries.empty()) return "no feedback: no estimated operators ran\n";
-  std::string out;
-  for (const PlanFeedbackEntry& e : entries) {
-    out += e.op + ": est " + FormatRows(e.est_rows) + " actual " +
-           std::to_string(e.actual_rows);
-    if (e.factor > 1.0) {
-      out += " (" + FormatFactor(e.factor) + "x " +
-             (e.underestimate ? "under" : "over") + ")";
-    } else {
-      out += " (exact)";
-    }
-    if (e.est_history_runs > 0) {
-      // Provenance marker only on history-corrected estimates, so
-      // heuristic lines render exactly as before.
-      out += " [history:" + std::to_string(e.est_history_runs) + "]";
-    }
-    out += "\n";
-  }
-  return out;
-}
-
-std::string PlanFeedback::ToJson() const {
-  std::string out = "{\"max_factor\":" + FormatFactor(max_factor);
-  out += ",\"worst_op\":\"" + obs::JsonEscape(worst_op) + "\"";
-  out += ",\"entries\":[";
-  bool first = true;
-  for (const PlanFeedbackEntry& e : entries) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"op\":\"" + obs::JsonEscape(e.op) + "\"";
-    out += ",\"est_rows\":" + FormatRows(e.est_rows);
-    out += ",\"actual_rows\":" + std::to_string(e.actual_rows);
-    out += ",\"factor\":" + FormatFactor(e.factor);
-    out += ",\"underestimate\":";
-    out += e.underestimate ? "true" : "false";
-    out += ",\"est_source\":\"";
-    out += e.est_history_runs > 0
-               ? "history:" + std::to_string(e.est_history_runs)
-               : "heuristic";
-    out += "\"}";
-  }
-  out += "]}";
-  return out;
-}
-
-namespace {
 
 // Plan-side DFS mirroring BuildProfile: non-null children in (left, right)
 // order, first visit wins for shared (materialized) subplans.
@@ -152,6 +67,7 @@ void CollectRunOps(const ExecProfile& p, const std::string& path,
     op.actual_rows = p.stats.rows_out;
     op.factor = MisestimateFactor(p.stats.est_rows,
                                   static_cast<double>(p.stats.rows_out));
+    op.est_history_runs = p.stats.est_history_runs;
     ops.push_back(std::move(op));
   }
   for (size_t i = 0; i < p.children.size(); ++i) {
@@ -163,6 +79,34 @@ void CollectRunOps(const ExecProfile& p, const std::string& path,
 }
 
 }  // namespace
+
+std::string FeedbackToString(std::vector<obs::RunRecord::Op> ops) {
+  if (ops.empty()) return "no feedback: no estimated operators ran\n";
+  std::stable_sort(ops.begin(), ops.end(),
+                   [](const obs::RunRecord::Op& a,
+                      const obs::RunRecord::Op& b) {
+                     return a.factor > b.factor;
+                   });
+  std::string out;
+  for (const obs::RunRecord::Op& op : ops) {
+    out += op.op + ": est " + FormatRows(op.est_rows) + " actual " +
+           std::to_string(op.actual_rows);
+    if (op.factor > 1.0) {
+      bool under = static_cast<double>(op.actual_rows) > op.est_rows;
+      out += " (" + FormatFactor(op.factor) + "x " +
+             (under ? "under" : "over") + ")";
+    } else {
+      out += " (exact)";
+    }
+    if (op.est_history_runs > 0) {
+      // Provenance marker only on history-corrected estimates, so
+      // heuristic lines render exactly as before.
+      out += " [history:" + std::to_string(op.est_history_runs) + "]";
+    }
+    out += "\n";
+  }
+  return out;
+}
 
 std::vector<std::string> PlanOpPaths(const PhysicalPlan& plan) {
   std::vector<std::string> paths(static_cast<size_t>(plan.NumOperators()));

@@ -24,9 +24,8 @@ namespace {
 // every num_threads; buffers concatenated in morsel order plus a final
 // Normalize make parallel output bit-identical to sequential output.
 constexpr size_t kMorselGrain = 2048;
-// Default parallel fan-out floor: inputs smaller than this run on the
-// calling thread only. Overridable per query via
-// ExecOptions::morsel_threshold.
+// Parallel fan-out floor: inputs smaller than this run on the calling
+// thread only.
 constexpr size_t kParallelThreshold = 4096;
 // Rows per batch of the compiled scalar programs. Batches never straddle a
 // morsel boundary, so batch counts are the same for every thread count.
@@ -171,8 +170,7 @@ struct ExecContext {
   const Database& db;
   std::vector<OpStats> stats;
   std::vector<std::optional<RelationPtr>> memo;
-  size_t threads;           // effective worker cap, >= 1
-  size_t morsel_threshold;  // minimum input rows before fanning out
+  size_t threads;  // effective worker cap, >= 1
   // Memory attribution and limits for this execution. The governor is
   // checked at operator entry, morsel boundaries, and closure rounds.
   obs::QueryMemory qmem;
@@ -187,9 +185,6 @@ struct ExecContext {
         memo(static_cast<size_t>(p.num_memo_slots_)),
         threads(p.options_.num_threads == 0 ? ThreadPool::HardwareThreads()
                                             : p.options_.num_threads),
-        morsel_threshold(p.options_.morsel_threshold != 0
-                             ? p.options_.morsel_threshold
-                             : kParallelThreshold),
         qmem(p.ops_.size()),
         governor(obs::EffectiveLimits(p.options_.limits), &qmem, NowNs()),
         est(p.ops_.size(), -1.0), args(a) {}
@@ -211,7 +206,7 @@ struct ExecContext {
   StatusOr<Value_> Run(const PhysicalOp* op);
 
   bool Parallel(size_t n) const {
-    return threads > 1 && n >= morsel_threshold;
+    return threads > 1 && n >= kParallelThreshold;
   }
 
   // Folds worker-sharded counters into the operator's stats slot. Every

@@ -4,7 +4,7 @@
 // instead of by value. Each operator records runtime statistics — rows
 // in/out, hash build/probe counts, tuples copied, wall time — into an
 // ExecProfile tree that the explain machinery renders EXPLAIN ANALYZE-
-// style and that the legacy AlgebraEvalStats counters are aggregated from.
+// style and that SumProfile flattens into ExecTotals.
 //
 // Operator inventory:
 //   Scan           base-relation scan (borrows the Database's storage)
@@ -127,7 +127,8 @@ struct ExecProfile {
   uint64_t total_bytes_allocated = 0;
 };
 
-// Flat totals over a profile tree (the legacy AlgebraEvalStats view).
+// Flat totals over a profile tree: the one flat-totals type, for callers
+// (EvaluateAlgebra, benches, tests) that need no per-operator breakdown.
 // Materialize nodes contribute no row counts: their child already counted
 // the work once, matching the legacy evaluator's memoization accounting.
 struct ExecTotals {
@@ -166,9 +167,6 @@ struct ExecOptions {
   // bit-identical across thread counts. Scalar functions must be pure
   // (thread-safe) — every registry builtin is.
   size_t num_threads = 0;
-  // Minimum input rows before a morsel-parallel operator fans out to the
-  // thread pool. 0 selects the built-in default (4096).
-  size_t morsel_threshold = 0;
   // Per-query resource ceilings (0 = unlimited), merged with the
   // EMCALC_MAX_QUERY_BYTES / EMCALC_MAX_QUERY_MS env knobs at execution
   // (an explicit field here wins). A tripped limit aborts the execution

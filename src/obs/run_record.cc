@@ -71,6 +71,9 @@ void AppendRunRecordJson(const RunRecord& r, std::string& out) {
     AppendDouble(out, "est", op.est_rows);
     AppendUint(out, "actual", op.actual_rows);
     AppendDouble(out, "factor", op.factor);
+    if (op.est_history_runs > 0) {
+      AppendUint(out, "est_history_runs", op.est_history_runs);
+    }
     out += "}";
   }
   out += "]";
@@ -105,6 +108,7 @@ RunRecord RunRecordFromJson(const JsonValue& v) {
       op.est_rows = o.NumberOr("est", -1);
       op.actual_rows = UintOr(o, "actual");
       op.factor = o.NumberOr("factor", 1);
+      op.est_history_runs = UintOr(o, "est_history_runs");
       r.ops.push_back(std::move(op));
     }
   }

@@ -1,9 +1,11 @@
 // One execution of a compiled plan as plain data: the single record that
 // the query log ("run" lines), the history store (run lines) and the
-// postmortem writer (bundles) all serialize. It is built in exactly one
-// place, BuildRunRecord (src/exec/feedback.h), from the run's ExecProfile
-// and Status; AppendRunRecordJson writes it and RunRecordFromJson reads it
-// back, so the sinks cannot drift apart field by field.
+// postmortem writer (bundles) all serialize, and whose ops the feedback
+// report (EXPLAIN ANALYZE, the repl's .feedback) renders. It is built in
+// exactly one place, BuildRunRecord (src/exec/feedback.h), from the run's
+// ExecProfile and Status; AppendRunRecordJson writes it and
+// RunRecordFromJson reads it back, so the sinks cannot drift apart field
+// by field.
 #ifndef EMCALC_OBS_RUN_RECORD_H_
 #define EMCALC_OBS_RUN_RECORD_H_
 
@@ -44,6 +46,9 @@ struct RunRecord {
     double est_rows = -1;
     uint64_t actual_rows = 0;
     double factor = 1;  // MisestimateFactor(est_rows, actual_rows)
+    // Estimate provenance: 0 = static heuristic, > 0 = history-corrected
+    // from this many recorded runs (OpStats::est_history_runs).
+    uint64_t est_history_runs = 0;
     bool operator==(const Op&) const = default;
   };
   std::vector<Op> ops;

@@ -35,7 +35,7 @@ class AlgebraTest : public ::testing::Test {
   AlgebraFactory factory_;
   FunctionRegistry registry_;
   Database db_;
-  AlgebraEvalStats stats_;
+  ExecTotals stats_;
 };
 
 TEST_F(AlgebraTest, ScanAndPrint) {
@@ -277,11 +277,11 @@ TEST_F(AlgebraTest, OptimizerPushesSelectThroughProject) {
 }
 
 TEST_F(AlgebraTest, StatsCountWork) {
-  AlgebraEvalStats stats;
+  ExecTotals stats;
   const AlgExpr* plan =
       factory_.Join({}, factory_.Rel("R", 2), factory_.Rel("S", 1));
   ASSERT_TRUE(EvaluateAlgebra(ctx_, plan, db_, registry_, &stats).ok());
-  EXPECT_EQ(stats.tuples_produced, 3u + 2u + 6u);  // scans + join output
+  EXPECT_EQ(stats.rows_out, 3u + 2u + 6u);  // scans + join output
 }
 
 }  // namespace

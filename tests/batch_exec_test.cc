@@ -101,9 +101,9 @@ TEST_F(BatchProgramTest, CommonSubexpressionsShareWork) {
   const AlgExpr* plan = factory_.Project(
       {Apply1("double", shared), Apply1("neg", shared)}, factory_.Rel("R", 2));
 
-  AlgebraEvalOptions batch_opts;
+  ExecOptions batch_opts;
   batch_opts.num_threads = 1;
-  AlgebraEvalStats ls, bs;
+  ExecTotals ls, bs;
   auto legacy = EvaluateAlgebraLegacy(ctx_, plan, db_, registry_, &ls);
   auto batch = EvaluateAlgebra(ctx_, plan, db_, registry_, &bs, batch_opts);
   ASSERT_TRUE(legacy.ok());
@@ -122,9 +122,9 @@ TEST_F(BatchProgramTest, ConstantApplicationsFoldAtCompileTime) {
       {e.Col(0), Apply1("succ", e.ConstValue(Value::Int(41)))},
       factory_.Rel("R", 2));
 
-  AlgebraEvalOptions batch_opts;
+  ExecOptions batch_opts;
   batch_opts.num_threads = 1;
-  AlgebraEvalStats bs;
+  ExecTotals bs;
   auto batch = EvaluateAlgebra(ctx_, plan, db_, registry_, &bs, batch_opts);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(bs.function_calls, 0u);
@@ -141,9 +141,9 @@ TEST_F(BatchProgramTest, StagedFilterMatchesShortCircuitCounts) {
        {Apply1("succ", e.Col(0)), AlgCompareOp::kNe, e.Col(1)}},
       factory_.Rel("R", 2));
 
-  AlgebraEvalOptions batch_opts;
+  ExecOptions batch_opts;
   batch_opts.num_threads = 1;
-  AlgebraEvalStats ls, bs;
+  ExecTotals ls, bs;
   auto legacy = EvaluateAlgebraLegacy(ctx_, plan, db_, registry_, &ls);
   auto batch = EvaluateAlgebra(ctx_, plan, db_, registry_, &bs, batch_opts);
   ASSERT_TRUE(legacy.ok());
@@ -294,10 +294,10 @@ TEST(BatchDifferentialTest, PaperCorpusIdenticalAcrossBatchGrid) {
     ASSERT_TRUE(legacy.ok()) << cq.text;
     const std::string want = legacy->ToString();
     for (size_t threads : kThreadCounts) {
-      AlgebraEvalOptions options;
+      ExecOptions options;
       options.num_threads = threads;
       auto phys = EvaluateAlgebra(ctx, t->plan, db, registry,
-                                  /*stats=*/nullptr, options);
+                                  /*totals=*/nullptr, options);
       ASSERT_TRUE(phys.ok()) << cq.text;
       EXPECT_EQ(phys->ToString(), want)
           << cq.text << " differs at num_threads=" << threads;
@@ -336,21 +336,21 @@ TEST(BatchDifferentialTest, RandomQueriesIdenticalAcrossBatchGrid) {
         AddRandomTuples(db, "R" + std::to_string(r), arities[r], /*rows=*/6,
                         /*value_pool=*/6, seed * 613 + r * 31 + i);
       }
-      AlgebraEvalStats ls;
+      ExecTotals ls;
       auto legacy = EvaluateAlgebraLegacy(ctx, t->plan, db, registry, &ls);
       ASSERT_TRUE(legacy.ok()) << QueryToString(ctx, *q);
       const std::string want = legacy->ToString();
       for (size_t threads : kThreadCounts) {
-        AlgebraEvalOptions options;
+        ExecOptions options;
         options.num_threads = threads;
-        AlgebraEvalStats ps;
+        ExecTotals ps;
         auto phys = EvaluateAlgebra(ctx, t->plan, db, registry, &ps,
                                     options);
         ASSERT_TRUE(phys.ok()) << QueryToString(ctx, *q);
         ASSERT_EQ(phys->ToString(), want)
             << QueryToString(ctx, *q) << "\nplan: "
             << AlgExprToString(ctx, t->plan) << "\nnum_threads=" << threads;
-        EXPECT_EQ(ls.tuples_produced, ps.tuples_produced)
+        EXPECT_EQ(ls.rows_out, ps.rows_out)
             << QueryToString(ctx, *q);
         EXPECT_LE(ps.function_calls, ls.function_calls)
             << QueryToString(ctx, *q);
@@ -361,39 +361,36 @@ TEST(BatchDifferentialTest, RandomQueriesIdenticalAcrossBatchGrid) {
   EXPECT_EQ(checked, 200) << "generator exhausted before 200 queries";
 }
 
-// The morsel threshold option: an explicit value forces tiny inputs onto
-// the parallel path (par_morsels recorded); 0 keeps the default floor.
-TEST(BatchDifferentialTest, MorselThresholdOptionControlsFanOut) {
+// The parallel fan-out floor (4096 input rows): at num_threads = 4 an input
+// below it runs inline (no par_morsels recorded), one above it fans out.
+TEST(BatchDifferentialTest, ParallelFloorControlsFanOut) {
   AstContext ctx;
   AlgebraFactory factory(ctx);
   ExprFactory& e = factory.exprs();
   FunctionRegistry registry = BuiltinFunctions();
-  Database db;
-  ASSERT_TRUE(db.AddRelation("R", 1).ok());
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(db.Insert("R", {Value::Int(i)}).ok());
-  }
   Symbol succ = ctx.symbols().Intern("succ");
   const AlgExpr* plan = factory.Project(
       {e.Apply(succ, std::vector<const ScalarExpr*>{e.Col(0)})},
       factory.Rel("R", 1));
+  ExecOptions options;
+  options.num_threads = 4;
+  auto physical = Lower(ctx, plan, registry, options);
+  ASSERT_TRUE(physical.ok());
 
-  auto run = [&](ExecOptions opts) {
-    auto physical = Lower(ctx, plan, registry, opts);
-    EXPECT_TRUE(physical.ok());
+  auto par_morsels = [&](int rows) {
+    Database db;
+    EXPECT_TRUE(db.AddRelation("R", 1).ok());
+    for (int i = 0; i < rows; ++i) {
+      EXPECT_TRUE(db.Insert("R", {Value::Int(i)}).ok());
+    }
     ExecProfile profile;
     auto result = physical->ExecuteToRelation(db, &profile);
     EXPECT_TRUE(result.ok());
     return profile.stats.par_morsels;
   };
 
-  ExecOptions default_opts;
-  default_opts.num_threads = 4;
-  EXPECT_EQ(run(default_opts), 0u);  // 100 rows < default 4096 floor
-
-  ExecOptions low_floor = default_opts;
-  low_floor.morsel_threshold = 10;
-  EXPECT_GT(run(low_floor), 0u);  // forced onto the parallel path
+  EXPECT_EQ(par_morsels(100), 0u);   // below the floor: inline
+  EXPECT_GT(par_morsels(5000), 0u);  // above the floor: morsel-parallel
 }
 
 // Hand-built plans over 6500 rows: three full 2048-row morsels of two
@@ -459,7 +456,7 @@ TEST(BatchDifferentialTest, JoinsAndFusedFilterAcrossMorsels) {
        PhysOpKind::kProjectMap},
   };
   for (const Case& c : cases) {
-    AlgebraEvalStats ls;
+    ExecTotals ls;
     auto legacy = EvaluateAlgebraLegacy(ctx, c.plan, db, registry, &ls);
     ASSERT_TRUE(legacy.ok()) << c.name;
     ASSERT_GT(legacy->size(), 1024u) << c.name << ": too few rows to batch";

@@ -83,10 +83,11 @@ TEST(CompilerTest, StatsPlumbThrough) {
   }
   auto q = compiler.Compile("{x, y | R(x) and succ(x) = y}");
   ASSERT_TRUE(q.ok());
-  AlgebraEvalStats stats;
-  ASSERT_TRUE(q->Run(db, &stats).ok());
-  EXPECT_GT(stats.tuples_produced, 0u);
-  EXPECT_EQ(stats.function_calls, 10u);
+  ExecProfile profile;
+  ASSERT_TRUE(q->Run(db, &profile).ok());
+  ExecTotals totals = SumProfile(profile);
+  EXPECT_GT(totals.rows_out, 0u);
+  EXPECT_EQ(totals.function_calls, 10u);
 }
 
 TEST(CompilerTest, ManyQueriesShareOneContext) {

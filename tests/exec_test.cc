@@ -163,11 +163,11 @@ TEST_F(ExecTest, WrapperStatsMatchLegacyCounters) {
                   {e.Col(0), e.Apply(succ, std::vector<const ScalarExpr*>{
                                          e.Col(1)})},
                   shared));
-  AlgebraEvalStats legacy, phys;
+  ExecTotals legacy, phys;
   ASSERT_TRUE(EvaluateAlgebraLegacy(ctx_, plan, db_, registry_, &legacy).ok());
   ASSERT_TRUE(EvaluateAlgebra(ctx_, plan, db_, registry_, &phys).ok());
-  EXPECT_EQ(phys.tuples_scanned, legacy.tuples_scanned);
-  EXPECT_EQ(phys.tuples_produced, legacy.tuples_produced);
+  EXPECT_EQ(phys.rows_in, legacy.rows_in);
+  EXPECT_EQ(phys.rows_out, legacy.rows_out);
   EXPECT_EQ(phys.function_calls, legacy.function_calls);
 }
 
@@ -258,7 +258,7 @@ TEST_F(ExecTest, Q6FamilyCopiesFewerTuples) {
   uint64_t legacy_tuples = Relation::TuplesCopied() - before;
 
   before = Relation::TuplesCopied();
-  AlgebraEvalStats stats;
+  ExecTotals stats;
   auto phys = EvaluateAlgebra(ctx, t->plan, db, registry, &stats);
   ASSERT_TRUE(phys.ok());
   uint64_t phys_tuples = Relation::TuplesCopied() - before;
@@ -360,7 +360,7 @@ TEST(ExecCorpusTest, RandomEmAllowedQueriesAgree) {
         AddRandomTuples(db, "R" + std::to_string(r), arities[r], /*rows=*/5,
                         /*value_pool=*/6, seed * 977 + r * 101 + i);
       }
-      AlgebraEvalStats ls, ps;
+      ExecTotals ls, ps;
       auto legacy = EvaluateAlgebraLegacy(ctx, t->plan, db, registry, &ls);
       auto phys = EvaluateAlgebra(ctx, t->plan, db, registry, &ps);
       ASSERT_TRUE(legacy.ok()) << QueryToString(ctx, *q);
@@ -368,9 +368,9 @@ TEST(ExecCorpusTest, RandomEmAllowedQueriesAgree) {
       ASSERT_EQ(*legacy, *phys)
           << QueryToString(ctx, *q) << "\nplan: "
           << AlgExprToString(ctx, t->plan);
-      EXPECT_EQ(ls.tuples_scanned, ps.tuples_scanned)
+      EXPECT_EQ(ls.rows_in, ps.rows_in)
           << QueryToString(ctx, *q);
-      EXPECT_EQ(ls.tuples_produced, ps.tuples_produced)
+      EXPECT_EQ(ls.rows_out, ps.rows_out)
           << QueryToString(ctx, *q);
       // The physical hash join short-circuits when either input is empty,
       // skipping key-expression evaluation the legacy interpreter still
@@ -415,13 +415,13 @@ TEST(ExecDeterminismTest, PaperCorpusIdenticalAcrossThreadCounts) {
     }
     auto legacy = EvaluateAlgebraLegacy(ctx, t->plan, db, registry);
     ASSERT_TRUE(legacy.ok()) << cq.text;
-    AlgebraEvalOptions options;
+    ExecOptions options;
     Relation sequential(t->plan->arity());
     // 0 = hardware concurrency; it must agree with every explicit count.
     for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
       options.num_threads = threads;
       auto phys = EvaluateAlgebra(ctx, t->plan, db, registry,
-                                  /*stats=*/nullptr, options);
+                                  /*totals=*/nullptr, options);
       ASSERT_TRUE(phys.ok()) << cq.text;
       if (threads == 1) {
         sequential = *std::move(phys);
@@ -452,9 +452,9 @@ TEST(ExecDeterminismTest, RandomQueriesIdenticalAcrossThreadCounts) {
     return Value::Int((n * 3 + m) % 7);
   });
 
-  AlgebraEvalOptions one_thread;
+  ExecOptions one_thread;
   one_thread.num_threads = 1;
-  AlgebraEvalOptions four_threads;
+  ExecOptions four_threads;
   four_threads.num_threads = 4;
   int checked = 0;
   for (uint64_t seed = 1000; checked < 200 && seed < 1100; ++seed) {
@@ -473,9 +473,9 @@ TEST(ExecDeterminismTest, RandomQueriesIdenticalAcrossThreadCounts) {
       }
       auto legacy = EvaluateAlgebraLegacy(ctx, t->plan, db, registry);
       auto seq = EvaluateAlgebra(ctx, t->plan, db, registry,
-                                 /*stats=*/nullptr, one_thread);
+                                 /*totals=*/nullptr, one_thread);
       auto par = EvaluateAlgebra(ctx, t->plan, db, registry,
-                                 /*stats=*/nullptr, four_threads);
+                                 /*totals=*/nullptr, four_threads);
       ASSERT_TRUE(legacy.ok()) << QueryToString(ctx, *q);
       ASSERT_TRUE(seq.ok()) << QueryToString(ctx, *q);
       ASSERT_TRUE(par.ok()) << QueryToString(ctx, *q);
@@ -488,7 +488,7 @@ TEST(ExecDeterminismTest, RandomQueriesIdenticalAcrossThreadCounts) {
   EXPECT_EQ(checked, 200) << "generator exhausted before 200 queries";
 }
 
-// Per-operator statistics surface through RunWithProfile / ExplainAnalyze.
+// Per-operator statistics surface through Run's profile / ExplainAnalyze.
 TEST(ExecProfileTest, CompiledQueryExposesOperatorStats) {
   Compiler compiler;
   Database db = MakePayrollInstance(200, 8, 3);
@@ -497,7 +497,7 @@ TEST(ExecProfileTest, CompiledQueryExposesOperatorStats) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
 
   ExecProfile profile;
-  auto answer = q->RunWithProfile(db, &profile);
+  auto answer = q->Run(db, &profile);
   ASSERT_TRUE(answer.ok());
   ExecTotals totals = SumProfile(profile);
   EXPECT_GT(totals.rows_in, 0u);

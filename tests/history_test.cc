@@ -355,10 +355,14 @@ TEST(MisestimateFactorTest, FeedbackJsonHasNoInfinity) {
   profile.op = PhysOpKind::kFilterSelect;
   profile.stats.est_rows = 0;
   profile.stats.rows_out = 1u << 20;
-  PlanFeedback fb = BuildPlanFeedback(profile);
-  ASSERT_EQ(fb.entries.size(), 1u);
-  EXPECT_TRUE(std::isfinite(fb.entries[0].factor));
-  std::string json = fb.ToJson();
+  obs::RunRecord run =
+      BuildRunRecord(0, "", Status::Ok(), 1u << 20, 0, 1, profile);
+  ASSERT_EQ(run.ops.size(), 1u);
+  EXPECT_TRUE(std::isfinite(run.ops[0].factor));
+  std::string json = "{\"event\":\"run\"";
+  obs::AppendRunRecordJson(run, json);
+  json += "}";
+  EXPECT_TRUE(obs::ParseJson(json).ok()) << json;
   EXPECT_EQ(json.find("inf"), std::string::npos) << json;
   EXPECT_EQ(json.find("nan"), std::string::npos) << json;
 }
@@ -419,7 +423,7 @@ TEST(HistoryFeedbackTest, WarmStoreCorrectsEstimatesKeepsAnswers) {
   auto q1 = cold.Compile(text);
   ASSERT_TRUE(q1.ok()) << q1.status().ToString();
   ExecProfile p1;
-  auto a1 = q1->RunWithProfile(db, &p1);
+  auto a1 = q1->Run(db, &p1);
   ASSERT_TRUE(a1.ok()) << a1.status().ToString();
   EXPECT_EQ(CountHistoryCorrectedOps(p1), 0u);
   EXPECT_GT(store->get()->total_runs(), 0u);
@@ -429,19 +433,28 @@ TEST(HistoryFeedbackTest, WarmStoreCorrectsEstimatesKeepsAnswers) {
   auto q2 = warm.Compile(text);
   ASSERT_TRUE(q2.ok()) << q2.status().ToString();
   ExecProfile p2;
-  auto a2 = q2->RunWithProfile(db, &p2);
+  auto a2 = q2->Run(db, &p2);
   ASSERT_TRUE(a2.ok()) << a2.status().ToString();
   EXPECT_GT(CountHistoryCorrectedOps(p2), 0u);
   EXPECT_TRUE(*a1 == *a2);
 
-  // Corrected entries carry their provenance into the feedback report and
-  // EXPLAIN ANALYZE; with est == past actual they read as exact.
-  PlanFeedback fb = BuildPlanFeedback(p2);
+  // Corrected ops carry their provenance in the run record — through its
+  // JSON round trip — and into EXPLAIN ANALYZE; with est == past actual
+  // they read as exact.
+  obs::RunRecord run = BuildRunRecord(obs::HashQueryText(text), text,
+                                      Status::Ok(), a2->size(), 0, 1, p2);
+  std::string json = "{\"event\":\"run\"";
+  obs::AppendRunRecordJson(run, json);
+  json += "}";
+  auto parsed = obs::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << json;
+  obs::RunRecord read_back = obs::RunRecordFromJson(*parsed);
+  EXPECT_TRUE(read_back == run) << json;
   bool corrected = false;
-  for (const PlanFeedbackEntry& e : fb.entries) {
-    if (e.est_history_runs > 0) corrected = true;
+  for (const obs::RunRecord::Op& op : read_back.ops) {
+    if (op.est_history_runs > 0) corrected = true;
   }
-  EXPECT_TRUE(corrected);
+  EXPECT_TRUE(corrected) << json;
   auto explain = q2->ExplainAnalyze(db);
   ASSERT_TRUE(explain.ok());
   EXPECT_NE(explain->find("[history:"), std::string::npos) << *explain;
@@ -497,7 +510,7 @@ TEST(HistoryFeedbackTest, ParameterizedRunsRecordAndUseHistory) {
   auto q2 = warm.CompileParameterized(text, {"p"});
   ASSERT_TRUE(q2.ok()) << q2.status().ToString();
   ExecProfile profile;
-  auto profiled = q2->RunWithProfile(db, bindings[0], &profile);
+  auto profiled = q2->Run(db, bindings[0], &profile);
   ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
   EXPECT_GT(CountHistoryCorrectedOps(profile), 0u);
   for (size_t i = 0; i < bindings.size(); ++i) {

@@ -780,7 +780,7 @@ TEST_F(ObsEndToEndTest, ParameterizedQueryProfileParity) {
   auto q = compiler_.CompileParameterized("{y | EDGE(p, y)}", {"p"});
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   ExecProfile profile;
-  auto r = q->RunWithProfile(db_, {Value::Int(1)}, &profile);
+  auto r = q->Run(db_, {Value::Int(1)}, &profile);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->size(), 1u);
   EXPECT_GT(profile.stats.wall_ns, 0u);

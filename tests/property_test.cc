@@ -144,7 +144,7 @@ TEST_P(PropertyTest, BaselineAgreesWithDirectTranslation) {
                                     GetParam() * 53 + i);
     auto a = EvaluateAlgebra(ctx, direct->plan, db, registry);
     ASSERT_TRUE(a.ok());
-    AlgebraEvalOptions budget;
+    ExecOptions budget;
     budget.adom_budget = 100000;
     auto b = EvaluateAlgebra(ctx, *baseline, db, registry, nullptr, budget);
     if (!b.ok()) continue;  // closure budget blown: skip

@@ -503,7 +503,7 @@ TEST(ExecProfileTest, ParallelSummaryAggregatesAndClampsEfficiency) {
   EXPECT_DOUBLE_EQ(ParallelSummary{}.Efficiency(), 0.0);
 }
 
-TEST(PlanFeedbackTest, RanksOperatorsByMisestimationFactor) {
+TEST(RunFeedbackTest, RanksOperatorsByMisestimationFactor) {
   ExecProfile scan;
   scan.op = PhysOpKind::kScan;
   scan.detail = "R";
@@ -516,29 +516,33 @@ TEST(PlanFeedbackTest, RanksOperatorsByMisestimationFactor) {
   join.stats.rows_out = 1000;
   join.children.push_back(scan);
 
-  PlanFeedback feedback = BuildPlanFeedback(join);
-  ASSERT_EQ(feedback.entries.size(), 2u);
-  EXPECT_EQ(feedback.entries[0].op, "HashJoin");
-  EXPECT_DOUBLE_EQ(feedback.entries[0].factor, 100.0);
-  EXPECT_TRUE(feedback.entries[0].underestimate);
-  EXPECT_EQ(feedback.entries[1].op, "Scan(R)");
-  EXPECT_DOUBLE_EQ(feedback.entries[1].factor, 1.0);
-  EXPECT_DOUBLE_EQ(feedback.max_factor, 100.0);
-  EXPECT_EQ(feedback.worst_op, "HashJoin");
+  obs::RunRecord run =
+      BuildRunRecord(0, "", Status::Ok(), 1000, 0, 1, join);
+  ASSERT_EQ(run.ops.size(), 2u);
+  EXPECT_EQ(run.ops[0].op, "HashJoin");
+  EXPECT_DOUBLE_EQ(run.ops[0].factor, 100.0);
+  EXPECT_EQ(run.ops[1].op, "Scan(R)");
+  EXPECT_DOUBLE_EQ(run.ops[1].factor, 1.0);
+  EXPECT_DOUBLE_EQ(run.misestimate_factor, 100.0);
+  EXPECT_EQ(run.misestimate_op, "HashJoin");
 
-  std::string text = feedback.ToString();
-  EXPECT_NE(text.find("HashJoin: est 10 actual 1000"), std::string::npos);
-  EXPECT_NE(text.find("(100.0x under)"), std::string::npos);
-  EXPECT_NE(text.find("Scan(R): est 500 actual 500 (exact)"),
-            std::string::npos);
+  const std::string ranked =
+      "HashJoin: est 10 actual 1000 (100.0x under)\n"
+      "Scan(R): est 500 actual 500 (exact)\n";
+  EXPECT_EQ(FeedbackToString(run.ops), ranked);
+  // The ranking comes from the factors, not from the ops' DFS order.
+  EXPECT_EQ(FeedbackToString({run.ops.rbegin(), run.ops.rend()}), ranked);
 
-  auto json = obs::ParseJson(feedback.ToJson());
-  ASSERT_TRUE(json.ok()) << feedback.ToJson();
-  EXPECT_EQ(json->StringOr("worst_op", ""), "HashJoin");
-  EXPECT_DOUBLE_EQ(json->NumberOr("max_factor", 0), 100.0);
+  std::string json = "{\"event\":\"run\"";
+  obs::AppendRunRecordJson(run, json);
+  json += "}";
+  auto parsed = obs::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << json;
+  EXPECT_EQ(parsed->StringOr("misestimate_op", ""), "HashJoin");
+  EXPECT_DOUBLE_EQ(parsed->NumberOr("misestimate_factor", 0), 100.0);
 }
 
-TEST(PlanFeedbackTest, ExplainAnalyzeShowsMemoryAndFeedback) {
+TEST(RunFeedbackTest, ExplainAnalyzeShowsMemoryAndFeedback) {
   Compiler compiler;
   Database db;
   ASSERT_TRUE(LoadCsvText(db, "EDGE", "1,2\n2,3\n3,1\n").ok());
