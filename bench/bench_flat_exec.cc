@@ -8,14 +8,17 @@
 // symmetric hand-rolled kernels over the interned flat layout
 // ("flat_layout" — isolates the representation change) and the full
 // physical operator stack at 1, 2, and hardware threads. Rows/sec per
-// variant goes to BENCH_perf.json.
+// variant goes to BENCH_perf.json, along with the verifier's compile
+// overhead and each reference query's sort work.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <iterator>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -641,6 +644,108 @@ void ReportVerifyOverhead() {
   emcalc::bench::AppendRecordLine("BENCH_perf.json", fields);
 }
 
+// ---- Sort work -----------------------------------------------------------
+// Rows the operators' final normalizes actually comparison-sorted
+// (OpStats::rows_sorted, summed over the profile), per query: the paper
+// corpus q1-q6 (q3 names a discussion, not a query) over seeded random
+// instances, and E9's payroll queries at 10^4 employees. A count, not a
+// time, so it is deterministic on any host; check_perf_regression.py fails
+// when a query's rows_sorted exceeds its bench/baseline_perf.json record.
+void SumSortWork(const emcalc::ExecProfile& p, uint64_t* rows_sorted,
+                 uint64_t* normalize_ns) {
+  *rows_sorted += p.stats.rows_sorted;
+  *normalize_ns += p.stats.normalize_ns;
+  for (const emcalc::ExecProfile& c : p.children) {
+    SumSortWork(c, rows_sorted, normalize_ns);
+  }
+}
+
+void ReportSortWork() {
+  struct Query {
+    const char* name;
+    const char* text;
+    std::vector<std::pair<const char*, int>> schema;  // empty: payroll
+  };
+  const Query queries[] = {
+      {"q1", "{y | exists x (R(x) and y = g(f(x)))}", {{"R", 1}}},
+      {"q2", "{x | R(x) and exists y (f(x) = y and not R(y))}", {{"R", 1}}},
+      {"q4",
+       "{x, y | B(x) and not (((f(x) != y and g(x) != y) or R(x, y)) and "
+       "((h(x) != y and k(x) != y) or P(x, y)))}",
+       {{"B", 1}, {"R", 2}, {"P", 2}}},
+      {"q5", "{x, y | (R(x) and f(x) = y) or (S(y) and g(y) = x)}",
+       {{"R", 1}, {"S", 1}}},
+      {"q6", "{x, y, z | R(x, y, z) and not S(y, z)}", {{"R", 3}, {"S", 2}}},
+      {"net_pay", "{e, n | exists d, s (EMP(e, d, s) and n = net10(s))}", {}},
+      {"no_bonus",
+       "{e | exists d, s (EMP(e, d, s) and not exists b (BONUS(e, b)))}",
+       {}},
+  };
+  FunctionRegistry registry = emcalc::BuiltinFunctions();
+  // Not monotone, so some outputs arrive out of order and really sort.
+  auto mod_fn = [&](const char* name, int64_t mul, int64_t add) {
+    registry.Register(name, 1, [mul, add](std::span<const Value> a) {
+      return Value::Int(((a[0].is_int() ? a[0].AsInt() : 0) * mul + add) %
+                        101);
+    });
+  };
+  mod_fn("f", 1, 1);
+  mod_fn("g", 2, 0);
+  mod_fn("h", 3, 2);
+  mod_fn("k", 1, 4);
+  registry.Register("net10", 1, [](std::span<const Value> a) {
+    return Value::Int((a[0].is_int() ? a[0].AsInt() : 0) * 9 / 10);
+  });
+  ExecOptions options;
+  options.num_threads = 1;
+  auto run = [&](const char* text, const Database& db,
+                 emcalc::ExecProfile* profile) -> emcalc::StatusOr<Relation> {
+    AstContext ctx;
+    auto parsed = emcalc::ParseQuery(ctx, text);
+    if (!parsed.ok()) return parsed.status();
+    auto t = emcalc::TranslateQuery(ctx, *parsed);
+    if (!t.ok()) return t.status();
+    auto physical = Lower(ctx, t->plan, registry, options);
+    if (!physical.ok()) return physical.status();
+    return physical->ExecuteToRelation(db, profile);
+  };
+
+  std::printf("\nsort work (rows comparison-sorted by final normalizes):\n");
+  std::printf("%-10s %10s %10s %12s\n", "query", "rows_out", "sorted",
+              "normalize_ms");
+  for (const Query& q : queries) {
+    Database db;
+    if (q.schema.empty()) {
+      db = emcalc::MakePayrollInstance(10'000, 8, 3);
+    } else {
+      uint64_t seed = 11;
+      for (const auto& [name, arity] : q.schema) {
+        AddRandomTuples(db, name, arity, /*rows=*/2'000, /*value_pool=*/1'000,
+                        seed++);
+      }
+    }
+    emcalc::ExecProfile profile;
+    auto r = run(q.text, db, &profile);
+    if (!r.ok()) {
+      std::printf("  !! sort_work %s failed: %s\n", q.name,
+                  r.status().ToString().c_str());
+      continue;
+    }
+    uint64_t sorted = 0;
+    uint64_t normalize_ns = 0;
+    SumSortWork(profile, &sorted, &normalize_ns);
+    std::printf("%-10s %10zu %10llu %12.3f\n", q.name, r->size(),
+                static_cast<unsigned long long>(sorted),
+                static_cast<double>(normalize_ns) / 1e6);
+    std::string fields = "\"bench\":\"sort_work\"";
+    fields += ",\"query\":\"" + std::string(q.name) + "\"";
+    fields += ",\"rows_out\":" + std::to_string(r->size());
+    fields += ",\"rows_sorted\":" + std::to_string(sorted);
+    fields += ",\"normalize_ns\":" + std::to_string(normalize_ns);
+    emcalc::bench::AppendRecordLine("BENCH_perf.json", fields);
+  }
+}
+
 void Report() {
   emcalc::bench::Banner(
       "E8: flat tuple storage, interning, and morsel parallelism",
@@ -652,6 +757,7 @@ void Report() {
     ReportProfile(profile);
   }
   ReportVerifyOverhead();
+  ReportSortWork();
 }
 
 void BM_FlatJoin(benchmark::State& state) {

@@ -28,6 +28,14 @@ each carries a self-judged "pass" flag (compile-phase overhead <2%), and
 any "pass": false fails the gate. Baselines predating the verifier are
 fine — the gate only fires on records that exist.
 
+The sort-work gate compares counts, not times: bench_flat_exec emits one
+bench:"sort_work" record per query (paper corpus q1-q6 and the E9
+payroll queries) carrying rows_sorted, the rows the operators' final
+normalizes actually comparison-sorted. A query fails when its current
+rows_sorted exceeds the same query's record in the baseline. The count is
+deterministic on any host, so there is no threshold. Only queries with a
+record in both files are gated (baselines predating the records pass).
+
 With --quality BENCH_quality.json, the plan-quality verdicts from
 bench_plan_quality are gated too: its history-feedback record judges
 itself (warm-store p90 misestimation factor strictly below the
@@ -148,6 +156,45 @@ def check_verify_overhead(path):
     return failures
 
 
+def load_sort_work(path):
+    """query -> rows_sorted for bench=sort_work records (latest wins)."""
+    work = {}
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            rec = json.loads(line)
+            if rec.get("bench") == "sort_work":
+                work[rec["query"]] = int(rec["rows_sorted"])
+    return work
+
+
+def check_sort_work(baseline_path, current_path):
+    """Gate rows_sorted per query against the baseline.
+
+    Returns the failing (query, baseline, current) triples; queries missing
+    from either file are listed but not gated.
+    """
+    base = load_sort_work(baseline_path)
+    cur = load_sort_work(current_path)
+    failures = []
+    if not base and not cur:
+        print("  sort_work: no records in either file — skipped")
+    for query in sorted(set(base) | set(cur)):
+        b, c = base.get(query), cur.get(query)
+        if b is None or c is None:
+            verdict = "skip (not in both files)"
+        elif c > b:
+            verdict = "FAIL"
+            failures.append((query, b, c))
+        else:
+            verdict = "ok"
+        print(f"  sort_work {query:<10} base {str(b):>8}  "
+              f"current {str(c):>8}  {verdict}")
+    return failures
+
+
 def check_quality(path):
     """Gate the self-judging plan_quality verdicts in `path`.
 
@@ -242,6 +289,10 @@ def main():
     print(f"stage-boundary verification overhead gate ({args.current}):")
     verify_failures = check_verify_overhead(args.current)
 
+    print()
+    print("sort-work gate (rows_sorted per query, current <= baseline):")
+    sort_failures = check_sort_work(args.baseline, args.current)
+
     quality_failures = []
     if args.quality:
         print()
@@ -265,12 +316,18 @@ def main():
               f"failed (compile-phase overhead >=2%):")
         for pct in verify_failures:
             print(f"  overhead {pct:.4f}%")
+    if sort_failures:
+        print(f"FAIL: {len(sort_failures)} queries sort more rows than the "
+              f"baseline:")
+        for query, b, c in sort_failures:
+            print(f"  {query}: rows_sorted {b} -> {c}")
     if quality_failures:
         print(f"FAIL: {len(quality_failures)} plan-quality verdicts failed "
               f"(history feedback did not improve p90 misestimation):")
         for variant in quality_failures:
             print(f"  {variant}")
-    if failures or obs_failures or verify_failures or quality_failures:
+    if (failures or obs_failures or verify_failures or sort_failures
+            or quality_failures):
         return 1
     print(f"ok: no gated series regressed past "
           f"{(1 - args.threshold) * 100:.0f}%"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Produces the canonical bench artifacts at the repo root:
 #
-#   BENCH_perf.json    kernel + operator-stack rows/sec (bench_flat_exec)
+#   BENCH_perf.json    kernel + operator-stack rows/sec, verifier overhead
+#                      and per-query sort work (bench_flat_exec)
 #   BENCH_obs.json     observability overhead guard (bench_obs_overhead)
 #   BENCH_quality.json plan-quality / history-feedback verdicts
 #                      (bench_plan_quality)

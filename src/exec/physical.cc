@@ -41,6 +41,15 @@ uint64_t NowNs() {
           .count());
 }
 
+// Every materializing kernel ends by normalizing its output through here,
+// so the operator's stats split sort time from kernel time and count only
+// the rows the sort really had to order.
+void NormalizeOutput(const Relation& out, OpStats& s) {
+  const uint64_t start = NowNs();
+  s.rows_sorted += out.Normalize();
+  s.normalize_ns += NowNs() - start;
+}
+
 uint64_t KeyHash(const Value* key, size_t nk) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (size_t i = 0; i < nk; ++i) h = h * 1099511628211ULL ^ key[i].Hash();
@@ -532,7 +541,7 @@ StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
         sink.Flush();
       });
   if (governor.tripped()) return governor.status();
-  out->Normalize();
+  NormalizeOutput(*out, s);
   MergeShards(s, shards);
   s.rows_out += out->size();
   return Value_{out, out};
@@ -560,7 +569,7 @@ ExecContext::Value_ ExecContext::RunNestedLoopJoin(const PhysicalOp* op,
     for (size_t j = 0; j < rn; ++j) sink.Add(a, right.row(j));
   }
   sink.Flush();
-  out->Normalize();
+  NormalizeOutput(*out, s);
   s.rows_out += out->size();
   return Value_{out, out};
 }
@@ -627,7 +636,7 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchProject(
     MergeShards(*fstats, fshards);
   }
   MergeShards(s, shards);
-  out->Normalize();
+  NormalizeOutput(*out, s);
   // In fused form this operator logically consumes the filter's output,
   // so row accounting matches the unfused (and legacy) plans exactly.
   s.rows_in += cond != nullptr ? survivors : n;
@@ -686,7 +695,7 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchFilter(
         }
       });
   MergeShards(s, shards);
-  out->Normalize();
+  NormalizeOutput(*out, s);
   s.rows_in += n;
   s.rows_out += out->size();
   return Value_{out, out};
@@ -818,6 +827,7 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
       auto out = std::make_shared<Relation>(1);
       out->Reserve(closed->size());
       for (const Value& v : *closed) out->AppendRow(&v);
+      NormalizeOutput(*out, s);
       s.rows_out += out->size();
       return finish(Value_{out, out});
     }
@@ -941,11 +951,19 @@ void RenderProfile(const ExecProfile& p, int depth, std::string& out) {
   if (p.stats.bytes_allocated > 0) {
     out += " bytes=" + std::to_string(p.stats.bytes_allocated);
   }
+  if (p.stats.rows_sorted > 0) {
+    out += " rows_sorted=" + std::to_string(p.stats.rows_sorted);
+  }
   out += " peak_bytes=" + std::to_string(p.stats.peak_bytes);
   char time_buf[32];
   std::snprintf(time_buf, sizeof(time_buf), " time=%.3fms",
                 static_cast<double>(p.stats.wall_ns) / 1e6);
   out += time_buf;
+  if (p.stats.normalize_ns > 0) {
+    std::snprintf(time_buf, sizeof(time_buf), " normalize=%.3fms",
+                  static_cast<double>(p.stats.normalize_ns) / 1e6);
+    out += time_buf;
+  }
   if (p.stats.par_workers > 1) {
     // Parallel efficiency of this operator's regions: 100% means every
     // participating thread was draining morsels for the whole region.
@@ -1020,6 +1038,8 @@ void ProfileJson(const ExecProfile& p, std::string& out) {
   out += ",\"tuple_copies\":" + std::to_string(s.tuple_copies);
   out += ",\"cache_hits\":" + std::to_string(s.cache_hits);
   out += ",\"wall_ns\":" + std::to_string(s.wall_ns);
+  out += ",\"rows_sorted\":" + std::to_string(s.rows_sorted);
+  out += ",\"normalize_ns\":" + std::to_string(s.normalize_ns);
   char est_buf[40];
   std::snprintf(est_buf, sizeof(est_buf), "%.17g", s.est_rows);
   out += ",\"est_rows\":";
@@ -1083,6 +1103,8 @@ StatusOr<ExecProfile> ProfileFromJsonValue(const obs::JsonValue& v) {
     s.tuple_copies = static_cast<uint64_t>(st->NumberOr("tuple_copies", 0));
     s.cache_hits = static_cast<uint64_t>(st->NumberOr("cache_hits", 0));
     s.wall_ns = static_cast<uint64_t>(st->NumberOr("wall_ns", 0));
+    s.rows_sorted = static_cast<uint64_t>(st->NumberOr("rows_sorted", 0));
+    s.normalize_ns = static_cast<uint64_t>(st->NumberOr("normalize_ns", 0));
     s.est_rows = st->NumberOr("est_rows", -1);
     s.est_history_runs =
         static_cast<uint64_t>(st->NumberOr("est_history_runs", 0));

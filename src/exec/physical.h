@@ -76,6 +76,11 @@ struct OpStats {
   uint64_t tuple_copies = 0;   // existing tuples copied into the output
   uint64_t cache_hits = 0;     // Materialize results served from cache
   uint64_t wall_ns = 0;        // inclusive wall time (children included)
+  // The output's final sort + dedupe, part of wall_ns: rows the
+  // comparison sort actually ordered (0 when the output arrived in order)
+  // and the time the normalization took.
+  uint64_t rows_sorted = 0;
+  uint64_t normalize_ns = 0;
   double est_rows = -1;        // planner cardinality estimate; -1 = none
   // When > 0 the estimate came from the history store (src/obs/history.h)
   // and is the mean actual over this many recorded runs; 0 = heuristic.
@@ -146,7 +151,7 @@ ParallelSummary SumParallel(const ExecProfile& profile);
 
 // EXPLAIN ANALYZE-style multi-line rendering:
 //   HashJoin(keys=2) arity=5 rows_in=150 rows_out=40 est_rows=75
-//   peak_bytes=4096 time=0.12ms
+//   rows_sorted=40 peak_bytes=4096 time=0.120ms normalize=0.010ms
 std::string ExecProfileToString(const ExecProfile& profile);
 
 // Canonical JSON encoding of a profile tree. Every stats field is emitted

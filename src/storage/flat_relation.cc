@@ -51,11 +51,17 @@ bool RowEq(const RowN<A>& x, const RowN<A>& y) {
   return true;
 }
 
+// Sorts and dedupes the rows, skipping the sort when one linear pass finds
+// them already non-decreasing (operator output often arrives in order).
+// Sets *sorted to `rows` when the comparison sort ran.
 template <int A>
-size_t SortDedupeRows(Value* data, size_t rows) {
+size_t SortDedupeRows(Value* data, size_t rows, size_t* sorted) {
   static_assert(sizeof(RowN<A>) == A * sizeof(Value));
   RowN<A>* base = reinterpret_cast<RowN<A>*>(data);
-  std::sort(base, base + rows, RowLess<A>);
+  if (!std::is_sorted(base, base + rows, RowLess<A>)) {
+    std::sort(base, base + rows, RowLess<A>);
+    *sorted = rows;
+  }
   return static_cast<size_t>(std::unique(base, base + rows, RowEq<A>) - base);
 }
 
@@ -69,16 +75,16 @@ size_t MergeDedupeRows(Value* data, size_t mid, size_t rows) {
 
 // Returns the deduped row count, or SIZE_MAX when `a` is too wide for the
 // contiguous path.
-size_t SortDedupeDispatch(size_t a, Value* data, size_t rows) {
+size_t SortDedupeDispatch(size_t a, Value* data, size_t rows, size_t* sorted) {
   switch (a) {
-    case 1: return SortDedupeRows<1>(data, rows);
-    case 2: return SortDedupeRows<2>(data, rows);
-    case 3: return SortDedupeRows<3>(data, rows);
-    case 4: return SortDedupeRows<4>(data, rows);
-    case 5: return SortDedupeRows<5>(data, rows);
-    case 6: return SortDedupeRows<6>(data, rows);
-    case 7: return SortDedupeRows<7>(data, rows);
-    case 8: return SortDedupeRows<8>(data, rows);
+    case 1: return SortDedupeRows<1>(data, rows, sorted);
+    case 2: return SortDedupeRows<2>(data, rows, sorted);
+    case 3: return SortDedupeRows<3>(data, rows, sorted);
+    case 4: return SortDedupeRows<4>(data, rows, sorted);
+    case 5: return SortDedupeRows<5>(data, rows, sorted);
+    case 6: return SortDedupeRows<6>(data, rows, sorted);
+    case 7: return SortDedupeRows<7>(data, rows, sorted);
+    case 8: return SortDedupeRows<8>(data, rows, sorted);
     default: return SIZE_MAX;
   }
 }
@@ -172,47 +178,52 @@ void FlatRelation::AppendAll(const FlatRelation& other) {
   SyncCharge();
 }
 
-void FlatRelation::Normalize() const {
-  if (!dirty_) return;
+size_t FlatRelation::Normalize() const {
+  if (!dirty_) return 0;
   dirty_ = false;
   const size_t a = static_cast<size_t>(arity_);
   if (a == 0) {
     // The only tuple is the empty tuple; dedupe to at most one row.
     rows_ = rows_ > 0 ? 1 : 0;
-    return;
+    return 0;
   }
-  if (rows_ <= 1) return;
-  size_t sorted_rows = SortDedupeDispatch(a, data_.data(), rows_);
-  if (sorted_rows != SIZE_MAX) {
-    data_.resize(sorted_rows * a);
-    rows_ = sorted_rows;
-    SyncCharge();
-    return;
-  }
-  // Permutation sort for wide rows: order row indices, then gather into
-  // fresh storage, dropping duplicates. One pass of row moves instead of
-  // O(n log n) row-sized swaps.
-  std::vector<size_t> order(rows_);
-  std::iota(order.begin(), order.end(), size_t{0});
-  const Value* base = data_.data();
-  std::sort(order.begin(), order.end(), [base, a](size_t i, size_t j) {
-    return TupleRef(base + i * a, a) < TupleRef(base + j * a, a);
-  });
-  std::vector<Value> sorted;
-  sorted.reserve(data_.size());
-  size_t kept = 0;
-  for (size_t i = 0; i < rows_; ++i) {
-    const Value* row = base + order[i] * a;
-    if (kept > 0 &&
-        TupleRef(row, a) == TupleRef(sorted.data() + (kept - 1) * a, a)) {
-      continue;
+  if (rows_ <= 1) return 0;
+  size_t sorted = 0;
+  size_t kept = SortDedupeDispatch(a, data_.data(), rows_, &sorted);
+  if (kept == SIZE_MAX) {
+    // Wide rows: the same linear pre-check, then a permutation sort that
+    // orders row indices and gathers rows into fresh storage (one pass of
+    // row moves instead of O(n log n) row-sized swaps).
+    Value* base = data_.data();
+    auto row = [&base, a](size_t i) { return TupleRef(base + i * a, a); };
+    size_t i = 1;
+    while (i < rows_ && !(row(i) < row(i - 1))) ++i;
+    if (i < rows_) {
+      std::vector<size_t> order(rows_);
+      std::iota(order.begin(), order.end(), size_t{0});
+      std::sort(order.begin(), order.end(),
+                [&row](size_t x, size_t y) { return row(x) < row(y); });
+      std::vector<Value> gathered;
+      gathered.reserve(data_.size());
+      for (size_t r : order) {
+        gathered.insert(gathered.end(), base + r * a, base + (r + 1) * a);
+      }
+      data_ = std::move(gathered);
+      base = data_.data();
+      sorted = rows_;
     }
-    sorted.insert(sorted.end(), row, row + a);
-    ++kept;
+    // Dedupe in place: survivors only move down.
+    kept = 1;
+    for (size_t r = 1; r < rows_; ++r) {
+      if (row(r) == row(kept - 1)) continue;
+      if (kept != r) std::copy_n(base + r * a, a, base + kept * a);
+      ++kept;
+    }
   }
-  data_ = std::move(sorted);
+  data_.resize(kept * a);
   rows_ = kept;
   SyncCharge();
+  return sorted;
 }
 
 bool FlatRelation::Contains(TupleRef t) const {

@@ -232,7 +232,11 @@ class FlatRelation {
   // Sorts and dedupes now (no-op when already normalized). Execution
   // calls this before sharing a relation across worker threads: the lazy
   // normalization mutates, so it must happen-before the parallel region.
-  void Normalize() const;
+  // One linear pass first checks whether the rows are already
+  // non-decreasing; if so they are only deduped. Returns the number of
+  // rows comparison-sorted: 0 when no sort ran (already normalized, at
+  // most one row, or found in order), otherwise the pre-dedupe row count.
+  size_t Normalize() const;
 
   // Process-wide copy instrumentation: whole-relation copies and tuples
   // copied into new storage by relation copies and the lvalue set

@@ -479,5 +479,58 @@ TEST(BatchDifferentialTest, JoinsAndFusedFilterAcrossMorsels) {
   }
 }
 
+// Sort work per operator. A projection that keeps the scan's key column
+// first yields rows already in order, so its final normalize is one linear
+// pass (rows_sorted == 0) at every thread count: the morsel buffers
+// concatenate back into scan order. A projection that swaps columns really
+// sorts. Answers are identical across thread counts either way.
+TEST(SortWorkTest, OrderedProjectionSkipsTheSort) {
+  FunctionRegistry registry = BuiltinFunctions();
+  registry.Register("f", 1, [](std::span<const Value> a) {
+    return Value::Int(a[0].is_int() ? a[0].AsInt() * 9 / 10 : 0);
+  });
+  const Database db = MakePayrollInstance(10000, 8, 3);
+  struct Case {
+    const char* text;
+    bool sorts;
+  };
+  const Case cases[] = {
+      {"{e, n | exists d, s (EMP(e, d, s) and n = f(s))}", false},
+      {"{s, e | exists d (EMP(e, d, s))}", true},
+  };
+  for (const Case& c : cases) {
+    AstContext ctx;
+    auto q = ParseQuery(ctx, c.text);
+    ASSERT_TRUE(q.ok()) << c.text;
+    auto t = TranslateQuery(ctx, *q);
+    ASSERT_TRUE(t.ok()) << c.text << ": " << t.status().ToString();
+    std::string want;
+    for (size_t threads : {1u, 2u, 4u}) {
+      ExecOptions options;
+      options.num_threads = threads;
+      auto physical = Lower(ctx, t->plan, registry, options);
+      ASSERT_TRUE(physical.ok()) << c.text;
+      ASSERT_EQ(physical->root()->kind, PhysOpKind::kProjectMap) << c.text;
+      ASSERT_EQ(physical->root()->left->kind, PhysOpKind::kScan) << c.text;
+      ExecProfile profile;
+      auto got = physical->ExecuteToRelation(db, &profile);
+      ASSERT_TRUE(got.ok()) << c.text << ": " << got.status().ToString();
+      EXPECT_EQ(got->size(), 10000u) << c.text;
+      if (threads == 1) {
+        want = got->ToString();
+      } else {
+        EXPECT_EQ(got->ToString(), want)
+            << c.text << " differs at num_threads=" << threads;
+      }
+      if (c.sorts) {
+        EXPECT_EQ(profile.stats.rows_sorted, 10000u) << c.text;
+      } else {
+        EXPECT_EQ(profile.stats.rows_sorted, 0u)
+            << c.text << " at num_threads=" << threads;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace emcalc

@@ -415,12 +415,23 @@ TEST(ExecProfileTest, JsonRoundTripIsExact) {
   ASSERT_TRUE(lowered.ok());
   ExecProfile profile;
   ASSERT_TRUE(lowered->ExecuteToRelation(db, &profile).ok());
+  // Nonzero sort-work fields, whatever this run's sort happened to do.
+  profile.stats.rows_sorted = 1'234'567;
+  profile.stats.normalize_ns = 89'012'345;
+  ASSERT_FALSE(profile.children.empty());
+  profile.children[0].stats.rows_sorted = 7;
+  profile.children[0].stats.normalize_ns = 11;
 
   std::string json = ExecProfileToJson(profile);
   auto parsed = ExecProfileFromJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << json;
   EXPECT_EQ(parsed->op, profile.op);
   EXPECT_EQ(parsed->children.size(), profile.children.size());
+  EXPECT_EQ(parsed->stats.rows_sorted, 1'234'567u);
+  EXPECT_EQ(parsed->stats.normalize_ns, 89'012'345u);
+  ASSERT_FALSE(parsed->children.empty());
+  EXPECT_EQ(parsed->children[0].stats.rows_sorted, 7u);
+  EXPECT_EQ(parsed->children[0].stats.normalize_ns, 11u);
   EXPECT_EQ(parsed->stats.rows_out, profile.stats.rows_out);
   EXPECT_EQ(parsed->stats.est_rows, profile.stats.est_rows);
   EXPECT_EQ(parsed->stats.peak_bytes, profile.stats.peak_bytes);

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <random>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -235,6 +237,102 @@ TEST(FlatRelationTest, AppendAllConcatenatesAndRenormalizes) {
   EXPECT_EQ(a.size(), 3u);  // {1, 2, 3}
   EXPECT_EQ(a.row(0)[0], Value::Int(1));
   EXPECT_EQ(a.row(2)[0], Value::Int(3));
+}
+
+// ---------------------------------------------------------------------------
+// Normalize against a std::set model. For each input order, row width and
+// value mix, the normalized rows must equal the model, and Normalize() must
+// report a comparison sort exactly when the input was not already
+// non-decreasing. Arities up to 8 take the contiguous row sort, wider ones
+// the permutation sort.
+
+using RowModel = std::set<std::vector<Value>>;
+
+// Up to `n` distinct rows in ascending order, each cell drawn from `pool`.
+std::vector<Tuple> AscendingRows(const std::vector<Value>& pool, int arity,
+                                 size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<size_t> pick(0, pool.size() - 1);
+  RowModel rows;
+  for (int tries = 0; rows.size() < n && tries < 1000; ++tries) {
+    Tuple t;
+    for (int c = 0; c < arity; ++c) t.push_back(pool[pick(rng)]);
+    rows.insert(std::move(t));
+  }
+  return {rows.begin(), rows.end()};
+}
+
+TEST(NormalizeModelTest, MatchesSetModelAndReportsSortedRows) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<Value> ints = {Value::Int(kMin), Value::Int(kMin + 1),
+                                   Value::Int(-1),   Value::Int(0),
+                                   Value::Int(1),    Value::Int(kMax - 1),
+                                   Value::Int(kMax)};
+  // Longer than the 8-byte order prefix, so compares fall through to the
+  // pooled payload.
+  const std::vector<Value> strs = {
+      Value::Str("position-title-007"), Value::Str("position-title-070"),
+      Value::Str("position-title-07"), Value::Str("position-title-700"),
+      Value::Str("position-")};
+  std::vector<Value> mixed = ints;
+  mixed.insert(mixed.end(), strs.begin(), strs.end());
+  const std::pair<const char*, const std::vector<Value>*> pools[] = {
+      {"ints", &ints}, {"strings", &strs}, {"mixed", &mixed}};
+
+  struct Order {
+    const char* name;
+    bool ordered;  // non-decreasing: Normalize must not sort
+    std::vector<Tuple> (*make)(const std::vector<Tuple>&);
+  };
+  const Order orders[] = {
+      {"ascending", true, [](const std::vector<Tuple>& asc) { return asc; }},
+      {"ascending with adjacent duplicates", true,
+       [](const std::vector<Tuple>& asc) {
+         std::vector<Tuple> out;
+         for (size_t i = 0; i < asc.size(); ++i) {
+           out.push_back(asc[i]);
+           if (i % 2 == 0) out.push_back(asc[i]);
+         }
+         return out;
+       }},
+      {"all equal", true,
+       [](const std::vector<Tuple>& asc) {
+         return std::vector<Tuple>(asc.size(), asc.front());
+       }},
+      {"descending", false,
+       [](const std::vector<Tuple>& asc) {
+         return std::vector<Tuple>(asc.rbegin(), asc.rend());
+       }},
+      {"sorted except the last row", false,
+       [](const std::vector<Tuple>& asc) {
+         std::vector<Tuple> out(asc.begin() + 1, asc.end());
+         out.push_back(asc.front());
+         return out;
+       }},
+  };
+
+  uint32_t seed = 1;
+  for (int arity : {1, 3, 8, 9, 12}) {
+    for (const auto& [pool_name, pool] : pools) {
+      std::vector<Tuple> asc = AscendingRows(*pool, arity, 40, seed++);
+      ASSERT_GE(asc.size(), 3u) << pool_name << " arity " << arity;
+      for (const Order& order : orders) {
+        SCOPED_TRACE(std::string(order.name) + ", " + pool_name +
+                     ", arity " + std::to_string(arity));
+        std::vector<Tuple> input = order.make(asc);
+        FlatRelation rel(arity);
+        for (const Tuple& t : input) rel.Insert(t);
+        const size_t sorted = rel.Normalize();
+        EXPECT_EQ(sorted, order.ordered ? 0u : input.size());
+        RowModel model(input.begin(), input.end());
+        std::vector<Tuple> got;
+        for (TupleRef t : rel) got.push_back(t.ToTuple());
+        EXPECT_EQ(got, std::vector<Tuple>(model.begin(), model.end()));
+        EXPECT_EQ(rel.Normalize(), 0u);  // already normalized
+      }
+    }
+  }
 }
 
 TEST(DatabaseTest, CatalogOperations) {
