@@ -177,8 +177,7 @@ void ObserveRun(const PreparedPlan& p, const StatusOr<Relation>& result,
 // Whether any sink is installed is asked once: the same answer decides
 // profiling and whether ObserveRun builds a RunRecord, so a run with no
 // sink builds neither.
-StatusOr<Relation> RunPrepared(const Compiler& owner, const PreparedPlan& p,
-                               const Database& db,
+StatusOr<Relation> RunPrepared(const PreparedPlan& p, const Database& db,
                                std::span<const Value> args,
                                ExecProfile* profile) {
   obs::Span span("exec.run");
@@ -189,18 +188,9 @@ StatusOr<Relation> RunPrepared(const Compiler& owner, const PreparedPlan& p,
                         obs::PostmortemEnabled();
   ExecProfile local;
   if (profile == nullptr && observed) profile = &local;
-  auto answer = [&]() -> StatusOr<Relation> {
-    if (p.physical != nullptr) {
-      return p.physical->ExecuteToRelation(db, profile, args);
-    }
-    // Lowering failed at compile time; redo it here to surface the error.
-    ExecOptions exec_options;
-    exec_options.query_hash = p.hash;
-    auto physical = Lower(owner.ctx(), p.plan, owner.functions(),
-                          exec_options, p.num_params);
-    if (!physical.ok()) return physical.status();
-    return physical->ExecuteToRelation(db, profile, args);
-  }();
+  StatusOr<Relation> answer =
+      p.physical != nullptr ? p.physical->ExecuteToRelation(db, profile, args)
+                            : StatusOr<Relation>(p.lower_status);
   ObserveRun(p, answer, start_ns,
              EffectiveExecThreads(
                  p.physical != nullptr ? p.physical->options().num_threads : 0),
@@ -217,7 +207,7 @@ StatusOr<std::string> ExplainPrepared(const Compiler& owner,
                                       std::span<const Symbol> params,
                                       std::span<const Value> args) {
   ExecProfile profile;
-  auto answer = RunPrepared(owner, p, db, args, &profile);
+  auto answer = RunPrepared(p, db, args, &profile);
   if (!answer.ok()) return answer.status();
   std::string out = "plan: " + AlgExprToString(owner.ctx(), p.plan) + "\n";
   if (!params.empty()) {
@@ -270,7 +260,7 @@ std::string CompiledQuery::ExplainCompile() const {
 
 StatusOr<Relation> CompiledQuery::Run(const Database& db,
                                       ExecProfile* profile) const {
-  return RunPrepared(*owner_, prepared_, db, {}, profile);
+  return RunPrepared(prepared_, db, {}, profile);
 }
 
 StatusOr<std::string> CompiledQuery::ExplainAnalyze(const Database& db) const {
@@ -461,13 +451,13 @@ Status Compiler::LowerPrepared(PreparedPlan& prepared,
   }
   // A stage-boundary verification failure means the lowered plan is
   // structurally wrong — fail the compile rather than hand out a query
-  // that would re-lower into the same broken plan at execution.
+  // whose plan is known to be broken.
   if (!verify::DiagnosticsFromStatus(lowered.status()).empty()) {
     return lowered.status();
   }
-  // Keep the query usable for inspection; executions will re-lower and
-  // report this error.
+  // Keep the query usable for inspection; every run returns this error.
   timer.SetDetail("failed: " + lowered.status().ToString());
+  prepared.lower_status = lowered.status();
   return Status::Ok();
 }
 
@@ -560,7 +550,7 @@ StatusOr<const AlgExpr*> ParameterizedQuery::PlanFor(
 StatusOr<Relation> ParameterizedQuery::Run(const Database& db,
                                            const std::vector<Value>& args,
                                            ExecProfile* profile) const {
-  return RunPrepared(*owner_, prepared_, db, args, profile);
+  return RunPrepared(prepared_, db, args, profile);
 }
 
 StatusOr<std::string> ParameterizedQuery::ExplainAnalyze(

@@ -66,8 +66,10 @@ struct PreparedPlan {
   std::string text;   // query text (compile/run log and history correlation)
   uint64_t hash = 0;  // obs::HashQueryText(text)
   // Lowered with `hash`, so history corrections apply to every run; null
-  // when lowering failed (a run then re-lowers to surface the error).
+  // when lowering failed, and `lower_status` then holds the error every run
+  // returns.
   std::shared_ptr<const PhysicalPlan> physical;
+  Status lower_status;
 };
 
 // A safety-checked, translated query ready to execute.
@@ -248,7 +250,8 @@ class Compiler {
   // `profile`, filling `prepared.physical`. Fails only when the lowered
   // plan breaks a stage-boundary invariant (the compile must then fail);
   // any other lowering error leaves `physical` null and the query usable
-  // for inspection, its runs reporting the error.
+  // for inspection, its runs returning the error kept in
+  // `prepared.lower_status`.
   Status LowerPrepared(PreparedPlan& prepared, obs::CompilePhase& profile);
 
   std::unique_ptr<AstContext> ctx_;

@@ -204,15 +204,11 @@ struct ExecContext {
   // point is the estimate-vs-actual feedback report, not a real optimizer.
   double EstimateRows(const PhysicalOp* op);
 
-  // The value flowing between operators: `rel` is always set; `owned` is
-  // set iff this operator freshly built the relation and nothing else
-  // holds a reference — the parent may then steal its storage.
-  struct Value_ {
-    RelationPtr rel;
-    std::shared_ptr<Relation> owned;
-  };
+  // The value flowing between operators is the same handle Execute
+  // returns: a parent may steal an `owned` child's storage.
+  using Result = PhysicalPlan::Result;
 
-  StatusOr<Value_> Run(const PhysicalOp* op);
+  StatusOr<Result> Run(const PhysicalOp* op);
 
   bool Parallel(size_t n) const {
     return threads > 1 && n >= kParallelThreshold;
@@ -283,19 +279,19 @@ struct ExecContext {
     for (const Relation& buf : bufs) out.AppendAll(buf);
   }
 
-  StatusOr<Value_> RunHashJoin(const PhysicalOp* op, const Value_& l,
-                               const Value_& r, OpStats& s);
-  Value_ RunNestedLoopJoin(const PhysicalOp* op, const Value_& l,
-                           const Value_& r, OpStats& s);
+  StatusOr<Result> RunHashJoin(const PhysicalOp* op, const Result& l,
+                               const Result& r, OpStats& s);
+  Result RunNestedLoopJoin(const PhysicalOp* op, const Result& l,
+                           const Result& r, OpStats& s);
 
   // Batch kernels: run the compiled scalar programs over column slices of
   // the input's flat buffer. `filter` is non-null when a FilterSelect child
   // is fused into the ProjectMap — its surviving rows flow to the
   // projection as selection indices, never materialized.
-  StatusOr<Value_> RunBatchProject(const PhysicalOp* op,
-                                   const PhysicalOp* filter, const Value_& in,
+  StatusOr<Result> RunBatchProject(const PhysicalOp* op,
+                                   const PhysicalOp* filter, const Result& in,
                                    OpStats& s);
-  StatusOr<Value_> RunBatchFilter(const PhysicalOp* op, const Value_& in,
+  StatusOr<Result> RunBatchFilter(const PhysicalOp* op, const Result& in,
                                   OpStats& s);
 };
 
@@ -381,19 +377,19 @@ double ExecContext::EstimateRows(const PhysicalOp* op) {
 // Partition contents are ordered by build-row index (the scatter respects
 // morsel order) and probe buffers concatenate in morsel order, so the
 // result — after the final Normalize — is independent of the thread count.
-StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
-                                                       const Value_& l,
-                                                       const Value_& r,
+StatusOr<ExecContext::Result> ExecContext::RunHashJoin(const PhysicalOp* op,
+                                                       const Result& l,
+                                                       const Result& r,
                                                        OpStats& s) {
-  const Relation& probe = *l.rel;
-  const Relation& build = *r.rel;
+  const Relation& probe = *l.relation;
+  const Relation& build = *r.relation;
   const size_t pn = probe.size();
   const size_t bn = build.size();  // size() normalizes both inputs
   s.rows_in += pn + bn;
   auto out = std::make_shared<Relation>(op->arity);
   // Empty-input short-circuit: no pairs exist, so skip key computation and
   // table construction entirely.
-  if (bn == 0 || pn == 0) return Value_{out, out};
+  if (bn == 0 || pn == 0) return Result{out, out};
   EMCALC_CHECK_MSG(bn < JoinTable::kEmpty, "join build side too large");
 
   const size_t nk = op->keys.size();
@@ -544,18 +540,18 @@ StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
   NormalizeOutput(*out, s);
   MergeShards(s, shards);
   s.rows_out += out->size();
-  return Value_{out, out};
+  return Result{out, out};
 }
 
 // Cross product filtered by the op's condition program, if any: every pair
 // is staged as a candidate row, and each full batch of candidates is
 // filtered at once. Runs on the calling thread.
-ExecContext::Value_ ExecContext::RunNestedLoopJoin(const PhysicalOp* op,
-                                                   const Value_& l,
-                                                   const Value_& r,
+ExecContext::Result ExecContext::RunNestedLoopJoin(const PhysicalOp* op,
+                                                   const Result& l,
+                                                   const Result& r,
                                                    OpStats& s) {
-  const Relation& left = *l.rel;
-  const Relation& right = *r.rel;
+  const Relation& left = *l.relation;
+  const Relation& right = *r.relation;
   const size_t ln = left.size();
   const size_t rn = right.size();
   s.rows_in += ln + rn;
@@ -571,7 +567,7 @@ ExecContext::Value_ ExecContext::RunNestedLoopJoin(const PhysicalOp* op,
   sink.Flush();
   NormalizeOutput(*out, s);
   s.rows_out += out->size();
-  return Value_{out, out};
+  return Result{out, out};
 }
 
 // Vectorized ProjectMap: the compiled program runs over dense batches of
@@ -580,10 +576,10 @@ ExecContext::Value_ ExecContext::RunNestedLoopJoin(const PhysicalOp* op,
 // fused FilterSelect child, each batch is first refined to a selection
 // vector and the projection evaluates only the surviving lanes — the
 // filter's output relation is never materialized.
-StatusOr<ExecContext::Value_> ExecContext::RunBatchProject(
-    const PhysicalOp* op, const PhysicalOp* filter, const Value_& in,
+StatusOr<ExecContext::Result> ExecContext::RunBatchProject(
+    const PhysicalOp* op, const PhysicalOp* filter, const Result& in,
     OpStats& s) {
-  const Relation& in_rel = *in.rel;
+  const Relation& in_rel = *in.relation;
   const size_t n = in_rel.size();  // normalizes before slicing
   const int in_arity = in_rel.arity();
   const Value* data = in_rel.data();
@@ -645,15 +641,15 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchProject(
     fstats->rows_in += n;
     fstats->rows_out += survivors;
   }
-  return Value_{out, out};
+  return Result{out, out};
 }
 
 // Vectorized FilterSelect: staged condition programs refine a selection
 // vector per batch, then the surviving rows are gathered into the scratch
 // staging area and appended in bulk.
-StatusOr<ExecContext::Value_> ExecContext::RunBatchFilter(
-    const PhysicalOp* op, const Value_& in, OpStats& s) {
-  const Relation& in_rel = *in.rel;
+StatusOr<ExecContext::Result> ExecContext::RunBatchFilter(
+    const PhysicalOp* op, const Result& in, OpStats& s) {
+  const Relation& in_rel = *in.relation;
   const size_t n = in_rel.size();
   const int in_arity = in_rel.arity();
   const auto width = static_cast<size_t>(in_arity);
@@ -698,10 +694,10 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchFilter(
   NormalizeOutput(*out, s);
   s.rows_in += n;
   s.rows_out += out->size();
-  return Value_{out, out};
+  return Result{out, out};
 }
 
-StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
+StatusOr<ExecContext::Result> ExecContext::Run(const PhysicalOp* op) {
   // One trace span per operator invocation: nested operator spans render
   // as the plan's flame graph next to the compile-phase spans.
   obs::Span span(PhysOpKindName(op->kind));
@@ -713,15 +709,15 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
   obs::MemoryScope mem_scope(&qmem, op->id);
   uint64_t start = NowNs();
   // Wrap the per-kind result so every exit path records inclusive time.
-  auto done = [&](StatusOr<Value_> v) {
+  auto done = [&](StatusOr<Result> v) {
     s.wall_ns += NowNs() - start;
     return v;
   };
   // Successful-exit wrapper: counts output rows against max_rows and
   // re-checks the limits so a trip surfaces at the operator that crossed
   // the ceiling.
-  auto finish = [&](Value_ v) -> StatusOr<Value_> {
-    governor.AddRows(v.rel->size());
+  auto finish = [&](Result v) -> StatusOr<Result> {
+    governor.AddRows(v.relation->size());
     if (governor.Check()) return done(governor.status());
     return done(std::move(v));
   };
@@ -734,7 +730,7 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
       s.rows_in += rel->size();
       s.rows_out += rel->size();
       // Borrow the database's storage: non-owning alias, zero copies.
-      return finish(Value_{RelationPtr(RelationPtr(), rel), nullptr});
+      return finish(Result{RelationPtr(RelationPtr(), rel), nullptr});
     }
     case PhysOpKind::kProjectMap: {
       const PhysicalOp* fused = nullptr;
@@ -777,41 +773,41 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
       if (!l.ok()) return done(l.status());
       auto r = Run(op->right);
       if (!r.ok()) return done(r.status());
-      s.rows_in += l->rel->size() + r->rel->size();
+      s.rows_in += l->relation->size() + r->relation->size();
       uint64_t copies_before = Relation::TuplesCopied();
       // Reuse an exclusively-owned input's storage when possible (union is
       // symmetric); otherwise merge into fresh storage (UnionWith reserves
       // the combined input cardinality up front).
       Relation merged(op->arity);
       if (l->owned != nullptr) {
-        merged = std::move(*l->owned).UnionWith(*r->rel);
+        merged = std::move(*l->owned).UnionWith(*r->relation);
       } else if (r->owned != nullptr) {
-        merged = std::move(*r->owned).UnionWith(*l->rel);
+        merged = std::move(*r->owned).UnionWith(*l->relation);
       } else {
-        merged = l->rel->UnionWith(*r->rel);
+        merged = l->relation->UnionWith(*r->relation);
       }
       s.tuple_copies += Relation::TuplesCopied() - copies_before;
       auto out = std::make_shared<Relation>(std::move(merged));
       s.rows_out += out->size();
-      return finish(Value_{out, out});
+      return finish(Result{out, out});
     }
     case PhysOpKind::kDiffAnti: {
       auto l = Run(op->left);
       if (!l.ok()) return done(l.status());
       auto r = Run(op->right);
       if (!r.ok()) return done(r.status());
-      s.rows_in += l->rel->size() + r->rel->size();
+      s.rows_in += l->relation->size() + r->relation->size();
       uint64_t copies_before = Relation::TuplesCopied();
       Relation diff(op->arity);
       if (l->owned != nullptr) {
-        diff = std::move(*l->owned).DifferenceWith(*r->rel);
+        diff = std::move(*l->owned).DifferenceWith(*r->relation);
       } else {
-        diff = l->rel->DifferenceWith(*r->rel);
+        diff = l->relation->DifferenceWith(*r->relation);
       }
       s.tuple_copies += Relation::TuplesCopied() - copies_before;
       auto out = std::make_shared<Relation>(std::move(diff));
       s.rows_out += out->size();
-      return finish(Value_{out, out});
+      return finish(Result{out, out});
     }
     case PhysOpKind::kAdomScan: {
       ValueSet base = ActiveDomain(db);
@@ -829,7 +825,7 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
       for (const Value& v : *closed) out->AppendRow(&v);
       NormalizeOutput(*out, s);
       s.rows_out += out->size();
-      return finish(Value_{out, out});
+      return finish(Result{out, out});
     }
     case PhysOpKind::kSingleton: {
       auto out = std::make_shared<Relation>(op->arity);
@@ -837,7 +833,7 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
         out->Insert(Tuple{});
         s.rows_out += 1;
       }
-      return finish(Value_{out, out});
+      return finish(Result{out, out});
     }
     case PhysOpKind::kMaterialize: {
       std::optional<RelationPtr>& slot =
@@ -845,12 +841,12 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
       if (slot.has_value()) {
         ++s.cache_hits;
         // Hand out the cached pointer: sharing, not copying.
-        return done(Value_{*slot, nullptr});
+        return done(Result{*slot, nullptr});
       }
       auto in = Run(op->left);
       if (!in.ok()) return done(in.status());
-      slot = in->rel;
-      return done(Value_{in->rel, nullptr});
+      slot = in->relation;
+      return done(Result{in->relation, nullptr});
     }
   }
   return done(InternalError("unhandled physical operator"));
@@ -1199,15 +1195,13 @@ StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(
   static obs::Gauge& peak_gauge =
       obs::MetricsRegistry::Instance().GetGauge("exec.peak_query_bytes");
   peak_gauge.UpdateMax(exec.qmem.peak_bytes());
-  if (!result.ok()) {
-    if (result.status().code() == StatusCode::kResourceExhausted) {
-      static obs::Counter& aborted =
-          obs::MetricsRegistry::Instance().GetCounter("exec.queries_aborted");
-      aborted.Add();
-    }
-    return result.status();
+  if (!result.ok() &&
+      result.status().code() == StatusCode::kResourceExhausted) {
+    static obs::Counter& aborted =
+        obs::MetricsRegistry::Instance().GetCounter("exec.queries_aborted");
+    aborted.Add();
   }
-  return Result{result->rel, result->owned};
+  return result;
 }
 
 StatusOr<Relation> PhysicalPlan::ExecuteToRelation(

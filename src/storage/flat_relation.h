@@ -5,12 +5,11 @@
 // interned words (src/base/value.h), so a TupleRef is just a span into the
 // backing array.
 //
-// Set semantics match the original vector-of-tuples Relation exactly:
-// tuples are kept sorted and duplicate-free (normalized lazily on first
-// read), union/difference/equality/ordering are defined on the normalized
-// form, and the move-aware set operations reuse this relation's storage.
-// tests/storage_test.cc checks agreement against the retained
-// LegacyRelation oracle on random inputs.
+// Set semantics: tuples are kept sorted and duplicate-free (normalized
+// lazily on first read), union/difference/equality/ordering are defined on
+// the normalized form, and the move-aware set operations reuse this
+// relation's storage. tests/storage_test.cc checks every set operation
+// against a std::set model on random inputs.
 #ifndef EMCALC_STORAGE_FLAT_RELATION_H_
 #define EMCALC_STORAGE_FLAT_RELATION_H_
 

@@ -1,99 +1,13 @@
-// The canonical Relation is the flat, arity-strided FlatRelation
-// (src/storage/flat_relation.h). This header keeps the original
-// vector-of-tuples implementation alive as LegacyRelation: it is the
-// differential-testing oracle (tests/storage_test.cc checks FlatRelation's
-// set operations against it on random inputs) and the baseline side of
-// bench/bench_flat_exec.cc's old-vs-new layout comparison.
+// The relation type the rest of the codebase uses: the flat,
+// arity-strided FlatRelation (src/storage/flat_relation.h).
 #ifndef EMCALC_STORAGE_RELATION_H_
 #define EMCALC_STORAGE_RELATION_H_
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "src/base/status.h"
-#include "src/base/value.h"
 #include "src/storage/flat_relation.h"
 
 namespace emcalc {
 
-// The relation type the rest of the codebase uses.
 using Relation = FlatRelation;
-
-// The original representation: a sorted, duplicate-free vector of
-// individually heap-allocated tuples. Same observable set semantics as
-// FlatRelation; kept only as an oracle and benchmark baseline.
-class LegacyRelation {
- public:
-  explicit LegacyRelation(int arity) : arity_(arity) {}
-
-  // Copies are instrumented (see CopiesMade/TuplesCopied); moves are free.
-  LegacyRelation(const LegacyRelation& other);
-  LegacyRelation& operator=(const LegacyRelation& other);
-  LegacyRelation(LegacyRelation&&) = default;
-  LegacyRelation& operator=(LegacyRelation&&) = default;
-
-  int arity() const { return arity_; }
-  size_t size() const {
-    Normalize();
-    return tuples_.size();
-  }
-  bool empty() const {
-    Normalize();
-    return tuples_.empty();
-  }
-  const std::vector<Tuple>& tuples() const {
-    Normalize();
-    return tuples_;
-  }
-  auto begin() const {
-    Normalize();
-    return tuples_.begin();
-  }
-  auto end() const {
-    Normalize();
-    return tuples_.end();
-  }
-
-  // Capacity hint for bulk inserts.
-  void Reserve(size_t n) { tuples_.reserve(n); }
-
-  // Inserts a tuple; error on arity mismatch. Amortized: tuples are
-  // appended and normalized lazily on first read.
-  Status TryInsert(Tuple t);
-
-  // Inserts a tuple whose arity the caller has already validated; aborts
-  // on mismatch.
-  void Insert(Tuple t);
-
-  // Membership test.
-  bool Contains(const Tuple& t) const;
-
-  // Set algebra; arities must match. The rvalue overloads reuse this
-  // relation's tuple storage instead of copying both sides into a fresh
-  // vector.
-  LegacyRelation UnionWith(const LegacyRelation& other) const&;
-  LegacyRelation UnionWith(const LegacyRelation& other) &&;
-  LegacyRelation DifferenceWith(const LegacyRelation& other) const&;
-  LegacyRelation DifferenceWith(const LegacyRelation& other) &&;
-
-  friend bool operator==(const LegacyRelation& a, const LegacyRelation& b);
-
-  // Multi-line "(1, 'a')\n(2, 'b')" rendering, for tests and examples.
-  std::string ToString() const;
-
-  // Process-wide copy instrumentation over legacy-relation operations
-  // (separate counters from FlatRelation's).
-  static uint64_t CopiesMade();
-  static uint64_t TuplesCopied();
-
- private:
-  void Normalize() const;
-
-  int arity_;
-  mutable bool dirty_ = false;
-  mutable std::vector<Tuple> tuples_;
-};
 
 }  // namespace emcalc
 

@@ -73,27 +73,21 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
 
   {
     obs::PhaseTimer timer(&out.profile, "safety", "compile.safety");
-    if (options.check_safety) {
-      EmAllowedChecker checker(ctx, bound);
-      out.safety = checker.CheckFormula(query.body, param_set);
-      out.bd_computations = checker.bound().computations();
-      if (out.safety.em_allowed) {
-        out.find_count = checker.bound().Bound(query.body).size();
-      }
-      timer.SetDetail(
-          (out.safety.em_allowed ? std::string("em-allowed")
-                                 : std::string("rejected")) +
-          " bd_computations=" + std::to_string(out.bd_computations) +
-          " finds=" + std::to_string(out.find_count));
-      if (!out.safety.em_allowed) {
-        return NotSafeError(std::string("query is not em-allowed") +
-                            (params.empty() ? "" : " for its parameters") +
-                            ": " + out.safety.reason);
-      }
-    } else {
-      out.safety = SafetyResult::Accept();
-      out.safety.reason = "(safety check skipped)";
-      timer.SetDetail("skipped");
+    EmAllowedChecker checker(ctx, bound);
+    out.safety = checker.CheckFormula(query.body, param_set);
+    out.bd_computations = checker.bound().computations();
+    if (out.safety.em_allowed) {
+      out.find_count = checker.bound().Bound(query.body).size();
+    }
+    timer.SetDetail(
+        (out.safety.em_allowed ? std::string("em-allowed")
+                               : std::string("rejected")) +
+        " bd_computations=" + std::to_string(out.bd_computations) +
+        " finds=" + std::to_string(out.find_count));
+    if (!out.safety.em_allowed) {
+      return NotSafeError(std::string("query is not em-allowed") +
+                          (params.empty() ? "" : " for its parameters") +
+                          ": " + out.safety.reason);
     }
   }
 

@@ -47,9 +47,6 @@ struct TranslateOptions {
   bool distribute_disjunctions = false;
   // Run the plan simplifier after generation.
   bool optimize = true;
-  // Verify em-allowedness before translating (when false, unsafe queries
-  // produce whatever failure the later passes hit; used by tests).
-  bool check_safety = true;
 };
 
 // All artifacts of one translation, for inspection and experiments.
@@ -62,8 +59,8 @@ struct Translation {
   // Per-phase wall times of this translation (the "translate" subtree of
   // the compile profile; see src/obs/compile_profile.h). Always filled.
   obs::CompilePhase profile;
-  // Safety-check statistics: bd cache misses and the size of bd(body)'s
-  // cover (both 0 when check_safety is off).
+  // Safety-check statistics: bd cache misses, and the size of bd(body)'s
+  // cover (0 when the query is rejected).
   size_t bd_computations = 0;
   size_t find_count = 0;
 };

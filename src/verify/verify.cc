@@ -557,11 +557,11 @@ class AlgebraChecker {
         CheckLeaf(node, path);
         break;
       case AlgKind::kAdom: {
-        if (!options_.allow_adom) {
-          Add(report_, "alg.adom-in-plan", path,
-              "kAdom in a directly-translated plan (only the AB88 baseline "
-              "translator emits active-domain scans)");
-        }
+        // The direct translation never emits kAdom; only the AB88
+        // baseline translator, whose plans are not verified, does.
+        Add(report_, "alg.adom-in-plan", path,
+            "kAdom in a directly-translated plan (only the AB88 baseline "
+            "translator emits active-domain scans)");
         if (node->arity() != 1 || node->adom_level() < 0) {
           Add(report_, "alg.adom-shape", path,
               "kAdom must be unary with a non-negative closure level (arity " +

@@ -109,9 +109,6 @@ struct AlgebraOptions {
   Stage stage = Stage::kRanfAlgebra;  // or kOptimizedAlgebra
   // Expected root arity (the query head size); -1 skips the check.
   int expected_arity = -1;
-  // The direct translation never emits kAdom (only the AB88 baseline
-  // translator does), so plan verification rejects it by default.
-  bool allow_adom = false;
   // Parameters of the query (ParameterizedQuery); every kParam index must
   // lie below it, so a closed query's plan admits no kParam at all.
   int num_params = 0;

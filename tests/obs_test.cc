@@ -524,6 +524,41 @@ TEST_F(ObsEndToEndTest, ExplainCompilePhasesCoverTotalWall) {
   }
 }
 
+// A lowering error other than a verifier rejection (here an unknown scalar
+// function) leaves the query compiled for inspection. EXPLAIN COMPILE shows
+// the failed lower phase, and every run returns that same error and counts
+// as one exec.errors.
+TEST(LowerFailureTest, EveryRunReturnsTheCompileTimeLoweringError) {
+  Compiler compiler{FunctionRegistry{}};
+  Database db;
+  ASSERT_TRUE(LoadCsvText(db, "R", "1\n2\n").ok());
+  obs::Counter& errors =
+      obs::MetricsRegistry::Instance().GetCounter("exec.errors");
+  const std::string expected = "NOT_FOUND: unknown scalar function 'succ'";
+
+  auto q = compiler.Compile("{y | exists x (R(x) and y = succ(x))}");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_NE(q->ExplainCompile().find("failed: " + expected), std::string::npos)
+      << q->ExplainCompile();
+  for (int run = 0; run < 3; ++run) {
+    const uint64_t before = errors.value();
+    auto answer = q->Run(db);
+    ASSERT_FALSE(answer.ok());
+    EXPECT_EQ(answer.status().ToString(), expected);
+    EXPECT_EQ(errors.value(), before + 1);
+  }
+
+  auto pq = compiler.CompileParameterized("{y | y = succ(p)}", {"p"});
+  ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+  for (int run = 0; run < 3; ++run) {
+    const uint64_t before = errors.value();
+    auto answer = pq->Run(db, {Value::Int(run)});
+    ASSERT_FALSE(answer.ok());
+    EXPECT_EQ(answer.status().ToString(), expected);
+    EXPECT_EQ(errors.value(), before + 1);
+  }
+}
+
 TEST_F(ObsEndToEndTest, QueryLogRecordsCompileAndRunWithSharedHash) {
   std::ostringstream out;
   obs::QueryLog log(&out);

@@ -135,10 +135,12 @@ TEST(RelationTest, EqualityIgnoresInsertionOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// FlatRelation vs LegacyRelation: the flat, arity-strided representation
-// must be observably identical to the original vector-of-tuples one. Random
-// inputs (mixed ints/strings, duplicates, both operand orders, copy and
-// move variants) are pushed through both and every observable compared.
+// FlatRelation vs a std::set model: random inputs (mixed ints/strings,
+// duplicates, arities 0-3, both operand orders, copy and move variants) are
+// pushed through both, and every observable of the relation must equal the
+// model's sorted, duplicate-free rows.
+
+using RowModel = std::set<std::vector<Value>>;
 
 Tuple RandomTuple(std::mt19937& rng, int arity) {
   std::uniform_int_distribution<int> v(0, 9);
@@ -155,75 +157,77 @@ Tuple RandomTuple(std::mt19937& rng, int arity) {
   return t;
 }
 
-TEST(FlatVsLegacyTest, RandomInsertsAgree) {
+// Size, then every row in order: row(i) must be the model's i-th tuple.
+void ExpectMatchesModel(const FlatRelation& rel, const RowModel& model) {
+  ASSERT_EQ(rel.size(), model.size());
+  size_t row = 0;
+  for (const Tuple& t : model) EXPECT_EQ(rel.row(row++).ToTuple(), t);
+}
+
+RowModel ModelUnion(RowModel a, const RowModel& b) {
+  a.insert(b.begin(), b.end());
+  return a;
+}
+
+RowModel ModelDifference(RowModel a, const RowModel& b) {
+  for (const Tuple& t : b) a.erase(t);
+  return a;
+}
+
+TEST(FlatVsSetModelTest, RandomInsertsAgree) {
   std::mt19937 rng(1234);
   for (int trial = 0; trial < 100; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
     int arity = trial % 4;  // includes arity 0
     FlatRelation flat(arity);
-    LegacyRelation legacy(arity);
+    RowModel model;
     int n = trial % 23;
     for (int i = 0; i < n; ++i) {
       Tuple t = RandomTuple(rng, arity);
       flat.Insert(t);
-      legacy.Insert(t);
+      model.insert(t);
     }
-    ASSERT_EQ(flat.size(), legacy.size()) << "trial " << trial;
-    ASSERT_EQ(flat.ToString(), legacy.ToString()) << "trial " << trial;
-    // Sorted order and per-row contents agree.
-    size_t row = 0;
-    for (const Tuple& t : legacy.tuples()) {
-      ASSERT_EQ(flat.row(row).ToTuple(), t) << "trial " << trial;
-      ++row;
-    }
+    ExpectMatchesModel(flat, model);
     // Membership agrees on present tuples and on random probes.
-    for (const Tuple& t : legacy.tuples()) {
-      EXPECT_TRUE(flat.Contains(t));
-    }
+    for (const Tuple& t : model) EXPECT_TRUE(flat.Contains(t));
     for (int i = 0; i < 10; ++i) {
       Tuple probe = RandomTuple(rng, arity);
-      EXPECT_EQ(flat.Contains(probe), legacy.Contains(probe))
-          << "trial " << trial;
+      EXPECT_EQ(flat.Contains(probe), model.count(probe) == 1);
     }
   }
 }
 
-TEST(FlatVsLegacyTest, RandomSetOperationsAgree) {
+TEST(FlatVsSetModelTest, RandomSetOperationsAgree) {
   std::mt19937 rng(99);
   for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
     int arity = trial % 4;
     FlatRelation fa(arity), fb(arity);
-    LegacyRelation la(arity), lb(arity);
+    RowModel ma, mb;
     int na = trial % 17;
     int nb = (trial * 7 + 3) % 17;
     for (int i = 0; i < na; ++i) {
       Tuple t = RandomTuple(rng, arity);
       fa.Insert(t);
-      la.Insert(t);
+      ma.insert(t);
     }
     for (int i = 0; i < nb; ++i) {
       Tuple t = RandomTuple(rng, arity);
       fb.Insert(t);
-      lb.Insert(t);
+      mb.insert(t);
     }
-    EXPECT_EQ(fa.UnionWith(fb).ToString(), la.UnionWith(lb).ToString())
-        << "trial " << trial;
-    EXPECT_EQ(fb.UnionWith(fa).ToString(), lb.UnionWith(la).ToString())
-        << "trial " << trial;
-    EXPECT_EQ(fa.DifferenceWith(fb).ToString(),
-              la.DifferenceWith(lb).ToString())
-        << "trial " << trial;
-    EXPECT_EQ(fb.DifferenceWith(fa).ToString(),
-              lb.DifferenceWith(la).ToString())
-        << "trial " << trial;
-    // Move-aware variants produce the same sets as the copying ones.
+    ExpectMatchesModel(fa.UnionWith(fb), ModelUnion(ma, mb));
+    ExpectMatchesModel(fb.UnionWith(fa), ModelUnion(mb, ma));
+    ExpectMatchesModel(fa.DifferenceWith(fb), ModelDifference(ma, mb));
+    ExpectMatchesModel(fb.DifferenceWith(fa), ModelDifference(mb, ma));
+    // The move-aware variants, which reuse the left operand's storage.
     FlatRelation fa_copy1 = fa;
-    EXPECT_EQ(std::move(fa_copy1).UnionWith(fb), fa.UnionWith(fb))
-        << "trial " << trial;
+    ExpectMatchesModel(std::move(fa_copy1).UnionWith(fb), ModelUnion(ma, mb));
     FlatRelation fa_copy2 = fa;
-    EXPECT_EQ(std::move(fa_copy2).DifferenceWith(fb), fa.DifferenceWith(fb))
-        << "trial " << trial;
-    // Equality is set equality on both representations.
-    EXPECT_EQ(fa == fb, la == lb) << "trial " << trial;
+    ExpectMatchesModel(std::move(fa_copy2).DifferenceWith(fb),
+                       ModelDifference(ma, mb));
+    // Equality is set equality.
+    EXPECT_EQ(fa == fb, ma == mb);
   }
 }
 
@@ -245,8 +249,6 @@ TEST(FlatRelationTest, AppendAllConcatenatesAndRenormalizes) {
 // report a comparison sort exactly when the input was not already
 // non-decreasing. Arities up to 8 take the contiguous row sort, wider ones
 // the permutation sort.
-
-using RowModel = std::set<std::vector<Value>>;
 
 // Up to `n` distinct rows in ascending order, each cell drawn from `pool`.
 std::vector<Tuple> AscendingRows(const std::vector<Value>& pool, int arity,
