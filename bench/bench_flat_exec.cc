@@ -9,12 +9,17 @@
 // ("flat_layout" — isolates the representation change) and the full
 // physical operator stack at 1, 2, and hardware threads. Rows/sec per
 // variant goes to BENCH_perf.json, along with the verifier's compile
-// overhead and each reference query's sort work.
+// overhead and each reference query's sort work. The "normalize" series
+// times the set-semantics sort itself: shuffled rows sorted and deduped in
+// each layout, and a column-swapping projection whose output must sort.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <iterator>
+#include <numeric>
+#include <random>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -291,6 +296,7 @@ struct Plans {
   const AlgExpr* filter = nullptr;
   const AlgExpr* project = nullptr;
   const AlgExpr* chain = nullptr;
+  const AlgExpr* swap = nullptr;
 };
 
 Plans MakePlans(AstContext& ctx, AlgebraFactory& factory) {
@@ -323,6 +329,9 @@ Plans MakePlans(AstContext& ctx, AlgebraFactory& factory) {
   p.chain = factory.Project(
       {out0}, factory.Select({{e.Col(0), AlgCompareOp::kLt, e.Col(1)}},
                              factory.Rel("R", 2)));
+  // R(a, b) -> (b, a): R is sorted on a, so the output arrives out of
+  // order and the operator's final normalize really sorts.
+  p.swap = factory.Project({e.Col(1), e.Col(0)}, factory.Rel("R", 2));
   return p;
 }
 
@@ -385,6 +394,20 @@ void ReportProfile(const DataProfile& profile) {
   OldRelation old_r = ToOldLayout(flat_r);
   OldRelation old_s = ToOldLayout(flat_s);
   size_t rows_in = old_r.rows.size() + old_s.rows.size();
+  // R's rows in one fixed shuffled order, in both layouts, for the
+  // normalize kernels. Each rep sorts a fresh copy, and the copy is timed
+  // too: one vector copy for the flat layout, a heap row per tuple for the
+  // variant layout.
+  std::vector<size_t> perm(old_r.rows.size());
+  std::iota(perm.begin(), perm.end(), size_t{0});
+  std::shuffle(perm.begin(), perm.end(), std::mt19937(5));
+  OldRelation old_shuffled;
+  old_shuffled.arity = old_r.arity;
+  Relation flat_shuffled(flat_r.arity());
+  for (size_t i : perm) {
+    old_shuffled.rows.push_back(old_r.rows[i]);
+    flat_shuffled.AppendRow(flat_r.row(i).data());
+  }
 
   AstContext ctx;
   AlgebraFactory factory(ctx);
@@ -394,49 +417,39 @@ void ReportProfile(const DataProfile& profile) {
   struct Series {
     const char* op;
     const AlgExpr* plan;
-    size_t (*old_kernel)(const OldRelation&, const OldRelation&);
-    size_t (*flat_kernel)(const Relation&, const Relation&);
+    std::function<size_t()> old_kernel;
+    std::function<size_t()> flat_kernel;
     size_t old_rows = 0;
     uint64_t old_ns = 0;
     size_t flat_rows = 0;
     uint64_t flat_ns = 0;
   };
   Series series[] = {
-      {"hash_join", plans.join,
-       [](const OldRelation& r, const OldRelation& s) {
-         return OldLayoutJoin(r, s);
-       },
-       [](const Relation& r, const Relation& s) {
-         return FlatLayoutJoin(r, s);
-       }},
-      {"filter_select", plans.filter,
-       [](const OldRelation& r, const OldRelation&) {
-         return OldLayoutFilter(r);
-       },
-       [](const Relation& r, const Relation&) {
-         return FlatLayoutFilter(r);
-       }},
-      {"project_map", plans.project,
-       [](const OldRelation& r, const OldRelation&) {
-         return OldLayoutProject(r);
-       },
-       [](const Relation& r, const Relation&) {
-         return FlatLayoutProject(r);
-       }},
+      {"hash_join", plans.join, [&] { return OldLayoutJoin(old_r, old_s); },
+       [&] { return FlatLayoutJoin(flat_r, flat_s); }},
+      {"filter_select", plans.filter, [&] { return OldLayoutFilter(old_r); },
+       [&] { return FlatLayoutFilter(flat_r); }},
+      {"project_map", plans.project, [&] { return OldLayoutProject(old_r); },
+       [&] { return FlatLayoutProject(flat_r); }},
       {"scalar_chain", plans.chain,
-       [](const OldRelation& r, const OldRelation&) {
-         return OldLayoutScalarChain(r);
+       [&] { return OldLayoutScalarChain(old_r); },
+       [&] { return FlatLayoutScalarChain(flat_r); }},
+      {"normalize", plans.swap,
+       [&] {
+         OldRelation rows = old_shuffled;
+         return rows.SizeNormalized();
        },
-       [](const Relation& r, const Relation&) {
-         return FlatLayoutScalarChain(r);
+       [&] {
+         // flat_shuffled itself is never read: a read would normalize it.
+         Relation rows = flat_shuffled;
+         rows.Normalize();
+         return rows.size();
        }},
   };
   for (Series& s : series) {
-    // The Old* kernels mutate their output only; inputs stay shared.
-    s.old_ns =
-        KernelWallNs([&] { return s.old_kernel(old_r, old_s); }, &s.old_rows);
-    s.flat_ns = KernelWallNs([&] { return s.flat_kernel(flat_r, flat_s); },
-                             &s.flat_rows);
+    // The kernels mutate their output only; inputs stay shared.
+    s.old_ns = KernelWallNs(s.old_kernel, &s.old_rows);
+    s.flat_ns = KernelWallNs(s.flat_kernel, &s.flat_rows);
   }
 
   std::printf("[%s] %zu+%zu input rows, %d%% string columns, hardware=%zu\n\n",
@@ -645,7 +658,7 @@ void ReportVerifyOverhead() {
 }
 
 // ---- Sort work -----------------------------------------------------------
-// Rows the operators' final normalizes actually comparison-sorted
+// Rows the operators' final normalizes actually sorted
 // (OpStats::rows_sorted, summed over the profile), per query: the paper
 // corpus q1-q6 (q3 names a discussion, not a query) over seeded random
 // instances, and E9's payroll queries at 10^4 employees. A count, not a
@@ -710,7 +723,7 @@ void ReportSortWork() {
     return physical->ExecuteToRelation(db, profile);
   };
 
-  std::printf("\nsort work (rows comparison-sorted by final normalizes):\n");
+  std::printf("\nsort work (rows sorted by final normalizes):\n");
   std::printf("%-10s %10s %10s %12s\n", "query", "rows_out", "sorted",
               "normalize_ms");
   for (const Query& q : queries) {

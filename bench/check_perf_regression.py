@@ -31,10 +31,12 @@ fine — the gate only fires on records that exist.
 The sort-work gate compares counts, not times: bench_flat_exec emits one
 bench:"sort_work" record per query (paper corpus q1-q6 and the E9
 payroll queries) carrying rows_sorted, the rows the operators' final
-normalizes actually comparison-sorted. A query fails when its current
-rows_sorted exceeds the same query's record in the baseline. The count is
-deterministic on any host, so there is no threshold. Only queries with a
-record in both files are gated (baselines predating the records pass).
+normalizes actually sorted. A query fails when its current rows_sorted
+exceeds the same query's record in the baseline, or when the baseline has
+a record for it and the current file has none (bench_flat_exec prints
+"!!" and emits no record when a query fails to run). The count is
+deterministic on any host, so there is no threshold. A query found only
+in the current file is informational (baselines predating it pass).
 
 With --quality BENCH_quality.json, the plan-quality verdicts from
 bench_plan_quality are gated too: its history-feedback record judges
@@ -173,8 +175,9 @@ def load_sort_work(path):
 def check_sort_work(baseline_path, current_path):
     """Gate rows_sorted per query against the baseline.
 
-    Returns the failing (query, baseline, current) triples; queries missing
-    from either file are listed but not gated.
+    Returns the failing (query, baseline, current) triples. A baselined
+    query with no current record fails (current is None); a query with no
+    baseline record is listed but not gated.
     """
     base = load_sort_work(baseline_path)
     cur = load_sort_work(current_path)
@@ -183,8 +186,11 @@ def check_sort_work(baseline_path, current_path):
         print("  sort_work: no records in either file — skipped")
     for query in sorted(set(base) | set(cur)):
         b, c = base.get(query), cur.get(query)
-        if b is None or c is None:
-            verdict = "skip (not in both files)"
+        if b is None:
+            verdict = "info (not in baseline)"
+        elif c is None:
+            verdict = "MISSING"
+            failures.append((query, b, c))
         elif c > b:
             verdict = "FAIL"
             failures.append((query, b, c))
@@ -318,9 +324,10 @@ def main():
             print(f"  overhead {pct:.4f}%")
     if sort_failures:
         print(f"FAIL: {len(sort_failures)} queries sort more rows than the "
-              f"baseline:")
+              f"baseline or emitted no sort_work record:")
         for query, b, c in sort_failures:
-            print(f"  {query}: rows_sorted {b} -> {c}")
+            print(f"  {query}: rows_sorted {b} -> "
+                  f"{'missing' if c is None else c}")
     if quality_failures:
         print(f"FAIL: {len(quality_failures)} plan-quality verdicts failed "
               f"(history feedback did not improve p90 misestimation):")

@@ -33,6 +33,10 @@ class StringPool {
   // `order_prefix` packs a string's first 8 bytes big-endian (zero-padded),
   // so prefix words order exactly like the strings' first 8 bytes and
   // Value::operator< decides most string comparisons in one word compare.
+  // Value::operator< (so FlatRelation::Contains and the set-operation
+  // merges) and the batch comparison kernels rely on it; sorts no longer
+  // do (FlatRelation::Normalize compares each distinct pooled value only
+  // once, to rank it).
   struct Entry {
     bool is_str = false;
     int64_t num = 0;

@@ -68,6 +68,8 @@ void CollectRunOps(const ExecProfile& p, const std::string& path,
     op.factor = MisestimateFactor(p.stats.est_rows,
                                   static_cast<double>(p.stats.rows_out));
     op.est_history_runs = p.stats.est_history_runs;
+    op.rows_sorted = p.stats.rows_sorted;
+    op.normalize_ns = p.stats.normalize_ns;
     ops.push_back(std::move(op));
   }
   for (size_t i = 0; i < p.children.size(); ++i) {

@@ -76,9 +76,9 @@ struct OpStats {
   uint64_t tuple_copies = 0;   // existing tuples copied into the output
   uint64_t cache_hits = 0;     // Materialize results served from cache
   uint64_t wall_ns = 0;        // inclusive wall time (children included)
-  // The output's final sort + dedupe, part of wall_ns: rows the
-  // comparison sort actually ordered (0 when the output arrived in order)
-  // and the time the normalization took.
+  // The output's final sort + dedupe, part of wall_ns: rows the sort
+  // actually ordered (0 when the output arrived in order) and the time the
+  // normalization took.
   uint64_t rows_sorted = 0;
   uint64_t normalize_ns = 0;
   double est_rows = -1;        // planner cardinality estimate; -1 = none

@@ -74,6 +74,8 @@ void AppendRunRecordJson(const RunRecord& r, std::string& out) {
     if (op.est_history_runs > 0) {
       AppendUint(out, "est_history_runs", op.est_history_runs);
     }
+    if (op.rows_sorted > 0) AppendUint(out, "rows_sorted", op.rows_sorted);
+    if (op.normalize_ns > 0) AppendUint(out, "normalize_ns", op.normalize_ns);
     out += "}";
   }
   out += "]";
@@ -109,6 +111,8 @@ RunRecord RunRecordFromJson(const JsonValue& v) {
       op.actual_rows = UintOr(o, "actual");
       op.factor = o.NumberOr("factor", 1);
       op.est_history_runs = UintOr(o, "est_history_runs");
+      op.rows_sorted = UintOr(o, "rows_sorted");
+      op.normalize_ns = UintOr(o, "normalize_ns");
       r.ops.push_back(std::move(op));
     }
   }

@@ -49,6 +49,10 @@ struct RunRecord {
     // Estimate provenance: 0 = static heuristic, > 0 = history-corrected
     // from this many recorded runs (OpStats::est_history_runs).
     uint64_t est_history_runs = 0;
+    // The operator's final normalize: rows it sorted (0 when its output
+    // arrived in order) and the normalize's wall time (OpStats).
+    uint64_t rows_sorted = 0;
+    uint64_t normalize_ns = 0;
     bool operator==(const Op&) const = default;
   };
   std::vector<Op> ops;

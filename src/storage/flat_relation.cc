@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <numeric>
 
@@ -51,17 +52,14 @@ bool RowEq(const RowN<A>& x, const RowN<A>& y) {
   return true;
 }
 
-// Sorts and dedupes the rows, skipping the sort when one linear pass finds
-// them already non-decreasing (operator output often arrives in order).
-// Sets *sorted to `rows` when the comparison sort ran.
+// Dedupes rows that one linear pass finds already non-decreasing (operator
+// output often arrives in order). Returns SIZE_MAX, leaving the rows
+// untouched, when they are out of order and need SortDedupeOnKeys.
 template <int A>
-size_t SortDedupeRows(Value* data, size_t rows, size_t* sorted) {
+size_t DedupeIfOrdered(Value* data, size_t rows) {
   static_assert(sizeof(RowN<A>) == A * sizeof(Value));
   RowN<A>* base = reinterpret_cast<RowN<A>*>(data);
-  if (!std::is_sorted(base, base + rows, RowLess<A>)) {
-    std::sort(base, base + rows, RowLess<A>);
-    *sorted = rows;
-  }
+  if (!std::is_sorted(base, base + rows, RowLess<A>)) return SIZE_MAX;
   return static_cast<size_t>(std::unique(base, base + rows, RowEq<A>) - base);
 }
 
@@ -73,20 +71,31 @@ size_t MergeDedupeRows(Value* data, size_t mid, size_t rows) {
   return static_cast<size_t>(std::unique(base, base + rows, RowEq<A>) - base);
 }
 
-// Returns the deduped row count, or SIZE_MAX when `a` is too wide for the
-// contiguous path.
-size_t SortDedupeDispatch(size_t a, Value* data, size_t rows, size_t* sorted) {
+size_t DedupeIfOrderedDispatch(size_t a, Value* data, size_t rows) {
   switch (a) {
-    case 1: return SortDedupeRows<1>(data, rows, sorted);
-    case 2: return SortDedupeRows<2>(data, rows, sorted);
-    case 3: return SortDedupeRows<3>(data, rows, sorted);
-    case 4: return SortDedupeRows<4>(data, rows, sorted);
-    case 5: return SortDedupeRows<5>(data, rows, sorted);
-    case 6: return SortDedupeRows<6>(data, rows, sorted);
-    case 7: return SortDedupeRows<7>(data, rows, sorted);
-    case 8: return SortDedupeRows<8>(data, rows, sorted);
-    default: return SIZE_MAX;
+    case 1: return DedupeIfOrdered<1>(data, rows);
+    case 2: return DedupeIfOrdered<2>(data, rows);
+    case 3: return DedupeIfOrdered<3>(data, rows);
+    case 4: return DedupeIfOrdered<4>(data, rows);
+    case 5: return DedupeIfOrdered<5>(data, rows);
+    case 6: return DedupeIfOrdered<6>(data, rows);
+    case 7: return DedupeIfOrdered<7>(data, rows);
+    case 8: return DedupeIfOrdered<8>(data, rows);
+    default: break;
   }
+  // Wide rows: the same linear check over row views, then an in-place
+  // dedupe in which survivors only move down.
+  auto row = [data, a](size_t i) { return TupleRef(data + i * a, a); };
+  for (size_t i = 1; i < rows; ++i) {
+    if (row(i) < row(i - 1)) return SIZE_MAX;
+  }
+  size_t kept = 1;
+  for (size_t r = 1; r < rows; ++r) {
+    if (row(r) == row(kept - 1)) continue;
+    if (kept != r) std::copy_n(data + r * a, a, data + kept * a);
+    ++kept;
+  }
+  return kept;
 }
 
 size_t MergeDedupeDispatch(size_t a, Value* data, size_t mid, size_t rows) {
@@ -101,6 +110,168 @@ size_t MergeDedupeDispatch(size_t a, Value* data, size_t mid, size_t rows) {
     case 8: return MergeDedupeRows<8>(data, mid, rows);
     default: return SIZE_MAX;
   }
+}
+
+// ---- Order-key sort ------------------------------------------------------
+// Rows out of order are sorted on 64-bit order keys, not on Values: every
+// cell is encoded in place to a key whose unsigned order is Value order,
+// the rows are sorted and deduped comparing raw words, and the kept cells
+// are decoded back to their exact original words. Comparing two Values can
+// cost two pool lookups and a string compare; comparing two keys is one
+// word compare, and the pool is consulted only to rank the k distinct
+// pooled values once (k log k compares instead of n log n).
+//
+// The encoding is a bijection built per sort. Inline ints span
+// [-2^62, 2^62) and map arithmetically; pooled values map to their rank
+// among the distinct pooled values of this relation. Keys are laid out as
+//   [negative big ints by rank][inline ints, shifted past them]
+//   [positive big ints, then strings, by rank]
+// which is Value order (ints by value, then strings) and fits one word.
+class OrderKeys {
+ public:
+  // Collects and ranks the distinct pooled values among `n` cells. Every
+  // allocation of the key sort happens here, before any cell changes.
+  OrderKeys(const Value* cells, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t w = cells[i].raw();
+      if ((w & 1) == 0) continue;  // inline int
+      if (table_.empty()) Rehash(16);
+      Entry& e = table_[Find(w)];
+      if (e.word == w) continue;
+      e.word = w;
+      ranked_.push_back(cells[i]);
+      if (ranked_.size() * 2 > table_.size()) Rehash(table_.size() * 2);
+    }
+    if (ranked_.empty()) return;
+    std::sort(ranked_.begin(), ranked_.end());
+    negatives_ = static_cast<uint64_t>(
+        std::partition_point(ranked_.begin(), ranked_.end(),
+                             [](Value v) {
+                               return v.is_int() && v.AsInt() < 0;
+                             }) -
+        ranked_.begin());
+    for (size_t r = 0; r < ranked_.size(); ++r) {
+      table_[Find(ranked_[r].raw())].rank = r;
+    }
+  }
+
+  Value Encode(Value v) const {
+    const uint64_t w = v.raw();
+    if ((w & 1) == 0) {
+      // w is the int shifted left by one (mod 2^64); adding kTop and
+      // halving yields int + 2^62, in [0, 2^63).
+      return FromWord(negatives_ + ((w + kTop) >> 1));
+    }
+    const uint64_t r = table_[Find(w)].rank;
+    return FromWord(r < negatives_ ? r : kTop + r);
+  }
+
+  Value Decode(Value key) const {
+    const uint64_t k = key.raw();
+    if (k < negatives_) return ranked_[k];
+    if (k - negatives_ < kTop) return FromWord(((k - negatives_) << 1) ^ kTop);
+    return ranked_[k - kTop];
+  }
+
+ private:
+  static constexpr uint64_t kTop = uint64_t{1} << 63;
+
+  static Value FromWord(uint64_t w) { return std::bit_cast<Value>(w); }
+
+  // Pooled words are odd, so word 0 marks an empty slot.
+  struct Entry {
+    uint64_t word = 0;
+    uint64_t rank = 0;
+  };
+
+  // The slot holding `w`, or the empty slot where it belongs.
+  size_t Find(uint64_t w) const {
+    const size_t mask = table_.size() - 1;
+    size_t i = static_cast<size_t>((w * 0x9e3779b97f4a7c15ULL) >> shift_);
+    while (table_[i].word != 0 && table_[i].word != w) i = (i + 1) & mask;
+    return i;
+  }
+
+  void Rehash(size_t capacity) {
+    std::vector<Entry> old(capacity);
+    old.swap(table_);
+    shift_ = 64 - std::countr_zero(capacity);
+    for (const Entry& e : old) {
+      if (e.word != 0) table_[Find(e.word)] = e;
+    }
+  }
+
+  std::vector<Entry> table_;   // open addressing, capacity a power of 2
+  std::vector<Value> ranked_;  // distinct pooled values in Value order
+  uint64_t negatives_ = 0;     // pooled ints below the inline range
+  int shift_ = 64;             // 64 - log2(table_.size())
+};
+
+template <int A>
+bool KeyRowLess(const RowN<A>& x, const RowN<A>& y) {
+  for (int i = 0; i < A; ++i) {
+    if (x.v[i] != y.v[i]) return x.v[i].raw() < y.v[i].raw();
+  }
+  return false;
+}
+
+template <int A>
+size_t SortDedupeKeyRows(Value* data, size_t rows) {
+  RowN<A>* base = reinterpret_cast<RowN<A>*>(data);
+  std::sort(base, base + rows, KeyRowLess<A>);
+  return static_cast<size_t>(std::unique(base, base + rows, RowEq<A>) - base);
+}
+
+// Sorts and dedupes `rows` rows of arity `a` on order keys; returns the
+// kept row count. Rows of arity up to kMaxContiguousSortArity sort in
+// place as RowN<A>; wider rows sort an index permutation and are gathered
+// into fresh storage (one pass of row moves instead of O(n log n)
+// row-sized swaps). Out of line so that Normalize's already-ordered path
+// stays small.
+[[gnu::noinline]] size_t SortDedupeOnKeys(std::vector<Value>& data,
+                                          size_t rows, size_t a) {
+  const size_t n = rows * a;
+  const OrderKeys keys(data.data(), n);
+  const bool wide = a > static_cast<size_t>(kMaxContiguousSortArity);
+  std::vector<size_t> order(wide ? rows : 0);
+  std::vector<Value> gathered;
+  if (wide) gathered.reserve(n);
+  // Nothing below allocates, so a bad_alloc above leaves no keys behind.
+  Value* cells = data.data();
+  for (size_t i = 0; i < n; ++i) cells[i] = keys.Encode(cells[i]);
+  size_t kept = 0;
+  switch (a) {
+    case 1: kept = SortDedupeKeyRows<1>(cells, rows); break;
+    case 2: kept = SortDedupeKeyRows<2>(cells, rows); break;
+    case 3: kept = SortDedupeKeyRows<3>(cells, rows); break;
+    case 4: kept = SortDedupeKeyRows<4>(cells, rows); break;
+    case 5: kept = SortDedupeKeyRows<5>(cells, rows); break;
+    case 6: kept = SortDedupeKeyRows<6>(cells, rows); break;
+    case 7: kept = SortDedupeKeyRows<7>(cells, rows); break;
+    case 8: kept = SortDedupeKeyRows<8>(cells, rows); break;
+    default: {
+      std::iota(order.begin(), order.end(), size_t{0});
+      auto row = [cells, a](size_t i) { return cells + i * a; };
+      std::sort(order.begin(), order.end(), [&row, a](size_t x, size_t y) {
+        const Value* p = row(x);
+        const Value* q = row(y);
+        for (size_t i = 0; i < a; ++i) {
+          if (p[i] != q[i]) return p[i].raw() < q[i].raw();
+        }
+        return false;
+      });
+      for (size_t r : order) {
+        const Value* p = row(r);
+        if (kept > 0 && std::equal(p, p + a, gathered.end() - a)) continue;
+        gathered.insert(gathered.end(), p, p + a);
+        ++kept;
+      }
+      data.swap(gathered);
+      cells = data.data();
+    }
+  }
+  for (size_t i = 0; i < kept * a; ++i) cells[i] = keys.Decode(cells[i]);
+  return kept;
 }
 
 }  // namespace
@@ -189,36 +360,10 @@ size_t FlatRelation::Normalize() const {
   }
   if (rows_ <= 1) return 0;
   size_t sorted = 0;
-  size_t kept = SortDedupeDispatch(a, data_.data(), rows_, &sorted);
+  size_t kept = DedupeIfOrderedDispatch(a, data_.data(), rows_);
   if (kept == SIZE_MAX) {
-    // Wide rows: the same linear pre-check, then a permutation sort that
-    // orders row indices and gathers rows into fresh storage (one pass of
-    // row moves instead of O(n log n) row-sized swaps).
-    Value* base = data_.data();
-    auto row = [&base, a](size_t i) { return TupleRef(base + i * a, a); };
-    size_t i = 1;
-    while (i < rows_ && !(row(i) < row(i - 1))) ++i;
-    if (i < rows_) {
-      std::vector<size_t> order(rows_);
-      std::iota(order.begin(), order.end(), size_t{0});
-      std::sort(order.begin(), order.end(),
-                [&row](size_t x, size_t y) { return row(x) < row(y); });
-      std::vector<Value> gathered;
-      gathered.reserve(data_.size());
-      for (size_t r : order) {
-        gathered.insert(gathered.end(), base + r * a, base + (r + 1) * a);
-      }
-      data_ = std::move(gathered);
-      base = data_.data();
-      sorted = rows_;
-    }
-    // Dedupe in place: survivors only move down.
-    kept = 1;
-    for (size_t r = 1; r < rows_; ++r) {
-      if (row(r) == row(kept - 1)) continue;
-      if (kept != r) std::copy_n(base + r * a, a, base + kept * a);
-      ++kept;
-    }
+    kept = SortDedupeOnKeys(data_, rows_, a);
+    sorted = rows_;
   }
   data_.resize(kept * a);
   rows_ = kept;

@@ -232,9 +232,13 @@ class FlatRelation {
   // calls this before sharing a relation across worker threads: the lazy
   // normalization mutates, so it must happen-before the parallel region.
   // One linear pass first checks whether the rows are already
-  // non-decreasing; if so they are only deduped. Returns the number of
-  // rows comparison-sorted: 0 when no sort ran (already normalized, at
-  // most one row, or found in order), otherwise the pre-dedupe row count.
+  // non-decreasing; if so they are only deduped. Otherwise they are sorted
+  // on order keys: the distinct pooled values are ranked once, every cell
+  // is encoded in place to a 64-bit word whose unsigned order is Value
+  // order, rows are sorted and deduped as plain words, and the kept cells
+  // are decoded back to their original values. Returns the number of rows
+  // sorted: 0 when no sort ran (already normalized, at most one row, or
+  // found in order), otherwise the pre-dedupe row count.
   size_t Normalize() const;
 
   // Process-wide copy instrumentation: whole-relation copies and tuples

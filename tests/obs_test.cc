@@ -367,6 +367,10 @@ TEST(RunRecordTest, WriterThenReaderIsTheIdentity) {
   run.ops = {{"Diff", "Diff", 12.5, 3, 4.166666666666667},
              {"Diff/0:HashJoin", "HashJoin(keys=1)", 0.1, 100000000, 1e9},
              {"Diff/1:Scan", "Scan(R)", -1, 0, 1}};
+  // The sort split: an operator that sorted, and one that only deduped.
+  run.ops[0].rows_sorted = 9900;
+  run.ops[0].normalize_ns = 1'234'567;
+  run.ops[1].normalize_ns = 89;
 
   std::string json = "{\"k\":0";
   obs::AppendRunRecordJson(run, json);

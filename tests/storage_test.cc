@@ -246,7 +246,7 @@ TEST(FlatRelationTest, AppendAllConcatenatesAndRenormalizes) {
 // ---------------------------------------------------------------------------
 // Normalize against a std::set model. For each input order, row width and
 // value mix, the normalized rows must equal the model, and Normalize() must
-// report a comparison sort exactly when the input was not already
+// report a sort exactly when the input was not already
 // non-decreasing. Arities up to 8 take the contiguous row sort, wider ones
 // the permutation sort.
 
@@ -267,16 +267,22 @@ std::vector<Tuple> AscendingRows(const std::vector<Value>& pool, int arity,
 TEST(NormalizeModelTest, MatchesSetModelAndReportsSortedRows) {
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  const std::vector<Value> ints = {Value::Int(kMin), Value::Int(kMin + 1),
-                                   Value::Int(-1),   Value::Int(0),
-                                   Value::Int(1),    Value::Int(kMax - 1),
-                                   Value::Int(kMax)};
+  // Inline ints span [-2^62, 2^62); the values either side of both seams
+  // are pooled big ints on one side and inline on the other.
+  constexpr int64_t kSeam = int64_t{1} << 62;
+  const std::vector<Value> ints = {
+      Value::Int(kMin),     Value::Int(kMin + 1),  Value::Int(-kSeam - 1),
+      Value::Int(-kSeam),   Value::Int(-1),        Value::Int(0),
+      Value::Int(1),        Value::Int(kSeam - 1), Value::Int(kSeam),
+      Value::Int(kMax - 1), Value::Int(kMax)};
   // Longer than the 8-byte order prefix, so compares fall through to the
   // pooled payload.
   const std::vector<Value> strs = {
       Value::Str("position-title-007"), Value::Str("position-title-070"),
       Value::Str("position-title-07"), Value::Str("position-title-700"),
       Value::Str("position-")};
+  // Negative big ints, inline ints, positive big ints and shared-prefix
+  // strings interleave in one column.
   std::vector<Value> mixed = ints;
   mixed.insert(mixed.end(), strs.begin(), strs.end());
   const std::pair<const char*, const std::vector<Value>*> pools[] = {
@@ -334,6 +340,50 @@ TEST(NormalizeModelTest, MatchesSetModelAndReportsSortedRows) {
         EXPECT_EQ(rel.Normalize(), 0u);  // already normalized
       }
     }
+  }
+}
+
+// Thousands of distinct strings that tie on the 8-byte order prefix (and
+// on 15 bytes), shuffled with duplicates: the order-key sort's value table
+// must grow many times, and arity 12 takes the permutation path.
+TEST(NormalizeModelTest, ManySharedPrefixStringsMatchSetModel) {
+  constexpr int kDistinct = 5000;
+  std::vector<Value> titles;
+  for (int i = 0; i < kDistinct; ++i) {
+    titles.push_back(Value::Str("position-title-" + std::to_string(i)));
+  }
+  const std::vector<Value> ints = {
+      Value::Int(std::numeric_limits<int64_t>::min()), Value::Int(-3),
+      Value::Int(0), Value::Int(42),
+      Value::Int(std::numeric_limits<int64_t>::max())};
+  for (int arity : {3, 12}) {
+    SCOPED_TRACE("arity " + std::to_string(arity));
+    std::mt19937 rng(static_cast<uint32_t>(arity));
+    std::vector<Tuple> input;
+    for (int r = 0; r < kDistinct + kDistinct / 5; ++r) {
+      Tuple t;
+      for (int c = 0; c < arity; ++c) {
+        if (c == 0) {
+          t.push_back(titles[static_cast<size_t>(r % kDistinct)]);
+        } else if (c % 3 == 2 && rng() % 2 == 0) {
+          t.push_back(titles[rng() % titles.size()]);
+        } else {
+          t.push_back(ints[rng() % ints.size()]);
+        }
+      }
+      input.push_back(std::move(t));
+    }
+    for (int r = 0; r < kDistinct / 4; ++r) {
+      input.push_back(input[rng() % input.size()]);
+    }
+    std::shuffle(input.begin(), input.end(), rng);
+
+    FlatRelation rel(arity);
+    for (const Tuple& t : input) rel.Insert(t);
+    EXPECT_EQ(rel.Normalize(), input.size());
+    RowModel model(input.begin(), input.end());
+    ExpectMatchesModel(rel, model);
+    EXPECT_EQ(rel.Normalize(), 0u);
   }
 }
 
