@@ -19,7 +19,6 @@
 #include <string>
 
 #include "src/exec/physical.h"
-#include "src/obs/history.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/query_log.h"
@@ -29,9 +28,10 @@ namespace emcalc::bench {
 
 // Version of the JSON-Lines record layout shared by all BENCH_*.json
 // files. v1: bare exec records; v2: adds schema + metrics snapshot;
-// v3: profiles use the canonical ExecProfileToJson layout (est_rows +
-// memory accounting per operator, round-trippable via ExecProfileFromJson).
-inline constexpr int kBenchSchemaVersion = 3;
+// v3: profiles use the canonical ExecProfileToJson layout (memory
+// accounting per operator, round-trippable via ExecProfileFromJson);
+// v4: profiles no longer carry cardinality estimates.
+inline constexpr int kBenchSchemaVersion = 4;
 
 // Prints the experiment banner; every bench binary calls this first so the
 // combined bench_output.txt is self-describing.
@@ -94,13 +94,12 @@ inline void AppendExecRecord(const std::string& bench,
 }
 
 // Standard main: honor the observability env vars (EMCALC_TRACE,
-// EMCALC_QUERY_LOG, EMCALC_HISTORY_DIR), print the report, then run the
-// registered benchmarks.
+// EMCALC_QUERY_LOG), print the report, then run the registered
+// benchmarks.
 #define EMCALC_BENCH_MAIN(report_fn)                       \
   int main(int argc, char** argv) {                        \
     ::emcalc::obs::InitTracingFromEnv();                   \
     ::emcalc::obs::InitQueryLogFromEnv();                  \
-    ::emcalc::obs::InitHistoryFromEnv();                   \
     report_fn();                                           \
     ::benchmark::Initialize(&argc, argv);                  \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \

@@ -38,12 +38,6 @@ a record for it and the current file has none (bench_flat_exec prints
 deterministic on any host, so there is no threshold. A query found only
 in the current file is informational (baselines predating it pass).
 
-With --quality BENCH_quality.json, the plan-quality verdicts from
-bench_plan_quality are gated too: its history-feedback record judges
-itself (warm-store p90 misestimation factor strictly below the
-cold-store p90, answers bit-identical), so any "pass": false — or a
-file with no plan_quality records at all — fails the gate.
-
 Exit status: 0 when no gated series regresses, 1 otherwise.
 """
 
@@ -201,39 +195,6 @@ def check_sort_work(baseline_path, current_path):
     return failures
 
 
-def check_quality(path):
-    """Gate the self-judging plan_quality verdicts in `path`.
-
-    The history-feedback record carries "pass" (warm-store p90
-    misestimation factor < cold-store p90, identical answers). Returns
-    the failing records; a file without plan_quality records fails —
-    the bench is expected to emit one whenever it runs.
-    """
-    failures = []
-    total = 0
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("bench") != "plan_quality":
-                continue
-            total += 1
-            variant = rec.get("variant", "?")
-            verdict = "ok" if rec.get("pass") else "FAIL"
-            print(f"  quality {variant:<18} "
-                  f"cold p90 {rec.get('cold_p90_factor', 0.0):>8.2f}  "
-                  f"warm p90 {rec.get('warm_p90_factor', 0.0):>8.2f}  "
-                  f"identical={rec.get('results_identical')}  {verdict}")
-            if not rec.get("pass"):
-                failures.append(variant)
-    if total == 0:
-        print(f"  quality: no plan_quality records in {path}")
-        failures.append("missing records")
-    return failures
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -244,9 +205,6 @@ def main():
     parser.add_argument("--obs", metavar="BENCH_OBS_JSON",
                         help="also gate observability overhead verdicts "
                              "(fail on any \"pass\": false record)")
-    parser.add_argument("--quality", metavar="BENCH_QUALITY_JSON",
-                        help="also gate plan-quality verdicts (fail on any "
-                             "\"pass\": false or missing record)")
     args = parser.parse_args()
 
     base = speedups(load_series(args.baseline))
@@ -299,12 +257,6 @@ def main():
     print("sort-work gate (rows_sorted per query, current <= baseline):")
     sort_failures = check_sort_work(args.baseline, args.current)
 
-    quality_failures = []
-    if args.quality:
-        print()
-        print(f"plan-quality gate ({args.quality}):")
-        quality_failures = check_quality(args.quality)
-
     print()
     if failures:
         print(f"FAIL: {len(failures)} gated series regressed past "
@@ -328,13 +280,7 @@ def main():
         for query, b, c in sort_failures:
             print(f"  {query}: rows_sorted {b} -> "
                   f"{'missing' if c is None else c}")
-    if quality_failures:
-        print(f"FAIL: {len(quality_failures)} plan-quality verdicts failed "
-              f"(history feedback did not improve p90 misestimation):")
-        for variant in quality_failures:
-            print(f"  {variant}")
-    if (failures or obs_failures or verify_failures or sort_failures
-            or quality_failures):
+    if failures or obs_failures or verify_failures or sort_failures:
         return 1
     print(f"ok: no gated series regressed past "
           f"{(1 - args.threshold) * 100:.0f}%"

@@ -4,8 +4,9 @@
 #   BENCH_perf.json    kernel + operator-stack rows/sec, verifier overhead
 #                      and per-query sort work (bench_flat_exec)
 #   BENCH_obs.json     observability overhead guard (bench_obs_overhead)
-#   BENCH_quality.json plan-quality / history-feedback verdicts
-#                      (bench_plan_quality)
+#
+# bench_plan_quality runs too; it prints its plan-size tables (E10) and
+# writes no record file.
 #
 # Usage: bench/run_benches.sh [BUILD_DIR]
 #
@@ -43,12 +44,10 @@ echo
 echo "== bench_obs_overhead (BENCH_obs.json) =="
 "$build_dir/bench/bench_obs_overhead" --benchmark_filter=NONE
 echo
-echo "== bench_plan_quality (BENCH_quality.json) =="
+echo "== bench_plan_quality (tables only) =="
 "$build_dir/bench/bench_plan_quality" --benchmark_filter=NONE
 
 mv BENCH_perf.json "$repo_root/BENCH_perf.json"
 mv BENCH_obs.json "$repo_root/BENCH_obs.json"
-mv BENCH_quality.json "$repo_root/BENCH_quality.json"
 echo
-echo "wrote $repo_root/BENCH_perf.json, $repo_root/BENCH_obs.json, and" \
-     "$repo_root/BENCH_quality.json"
+echo "wrote $repo_root/BENCH_perf.json and $repo_root/BENCH_obs.json"

@@ -14,20 +14,17 @@
 //   .trace FILE | .trace off   capture spans, write Chrome trace JSON
 //   .metrics                print a metrics registry snapshot
 //   .mem                    print process memory accounting
-//   .feedback QUERY         run QUERY, print estimate-vs-actual feedback
 //   .log FILE | .log off    append per-query JSON-Lines records to FILE
-//   .history DIR | off | status   durable per-query-hash feedback store
-//                           (records run actuals, corrects estimates)
 //   .postmortem DIR | off | status | now   abort/crash bundle control
 //   .prometheus             metrics in Prometheus text format
 //   .pool                   thread-pool contention telemetry
 //   help
 //   quit
 //
-// The EMCALC_TRACE / EMCALC_QUERY_LOG / EMCALC_HISTORY_DIR /
-// EMCALC_POSTMORTEM_DIR environment variables enable the same sinks
-// without commands (trace flushed at exit; postmortem bundles written on
-// governor aborts, run errors, and fatal signals).
+// The EMCALC_TRACE / EMCALC_QUERY_LOG / EMCALC_POSTMORTEM_DIR environment
+// variables enable the same sinks without commands (trace flushed at exit;
+// postmortem bundles written on governor aborts, run errors, and fatal
+// signals).
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -39,9 +36,6 @@
 #include "src/base/thread_pool.h"
 #include "src/calculus/printer.h"
 #include "src/core/compiler.h"
-#include "src/exec/feedback.h"
-#include "src/obs/history.h"
-#include "src/obs/inspect.h"
 #include "src/obs/metrics.h"
 #include "src/obs/postmortem.h"
 #include "src/obs/query_log.h"
@@ -66,10 +60,7 @@ void PrintHelp() {
       "  .trace FILE | off       capture spans to a Chrome trace file\n"
       "  .metrics                print the metrics registry snapshot\n"
       "  .mem                    print process memory accounting\n"
-      "  .feedback QUERY         run QUERY, print est-vs-actual feedback\n"
       "  .log FILE | off         per-query JSON-Lines log\n"
-      "  .history DIR | off | status   feedback store: record actuals,\n"
-      "                          correct estimates, show the store digest\n"
       "  .postmortem DIR | off | status | now   abort/crash bundles\n"
       "  .prometheus             metrics in Prometheus text format\n"
       "  .pool                   thread-pool contention telemetry\n"
@@ -82,7 +73,7 @@ void RunQuery(emcalc::Compiler& compiler, emcalc::Database& db,
               const std::string& raw_text, bool execute, bool profile) {
   // `plan Q` / `profile Q` arrive with the separator space still attached;
   // trim so Q hashes identically to a bare run of the same query (the
-  // query log and history store join on the text hash).
+  // query log joins on the text hash).
   std::string text = raw_text;
   text.erase(0, text.find_first_not_of(" \t"));
   auto q = compiler.Compile(text);
@@ -144,27 +135,6 @@ void PrintMemory() {
   std::printf("queries aborted:   %llu\n",
               static_cast<unsigned long long>(
                   reg.GetCounter("exec.queries_aborted").value()));
-}
-
-// `.feedback`: run the query and print the estimate-vs-actual report.
-void FeedbackQuery(emcalc::Compiler& compiler, emcalc::Database& db,
-                   const std::string& text) {
-  auto q = compiler.Compile(text);
-  if (!q.ok()) {
-    std::printf("error: %s\n", q.status().ToString().c_str());
-    return;
-  }
-  emcalc::ExecProfile profile;
-  auto answer = q->Run(db, &profile);
-  if (!answer.ok()) {
-    std::printf("error: %s\n", answer.status().ToString().c_str());
-    return;
-  }
-  std::printf("answer rows: %zu\n", answer->size());
-  emcalc::obs::RunRecord run = emcalc::BuildRunRecord(
-      emcalc::obs::HashQueryText(text), text, answer.status(), answer->size(),
-      /*wall_ns=*/0, /*exec_threads=*/0, profile);
-  std::printf("%s", emcalc::FeedbackToString(std::move(run.ops)).c_str());
 }
 
 // `.why`: just the safety verdict, with the blame trace on rejection.
@@ -229,14 +199,12 @@ struct TraceCapture {
 int main() {
   emcalc::obs::InitTracingFromEnv();
   emcalc::obs::InitQueryLogFromEnv();
-  emcalc::obs::InitHistoryFromEnv();
   emcalc::obs::InitPostmortemFromEnv();
   emcalc::obs::InstallCrashHandler();
   emcalc::Compiler compiler;
   emcalc::Database db;
   TraceCapture capture;
   std::unique_ptr<emcalc::obs::QueryLog> query_log;
-  std::unique_ptr<emcalc::obs::HistoryStore> history;
   std::printf("emcalc shell — 'help' for commands\n");
   std::string line;
   while (std::printf("> "), std::fflush(stdout), std::getline(std::cin, line)) {
@@ -306,12 +274,6 @@ int main() {
       }
       continue;
     }
-    if (command == ".feedback") {
-      std::string rest;
-      std::getline(words, rest);
-      FeedbackQuery(compiler, db, rest);
-      continue;
-    }
     if (command == ".log") {
       std::string arg;
       words >> arg;
@@ -332,41 +294,6 @@ int main() {
       query_log = std::move(log).value();
       emcalc::obs::SetQueryLog(query_log.get());
       std::printf("query log to %s\n", arg.c_str());
-      continue;
-    }
-    if (command == ".history") {
-      std::string arg;
-      words >> arg;
-      if (arg.empty() || arg == "status") {
-        emcalc::obs::HistoryStore* store = emcalc::obs::GetHistoryStore();
-        if (store == nullptr) {
-          std::printf("history: off\n");
-        } else {
-          std::printf("history: %s\n", store->path().c_str());
-          std::printf("%s",
-                      emcalc::obs::RenderHistory(store->Scan(), 5).c_str());
-        }
-        continue;
-      }
-      if (arg == "off") {
-        if (history != nullptr &&
-            emcalc::obs::GetHistoryStore() == history.get()) {
-          emcalc::obs::SetHistoryStore(nullptr);
-        }
-        history.reset();
-        std::printf("history off\n");
-        continue;
-      }
-      auto store = emcalc::obs::HistoryStore::Open(arg);
-      if (!store.ok()) {
-        std::printf("error: %s\n", store.status().ToString().c_str());
-        continue;
-      }
-      history = std::move(store).value();
-      emcalc::obs::SetHistoryStore(history.get());
-      std::printf("history to %s (%zu queries, %llu runs)\n",
-                  history->path().c_str(), history->query_count(),
-                  static_cast<unsigned long long>(history->total_runs()));
       continue;
     }
     if (command == "rel") {
@@ -448,10 +375,6 @@ int main() {
   if (query_log != nullptr &&
       emcalc::obs::GetQueryLog() == query_log.get()) {
     emcalc::obs::SetQueryLog(nullptr);
-  }
-  if (history != nullptr &&
-      emcalc::obs::GetHistoryStore() == history.get()) {
-    emcalc::obs::SetHistoryStore(nullptr);
   }
   return 0;
 }

@@ -17,7 +17,6 @@
 #include "src/exec/feedback.h"
 #include "src/exec/lower.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/history.h"
 #include "src/obs/metrics.h"
 #include "src/obs/postmortem.h"
 #include "src/obs/query_log.h"
@@ -134,9 +133,9 @@ class QueryObsScope {
 };
 
 // Updates run metrics for one execution attempt. `observed_profile` is the
-// run's profile when a sink (query log, history store, postmortem
-// directory) is installed and null otherwise; with a profile, the run's one
-// RunRecord is built and handed to every installed sink.
+// run's profile when a sink (query log, postmortem directory) is installed
+// and null otherwise; with a profile, the run's one RunRecord is built and
+// handed to every installed sink.
 void ObserveRun(const PreparedPlan& p, const StatusOr<Relation>& result,
                 uint64_t start_ns, uint64_t exec_threads,
                 const ExecProfile* observed_profile) {
@@ -154,7 +153,6 @@ void ObserveRun(const PreparedPlan& p, const StatusOr<Relation>& result,
       BuildRunRecord(p.hash, p.text, result.status(),
                      result.ok() ? result->size() : 0, wall, exec_threads,
                      *observed_profile);
-  if (obs::HistoryStore* store = obs::GetHistoryStore()) store->RecordRun(run);
   if (!run.ok && obs::PostmortemEnabled()) {
     // Best-effort bundle: failure to write must not mask the run error.
     (void)obs::WritePostmortem(
@@ -172,8 +170,8 @@ void ObserveRun(const PreparedPlan& p, const StatusOr<Relation>& result,
 
 // The one run path of CompiledQuery and ParameterizedQuery: executes the
 // prepared plan with `args` bound and reports the run (metrics, query log,
-// history store, postmortem). A non-null `profile` is always filled;
-// otherwise the run is profiled only when an installed sink needs it.
+// postmortem). A non-null `profile` is always filled; otherwise the run is
+// profiled only when an installed sink needs it.
 // Whether any sink is installed is asked once: the same answer decides
 // profiling and whether ObserveRun builds a RunRecord, so a run with no
 // sink builds neither.
@@ -183,9 +181,8 @@ StatusOr<Relation> RunPrepared(const PreparedPlan& p, const Database& db,
   obs::Span span("exec.run");
   QueryObsScope obs_scope(p.text, p.hash);
   uint64_t start_ns = obs::NowNs();
-  const bool observed = obs::GetQueryLog() != nullptr ||
-                        obs::GetHistoryStore() != nullptr ||
-                        obs::PostmortemEnabled();
+  const bool observed =
+      obs::GetQueryLog() != nullptr || obs::PostmortemEnabled();
   ExecProfile local;
   if (profile == nullptr && observed) profile = &local;
   StatusOr<Relation> answer =
@@ -200,7 +197,7 @@ StatusOr<Relation> RunPrepared(const PreparedPlan& p, const Database& db,
 
 // EXPLAIN ANALYZE of one run: the plan, the bound arguments (`params`
 // names them; no line for a closed query), the answer size, and the
-// per-operator profile with memory, parallelism and estimate feedback.
+// per-operator profile with memory and parallelism.
 StatusOr<std::string> ExplainPrepared(const Compiler& owner,
                                       const PreparedPlan& p,
                                       const Database& db,
@@ -232,11 +229,6 @@ StatusOr<std::string> ExplainPrepared(const Compiler& owner,
                   static_cast<unsigned long long>(par.morsels));
     out += line;
   }
-  out += "feedback (est vs actual, worst first):\n";
-  out += FeedbackToString(BuildRunRecord(p.hash, p.text, answer.status(),
-                                        answer->size(), /*wall_ns=*/0,
-                                        /*exec_threads=*/0, profile)
-                             .ops);
   return out;
 }
 
@@ -439,9 +431,7 @@ StatusOr<Compiler::Compiled> Compiler::CompileImpl(
 Status Compiler::LowerPrepared(PreparedPlan& prepared,
                                obs::CompilePhase& profile) {
   obs::PhaseTimer timer(&profile, "lower", "compile.lower");
-  ExecOptions exec_options;
-  exec_options.query_hash = prepared.hash;
-  auto lowered = Lower(*ctx_, prepared.plan, functions_, exec_options,
+  auto lowered = Lower(*ctx_, prepared.plan, functions_, ExecOptions{},
                        prepared.num_params);
   if (lowered.ok()) {
     timer.SetDetail("ops=" + std::to_string(lowered->NumOperators()));

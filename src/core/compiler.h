@@ -63,11 +63,10 @@ struct QueryAnalysis {
 struct PreparedPlan {
   const AlgExpr* plan = nullptr;  // optimized algebra; $name marks a parameter
   int num_params = 0;             // arguments each run binds
-  std::string text;   // query text (compile/run log and history correlation)
+  std::string text;   // query text (compile/run log correlation)
   uint64_t hash = 0;  // obs::HashQueryText(text)
-  // Lowered with `hash`, so history corrections apply to every run; null
-  // when lowering failed, and `lower_status` then holds the error every run
-  // returns.
+  // Null when lowering failed, and `lower_status` then holds the error
+  // every run returns.
   std::shared_ptr<const PhysicalPlan> physical;
   Status lower_status;
 };

@@ -107,8 +107,8 @@ Diagnostic DiagnosticFromJson(const obs::JsonValue& v) {
   if (const obs::JsonValue* span = v.Find("span");
       span != nullptr && span->is_object()) {
     d.span = SourceSpan{
-        static_cast<uint32_t>(span->NumberOr("begin", 0)),
-        static_cast<uint32_t>(span->NumberOr("end", 0))};
+        span->UintOr<uint32_t>("begin", 0),
+        span->UintOr<uint32_t>("end", 0)};
   }
   if (const obs::JsonValue* notes = v.Find("notes");
       notes != nullptr && notes->is_array()) {

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "src/base/check.h"
-#include "src/exec/feedback.h"
-#include "src/obs/history.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/verify/verify.h"
@@ -51,36 +49,10 @@ class Lowerer {
     auto op = LowerNode(root);
     if (!op.ok()) return op.status();
     plan_.root_ = *op;
-    ApplyHistoryCorrections();
     return std::move(plan_);
   }
 
  private:
-  // Feedback loop: when the history store has actuals for this query hash,
-  // install the historical mean actual as each matching operator's
-  // estimate (consumed by ExecContext::EstimateRows ahead of the static
-  // heuristic). Only the estimate changes — execution semantics and
-  // results are untouched.
-  void ApplyHistoryCorrections() {
-    obs::HistoryStore* store = obs::GetHistoryStore();
-    if (store == nullptr || plan_.options_.query_hash == 0) return;
-    std::vector<std::string> paths = PlanOpPaths(plan_);
-    uint64_t corrected = 0;
-    for (auto& op : plan_.ops_) {
-      const std::string& path = paths[static_cast<size_t>(op->id)];
-      if (path.empty()) continue;
-      auto corr = store->LookupEstimate(plan_.options_.query_hash, path);
-      if (!corr.has_value()) continue;
-      op->hist_est_rows = corr->est_rows;
-      op->hist_runs = corr->runs;
-      ++corrected;
-    }
-    if (corrected > 0) {
-      static obs::Counter& counter = obs::MetricsRegistry::Instance()
-                                         .GetCounter("history.corrected_ops");
-      counter.Add(corrected);
-    }
-  }
   PhysicalOp* NewOp(PhysOpKind kind, int arity) {
     auto op = std::make_unique<PhysicalOp>();
     op->kind = kind;

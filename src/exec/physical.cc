@@ -184,7 +184,6 @@ struct ExecContext {
   // checked at operator entry, morsel boundaries, and closure rounds.
   obs::QueryMemory qmem;
   obs::ResourceGovernor governor;
-  std::vector<double> est;  // memoized per-op cardinality estimates
   // Values of the plan's parameters (kParam expressions) for this run.
   std::span<const Value> args;
 
@@ -196,13 +195,7 @@ struct ExecContext {
                                             : p.options_.num_threads),
         qmem(p.ops_.size()),
         governor(obs::EffectiveLimits(p.options_.limits), &qmem, NowNs()),
-        est(p.ops_.size(), -1.0), args(a) {}
-
-  // Pre-execution cardinality estimate of `op`, memoized per operator.
-  // Deliberately simple heuristics (sizes are known exactly for scans, a
-  // fixed 1/3 selectivity per condition, independence for joins): the
-  // point is the estimate-vs-actual feedback report, not a real optimizer.
-  double EstimateRows(const PhysicalOp* op);
+        args(a) {}
 
   // The value flowing between operators is the same handle Execute
   // returns: a parent may steal an `owned` child's storage.
@@ -294,76 +287,6 @@ struct ExecContext {
   StatusOr<Result> RunBatchFilter(const PhysicalOp* op, const Result& in,
                                   OpStats& s);
 };
-
-double ExecContext::EstimateRows(const PhysicalOp* op) {
-  double& slot = est[static_cast<size_t>(op->id)];
-  if (slot >= 0) return slot;
-  if (op->hist_est_rows >= 0) {
-    // History-corrected estimate from past runs of this exact query
-    // (installed by Lower() via the history store); trust it over the
-    // static heuristic.
-    slot = op->hist_est_rows;
-    return slot;
-  }
-  slot = 0;  // break cycles (plans are DAGs, but be safe)
-  double e = 0;
-  switch (op->kind) {
-    case PhysOpKind::kScan: {
-      const Relation* rel = db.Find(op->rel_name);
-      e = rel != nullptr ? static_cast<double>(rel->size()) : 0;
-      break;
-    }
-    case PhysOpKind::kProjectMap:
-    case PhysOpKind::kMaterialize:
-      e = EstimateRows(op->left);
-      break;
-    case PhysOpKind::kFilterSelect: {
-      e = EstimateRows(op->left);
-      for (size_t i = 0; i < op->conds.size(); ++i) e *= 0.33;
-      break;
-    }
-    case PhysOpKind::kHashJoin: {
-      // Independence assumption with the larger side as the key domain.
-      double l = EstimateRows(op->left);
-      double r = EstimateRows(op->right);
-      e = l * r / std::max(std::max(l, r), 1.0);
-      break;
-    }
-    case PhysOpKind::kNestedLoopJoin: {
-      e = EstimateRows(op->left) * EstimateRows(op->right);
-      for (size_t i = 0; i < op->conds.size(); ++i) e *= 0.33;
-      break;
-    }
-    case PhysOpKind::kUnionMerge:
-      e = EstimateRows(op->left) + EstimateRows(op->right);
-      break;
-    case PhysOpKind::kDiffAnti:
-      e = EstimateRows(op->left);
-      break;
-    case PhysOpKind::kAdomScan: {
-      // Domain values in the instance, grown by (1 + #fns) per closure
-      // level — a crude upper-bound shape for term^k.
-      double dom = 0;
-      for (const auto& [name, rel] : db.relations()) {
-        dom += static_cast<double>(rel.size()) *
-               static_cast<double>(rel.arity());
-      }
-      dom += static_cast<double>(op->adom_consts.size());
-      double growth = 1.0 + static_cast<double>(op->adom_fns.size());
-      for (int i = 0; i < op->adom_level && dom < 1e18; ++i) dom *= growth;
-      e = std::min(dom, 1e18);
-      break;
-    }
-    case PhysOpKind::kSingleton:
-      e = op->unit ? 1 : 0;
-      break;
-  }
-  // Chained join estimates can overflow to inf, which would render as
-  // "inf" in the profile JSON (invalid); clamp to the AdomScan ceiling.
-  e = std::min(e, 1e18);
-  slot = e;
-  return e;
-}
 
 // Equi-join over the open-addressing JoinTable. Build on the right input,
 // probe with the left; both sides' keys are computed a batch at a time by
@@ -902,18 +825,6 @@ void RenderProfile(const ExecProfile& p, int depth, std::string& out) {
   out += " arity=" + std::to_string(p.arity);
   out += " rows_in=" + std::to_string(p.stats.rows_in);
   out += " rows_out=" + std::to_string(p.stats.rows_out);
-  if (p.stats.est_rows >= 0) {
-    char est_buf[64];
-    if (p.stats.est_history_runs > 0) {
-      std::snprintf(est_buf, sizeof(est_buf),
-                    " est_rows=%.0f [history:%llu]", p.stats.est_rows,
-                    static_cast<unsigned long long>(p.stats.est_history_runs));
-    } else {
-      std::snprintf(est_buf, sizeof(est_buf), " est_rows=%.0f",
-                    p.stats.est_rows);
-    }
-    out += est_buf;
-  }
   if (p.op == PhysOpKind::kHashJoin) {
     out += " build=" + std::to_string(p.stats.build_rows);
     out += " probes=" + std::to_string(p.stats.hash_probes);
@@ -1036,11 +947,6 @@ void ProfileJson(const ExecProfile& p, std::string& out) {
   out += ",\"wall_ns\":" + std::to_string(s.wall_ns);
   out += ",\"rows_sorted\":" + std::to_string(s.rows_sorted);
   out += ",\"normalize_ns\":" + std::to_string(s.normalize_ns);
-  char est_buf[40];
-  std::snprintf(est_buf, sizeof(est_buf), "%.17g", s.est_rows);
-  out += ",\"est_rows\":";
-  out += est_buf;
-  out += ",\"est_history_runs\":" + std::to_string(s.est_history_runs);
   out += ",\"bytes_allocated\":" + std::to_string(s.bytes_allocated);
   out += ",\"peak_bytes\":" + std::to_string(s.peak_bytes);
   out += ",\"par_wall_ns\":" + std::to_string(s.par_wall_ns);
@@ -1084,42 +990,34 @@ StatusOr<ExecProfile> ProfileFromJsonValue(const obs::JsonValue& v) {
                                 "'");
   }
   p.detail = v.StringOr("detail", "");
-  p.arity = static_cast<int>(v.NumberOr("arity", 0));
+  p.arity = v.UintOr<int>("arity", 0);
   p.shared_ref = v.BoolOr("shared_ref", false);
   if (const obs::JsonValue* st = v.Find("stats");
       st != nullptr && st->is_object()) {
     OpStats& s = p.stats;
-    s.invocations = static_cast<uint64_t>(st->NumberOr("invocations", 0));
-    s.rows_in = static_cast<uint64_t>(st->NumberOr("rows_in", 0));
-    s.rows_out = static_cast<uint64_t>(st->NumberOr("rows_out", 0));
-    s.build_rows = static_cast<uint64_t>(st->NumberOr("build_rows", 0));
-    s.hash_probes = static_cast<uint64_t>(st->NumberOr("hash_probes", 0));
-    s.function_calls =
-        static_cast<uint64_t>(st->NumberOr("function_calls", 0));
-    s.tuple_copies = static_cast<uint64_t>(st->NumberOr("tuple_copies", 0));
-    s.cache_hits = static_cast<uint64_t>(st->NumberOr("cache_hits", 0));
-    s.wall_ns = static_cast<uint64_t>(st->NumberOr("wall_ns", 0));
-    s.rows_sorted = static_cast<uint64_t>(st->NumberOr("rows_sorted", 0));
-    s.normalize_ns = static_cast<uint64_t>(st->NumberOr("normalize_ns", 0));
-    s.est_rows = st->NumberOr("est_rows", -1);
-    s.est_history_runs =
-        static_cast<uint64_t>(st->NumberOr("est_history_runs", 0));
-    s.bytes_allocated =
-        static_cast<uint64_t>(st->NumberOr("bytes_allocated", 0));
-    s.peak_bytes = static_cast<int64_t>(st->NumberOr("peak_bytes", 0));
-    s.par_wall_ns = static_cast<uint64_t>(st->NumberOr("par_wall_ns", 0));
-    s.par_busy_ns = static_cast<uint64_t>(st->NumberOr("par_busy_ns", 0));
-    s.par_morsels = static_cast<uint64_t>(st->NumberOr("par_morsels", 0));
-    s.par_workers = static_cast<uint32_t>(st->NumberOr("par_workers", 0));
-    s.batches = static_cast<uint64_t>(st->NumberOr("batches", 0));
-    s.batch_rows = static_cast<uint64_t>(st->NumberOr("batch_rows", 0));
-    s.batch_sel_rows =
-        static_cast<uint64_t>(st->NumberOr("batch_sel_rows", 0));
+    s.invocations = st->UintOr("invocations", 0);
+    s.rows_in = st->UintOr("rows_in", 0);
+    s.rows_out = st->UintOr("rows_out", 0);
+    s.build_rows = st->UintOr("build_rows", 0);
+    s.hash_probes = st->UintOr("hash_probes", 0);
+    s.function_calls = st->UintOr("function_calls", 0);
+    s.tuple_copies = st->UintOr("tuple_copies", 0);
+    s.cache_hits = st->UintOr("cache_hits", 0);
+    s.wall_ns = st->UintOr("wall_ns", 0);
+    s.rows_sorted = st->UintOr("rows_sorted", 0);
+    s.normalize_ns = st->UintOr("normalize_ns", 0);
+    s.bytes_allocated = st->UintOr("bytes_allocated", 0);
+    s.peak_bytes = st->UintOr<int64_t>("peak_bytes", 0);
+    s.par_wall_ns = st->UintOr("par_wall_ns", 0);
+    s.par_busy_ns = st->UintOr("par_busy_ns", 0);
+    s.par_morsels = st->UintOr("par_morsels", 0);
+    s.par_workers = st->UintOr<uint32_t>("par_workers", 0);
+    s.batches = st->UintOr("batches", 0);
+    s.batch_rows = st->UintOr("batch_rows", 0);
+    s.batch_sel_rows = st->UintOr("batch_sel_rows", 0);
   }
-  p.total_peak_bytes =
-      static_cast<int64_t>(v.NumberOr("total_peak_bytes", 0));
-  p.total_bytes_allocated =
-      static_cast<uint64_t>(v.NumberOr("total_bytes_allocated", 0));
+  p.total_peak_bytes = v.UintOr<int64_t>("total_peak_bytes", 0);
+  p.total_bytes_allocated = v.UintOr("total_bytes_allocated", 0);
   if (const obs::JsonValue* ch = v.Find("children");
       ch != nullptr && ch->is_array()) {
     for (const obs::JsonValue& c : ch->array) {
@@ -1174,15 +1072,11 @@ StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(
     }
   }
   ExecContext exec(*this, db, args);
-  exec.EstimateRows(root_);  // pre-execution estimates for every op
   auto result = exec.Run(root_);
-  // Fold per-op memory slots and estimates into the stats before the
-  // profile is built, so the profile is complete even when the run failed
-  // (a tripped governor still reports the partial work).
+  // Fold per-op memory slots into the stats before the profile is built,
+  // so the profile is complete even when the run failed (a tripped
+  // governor still reports the partial work).
   for (size_t i = 0; i < ops_.size(); ++i) {
-    exec.stats[i].est_rows = exec.est[i];
-    exec.stats[i].est_history_runs =
-        ops_[i]->hist_est_rows >= 0 ? ops_[i]->hist_runs : 0;
     exec.stats[i].bytes_allocated = exec.qmem.OpBytesAllocated(i);
     exec.stats[i].peak_bytes = exec.qmem.OpPeakBytes(i);
   }

@@ -4,7 +4,9 @@
 // instead of by value. Each operator records runtime statistics — rows
 // in/out, hash build/probe counts, tuples copied, wall time — into an
 // ExecProfile tree that the explain machinery renders EXPLAIN ANALYZE-
-// style and that SumProfile flattens into ExecTotals.
+// style and that SumProfile flattens into ExecTotals. Nothing here is
+// cost-based: lowering picks operators by rule (a HashJoin always builds
+// on its right input), so a profile carries measured actuals only.
 //
 // Operator inventory:
 //   Scan           base-relation scan (borrows the Database's storage)
@@ -81,10 +83,6 @@ struct OpStats {
   // normalization took.
   uint64_t rows_sorted = 0;
   uint64_t normalize_ns = 0;
-  double est_rows = -1;        // planner cardinality estimate; -1 = none
-  // When > 0 the estimate came from the history store (src/obs/history.h)
-  // and is the mean actual over this many recorded runs; 0 = heuristic.
-  uint64_t est_history_runs = 0;
   uint64_t bytes_allocated = 0;  // tracked bytes allocated under this op
   int64_t peak_bytes = 0;        // high-water tracked bytes under this op
   // Contention telemetry folded from the operator's parallel regions
@@ -150,8 +148,8 @@ ExecTotals SumProfile(const ExecProfile& profile);
 ParallelSummary SumParallel(const ExecProfile& profile);
 
 // EXPLAIN ANALYZE-style multi-line rendering:
-//   HashJoin(keys=2) arity=5 rows_in=150 rows_out=40 est_rows=75
-//   rows_sorted=40 peak_bytes=4096 time=0.120ms normalize=0.010ms
+//   HashJoin(keys=2) arity=5 rows_in=150 rows_out=40 build=100
+//   probes=50 rows_sorted=40 peak_bytes=4096 time=0.120ms normalize=0.010ms
 std::string ExecProfileToString(const ExecProfile& profile);
 
 // Canonical JSON encoding of a profile tree. Every stats field is emitted
@@ -178,9 +176,8 @@ struct ExecOptions {
   // with kResourceExhausted naming the limit; the partial profile is
   // still filled in.
   obs::ResourceLimits limits;
-  // FNV-1a hash of the query text (obs::HashQueryText); keys this plan's
-  // runs in the history store so Lower() can correct estimates from past
-  // actuals. 0 disables history lookup for this plan.
+  // Unread. perfbench still assigns it; the field goes once perfbench
+  // stops doing so (ROADMAP item 9).
   uint64_t query_hash = 0;
 };
 
@@ -239,13 +236,6 @@ struct PhysicalOp {
   // plan edges that reference this node.
   int memo_slot = -1;
   int consumers = 0;
-
-  // History-corrected cardinality estimate, set by Lower() when the
-  // history store has actuals for (options.query_hash, this op's path).
-  // ExecContext::EstimateRows prefers it over the static heuristic;
-  // hist_runs is the number of runs behind the correction.
-  double hist_est_rows = -1;
-  uint64_t hist_runs = 0;
 };
 
 // An executable physical plan: the lowered operator DAG plus everything

@@ -6,7 +6,6 @@
 #include <iterator>
 #include <map>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 namespace emcalc::obs {
@@ -17,12 +16,6 @@ std::string FormatMs(uint64_t ns) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3fms",
                 static_cast<double>(ns) / 1e6);
-  return buf;
-}
-
-std::string FormatFactor(double f) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1fx", f);
   return buf;
 }
 
@@ -156,37 +149,6 @@ std::string RenderAborts(const QueryLogScan& scan) {
   return out;
 }
 
-std::string RenderMisestimates(const QueryLogScan& scan, size_t k) {
-  struct Agg {
-    size_t count = 0;
-    double worst = 0;
-    double sum = 0;
-  };
-  std::map<std::string, Agg> by_op;
-  for (const QueryLogRecord& record : scan.records) {
-    const RunRecord& r = record.run;
-    if (record.event != "run" || r.misestimate_factor <= 0) continue;
-    Agg& a = by_op[r.misestimate_op];
-    ++a.count;
-    a.sum += r.misestimate_factor;
-    a.worst = std::max(a.worst, r.misestimate_factor);
-  }
-  std::string out = "misestimates by operator (worst first)\n";
-  std::vector<std::pair<std::string, Agg>> sorted(by_op.begin(), by_op.end());
-  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    if (a.second.worst != b.second.worst) return a.second.worst > b.second.worst;
-    return a.first < b.first;
-  });
-  if (sorted.size() > k) sorted.resize(k);
-  for (const auto& [op, a] : sorted) {
-    out += "  " + op + ": count=" + std::to_string(a.count) +
-           " worst=" + FormatFactor(a.worst) +
-           " mean=" + FormatFactor(a.sum / static_cast<double>(a.count)) +
-           "\n";
-  }
-  return out;
-}
-
 std::string RenderLogSummary(const QueryLogScan& scan) {
   size_t compiles = 0;
   size_t runs = 0;
@@ -241,173 +203,6 @@ std::string RenderLogSummary(const QueryLogScan& scan) {
   return out;
 }
 
-namespace {
-
-// Eight-level sparkline of the newest wall-time samples, scaled to the
-// largest sample in the window (UTF-8 block elements, one cell each).
-std::string Sparkline(const std::vector<uint64_t>& samples) {
-  static const char* kLevels[] = {"▁", "▂", "▃", "▄", "▅", "▆", "▇", "█"};
-  uint64_t max = 0;
-  for (uint64_t s : samples) max = std::max(max, s);
-  std::string out;
-  for (uint64_t s : samples) {
-    size_t level =
-        max == 0 ? 0
-                 : static_cast<size_t>(
-                       (static_cast<double>(s) / static_cast<double>(max)) *
-                       7.0);
-    out += kLevels[std::min<size_t>(level, 7)];
-  }
-  return out;
-}
-
-// Newest run's wall time vs the query's own mean; > 1 means the newest
-// run was slower than typical.
-double TrendRegression(const QueryHistory& h) {
-  if (h.wall_trend.empty() || h.MeanWallNs() <= 0) return 1.0;
-  return static_cast<double>(h.wall_trend.back()) / h.MeanWallNs();
-}
-
-std::string HistoryLineLabel(const QueryHistory& h) {
-  std::string out = std::to_string(h.query_hash);
-  if (!h.query.empty()) out += "  " + ClipQuery(h.query, 48);
-  return out;
-}
-
-}  // namespace
-
-std::string RenderHistory(const HistoryScan& scan, size_t k) {
-  std::string out = "history: " + std::to_string(scan.entries.size()) +
-                    " queries, " + std::to_string(scan.total_runs) +
-                    " runs (gen=" + std::to_string(scan.generation) +
-                    ", bad lines=" + std::to_string(scan.bad_lines) + ")\n";
-  std::vector<const QueryHistory*> entries;
-  entries.reserve(scan.entries.size());
-  uint64_t aborts = 0;
-  uint64_t errors = 0;
-  for (const QueryHistory& h : scan.entries) {
-    entries.push_back(&h);
-    aborts += h.aborts;
-    errors += h.errors;
-  }
-  if (aborts > 0 || errors > 0) {
-    out += "failures: aborts=" + std::to_string(aborts) +
-           " errors=" + std::to_string(errors) + "\n";
-  }
-
-  auto misest = entries;
-  std::sort(misest.begin(), misest.end(),
-            [](const QueryHistory* a, const QueryHistory* b) {
-              if (a->factor_worst != b->factor_worst)
-                return a->factor_worst > b->factor_worst;
-              return a->query_hash < b->query_hash;
-            });
-  if (misest.size() > k) misest.resize(k);
-  out += "top misestimated (worst pooled factor)\n";
-  for (const QueryHistory* h : misest) {
-    out += "  worst=" + FormatFactor(h->factor_worst) +
-           " mean=" + FormatFactor(h->MeanFactor()) +
-           " runs=" + std::to_string(h->runs) + "  " + HistoryLineLabel(*h) +
-           "\n";
-  }
-
-  auto slow = entries;
-  std::sort(slow.begin(), slow.end(),
-            [](const QueryHistory* a, const QueryHistory* b) {
-              if (a->MeanWallNs() != b->MeanWallNs())
-                return a->MeanWallNs() > b->MeanWallNs();
-              return a->query_hash < b->query_hash;
-            });
-  if (slow.size() > k) slow.resize(k);
-  out += "slowest (mean wall time)\n";
-  for (const QueryHistory* h : slow) {
-    out += "  mean=" + FormatMs(static_cast<uint64_t>(h->MeanWallNs())) +
-           " p90=" +
-           FormatMs(static_cast<uint64_t>(HistoryWallPercentile(*h, 90))) +
-           " runs=" + std::to_string(h->runs) + " trend=" +
-           Sparkline(h->wall_trend) + "  " + HistoryLineLabel(*h) + "\n";
-  }
-
-  // Regressions: the newest run was markedly slower than the query's own
-  // mean (needs a few runs before the mean is meaningful).
-  std::vector<const QueryHistory*> regressed;
-  for (const QueryHistory* h : entries) {
-    if (h->runs >= 3 && TrendRegression(*h) >= 1.5) regressed.push_back(h);
-  }
-  std::sort(regressed.begin(), regressed.end(),
-            [](const QueryHistory* a, const QueryHistory* b) {
-              double ra = TrendRegression(*a);
-              double rb = TrendRegression(*b);
-              if (ra != rb) return ra > rb;
-              return a->query_hash < b->query_hash;
-            });
-  if (regressed.size() > k) regressed.resize(k);
-  if (!regressed.empty()) {
-    out += "regressed (newest run vs own mean)\n";
-    for (const QueryHistory* h : regressed) {
-      out += "  last/mean=" + FormatFactor(TrendRegression(*h)) + " trend=" +
-             Sparkline(h->wall_trend) + "  " + HistoryLineLabel(*h) + "\n";
-    }
-  }
-  return out;
-}
-
-std::string RenderHistoryDiff(const HistoryScan& a, const HistoryScan& b,
-                              double threshold) {
-  std::unordered_map<uint64_t, const QueryHistory*> base;
-  base.reserve(a.entries.size());
-  for (const QueryHistory& h : a.entries) base.emplace(h.query_hash, &h);
-
-  struct Regression {
-    const QueryHistory* entry = nullptr;
-    double wall_ratio = 1;
-    double factor_ratio = 1;
-    double WorstRatio() const { return std::max(wall_ratio, factor_ratio); }
-  };
-  std::vector<Regression> regressions;
-  size_t matched = 0;
-  size_t added = 0;
-  for (const QueryHistory& h : b.entries) {
-    auto it = base.find(h.query_hash);
-    if (it == base.end()) {
-      ++added;
-      continue;
-    }
-    ++matched;
-    const QueryHistory& old = *it->second;
-    Regression r;
-    r.entry = &h;
-    // Micro-run noise guard: ratios are computed over means, with a 1us
-    // floor on the base so an empty/near-zero baseline cannot explode.
-    r.wall_ratio = h.MeanWallNs() / std::max(old.MeanWallNs(), 1e3);
-    r.factor_ratio = h.MeanFactor() / std::max(old.MeanFactor(), 1.0);
-    if (r.WorstRatio() > threshold) regressions.push_back(r);
-  }
-  size_t removed = a.entries.size() - matched;
-
-  std::string out = "history diff: " + std::to_string(a.entries.size()) +
-                    " -> " + std::to_string(b.entries.size()) + " queries (" +
-                    std::to_string(matched) + " matched, " +
-                    std::to_string(added) + " new, " +
-                    std::to_string(removed) + " gone)\n";
-  char thresh_buf[40];
-  std::snprintf(thresh_buf, sizeof(thresh_buf), "%.2f", threshold);
-  out += "regressions over " + std::string(thresh_buf) + "x: " +
-         std::to_string(regressions.size()) + "\n";
-  std::sort(regressions.begin(), regressions.end(),
-            [](const Regression& x, const Regression& y) {
-              if (x.WorstRatio() != y.WorstRatio())
-                return x.WorstRatio() > y.WorstRatio();
-              return x.entry->query_hash < y.entry->query_hash;
-            });
-  for (const Regression& r : regressions) {
-    out += "  wall=" + FormatFactor(r.wall_ratio) +
-           " misest=" + FormatFactor(r.factor_ratio) + "  " +
-           HistoryLineLabel(*r.entry) + "\n";
-  }
-  return out;
-}
-
 StatusOr<PostmortemBundle> ParsePostmortemBundle(std::string_view json) {
   auto doc = ParseJson(json);
   if (!doc.ok()) return doc.status();
@@ -427,9 +222,9 @@ StatusOr<PostmortemBundle> ParsePostmortemBundle(std::string_view json) {
     for (const JsonValue& e : ring->array) {
       if (!e.is_object()) continue;
       BundleEvent event;
-      event.ts_ns = static_cast<uint64_t>(e.NumberOr("ts_ns", 0));
-      event.arg = static_cast<uint64_t>(e.NumberOr("arg", 0));
-      event.tid = static_cast<uint32_t>(e.NumberOr("tid", 0));
+      event.ts_ns = e.UintOr("ts_ns", 0);
+      event.arg = e.UintOr("arg", 0);
+      event.tid = e.UintOr<uint32_t>("tid", 0);
       event.kind = e.StringOr("kind", "");
       event.name = e.StringOr("name", "");
       bundle.events.push_back(std::move(event));

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/obs/history.h"
 #include "src/obs/json.h"
 #include "src/obs/query_log.h"
 #include "src/obs/run_record.h"
@@ -45,26 +44,9 @@ std::string RenderTopSlowest(const QueryLogScan& scan, size_t k);
 // with an example query per limit. Sorted by count, then name.
 std::string RenderAborts(const QueryLogScan& scan);
 
-// Plan misestimations aggregated by responsible operator: count, worst and
-// mean factor. At most `k` operators, worst first.
-std::string RenderMisestimates(const QueryLogScan& scan, size_t k);
-
 // One-screen roll-up: record counts, error/abort totals, wall-time and
 // parallel-efficiency aggregates.
 std::string RenderLogSummary(const QueryLogScan& scan);
-
-// History-store digest (src/obs/history.h): summary counts, the top `k`
-// misestimated hashes (worst pooled factor first), the top `k` slowest by
-// mean wall time with p90 and a sparkline of the newest run times, and
-// queries whose newest run regressed against their own mean.
-std::string RenderHistory(const HistoryScan& scan, size_t k);
-
-// Compares two history stores: hashes present in both whose mean latency
-// or mean misestimation factor grew by more than `threshold`x from `a` to
-// `b` are flagged (worst ratio first); hashes only in one store are
-// counted. threshold <= 1 flags any growth.
-std::string RenderHistoryDiff(const HistoryScan& a, const HistoryScan& b,
-                              double threshold);
 
 // One flight-recorder event from a bundle's "flight_recorder" array.
 struct BundleEvent {

@@ -7,8 +7,11 @@
 #ifndef EMCALC_OBS_JSON_H_
 #define EMCALC_OBS_JSON_H_
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -43,6 +46,22 @@ struct JsonValue {
   double NumberOr(std::string_view key, double fallback) const;
   std::string StringOr(std::string_view key, std::string fallback) const;
   bool BoolOr(std::string_view key, bool fallback) const;
+
+  // The member as a count, size or time of integer type T: `fallback` when
+  // the member is absent, not a number, not finite, negative or beyond T's
+  // range. Readers of logs, bundles and profiles go through this instead
+  // of casting the double, so a hostile value never reaches an undefined
+  // conversion.
+  template <typename T = uint64_t>
+  T UintOr(std::string_view key, std::type_identity_t<T> fallback) const {
+    double v = NumberOr(key, -1);
+    // 2^N for T's N value bits: for 64-bit T the cast of max() already
+    // rounds up to it and the + 1 is absorbed. NaN fails both tests.
+    constexpr double kLimit =
+        static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+    if (!(v >= 0) || !(v < kLimit)) return fallback;
+    return static_cast<T>(v);
+  }
 };
 
 // Parses one JSON document; trailing non-whitespace is an error.

@@ -64,12 +64,11 @@ StatusOr<QueryLogRecord> ParseQueryLogRecord(std::string_view line) {
   }
   r.run = RunRecordFromJson(*json);
   r.em_allowed = json->BoolOr("em_allowed", false);
-  r.level = static_cast<int>(json->NumberOr("level", 0));
-  r.find_count = static_cast<int>(json->NumberOr("find_count", 0));
-  r.ranf_size = static_cast<int>(json->NumberOr("ranf_size", 0));
-  r.plan_nodes = static_cast<int>(json->NumberOr("plan_nodes", 0));
-  r.string_pool_size =
-      static_cast<uint64_t>(json->NumberOr("string_pool_size", 0));
+  r.level = json->UintOr<int>("level", 0);
+  r.find_count = json->UintOr<int>("find_count", 0);
+  r.ranf_size = json->UintOr<int>("ranf_size", 0);
+  r.plan_nodes = json->UintOr<int>("plan_nodes", 0);
+  r.string_pool_size = json->UintOr("string_pool_size", 0);
   if (const JsonValue* diags = json->Find("diagnostics");
       diags != nullptr && diags->is_array()) {
     r.diagnostics = diag::DiagnosticsFromJson(*diags);
@@ -78,7 +77,7 @@ StatusOr<QueryLogRecord> ParseQueryLogRecord(std::string_view line) {
       phases != nullptr && phases->is_object()) {
     for (const auto& [name, v] : phases->object) {
       if (v.is_number()) {
-        r.phase_ns.emplace_back(name, static_cast<uint64_t>(v.number));
+        r.phase_ns.emplace_back(name, phases->UintOr(name, 0));
       }
     }
   }

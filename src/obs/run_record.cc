@@ -28,10 +28,6 @@ void AppendDouble(std::string& out, const char* key, double v) {
   out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
-uint64_t UintOr(const JsonValue& v, const char* key) {
-  return static_cast<uint64_t>(v.NumberOr(key, 0));
-}
-
 }  // namespace
 
 void AppendRunRecordJson(const RunRecord& r, std::string& out) {
@@ -50,16 +46,9 @@ void AppendRunRecordJson(const RunRecord& r, std::string& out) {
   if (r.bytes_allocated > 0) {
     AppendUint(out, "bytes_allocated", r.bytes_allocated);
   }
-  if (r.est_history_ops > 0) {
-    AppendUint(out, "est_history_ops", r.est_history_ops);
-  }
   if (r.par_workers > 0) {
     AppendDouble(out, "parallel_efficiency", r.parallel_efficiency);
     AppendUint(out, "par_workers", r.par_workers);
-  }
-  if (r.misestimate_factor > 0) {
-    AppendDouble(out, "misestimate_factor", r.misestimate_factor);
-    AppendString(out, "misestimate_op", r.misestimate_op);
   }
   if (r.ops.empty()) return;
   out += ",\"ops\":[";
@@ -68,12 +57,7 @@ void AppendRunRecordJson(const RunRecord& r, std::string& out) {
     out += i == 0 ? "{\"path\":\"" : ",{\"path\":\"";
     out += JsonEscape(op.path) + "\"";
     AppendString(out, "op", op.op);
-    AppendDouble(out, "est", op.est_rows);
     AppendUint(out, "actual", op.actual_rows);
-    AppendDouble(out, "factor", op.factor);
-    if (op.est_history_runs > 0) {
-      AppendUint(out, "est_history_runs", op.est_history_runs);
-    }
     if (op.rows_sorted > 0) AppendUint(out, "rows_sorted", op.rows_sorted);
     if (op.normalize_ns > 0) AppendUint(out, "normalize_ns", op.normalize_ns);
     out += "}";
@@ -89,16 +73,13 @@ RunRecord RunRecordFromJson(const JsonValue& v) {
   r.ok = v.BoolOr("ok", true);
   r.error = v.StringOr("error", "");
   r.aborted_limit = v.StringOr("aborted_limit", "");
-  r.wall_ns = UintOr(v, "wall_ns");
-  r.rows_out = UintOr(v, "rows_out");
-  r.exec_threads = UintOr(v, "exec_threads");
-  r.peak_bytes = UintOr(v, "peak_bytes");
-  r.bytes_allocated = UintOr(v, "bytes_allocated");
-  r.est_history_ops = UintOr(v, "est_history_ops");
+  r.wall_ns = v.UintOr("wall_ns", 0);
+  r.rows_out = v.UintOr("rows_out", 0);
+  r.exec_threads = v.UintOr("exec_threads", 0);
+  r.peak_bytes = v.UintOr("peak_bytes", 0);
+  r.bytes_allocated = v.UintOr("bytes_allocated", 0);
   r.parallel_efficiency = v.NumberOr("parallel_efficiency", 0);
-  r.par_workers = static_cast<uint32_t>(v.NumberOr("par_workers", 0));
-  r.misestimate_factor = v.NumberOr("misestimate_factor", 0);
-  r.misestimate_op = v.StringOr("misestimate_op", "");
+  r.par_workers = v.UintOr<uint32_t>("par_workers", 0);
   if (const JsonValue* ops = v.Find("ops");
       ops != nullptr && ops->is_array()) {
     r.ops.reserve(ops->array.size());
@@ -107,12 +88,9 @@ RunRecord RunRecordFromJson(const JsonValue& v) {
       RunRecord::Op op;
       op.path = o.StringOr("path", "");
       op.op = o.StringOr("op", "");
-      op.est_rows = o.NumberOr("est", -1);
-      op.actual_rows = UintOr(o, "actual");
-      op.factor = o.NumberOr("factor", 1);
-      op.est_history_runs = UintOr(o, "est_history_runs");
-      op.rows_sorted = UintOr(o, "rows_sorted");
-      op.normalize_ns = UintOr(o, "normalize_ns");
+      op.actual_rows = o.UintOr("actual", 0);
+      op.rows_sorted = o.UintOr("rows_sorted", 0);
+      op.normalize_ns = o.UintOr("normalize_ns", 0);
       r.ops.push_back(std::move(op));
     }
   }

@@ -1,11 +1,9 @@
 // One execution of a compiled plan as plain data: the single record that
-// the query log ("run" lines), the history store (run lines) and the
-// postmortem writer (bundles) all serialize, and whose ops the feedback
-// report (EXPLAIN ANALYZE, the repl's .feedback) renders. It is built in
-// exactly one place, BuildRunRecord (src/exec/feedback.h), from the run's
-// ExecProfile and Status; AppendRunRecordJson writes it and
-// RunRecordFromJson reads it back, so the sinks cannot drift apart field
-// by field.
+// the query log ("run" lines) and the postmortem writer (bundles) both
+// serialize. It is built in exactly one place, BuildRunRecord
+// (src/exec/feedback.h), from the run's ExecProfile and Status;
+// AppendRunRecordJson writes it and RunRecordFromJson reads it back, so
+// the sinks cannot drift apart field by field.
 #ifndef EMCALC_OBS_RUN_RECORD_H_
 #define EMCALC_OBS_RUN_RECORD_H_
 
@@ -29,26 +27,15 @@ struct RunRecord {
   // Query-level tracked-bytes high-water mark and cumulative allocation.
   uint64_t peak_bytes = 0;
   uint64_t bytes_allocated = 0;
-  // Operators whose estimate came from the history store.
-  uint64_t est_history_ops = 0;
   // busy/(wall*workers) over the plan's parallel regions and the largest
   // worker count any operator used; both 0 when nothing ran in parallel.
   double parallel_efficiency = 0;
   uint32_t par_workers = 0;
-  // The worst estimate-vs-actual factor among `ops` and its operator;
-  // factor 0 when no operator carried an estimate.
-  double misestimate_factor = 0;
-  std::string misestimate_op;
-  // One estimate-vs-actual sample per estimated operator, in DFS order.
+  // One sample per executed operator, in DFS order.
   struct Op {
     std::string path;  // stable operator path (src/exec/feedback.h)
     std::string op;    // display name, "HashJoin(keys=1)"
-    double est_rows = -1;
     uint64_t actual_rows = 0;
-    double factor = 1;  // MisestimateFactor(est_rows, actual_rows)
-    // Estimate provenance: 0 = static heuristic, > 0 = history-corrected
-    // from this many recorded runs (OpStats::est_history_runs).
-    uint64_t est_history_runs = 0;
     // The operator's final normalize: rows it sorted (0 when its output
     // arrived in order) and the normalize's wall time (OpStats).
     uint64_t rows_sorted = 0;
@@ -68,7 +55,9 @@ struct RunRecord {
 void AppendRunRecordJson(const RunRecord& run, std::string& out);
 
 // Reads the members AppendRunRecordJson writes from a JSON object. Absent
-// members keep their defaults; unknown members are ignored.
+// members keep their defaults; unknown members are ignored, so records
+// written with since-removed keys still load. A count that is negative or
+// out of range reads as 0.
 RunRecord RunRecordFromJson(const JsonValue& v);
 
 }  // namespace emcalc::obs

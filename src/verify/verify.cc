@@ -1023,11 +1023,6 @@ class PhysicalChecker {
 
 void WalkProfile(const ExecProfile& node, const PathNode& path,
                  VerifyReport& report) {
-  if (node.stats.est_rows < -1) {
-    Add(report, "prof.est-rows", path,
-        std::string(PhysOpKindName(node.op)) + " carries estimate " +
-            std::to_string(node.stats.est_rows) + " (must be >= -1)");
-  }
   if (node.arity < 0) {
     Add(report, "prof.arity", path,
         std::string(PhysOpKindName(node.op)) + " has negative arity " +

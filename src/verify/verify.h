@@ -138,8 +138,8 @@ VerifyReport VerifyRanfAlgebra(const AstContext& ctx, const Formula* ranf,
 // is non-null — that the operator DAG mirrors the algebra plan.
 VerifyReport VerifyPhysical(const PhysicalPlan& plan, const AlgExpr* algebra);
 
-// Post-execution profile sanity, used by tests: kind-consistent child
-// counts and `est_rows >= -1` on every node.
+// Post-execution profile sanity, used by tests: a non-negative arity on
+// every node.
 VerifyReport VerifyProfile(const ExecProfile& profile);
 
 }  // namespace emcalc::verify

@@ -1,8 +1,7 @@
 // Tests for the offline analyzer library behind emcalc-inspect
 // (src/obs/inspect.h): golden output over the checked-in sample query log,
 // aggregate correctness over a generated 1000-record log, rotation-aware
-// log reading, the history-store digest and diff renderers, and the
-// bundle / Chrome-trace renderers.
+// log reading, and the bundle / Chrome-trace renderers.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/history.h"
 #include "src/obs/inspect.h"
 #include "src/obs/json.h"
 #include "src/obs/query_log.h"
@@ -65,12 +63,41 @@ TEST(InspectSampleLogTest, AbortsBreakDownByLimit) {
             "errors (non-governor): 1\n");
 }
 
-TEST(InspectSampleLogTest, MisestimatesAggregateByOperator) {
-  std::string out = obs::RenderMisestimates(SampleScan(), 10);
-  EXPECT_EQ(out,
-            "misestimates by operator (worst first)\n"
-            "  HashJoin: count=2 worst=32.0x mean=18.0x\n"
-            "  Scan(R): count=1 worst=2.5x mean=2.5x\n");
+// The sample log predates the removal of the estimate fields: three of
+// its run lines carry misestimate_factor/misestimate_op. Every complete
+// run line still parses, and the log renders exactly as it did when
+// those fields were read.
+TEST(InspectSampleLogTest, OldFormatLinesRenderUnchanged) {
+  obs::QueryLogScan scan = SampleScan();
+  size_t runs = 0;
+  for (const obs::QueryLogRecord& r : scan.records) {
+    if (r.event == "run") ++runs;
+  }
+  EXPECT_EQ(runs, 9u);
+  EXPECT_EQ(obs::RenderTopSlowest(scan, 10),
+            "top 9 slowest runs\n"
+            "  1. 12.000ms rows=10 eff=75%  {x | exists y (Q2(x, y))}\n"
+            "  2. 9.000ms rows=25  {x | Q9(x)}\n"
+            "  3. 7.000ms rows=50 eff=60%  {x | exists y (Q8(x, y))}\n"
+            "  4. 5.000ms rows=100  {x | Q1(x)}\n"
+            "  5. 3.000ms rows=0 aborted=max_bytes  {x, y | Q6(x, y)}\n"
+            "  6. 2.000ms rows=0 aborted=max_bytes  {x | Q3(x, x)}\n"
+            "  7. 1.500ms rows=0 aborted=max_rows  {x | Q7(x)}\n"
+            "  8. 0.800ms rows=5  {x | Q4(x)}\n"
+            "  9. 0.100ms rows=0 error  {x | Q5(x)}\n");
+  EXPECT_EQ(obs::RenderAborts(scan),
+            "aborts: 3 of 9 runs\n"
+            "  max_bytes: 2\n"
+            "    e.g. {x | Q3(x, x)}\n"
+            "  max_rows: 1\n"
+            "    e.g. {x | Q7(x)}\n"
+            "errors (non-governor): 1\n");
+  EXPECT_EQ(obs::RenderLogSummary(scan),
+            "records: 11 (compile=2 run=9, bad lines=1)\n"
+            "runs: ok=5 errors=1 aborts=3\n"
+            "wall: total=40.400ms mean=4.489ms max=12.000ms\n"
+            "rows out: 190\n"
+            "parallel runs: 2 (mean eff=68%)\n");
 }
 
 TEST(InspectSampleLogTest, SummaryRollsUpRunsAndWall) {
@@ -192,88 +219,6 @@ TEST(InspectRotationTest, NoRotatedSegmentReadsLiveFileOnly) {
   // A missing live file is an error even if a `.1` segment existed.
   EXPECT_FALSE(
       obs::ReadQueryLogWithRotation(dir.path() + "/no_such_log").ok());
-}
-
-// Builds one aggregated query entry by folding synthetic runs, the same
-// code path recording and loading use.
-obs::QueryHistory HistoryEntry(uint64_t hash, const std::string& query,
-                               std::vector<uint64_t> walls, double factor,
-                               uint64_t aborts = 0) {
-  obs::QueryHistory h;
-  for (size_t i = 0; i < walls.size(); ++i) {
-    obs::RunRecord run;
-    run.query_hash = hash;
-    run.query = query;
-    run.wall_ns = walls[i];
-    run.rows_out = 10;
-    if (aborts > i) {
-      run.ok = false;
-      run.aborted_limit = "max_bytes";
-    }
-    obs::RunRecord::Op op;
-    op.path = "Scan";
-    op.op = "Scan(R)";
-    op.est_rows = 10;
-    op.actual_rows = static_cast<uint64_t>(10 * factor);
-    op.factor = factor;
-    run.ops.push_back(op);
-    obs::FoldRunRecord(h, run);
-  }
-  return h;
-}
-
-obs::HistoryScan TwoQueryScan() {
-  obs::HistoryScan scan;
-  // Hash 3: badly misestimated, slow, and regressing (newest wall is 4x
-  // its own mean). Hash 5: healthy.
-  scan.entries.push_back(
-      HistoryEntry(3, "{x | Bad(x)}", {100000, 100000, 600000}, 8.0,
-                   /*aborts=*/1));
-  scan.entries.push_back(
-      HistoryEntry(5, "{x | Good(x)}", {50000, 50000, 50000}, 1.0));
-  scan.total_runs = 6;
-  return scan;
-}
-
-TEST(InspectHistoryTest, RenderHistoryListsWorstSlowestAndRegressed) {
-  std::string out = obs::RenderHistory(TwoQueryScan(), 10);
-  EXPECT_NE(out.find("history: 2 queries, 6 runs"), std::string::npos)
-      << out;
-  EXPECT_NE(out.find("failures: aborts=1 errors=0"), std::string::npos)
-      << out;
-  // Worst misestimation leads, and the healthy query follows.
-  size_t bad = out.find("worst=8.0x");
-  size_t good = out.find("worst=1.0x");
-  ASSERT_NE(bad, std::string::npos) << out;
-  ASSERT_NE(good, std::string::npos) << out;
-  EXPECT_LT(bad, good);
-  EXPECT_NE(out.find("{x | Bad(x)}"), std::string::npos) << out;
-  // Hash 3's newest run is well above its mean, so it is regressed; the
-  // trend sparkline marks the jump.
-  EXPECT_NE(out.find("regressed"), std::string::npos) << out;
-  EXPECT_NE(out.find("trend="), std::string::npos) << out;
-}
-
-TEST(InspectHistoryTest, RenderHistoryDiffFlagsGrownQueries) {
-  obs::HistoryScan base = TwoQueryScan();
-  obs::HistoryScan cur;
-  // Hash 3 doubled its mean wall time; hash 5 is unchanged; hash 7 is new.
-  cur.entries.push_back(
-      HistoryEntry(3, "{x | Bad(x)}", {500000, 500000, 600000}, 8.0));
-  cur.entries.push_back(
-      HistoryEntry(5, "{x | Good(x)}", {50000, 50000, 50000}, 1.0));
-  cur.entries.push_back(HistoryEntry(7, "{x | New(x)}", {1000}, 1.0));
-  cur.total_runs = 7;
-
-  std::string out = obs::RenderHistoryDiff(base, cur, 1.5);
-  EXPECT_NE(out.find("2 matched, 1 new, 0 gone"), std::string::npos) << out;
-  EXPECT_NE(out.find("{x | Bad(x)}"), std::string::npos) << out;
-  // The healthy query must not be flagged.
-  EXPECT_EQ(out.find("{x | Good(x)}"), std::string::npos) << out;
-
-  // With a threshold above the worst growth, nothing is flagged.
-  std::string quiet = obs::RenderHistoryDiff(base, cur, 10.0);
-  EXPECT_EQ(quiet.find("{x | Bad(x)}"), std::string::npos) << quiet;
 }
 
 TEST(InspectBundleTest, ParsesRendersAndConvertsToChromeTrace) {

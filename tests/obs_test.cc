@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -21,6 +23,7 @@
 #include "src/base/thread_pool.h"
 #include "src/base/value.h"
 #include "src/core/compiler.h"
+#include "src/exec/feedback.h"
 #include "src/obs/compile_profile.h"
 #include "src/obs/inspect.h"
 #include "src/obs/json.h"
@@ -359,14 +362,11 @@ TEST(RunRecordTest, WriterThenReaderIsTheIdentity) {
   run.exec_threads = 4;
   run.peak_bytes = 1 << 20;
   run.bytes_allocated = 3 << 20;
-  run.est_history_ops = 2;
   run.parallel_efficiency = 0.6180339887498949;
   run.par_workers = 4;
-  run.misestimate_factor = 1e9;
-  run.misestimate_op = "HashJoin(keys=1)";
-  run.ops = {{"Diff", "Diff", 12.5, 3, 4.166666666666667},
-             {"Diff/0:HashJoin", "HashJoin(keys=1)", 0.1, 100000000, 1e9},
-             {"Diff/1:Scan", "Scan(R)", -1, 0, 1}};
+  run.ops = {{"Diff", "Diff", 3},
+             {"Diff/0:HashJoin", "HashJoin(keys=1)", 100000000},
+             {"Diff/1:Scan", "Scan(R)", 0}};
   // The sort split: an operator that sorted, and one that only deduped.
   run.ops[0].rows_sorted = 9900;
   run.ops[0].normalize_ns = 1'234'567;
@@ -389,6 +389,96 @@ TEST(RunRecordTest, WriterThenReaderIsTheIdentity) {
   doc = obs::ParseJson(json);
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(obs::RunRecordFromJson(*doc), empty);
+}
+
+// A record built from a real run writes only the members RunRecord has:
+// none of the estimate keys older records carry (est, factor,
+// est_history_runs, est_history_ops, misestimate_*). Those keys in an old
+// line are ignored, and the rest of the line still loads.
+TEST(RunRecordTest, FreshRecordsWriteNoEstimateKeys) {
+  Compiler compiler;
+  Database db;
+  ASSERT_TRUE(LoadCsvText(db, "R", "1,2\n2,3\n3,3\n").ok());
+  ASSERT_TRUE(LoadCsvText(db, "S", "2\n3\n").ok());
+  auto q = compiler.Compile("{x | exists y (R(x, y) and S(y))}");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ExecProfile profile;
+  auto answer = q->Run(db, &profile);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  obs::RunRecord run = BuildRunRecord(7, "q", answer.status(),
+                                      answer->size(), 1000, 1, profile);
+  ASSERT_FALSE(run.ops.empty());
+  std::string json = "{\"k\":0";
+  obs::AppendRunRecordJson(run, json);
+  json += "}";
+  for (const char* key : {"\"est\"", "\"factor\"", "\"est_history_runs\"",
+                          "\"est_history_ops\"", "misestimate"}) {
+    EXPECT_EQ(json.find(key), std::string::npos) << key << " in " << json;
+  }
+  auto doc = obs::ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << json;
+  EXPECT_EQ(obs::RunRecordFromJson(*doc), run) << json;
+
+  auto old = obs::ParseJson(
+      "{\"query_hash\":\"9\",\"ok\":true,\"wall_ns\":5,\"rows_out\":2,"
+      "\"est_history_ops\":1,\"misestimate_factor\":4,"
+      "\"misestimate_op\":\"Scan(R)\",\"ops\":[{\"path\":\"Scan\","
+      "\"op\":\"Scan(R)\",\"est\":0.5,\"actual\":2,\"factor\":4,"
+      "\"est_history_runs\":3}]}");
+  ASSERT_TRUE(old.ok());
+  obs::RunRecord loaded = obs::RunRecordFromJson(*old);
+  EXPECT_EQ(loaded.query_hash, 9u);
+  EXPECT_EQ(loaded.wall_ns, 5u);
+  EXPECT_EQ(loaded.rows_out, 2u);
+  ASSERT_EQ(loaded.ops.size(), 1u);
+  EXPECT_EQ(loaded.ops[0], (obs::RunRecord::Op{"Scan", "Scan(R)", 2}));
+}
+
+// Counts read from JSON are checked, never cast blindly: a negative,
+// non-finite or out-of-range value yields the fallback.
+TEST(JsonTest, UintOrRejectsValuesOutsideTheTargetType) {
+  auto doc = obs::ParseJson(
+      "{\"neg\":-1,\"frac\":2.75,\"huge\":1e300,"
+      "\"u32max\":4294967295,\"u32over\":4294967296,"
+      "\"two64\":18446744073709551616,\"big\":9007199254740992,"
+      "\"str\":\"5\"}");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  // The parser rejects out-of-range literals, so non-finite numbers only
+  // arrive in documents built in memory.
+  for (double v : {std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    obs::JsonValue number;
+    number.kind = obs::JsonValue::Kind::kNumber;
+    number.number = v;
+    doc->object.emplace_back(std::isnan(v) ? "nan" : "inf", number);
+  }
+  EXPECT_EQ(doc->UintOr("neg", 7), 7u);
+  EXPECT_EQ(doc->UintOr("frac", 7), 2u);
+  EXPECT_EQ(doc->UintOr("huge", 7), 7u);
+  EXPECT_EQ(doc->UintOr("inf", 7), 7u);
+  EXPECT_EQ(doc->UintOr("nan", 7), 7u);
+  EXPECT_EQ(doc->UintOr("two64", 7), 7u);
+  EXPECT_EQ(doc->UintOr("big", 7), uint64_t{1} << 53);
+  EXPECT_EQ(doc->UintOr<uint32_t>("u32max", 7), 4294967295u);
+  EXPECT_EQ(doc->UintOr<uint32_t>("u32over", 7), 7u);
+  EXPECT_EQ(doc->UintOr<int>("u32max", 7), 7);
+  EXPECT_EQ(doc->UintOr<int64_t>("neg", 7), 7);
+  EXPECT_EQ(doc->UintOr("str", 7), 7u);
+  EXPECT_EQ(doc->UintOr("absent", 7), 7u);
+}
+
+// A hostile query-log line with negative counts reads as 0, so inspect
+// renders zeros instead of wrapped 64-bit values.
+TEST(QueryLogTest, NegativeCountsReadAsZero) {
+  obs::QueryLogScan scan = obs::ParseQueryLogText(
+      "{\"event\":\"run\",\"query_hash\":\"1\",\"query\":\"{x | R(x)}\","
+      "\"ok\":true,\"wall_ns\":-1,\"rows_out\":-3}\n");
+  ASSERT_EQ(scan.records.size(), 1u);
+  EXPECT_EQ(scan.records[0].run.wall_ns, 0u);
+  EXPECT_EQ(scan.records[0].run.rows_out, 0u);
+  EXPECT_EQ(obs::RenderTopSlowest(scan, 1),
+            "top 1 slowest runs\n"
+            "  1. 0.000ms rows=0  {x | R(x)}\n");
 }
 
 TEST(QueryLogTest, HashIsStableFnv1a) {

@@ -18,7 +18,6 @@
 #include "src/base/thread_pool.h"
 #include "src/core/compiler.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/history.h"
 #include "src/obs/inspect.h"
 #include "src/obs/json.h"
 #include "src/obs/postmortem.h"
@@ -263,17 +262,12 @@ TEST(PostmortemTest, GovernorAbortWritesBundleMatchingQueryLog) {
   obs::ResetFlightRingForTesting(obs::FlightRingCapacity());
 }
 
-// One aborted run, three sinks: the query log, the history store and the
-// postmortem bundle serialize the same RunRecord, so every field agrees.
-// (The history store used to take rows_out from the aborted root's
-// partial count — 1000 here — while the log wrote 0.)
+// One aborted run, two sinks: the query log and the postmortem bundle
+// serialize the same RunRecord, so every field agrees, and rows_out is 0
+// rather than the aborted root's partial count (1000 here).
 TEST(PostmortemTest, AllSinksAgreeOnAnAbortedRun) {
   ScopedTempDir dir("sinks_agree");
   ScopedPostmortemDir postmortem(dir.path() + "/bundles");
-  auto store = obs::HistoryStore::Open(dir.path() + "/history");
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  obs::HistoryStore* saved_store = obs::GetHistoryStore();
-  obs::SetHistoryStore(store->get());
   std::ostringstream log_buffer;
   obs::QueryLog log(&log_buffer);
   obs::QueryLog* saved_log = obs::GetQueryLog();
@@ -292,7 +286,6 @@ TEST(PostmortemTest, AllSinksAgreeOnAnAbortedRun) {
   auto aborted = q->Run(db);
   unsetenv("EMCALC_MAX_QUERY_BYTES");
   obs::SetQueryLog(saved_log);
-  obs::SetHistoryStore(saved_store);
   ASSERT_FALSE(aborted.ok());
 
   std::vector<obs::RunRecord> logged;
@@ -301,18 +294,6 @@ TEST(PostmortemTest, AllSinksAgreeOnAnAbortedRun) {
     if (r.event == "run") logged.push_back(r.run);
   }
   ASSERT_EQ(logged.size(), 1u);
-
-  std::vector<obs::RunRecord> stored;
-  std::ifstream history((*store)->path());
-  for (std::string line; std::getline(history, line);) {
-    auto doc = obs::ParseJson(line);
-    ASSERT_TRUE(doc.ok()) << line;
-    EXPECT_EQ(doc->NumberOr("v", 0), 2);
-    if (doc->StringOr("type", "") == "run") {
-      stored.push_back(obs::RunRecordFromJson(*doc));
-    }
-  }
-  ASSERT_EQ(stored.size(), 1u);
 
   std::vector<std::string> bundles;
   for (const auto& entry :
@@ -330,22 +311,16 @@ TEST(PostmortemTest, AllSinksAgreeOnAnAbortedRun) {
   EXPECT_EQ(run.rows_out, 0u);
   EXPECT_GT(run.peak_bytes, 0u);
   EXPECT_FALSE(run.ops.empty());
-  for (const obs::RunRecord* other : {&stored[0], &bundle->run}) {
-    EXPECT_EQ(other->query_hash, run.query_hash);
-    EXPECT_EQ(other->ok, run.ok);
-    EXPECT_EQ(other->error, run.error);
-    EXPECT_EQ(other->aborted_limit, run.aborted_limit);
-    EXPECT_EQ(other->wall_ns, run.wall_ns);
-    EXPECT_EQ(other->rows_out, 0u);
-    EXPECT_EQ(other->peak_bytes, run.peak_bytes);
-    EXPECT_EQ(other->ops, run.ops);
-    EXPECT_EQ(*other, run);  // and every other field
-  }
-  // The store's aggregate agrees too.
-  obs::HistoryScan scan = (*store)->Scan();
-  ASSERT_EQ(scan.entries.size(), 1u);
-  EXPECT_EQ(scan.entries[0].rows_out_last, 0u);
-  EXPECT_EQ(scan.entries[0].aborts, 1u);
+  const obs::RunRecord& other = bundle->run;
+  EXPECT_EQ(other.query_hash, run.query_hash);
+  EXPECT_EQ(other.ok, run.ok);
+  EXPECT_EQ(other.error, run.error);
+  EXPECT_EQ(other.aborted_limit, run.aborted_limit);
+  EXPECT_EQ(other.wall_ns, run.wall_ns);
+  EXPECT_EQ(other.rows_out, 0u);
+  EXPECT_EQ(other.peak_bytes, run.peak_bytes);
+  EXPECT_EQ(other.ops, run.ops);
+  EXPECT_EQ(other, run);  // and every other field
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for memory accounting (MemoryAccountant / QueryMemory /
-// MemoryScope), the per-query ResourceGovernor, estimate-vs-actual plan
-// feedback, and the ExecProfile JSON round trip. The attribution tests run
+// MemoryScope), the per-query ResourceGovernor, the run record built from
+// a profile, and the ExecProfile JSON round trip. The attribution tests run
 // real allocations through FlatRelation and the thread pool, so this
 // binary is part of the TSAN CI leg (EMCALC_HARDWARE_THREADS=4).
 #include <gtest/gtest.h>
@@ -310,9 +310,9 @@ TEST(GovernedExecutionTest, EnvByteLimitGovernsCompiledQueries) {
   EXPECT_EQ(ok->size(), 500u);
 }
 
-// ---- Profiles: memory columns, JSON round trip, feedback ---------------
+// ---- Profiles: memory columns, JSON round trip, run records ------------
 
-TEST(ExecProfileTest, CarriesEstimatesAndMemoryPerOperator) {
+TEST(ExecProfileTest, CarriesMemoryPerOperator) {
   FunctionRegistry registry = BuiltinFunctions();
   Database db = JoinInstance(5'000);
   AstContext ctx;
@@ -324,17 +324,14 @@ TEST(ExecProfileTest, CarriesEstimatesAndMemoryPerOperator) {
   auto result = lowered->ExecuteToRelation(db, &profile);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  // Root: the HashJoin. Estimates are filled for every operator, memory
-  // totals only at the root.
+  // Root: the HashJoin. Memory totals are filled only at the root.
   EXPECT_EQ(profile.op, PhysOpKind::kHashJoin);
-  EXPECT_GE(profile.stats.est_rows, 0.0);
   EXPECT_GT(profile.total_bytes_allocated, 0u);
   EXPECT_GT(profile.total_peak_bytes, 0);
   EXPECT_GT(profile.stats.bytes_allocated, 0u);  // join output + scratch
   ASSERT_EQ(profile.children.size(), 2u);
   for (const ExecProfile& child : profile.children) {
     EXPECT_EQ(child.op, PhysOpKind::kScan);
-    EXPECT_GE(child.stats.est_rows, 0.0);
   }
   // Per-operator allocation attributes within the query total.
   uint64_t op_sum = profile.stats.bytes_allocated;
@@ -344,7 +341,6 @@ TEST(ExecProfileTest, CarriesEstimatesAndMemoryPerOperator) {
   EXPECT_LE(op_sum, profile.total_bytes_allocated);
 
   std::string rendered = ExecProfileToString(profile);
-  EXPECT_NE(rendered.find("est_rows="), std::string::npos);
   EXPECT_NE(rendered.find("peak_bytes="), std::string::npos);
 }
 
@@ -433,7 +429,6 @@ TEST(ExecProfileTest, JsonRoundTripIsExact) {
   EXPECT_EQ(parsed->children[0].stats.rows_sorted, 7u);
   EXPECT_EQ(parsed->children[0].stats.normalize_ns, 11u);
   EXPECT_EQ(parsed->stats.rows_out, profile.stats.rows_out);
-  EXPECT_EQ(parsed->stats.est_rows, profile.stats.est_rows);
   EXPECT_EQ(parsed->stats.peak_bytes, profile.stats.peak_bytes);
   EXPECT_EQ(parsed->total_peak_bytes, profile.total_peak_bytes);
   EXPECT_EQ(parsed->total_bytes_allocated, profile.total_bytes_allocated);
@@ -514,46 +509,46 @@ TEST(ExecProfileTest, ParallelSummaryAggregatesAndClampsEfficiency) {
   EXPECT_DOUBLE_EQ(ParallelSummary{}.Efficiency(), 0.0);
 }
 
-TEST(RunFeedbackTest, RanksOperatorsByMisestimationFactor) {
+// One sample per operator in DFS order, left input first, each under its
+// path; Materialize nodes and shared-reference stubs contribute none.
+TEST(RunFeedbackTest, OpsSkipMaterializeAndSharedStubs) {
   ExecProfile scan;
   scan.op = PhysOpKind::kScan;
   scan.detail = "R";
-  scan.stats.est_rows = 500;
   scan.stats.rows_out = 500;
+  scan.stats.rows_sorted = 7;
+
+  ExecProfile memo;
+  memo.op = PhysOpKind::kMaterialize;
+  memo.stats.rows_out = 500;
+  memo.children.push_back(scan);
+
+  ExecProfile stub;
+  stub.op = PhysOpKind::kMaterialize;
+  stub.shared_ref = true;
 
   ExecProfile join;
   join.op = PhysOpKind::kHashJoin;
-  join.stats.est_rows = 10;
+  join.detail = "keys=1";
   join.stats.rows_out = 1000;
-  join.children.push_back(scan);
+  join.stats.normalize_ns = 40;
+  join.children.push_back(memo);
+  join.children.push_back(stub);
 
   obs::RunRecord run =
       BuildRunRecord(0, "", Status::Ok(), 1000, 0, 1, join);
   ASSERT_EQ(run.ops.size(), 2u);
-  EXPECT_EQ(run.ops[0].op, "HashJoin");
-  EXPECT_DOUBLE_EQ(run.ops[0].factor, 100.0);
+  EXPECT_EQ(run.ops[0].path, "HashJoin");
+  EXPECT_EQ(run.ops[0].op, "HashJoin(keys=1)");
+  EXPECT_EQ(run.ops[0].actual_rows, 1000u);
+  EXPECT_EQ(run.ops[0].normalize_ns, 40u);
+  EXPECT_EQ(run.ops[1].path, "HashJoin/0:Materialize/0:Scan");
   EXPECT_EQ(run.ops[1].op, "Scan(R)");
-  EXPECT_DOUBLE_EQ(run.ops[1].factor, 1.0);
-  EXPECT_DOUBLE_EQ(run.misestimate_factor, 100.0);
-  EXPECT_EQ(run.misestimate_op, "HashJoin");
-
-  const std::string ranked =
-      "HashJoin: est 10 actual 1000 (100.0x under)\n"
-      "Scan(R): est 500 actual 500 (exact)\n";
-  EXPECT_EQ(FeedbackToString(run.ops), ranked);
-  // The ranking comes from the factors, not from the ops' DFS order.
-  EXPECT_EQ(FeedbackToString({run.ops.rbegin(), run.ops.rend()}), ranked);
-
-  std::string json = "{\"event\":\"run\"";
-  obs::AppendRunRecordJson(run, json);
-  json += "}";
-  auto parsed = obs::ParseJson(json);
-  ASSERT_TRUE(parsed.ok()) << json;
-  EXPECT_EQ(parsed->StringOr("misestimate_op", ""), "HashJoin");
-  EXPECT_DOUBLE_EQ(parsed->NumberOr("misestimate_factor", 0), 100.0);
+  EXPECT_EQ(run.ops[1].actual_rows, 500u);
+  EXPECT_EQ(run.ops[1].rows_sorted, 7u);
 }
 
-TEST(RunFeedbackTest, ExplainAnalyzeShowsMemoryAndFeedback) {
+TEST(RunFeedbackTest, ExplainAnalyzeShowsMemory) {
   Compiler compiler;
   Database db;
   ASSERT_TRUE(LoadCsvText(db, "EDGE", "1,2\n2,3\n3,1\n").ok());
@@ -561,12 +556,10 @@ TEST(RunFeedbackTest, ExplainAnalyzeShowsMemoryAndFeedback) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto report = q->ExplainAnalyze(db);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_NE(report->find("est_rows="), std::string::npos) << *report;
   EXPECT_NE(report->find("peak_bytes="), std::string::npos) << *report;
   EXPECT_NE(report->find("memory: peak "), std::string::npos) << *report;
-  EXPECT_NE(report->find("feedback (est vs actual, worst first):"),
-            std::string::npos)
-      << *report;
+  EXPECT_EQ(report->find(" est"), std::string::npos) << *report;
+  EXPECT_EQ(report->find("feedback"), std::string::npos) << *report;
 }
 
 // ---- Query log integration ---------------------------------------------
@@ -622,8 +615,7 @@ TEST(QueryLogResourceTest, RunRecordsCarryMemoryAndAbortFields) {
   EXPECT_GT(runs[0].run.peak_bytes, 0u);
   EXPECT_GT(runs[0].run.bytes_allocated, 0u);
   EXPECT_TRUE(runs[0].run.aborted_limit.empty());
-  EXPECT_GE(runs[0].run.misestimate_factor, 1.0);
-  EXPECT_FALSE(runs[0].run.misestimate_op.empty());
+  EXPECT_FALSE(runs[0].run.ops.empty());
 
   EXPECT_FALSE(runs[1].run.ok);
   EXPECT_EQ(runs[1].run.aborted_limit, "max_bytes");

@@ -4,11 +4,7 @@
 //
 //   emcalc-inspect top [--k N] LOG       k slowest runs
 //   emcalc-inspect aborts LOG            failures by tripped limit
-//   emcalc-inspect misest [--k N] LOG    misestimates by operator
 //   emcalc-inspect summary LOG           one-screen log roll-up
-//   emcalc-inspect history [--k N] STORE history-store digest
-//   emcalc-inspect diff [--threshold X] A B
-//                                        regressions between two stores
 //   emcalc-inspect bundle FILE           postmortem bundle digest
 //   emcalc-inspect trace FILE -o OUT     bundle ring -> Chrome trace JSON
 //
@@ -28,14 +24,7 @@ constexpr const char kUsage[] =
     "usage: emcalc-inspect <command> [options] <file>\n"
     "  top [--k N] LOG       k slowest runs (default 10)\n"
     "  aborts LOG            failed runs by tripped resource limit\n"
-    "  misest [--k N] LOG    plan misestimates by operator (default 10)\n"
     "  summary LOG           record counts, error and wall-time roll-up\n"
-    "  history [--k N] STORE history-store digest: misestimated, slowest,\n"
-    "                        regressed query hashes with run trends\n"
-    "  diff [--threshold X] A B\n"
-    "                        flag hashes whose latency or misestimation\n"
-    "                        grew more than X-fold from store A to B\n"
-    "                        (default 1.5)\n"
     "  bundle FILE           render a postmortem bundle\n"
     "  trace FILE -o OUT     convert a bundle's flight ring to Chrome "
     "trace JSON\n";
@@ -73,8 +62,7 @@ int main(int argc, char** argv) {
   std::string command = args.front();
   args.erase(args.begin());
 
-  if (command == "top" || command == "aborts" || command == "misest" ||
-      command == "summary") {
+  if (command == "top" || command == "aborts" || command == "summary") {
     size_t k = 10;
     if (!TakeK(args, k)) return Fail("--k needs a positive integer");
     if (args.size() != 1) return Fail("expected exactly one LOG file");
@@ -85,8 +73,6 @@ int main(int argc, char** argv) {
       out = emcalc::obs::RenderTopSlowest(*scan, k);
     } else if (command == "aborts") {
       out = emcalc::obs::RenderAborts(*scan);
-    } else if (command == "misest") {
-      out = emcalc::obs::RenderMisestimates(*scan, k);
     } else {
       out = emcalc::obs::RenderLogSummary(*scan);
     }
@@ -95,47 +81,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "emcalc-inspect: skipped %zu unparseable lines\n",
                    scan->bad_lines);
     }
-    return 0;
-  }
-
-  if (command == "history") {
-    size_t k = 10;
-    if (!TakeK(args, k)) return Fail("--k needs a positive integer");
-    if (args.size() != 1) return Fail("expected exactly one history store");
-    auto scan = emcalc::obs::ReadHistoryFile(
-        emcalc::obs::ResolveHistoryPath(args[0]));
-    if (!scan.ok()) return Fail(scan.status().ToString());
-    std::fputs(emcalc::obs::RenderHistory(*scan, k).c_str(), stdout);
-    if (scan->bad_lines > 0) {
-      std::fprintf(stderr, "emcalc-inspect: skipped %zu unparseable lines\n",
-                   scan->bad_lines);
-    }
-    return 0;
-  }
-
-  if (command == "diff") {
-    double threshold = 1.5;
-    for (size_t i = 0; i < args.size(); ++i) {
-      if (args[i] != "--threshold") continue;
-      if (i + 1 >= args.size()) return Fail("--threshold needs a number");
-      char* end = nullptr;
-      threshold = std::strtod(args[i + 1].c_str(), &end);
-      if (end == nullptr || *end != '\0' || threshold <= 0) {
-        return Fail("--threshold needs a positive number");
-      }
-      args.erase(args.begin() + static_cast<long>(i),
-                 args.begin() + static_cast<long>(i) + 2);
-      break;
-    }
-    if (args.size() != 2) return Fail("expected two history stores: A B");
-    auto a = emcalc::obs::ReadHistoryFile(
-        emcalc::obs::ResolveHistoryPath(args[0]));
-    if (!a.ok()) return Fail(a.status().ToString());
-    auto b = emcalc::obs::ReadHistoryFile(
-        emcalc::obs::ResolveHistoryPath(args[1]));
-    if (!b.ok()) return Fail(b.status().ToString());
-    std::fputs(emcalc::obs::RenderHistoryDiff(*a, *b, threshold).c_str(),
-               stdout);
     return 0;
   }
 
