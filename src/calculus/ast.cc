@@ -164,21 +164,40 @@ const Formula* AstContext::MakeForall(std::span<const Symbol> vars,
   return f;
 }
 
-void AstContext::NoteSpan(const void* node, diag::SourceSpan span) {
+// Span writes go through the context that owns the (arena-allocated,
+// otherwise immutable) node, hence the const_cast.
+template <typename NodeT>
+void AstContext::SetSpan(const NodeT* node, diag::SourceSpan span) {
+  NodeT* n = const_cast<NodeT*>(node);
+  n->span_ = span;
+  n->has_span_ = true;
+}
+
+void AstContext::NoteSpan(const Formula* node, diag::SourceSpan span) {
   if (node == nullptr || node == true_ || node == false_) return;
-  spans_[node] = span;
+  SetSpan(node, span);
 }
 
-void AstContext::InheritSpan(const void* to, const void* from) {
-  if (to == nullptr || to == from || to == true_ || to == false_) return;
-  auto src = spans_.find(from);
-  if (src == spans_.end()) return;
-  spans_.emplace(to, src->second);  // keep an existing span on `to`
+void AstContext::NoteSpan(const Term* node, diag::SourceSpan span) {
+  if (node != nullptr) SetSpan(node, span);
 }
 
-const diag::SourceSpan* AstContext::SpanOf(const void* node) const {
-  auto it = spans_.find(node);
-  return it == spans_.end() ? nullptr : &it->second;
+void AstContext::InheritSpan(const Formula* to, const Formula* from) {
+  if (to == nullptr || to == true_ || to == false_ || to->has_span_) return;
+  if (from != nullptr && from->has_span_) SetSpan(to, from->span_);
+}
+
+void AstContext::InheritSpan(const Term* to, const Term* from) {
+  if (to == nullptr || to->has_span_) return;
+  if (from != nullptr && from->has_span_) SetSpan(to, from->span_);
+}
+
+const diag::SourceSpan* AstContext::SpanOf(const Formula* node) const {
+  return node != nullptr && node->has_span_ ? &node->span_ : nullptr;
+}
+
+const diag::SourceSpan* AstContext::SpanOf(const Term* node) const {
+  return node != nullptr && node->has_span_ ? &node->span_ : nullptr;
 }
 
 bool TermsEqual(const Term* a, const Term* b) {

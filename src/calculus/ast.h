@@ -8,7 +8,8 @@
 //
 // Nodes are immutable and arena-allocated; rewrites build new nodes that
 // share unchanged subtrees. All nodes are trivially destructible (constants
-// are interned in a pool owned by the AstContext).
+// are interned in a pool owned by the AstContext). Each node has room for
+// the source span it was parsed from (see AstContext::SpanOf).
 #ifndef EMCALC_CALCULUS_AST_H_
 #define EMCALC_CALCULUS_AST_H_
 
@@ -61,11 +62,14 @@ class Term {
         args_(args) {}
 
   Kind kind_;
+  bool has_span_ = false;
   Symbol symbol_;
   uint32_t const_id_;
   uint32_t num_args_;
   const Term* const* args_;
+  diag::SourceSpan span_;
 };
+static_assert(sizeof(Term) <= 32, "Term grew past 32 bytes");
 
 // ---------------------------------------------------------------------------
 // Formulas
@@ -131,14 +135,17 @@ class Formula {
   friend class AstContext;
 
   FormulaKind kind_ = FormulaKind::kTrue;
+  bool has_span_ = false;
   Symbol symbol_;
   uint32_t num_terms_ = 0;
   uint32_t num_children_ = 0;
   uint32_t num_vars_ = 0;
+  diag::SourceSpan span_;
   const Term* const* terms_ = nullptr;
   const Formula* const* children_ = nullptr;
   const Symbol* vars_ = nullptr;
 };
+static_assert(sizeof(Formula) <= 56, "Formula grew past 56 bytes");
 
 // A calculus query {head | body}. `head` lists the output variables, which
 // must all occur free in `body` (checked by the safety analysis, not here).
@@ -197,27 +204,32 @@ class AstContext {
 
   Arena& arena() { return arena_; }
 
-  // --- source-span side table (src/diag/) ---
+  // --- source spans (src/diag/) ---
   //
   // The parser records the byte range of the query text each node was read
-  // from; rewrites copy spans onto replacement nodes with InheritSpan.
-  // Programmatically built nodes simply have no entry, so every consumer
-  // must treat SpanOf as optional. The shared kTrue/kFalse singletons never
-  // get spans (one node serves many parses).
+  // from; rewrites copy spans onto replacement nodes with InheritSpan. The
+  // span is stored in the node itself. Programmatically built nodes have
+  // none, so every consumer must treat SpanOf as optional. The shared
+  // kTrue/kFalse singletons never get spans (one node serves many parses).
 
-  // Records `span` for `node` (a Formula* or Term*); later calls overwrite.
-  void NoteSpan(const void* node, diag::SourceSpan span);
+  // Records `span` for `node`; later calls overwrite.
+  void NoteSpan(const Formula* node, diag::SourceSpan span);
+  void NoteSpan(const Term* node, diag::SourceSpan span);
   // Copies `from`'s span onto `to` if `from` has one and `to` does not.
-  void InheritSpan(const void* to, const void* from);
+  void InheritSpan(const Formula* to, const Formula* from);
+  void InheritSpan(const Term* to, const Term* from);
   // The recorded span, or nullptr.
-  const diag::SourceSpan* SpanOf(const void* node) const;
+  const diag::SourceSpan* SpanOf(const Formula* node) const;
+  const diag::SourceSpan* SpanOf(const Term* node) const;
 
  private:
+  template <typename NodeT>
+  static void SetSpan(const NodeT* node, diag::SourceSpan span);
+
   Arena arena_;
   SymbolTable symbols_;
   std::vector<Value> constants_;
   std::unordered_map<Value, uint32_t> constant_ids_;
-  std::unordered_map<const void*, diag::SourceSpan> spans_;
   const Formula* true_ = nullptr;
   const Formula* false_ = nullptr;
 };

@@ -1,7 +1,7 @@
 #include "src/calculus/parser.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <string>
 #include <vector>
 
@@ -95,7 +95,13 @@ class Lexer {
           ++i;
         }
         Token t{TokKind::kInt, text_.substr(start, i - start), 0, start, i};
-        t.int_value = std::strtoll(std::string(t.text).c_str(), nullptr, 10);
+        std::from_chars_result r =
+            std::from_chars(text_.data() + start, text_.data() + i,
+                            t.int_value);
+        if (r.ec != std::errc()) {
+          return MakeParseError(text_, start, "integer literal out of range",
+                                error_);
+        }
         out.push_back(t);
         continue;
       }
@@ -418,7 +424,7 @@ class Parser {
         return Note(ctx_.MakeConst(Value::Int(t.int_value)), start);
       case TokKind::kString:
         Advance();
-        return Note(ctx_.MakeConst(Value::Str(std::string(t.text))), start);
+        return Note(ctx_.MakeConst(Value::Str(t.text)), start);
       case TokKind::kIdent: {
         if (IsReserved(t.text)) {
           return Error(t.pos,

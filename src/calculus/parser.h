@@ -18,6 +18,8 @@
 //             | int-literal | string-literal
 //   varlist  := ident (',' ident)*
 //
+// An int-literal outside the int64 range is a parse error, not clamped.
+//
 // An identifier applied to arguments is a relation atom in formula position
 // and a function application in term position; `R(x)` followed by '=' is
 // therefore the term R(x) compared for equality, otherwise the atom R(x).
@@ -43,9 +45,9 @@ struct ParseErrorInfo {
 };
 
 // Parses a query, interning names into `ctx`. Every formula and term node
-// built from the text gets a byte-offset source span recorded in the
-// context's span side table (see AstContext::SpanOf). On failure, `error`
-// (when non-null) receives the offset and bare message.
+// built from the text gets a byte-offset source span recorded in the node
+// (see AstContext::SpanOf). On failure, `error` (when non-null) receives
+// the offset and bare message.
 StatusOr<Query> ParseQuery(AstContext& ctx, std::string_view text,
                            ParseErrorInfo* error = nullptr);
 

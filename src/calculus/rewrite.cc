@@ -11,7 +11,7 @@ namespace {
 // Rewrites carry the original node's source span onto its replacement so
 // diagnostics on rewritten trees still point into the query text.
 template <typename NodeT>
-const NodeT* Spanned(AstContext& ctx, const NodeT* built, const void* from) {
+const NodeT* Spanned(AstContext& ctx, const NodeT* built, const NodeT* from) {
   ctx.InheritSpan(built, from);
   return built;
 }

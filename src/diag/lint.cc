@@ -35,7 +35,8 @@ class Linter {
   }
 
  private:
-  void Report(const void* node, std::string code, std::string message,
+  template <typename NodeT>
+  void Report(const NodeT* node, std::string code, std::string message,
               Severity severity = Severity::kWarning) {
     Diagnostic d(std::move(code), severity, std::move(message));
     if (const SourceSpan* span = ctx_.SpanOf(node)) d.WithSpan(*span);

@@ -3,9 +3,8 @@
 // query text, and caret-snippet rendering for terminal output.
 //
 // Spans are half-open byte ranges [begin, end) into the query string that
-// was parsed. They are kept out of the AST nodes themselves — AstContext
-// owns a side table keyed by node pointer — so rewrites and programmatic
-// construction pay nothing and existing consumers are untouched.
+// was parsed. Each AST node stores its own span (see AstContext::SpanOf);
+// programmatically built nodes have none.
 #ifndef EMCALC_DIAG_SOURCE_H_
 #define EMCALC_DIAG_SOURCE_H_
 

@@ -29,12 +29,16 @@ struct Ring {
   size_t capacity = 0;  // power of two
   std::atomic<uint64_t> head{0};
   std::atomic<uint64_t>* words = nullptr;  // capacity * kWordsPerSlot
+  Ring* next_retired = nullptr;  // link in g_retired once retired
 };
 
 // Fixed registry of rings so the signal handler can iterate without locks.
 // Slots are published with release stores and never reordered; a retired
-// ring (test reset) leaves a null slot behind.
+// ring (test reset) leaves a null slot behind and moves to g_retired.
 std::atomic<Ring*> g_rings[kMaxRings];
+// Retired rings, never freed (a concurrent drain may still be reading one)
+// but kept reachable from this list head.
+std::atomic<Ring*> g_retired{nullptr};
 std::atomic<size_t> g_ring_count{0};
 std::atomic<bool> g_enabled{true};
 std::atomic<bool> g_env_checked{false};
@@ -270,8 +274,13 @@ void DumpFlightRingsJson(int fd) {
 void ResetFlightRingForTesting(size_t capacity_events) {
   if (t_ring != nullptr) {
     // Retire the old ring so drains no longer see its events. The ring
-    // itself is leaked: a concurrent drain may still be reading it.
+    // itself is never freed: a concurrent drain may still be reading it.
     g_rings[t_ring_slot].store(nullptr, std::memory_order_release);
+    t_ring->next_retired = g_retired.load(std::memory_order_relaxed);
+    while (!g_retired.compare_exchange_weak(t_ring->next_retired, t_ring,
+                                            std::memory_order_release,
+                                            std::memory_order_relaxed)) {
+    }
     t_ring = nullptr;
   }
   if (capacity_events < 2) capacity_events = 2;

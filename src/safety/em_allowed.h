@@ -59,8 +59,8 @@ struct SafetyResult {
   // `unbounded`): free(phi) \ X for condition (1), the quantified
   // variables for (2)/(3).
   SymbolSet blame_targets;
-  // Subformula to point at in the source (nearest node with a recorded
-  // span; see AstContext::SpanOf).
+  // Subformula to point at in the source (the nearest node that carries a
+  // source span; see AstContext::SpanOf).
   const Formula* blamed = nullptr;
   // The formula whose bd() failed the entailment — what a consumer should
   // recompute bd over to reproduce the derivation (may be a rewritten node

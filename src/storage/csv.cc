@@ -1,7 +1,7 @@
 #include "src/storage/csv.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -17,21 +17,29 @@ std::string Trim(const std::string& s) {
 }
 
 // int when the whole trimmed field is an optionally-signed integer;
-// quoted or anything else -> string.
-Value ParseField(const std::string& raw) {
+// quoted or anything else -> string. Returns false for an integer outside
+// the int64 range.
+bool ParseField(const std::string& raw, Value* out) {
   std::string field = Trim(raw);
   if (field.size() >= 2 && field.front() == '\'' && field.back() == '\'') {
-    return Value::Str(field.substr(1, field.size() - 2));
+    *out = Value::Str(field.substr(1, field.size() - 2));
+    return true;
   }
-  if (!field.empty()) {
-    char* end = nullptr;
-    long long v = std::strtoll(field.c_str(), &end, 10);
-    if (end != nullptr && *end == '\0' && end != field.c_str() &&
-        !(field.size() == 1 && field[0] == '-')) {
-      return Value::Int(v);
-    }
+  // from_chars takes no leading '+'; skip one so "+5" stays an int.
+  size_t digits = field.size() >= 2 && field[0] == '+' &&
+                          std::isdigit(static_cast<unsigned char>(field[1]))
+                      ? 1
+                      : 0;
+  const char* end = field.data() + field.size();
+  int64_t v = 0;
+  std::from_chars_result r = std::from_chars(field.data() + digits, end, v);
+  if (r.ptr == end && !field.empty()) {
+    if (r.ec != std::errc()) return false;
+    *out = Value::Int(v);
+    return true;
   }
-  return Value::Str(field);
+  *out = Value::Str(field);
+  return true;
 }
 
 }  // namespace
@@ -48,7 +56,13 @@ Status LoadCsv(Database& db, const std::string& name, std::istream& in) {
     std::string field;
     std::stringstream row(trimmed);
     while (std::getline(row, field, ',')) {
-      tuple.push_back(ParseField(field));
+      Value v;
+      if (!ParseField(field, &v)) {
+        return InvalidArgumentError("line " + std::to_string(line_no) +
+                                    ": integer literal out of range: " +
+                                    Trim(field));
+      }
+      tuple.push_back(v);
     }
     if (arity == -1) {
       arity = static_cast<int>(tuple.size());

@@ -2,8 +2,9 @@
 // can load data from files. Format: one tuple per line, comma-separated;
 // fields that parse as integers become int values, everything else becomes
 // a string value (surrounding whitespace trimmed; a field wrapped in
-// single quotes is always a string). Blank lines and lines starting with
-// '#' are skipped.
+// single quotes is always a string). An integer field outside the int64
+// range is a load error naming its line. Blank lines and lines starting
+// with '#' are skipped.
 #ifndef EMCALC_STORAGE_CSV_H_
 #define EMCALC_STORAGE_CSV_H_
 

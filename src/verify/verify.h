@@ -92,8 +92,8 @@ void ForceEnabled(int mode);
 // --- Stage 1: calculus -----------------------------------------------------
 // Scope/shadowing of bound variables, head coverage, consistent relation
 // and function arities, in-range constant-pool ids, and (for parsed
-// queries, when `require_spans` is set) span-table coverage of every
-// formula node.
+// queries, when `require_spans` is set) a source span on every formula
+// node.
 VerifyReport VerifyCalculus(const AstContext& ctx, const Query& q,
                             bool require_spans);
 

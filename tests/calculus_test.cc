@@ -2,6 +2,7 @@
 // parser (accept/reject/round-trip), printer, analyses, and rewrites.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "src/calculus/analysis.h"
@@ -197,6 +198,34 @@ TEST_F(CalculusTest, ParseLiteralsAndNegativeNumbers) {
   auto f = ParseFormula(ctx_, "x = -42 or x = 'alice'");
   ASSERT_TRUE(f.ok());
   EXPECT_EQ((*f)->kind(), FormulaKind::kOr);
+}
+
+TEST_F(CalculusTest, ParseIntLiteralsAtTheInt64Limits) {
+  auto f = ParseFormula(ctx_,
+                        "x = 9223372036854775807 or x = -9223372036854775808");
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  ASSERT_EQ((*f)->kind(), FormulaKind::kOr);
+  const Term* max = (*f)->children()[0]->rhs();
+  const Term* min = (*f)->children()[1]->rhs();
+  ASSERT_TRUE(max->is_const());
+  ASSERT_TRUE(min->is_const());
+  EXPECT_EQ(ctx_.ConstantAt(max->const_id()),
+            Value::Int(std::numeric_limits<int64_t>::max()));
+  EXPECT_EQ(ctx_.ConstantAt(min->const_id()),
+            Value::Int(std::numeric_limits<int64_t>::min()));
+}
+
+TEST_F(CalculusTest, ParseRejectsOutOfRangeIntLiterals) {
+  for (std::string text : {"{x | R(x) and x = 9223372036854775808}",
+                           "{x | R(x) and x = -9223372036854775809}",
+                           "{x | R(x) and x = 99999999999999999999}"}) {
+    ParseErrorInfo info;
+    auto q = ParseQuery(ctx_, text, &info);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(info.message, "integer literal out of range") << text;
+    EXPECT_EQ(info.offset, text.find("= ") + 2) << text;
+    EXPECT_NE(q.status().message().find("column"), std::string::npos);
+  }
 }
 
 TEST_F(CalculusTest, ParseQuantifierLists) {

@@ -1,8 +1,12 @@
-// Tests for the diagnostics engine: source spans through the parser,
-// located parse errors, the safety blame trace (golden renderings for the
-// paper's Section-1 unsafe examples), the lint rules, the query-log
-// diagnostics attachment, and the JSON round-trip.
+// Tests for the diagnostics engine: source spans through the parser and
+// the rewrites, located parse errors, the safety blame trace (golden
+// renderings for the paper's Section-1 unsafe examples), the lint rules,
+// the Compiler::Analyze golden file, the query-log diagnostics attachment,
+// and the JSON round-trip.
 #include <cstdlib>
+#include <fstream>
+#include <optional>
+#include <random>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -10,6 +14,7 @@
 #include "src/calculus/analysis.h"
 #include "src/calculus/parser.h"
 #include "src/calculus/printer.h"
+#include "src/calculus/rewrite.h"
 #include "src/core/compiler.h"
 #include "src/core/random_query.h"
 #include "src/diag/blame.h"
@@ -20,6 +25,7 @@
 #include "src/obs/json.h"
 #include "src/obs/query_log.h"
 #include "src/safety/em_allowed.h"
+#include "src/translate/enf.h"
 
 namespace emcalc {
 namespace {
@@ -92,6 +98,84 @@ TEST_F(SpanTest, SharedSingletonsNeverGetSpans) {
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(ctx_.SpanOf(ctx_.True()), nullptr);
   EXPECT_EQ(ctx_.SpanOf(ctx_.False()), nullptr);
+}
+
+TEST_F(SpanTest, TermSpansCoverApplications) {
+  std::string text = "{x | R(x) and S(f(x), 3)}";
+  SpanOfBody(text);
+  ASSERT_EQ(body_->kind(), FormulaKind::kAnd);
+  const Formula* atom = body_->children()[1];
+  ASSERT_EQ(atom->kind(), FormulaKind::kRel);
+  const SourceSpan* fx = ctx_.SpanOf(atom->terms()[0]);
+  const SourceSpan* x = ctx_.SpanOf(atom->terms()[0]->args()[0]);
+  const SourceSpan* three = ctx_.SpanOf(atom->terms()[1]);
+  ASSERT_NE(fx, nullptr);
+  ASSERT_NE(x, nullptr);
+  ASSERT_NE(three, nullptr);
+  EXPECT_EQ(text.substr(fx->begin, fx->size()), "f(x)");
+  EXPECT_EQ(text.substr(x->begin, x->size()), "x");
+  EXPECT_EQ(text.substr(three->begin, three->size()), "3");
+}
+
+TEST_F(SpanTest, NoteOverwritesInheritKeeps) {
+  const Formula* a = ctx_.MakeRel(ctx_.symbols().Intern("A"), {});
+  const Formula* b = ctx_.MakeRel(ctx_.symbols().Intern("B"), {});
+  const Formula* c = ctx_.MakeRel(ctx_.symbols().Intern("C"), {});
+  EXPECT_EQ(ctx_.SpanOf(a), nullptr);
+  ctx_.NoteSpan(a, SourceSpan{1, 2});
+  ctx_.NoteSpan(a, SourceSpan{3, 4});
+  ctx_.NoteSpan(b, SourceSpan{5, 6});
+  ASSERT_NE(ctx_.SpanOf(a), nullptr);
+  EXPECT_EQ(*ctx_.SpanOf(a), (SourceSpan{3, 4}));
+  // `a` already has a span: inheriting keeps it.
+  ctx_.InheritSpan(a, b);
+  EXPECT_EQ(*ctx_.SpanOf(a), (SourceSpan{3, 4}));
+  // `c` has none: it takes `b`'s; a spanless source changes nothing.
+  ctx_.InheritSpan(c, b);
+  ASSERT_NE(ctx_.SpanOf(c), nullptr);
+  EXPECT_EQ(*ctx_.SpanOf(c), (SourceSpan{5, 6}));
+  const Term* t = ctx_.MakeVar("t");
+  const Term* u = ctx_.MakeVar("u");
+  ctx_.InheritSpan(t, u);
+  EXPECT_EQ(ctx_.SpanOf(t), nullptr);
+  ctx_.NoteSpan(u, SourceSpan{7, 8});
+  ctx_.InheritSpan(t, u);
+  ASSERT_NE(ctx_.SpanOf(t), nullptr);
+  EXPECT_EQ(*ctx_.SpanOf(t), (SourceSpan{7, 8}));
+  // The shared singletons never take a span.
+  ctx_.NoteSpan(ctx_.True(), SourceSpan{1, 2});
+  ctx_.InheritSpan(ctx_.False(), b);
+  EXPECT_EQ(ctx_.SpanOf(ctx_.True()), nullptr);
+  EXPECT_EQ(ctx_.SpanOf(ctx_.False()), nullptr);
+}
+
+// Every relation atom left after Rectify and ToEnf still points at its own
+// text in the query.
+void CollectRelAtoms(const Formula* f, std::vector<const Formula*>* out) {
+  if (f->is(FormulaKind::kRel)) out->push_back(f);
+  for (const Formula* c : f->children()) CollectRelAtoms(c, out);
+}
+
+TEST_F(SpanTest, AtomSpansSurviveRectifyAndEnf) {
+  std::string text =
+      "{x | R(x) and exists y (S(x, y)) and "
+      "forall y (not T(x, y) or exists x (S(y, x)))}";
+  SpanOfBody(text);
+  const Formula* rectified = Rectify(ctx_, body_);
+  ASSERT_NE(rectified, body_);  // the inner x and the second y are renamed
+  const Formula* enf = ToEnf(ctx_, rectified);
+  for (const Formula* f : {rectified, enf}) {
+    std::vector<const Formula*> atoms;
+    CollectRelAtoms(f, &atoms);
+    ASSERT_EQ(atoms.size(), 4u);
+    for (const Formula* atom : atoms) {
+      const SourceSpan* span = ctx_.SpanOf(atom);
+      ASSERT_NE(span, nullptr) << FormulaToString(ctx_, atom);
+      std::string name(ctx_.symbols().Name(atom->rel()));
+      EXPECT_EQ(text.substr(span->begin, name.size() + 1), name + "(")
+          << FormulaToString(ctx_, atom);
+    }
+  }
 }
 
 TEST_F(SpanTest, ParseErrorReportsLineColumnAndCaret) {
@@ -495,6 +579,142 @@ TEST(AnalyzeTest, JsonCarriesSpansAndNotes) {
   ASSERT_NE(notes, nullptr);
   EXPECT_TRUE(notes->is_array());
   EXPECT_GE(notes->array.size(), 3u);
+}
+
+TEST(AnalyzeTest, BlameInsideForallPointsIntoTheQuery) {
+  // forall is checked as its dual not exists not; the unbounded z sits
+  // under that rewrite, and the caret must still land on its source text.
+  std::string text =
+      "{x | R(x) and forall y (not S(x, y) or not exists z (not T(y, z)))}";
+  Compiler compiler;
+  emcalc::QueryAnalysis a = compiler.Analyze(text);
+  ASSERT_TRUE(a.parsed);
+  ASSERT_FALSE(a.safe);
+  ASSERT_EQ(a.diagnostics.size(), 1u) << a.Render();
+  const Diagnostic& d = a.diagnostics[0];
+  EXPECT_EQ(d.code, "safety.unbounded-quantified");
+  ASSERT_TRUE(d.span.has_value()) << a.Render();
+  ASSERT_LE(d.span->end, text.size());
+  EXPECT_EQ(text.substr(d.span->begin, d.span->size()),
+            "exists z (not T(y, z))");
+  EXPECT_NE(a.Render().find("\n  |" + std::string(d.span->begin + 1, ' ') +
+                            "^~~~"),
+            std::string::npos)
+      << a.Render();
+}
+
+// --- Compiler::Analyze golden ---
+//
+// tests/testdata/analyze_golden.txt holds the rendered Analyze output for
+// the paper corpus plus 300 seeded texts (em-allowed, rejected and
+// malformed). It pins every front-half diagnostic: code, message, span and
+// caret snippet. On a mismatch the test writes what it got to
+// analyze_golden.actual.txt in its working directory; after checking the
+// difference is intended, copy that file over the golden.
+
+#ifndef EMCALC_TESTDATA_DIR
+#error "EMCALC_TESTDATA_DIR must point at tests/testdata"
+#endif
+
+std::vector<std::string> GoldenTexts() {
+  std::vector<std::string> texts = {
+      // The paper corpus: q1, q2, q4, q5, q6, and q7 (not em-allowed).
+      "{y | exists x (R(x) and y = g(f(x)))}",
+      "{x | R(x) and exists y (f(x) = y and not R(y))}",
+      "{x, y | B(x) and not (((f(x) != y and g(x) != y) or R(x, y)) and "
+      "((h(x) != y and k(x) != y) or P(x, y)))}",
+      "{x, y | (R(x) and f(x) = y) or (S(y) and g(y) = x)}",
+      "{x, y, z | R(x, y, z) and not S(y, z)}",
+      "{x | x = 0 and forall u (exists v (plus(u, 1) = v))}",
+      // Section 1's unsafe shapes and the lint rules.
+      "{x | not R(x)}",
+      "{x, y | R(x) or S(y)}",
+      "{x, y | R(x) and not (S(y) and T(y))}",
+      "{x | R(x) and forall y (S(x, y))}",
+      "{x | R(x) and forall y (not S(x, y) or not exists z (not T(y, z)))}",
+      "{x | R(x) and R(x, x)}",
+      "{x | R(x) and exists x (S(x))}",
+      "{x | R(x) and x = 1 and x = 2}",
+      "{x, y | R(x) and y = f(x) and S(f(x, x))}",
+      "{x, y | R(x) and S(y)}",
+      "{x | R(x) and\n  not exists y (S(x, y) and\n    y != f(x))}",
+      "{x | R(x) and x = 9223372036854775807}",
+  };
+  std::mt19937_64 rng(20261018);
+  RandomQueryOptions shape;  // shorter texts keep the golden readable
+  shape.max_conjuncts = 3;
+  shape.max_depth = 2;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    AstContext ctx;
+    RandomQueryGen gen(ctx, seed, shape);
+    for (int i = 0; i < 100; ++i) {
+      std::optional<Query> q;
+      if (i % 4 == 0) q = gen.NextEmAllowed();
+      if (!q.has_value()) q = gen.Next();
+      std::string text = QueryToString(ctx, *q);
+      if (i % 4 == 3) {  // malformed: cut, drop or replace one byte
+        size_t at = static_cast<size_t>(rng() % text.size());
+        switch (rng() % 3) {
+          case 0:
+            text.resize(at);
+            break;
+          case 1:
+            text.erase(at, 1);
+            break;
+          default:
+            text[at] = "(),|!#="[rng() % 7];
+            break;
+        }
+      }
+      texts.push_back(std::move(text));
+    }
+  }
+  return texts;
+}
+
+std::string RenderGolden() {
+  std::string out;
+  for (const std::string& text : GoldenTexts()) {
+    Compiler compiler;
+    emcalc::QueryAnalysis a = compiler.Analyze(text);
+    out += "=== " + text + "\n";
+    out += "parsed=" + std::to_string(a.parsed) +
+           " safe=" + std::to_string(a.safe) + "\n";
+    for (const Diagnostic& d : a.diagnostics) {
+      out += "--- " + d.code;
+      if (d.span.has_value()) {
+        out += " [" + std::to_string(d.span->begin) + ", " +
+               std::to_string(d.span->end) + ")";
+      }
+      out += "\n" + diag::Render(d, text);
+    }
+  }
+  return out;
+}
+
+TEST(AnalyzeGoldenTest, MatchesCheckedInRendering) {
+  std::string path =
+      std::string(EMCALC_TESTDATA_DIR) + "/analyze_golden.txt";
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing " << path;
+  std::stringstream want;
+  if (in.good()) want << in.rdbuf();
+  std::string got = RenderGolden();
+  if (got == want.str()) return;
+  std::ofstream("analyze_golden.actual.txt", std::ios::binary) << got;
+  std::istringstream g(got), w(want.str());
+  std::string gl, wl;
+  for (int line = 1;; ++line) {
+    bool more_g = static_cast<bool>(std::getline(g, gl));
+    bool more_w = static_cast<bool>(std::getline(w, wl));
+    if (!more_g && !more_w) break;
+    if (!more_g || !more_w || gl != wl) {
+      FAIL() << path << " differs at line " << line << "\n  want: " << wl
+             << "\n  got:  " << gl
+             << "\n(full output in analyze_golden.actual.txt)";
+    }
+  }
+  FAIL() << path << " differs";
 }
 
 // --- diagnostics JSON round-trip ---

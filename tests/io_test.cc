@@ -1,4 +1,6 @@
 // Tests for CSV import/export and the algebra-plan parser round-trip.
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/algebra/eval.h"
@@ -37,6 +39,29 @@ TEST(CsvTest, WhitespaceTrimmed) {
   ASSERT_TRUE(LoadCsvText(db, "R", "  7 ,  spaced out  \n").ok());
   EXPECT_TRUE(db.Find("R")->Contains(
       {Value::Int(7), Value::Str("spaced out")}));
+}
+
+TEST(CsvTest, IntFieldsAtTheInt64Limits) {
+  Database db;
+  ASSERT_TRUE(
+      LoadCsvText(db, "R", "9223372036854775807,-9223372036854775808,+7\n")
+          .ok());
+  EXPECT_TRUE(db.Find("R")->Contains(
+      {Value::Int(std::numeric_limits<int64_t>::max()),
+       Value::Int(std::numeric_limits<int64_t>::min()), Value::Int(7)}));
+}
+
+TEST(CsvTest, OutOfRangeIntFieldRejected) {
+  for (const char* field : {"9223372036854775808", "-9223372036854775809"}) {
+    Database db;
+    Status s = LoadCsvText(db, "R",
+                           std::string("1,2\n# comment\n3, ") + field + "\n");
+    ASSERT_FALSE(s.ok()) << field;
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("line 3"), std::string::npos) << s.message();
+    EXPECT_NE(s.message().find("out of range"), std::string::npos);
+    EXPECT_NE(s.message().find(field), std::string::npos);
+  }
 }
 
 TEST(CsvTest, ArityMismatchRejected) {
