@@ -1,7 +1,9 @@
 #include "src/exec/lower.h"
 
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -31,6 +33,43 @@ bool OnSide(const ScalarExpr* e, int split, int side) {
   return false;
 }
 
+// A join condition as a hashable equi-key (left_key over the left input,
+// right_key over the right), or nullopt when it is not one.
+std::optional<PhysicalOp::KeyPair> AsKey(const AlgCondition& c, int split) {
+  if (c.op != AlgCompareOp::kEq) return std::nullopt;
+  if (OnSide(c.lhs, split, 0) && OnSide(c.rhs, split, 1)) {
+    return PhysicalOp::KeyPair{c.lhs, c.rhs};
+  }
+  if (OnSide(c.rhs, split, 0) && OnSide(c.lhs, split, 1)) {
+    return PhysicalOp::KeyPair{c.rhs, c.lhs};
+  }
+  return std::nullopt;
+}
+
+// The paper's negation shape X - project[@1..@n](join(X, Y, C)), with n the
+// arity of X and every condition of C an equi-key: it lowers to one keyed
+// DiffAnti (build on Y, probe with X, keep the unmatched X rows). Consumer
+// counts are checked separately.
+bool IsAntiJoinShape(const AlgExpr* diff) {
+  const AlgExpr* proj = diff->right();
+  if (proj->kind() != AlgKind::kProject) return false;
+  const AlgExpr* join = proj->input();
+  if (join->kind() != AlgKind::kJoin || join->left() != diff->left() ||
+      join->conds().empty()) {
+    return false;
+  }
+  const int n = diff->left()->arity();
+  if (static_cast<int>(proj->exprs().size()) != n) return false;
+  for (int i = 0; i < n; ++i) {
+    const ScalarExpr* e = proj->exprs()[static_cast<size_t>(i)];
+    if (e->kind() != ScalarExpr::Kind::kCol || e->col() != i) return false;
+  }
+  for (const AlgCondition& c : join->conds()) {
+    if (!AsKey(c, n).has_value()) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 class Lowerer {
@@ -46,6 +85,15 @@ class Lowerer {
 
   StatusOr<PhysicalPlan> Lower(const AlgExpr* root) {
     CountRefs(root);
+    // Fold each anti-join whose projection and join feed only it: they
+    // never run, so X loses the consumer the join was.
+    for (const AlgExpr* diff : anti_candidates_) {
+      const AlgExpr* proj = diff->right();
+      if (refs_[proj] == 1 && refs_[proj->input()] == 1) {
+        anti_joins_.insert(diff);
+        --refs_[diff->left()];
+      }
+    }
     auto op = LowerNode(root);
     if (!op.ok()) return op.status();
     plan_.root_ = *op;
@@ -63,7 +111,8 @@ class Lowerer {
   }
 
   // Counts how many parents each logical node has; nodes referenced more
-  // than once get a Materialize so shared work runs once.
+  // than once get a Materialize so shared work runs once. Differences of
+  // the anti-join shape are recorded as fold candidates.
   void CountRefs(const AlgExpr* node) {
     if (++refs_[node] > 1) return;  // children already counted once
     switch (node->kind()) {
@@ -71,9 +120,11 @@ class Lowerer {
       case AlgKind::kSelect:
         CountRefs(node->input());
         break;
+      case AlgKind::kDiff:
+        if (IsAntiJoinShape(node)) anti_candidates_.push_back(node);
+        [[fallthrough]];
       case AlgKind::kJoin:
       case AlgKind::kUnion:
-      case AlgKind::kDiff:
         CountRefs(node->left());
         CountRefs(node->right());
         break;
@@ -172,6 +223,9 @@ class Lowerer {
         return LowerJoin(node);
       case AlgKind::kUnion:
       case AlgKind::kDiff: {
+        if (anti_joins_.contains(node)) {
+          return LowerJoin(node->right()->input(), node);
+        }
         auto l = LowerNode(node->left());
         if (!l.ok()) return l;
         auto r = LowerNode(node->right());
@@ -213,33 +267,34 @@ class Lowerer {
 
   // Joins: partition conditions into hashable equi-keys (one side from
   // each input) and residual conditions; a HashJoin is chosen only when at
-  // least one key exists.
-  StatusOr<const PhysicalOp*> LowerJoin(const AlgExpr* node) {
-    if (Status s = ResolveConds(node->conds()); !s.ok()) return s;
-    auto l = LowerNode(node->left());
+  // least one key exists. With `diff` set, `join` is the folded join of
+  // that anti-join difference (every condition a key, by IsAntiJoinShape)
+  // and the result is a keyed DiffAnti of the difference's arity.
+  StatusOr<const PhysicalOp*> LowerJoin(const AlgExpr* join,
+                                        const AlgExpr* diff = nullptr) {
+    if (Status s = ResolveConds(join->conds()); !s.ok()) return s;
+    auto l = LowerNode(join->left());
     if (!l.ok()) return l;
-    auto r = LowerNode(node->right());
+    auto r = LowerNode(join->right());
     if (!r.ok()) return r;
 
-    int split = node->left()->arity();
+    int split = join->left()->arity();
     std::vector<PhysicalOp::KeyPair> keys;
     std::vector<AlgCondition> residual;
-    for (const AlgCondition& c : node->conds()) {
-      if (c.op == AlgCompareOp::kEq && OnSide(c.lhs, split, 0) &&
-          OnSide(c.rhs, split, 1)) {
-        keys.push_back({c.lhs, c.rhs});
-      } else if (c.op == AlgCompareOp::kEq && OnSide(c.rhs, split, 0) &&
-                 OnSide(c.lhs, split, 1)) {
-        keys.push_back({c.rhs, c.lhs});
+    for (const AlgCondition& c : join->conds()) {
+      if (auto key = AsKey(c, split)) {
+        keys.push_back(*key);
       } else {
         residual.push_back(c);
       }
     }
 
     bool hash = !keys.empty();
-    PhysicalOp* op = NewOp(
-        hash ? PhysOpKind::kHashJoin : PhysOpKind::kNestedLoopJoin,
-        node->arity());
+    PhysicalOp* op =
+        diff != nullptr
+            ? NewOp(PhysOpKind::kDiffAnti, diff->arity())
+            : NewOp(hash ? PhysOpKind::kHashJoin : PhysOpKind::kNestedLoopJoin,
+                    join->arity());
     op->left = *l;
     op->right = *r;
     op->split = split;
@@ -267,6 +322,9 @@ class Lowerer {
   const FunctionRegistry& registry_;
   PhysicalPlan plan_;
   std::unordered_map<const AlgExpr*, int> refs_;
+  // Differences of the anti-join shape, and those of them that fold.
+  std::vector<const AlgExpr*> anti_candidates_;
+  std::unordered_set<const AlgExpr*> anti_joins_;
   std::unordered_map<const AlgExpr*, const PhysicalOp*> memo_;
   // Function bindings the scalar programs compile against.
   std::unordered_map<Symbol, const ScalarFunction*> fns_;

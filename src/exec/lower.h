@@ -10,6 +10,13 @@
 //   kEmpty   -> Singleton(empty)
 //   kAdom    -> AdomScan
 //
+// The translation of `A and not B` yields X - project[@1..@n](join(X, Y,
+// C)), n the arity of X. When every condition of C is such an equality and
+// the projection and the join feed only the difference, the three nodes
+// lower to one DiffAnti in anti-join form (keys from C, build on Y, probe
+// with X); the join and projection never run, and X loses the consumer the
+// join was. Every other difference lowers to the merge form.
+//
 // Logical plans are DAGs (the translator shares context subplans between a
 // difference's two sides and among union branches); every node with more
 // than one parent is wrapped in a Materialize so its result is computed

@@ -131,6 +131,8 @@ std::string OpDetail(const PhysicalOp* op) {
     case PhysOpKind::kFilterSelect:
       return "conds=" + std::to_string(op->conds.size());
     case PhysOpKind::kHashJoin:
+    case PhysOpKind::kDiffAnti:
+      if (op->keys.empty()) return "";  // merge form of DiffAnti
       return "keys=" + std::to_string(op->keys.size()) +
              (op->conds.empty()
                   ? std::string()
@@ -145,7 +147,6 @@ std::string OpDetail(const PhysicalOp* op) {
     case PhysOpKind::kMaterialize:
       return "consumers=" + std::to_string(op->consumers);
     case PhysOpKind::kUnionMerge:
-    case PhysOpKind::kDiffAnti:
       return "";
   }
   return "";
@@ -276,6 +277,9 @@ struct ExecContext {
                                const Result& r, OpStats& s);
   Result RunNestedLoopJoin(const PhysicalOp* op, const Result& l,
                            const Result& r, OpStats& s);
+  // Merge form of DiffAnti: sorted set difference of two same-arity inputs.
+  Result RunMergeDiff(const PhysicalOp* op, const Result& l, const Result& r,
+                      OpStats& s);
 
   // Batch kernels: run the compiled scalar programs over column slices of
   // the input's flat buffer. `filter` is non-null when a FilterSelect child
@@ -300,15 +304,26 @@ struct ExecContext {
 // Partition contents are ordered by build-row index (the scatter respects
 // morsel order) and probe buffers concatenate in morsel order, so the
 // result — after the final Normalize — is independent of the thread count.
+//
+// A keyed DiffAnti (the anti-join form of X - project(join(X, Y))) runs the
+// same build and probe; its emit step keeps each probe row that finds no
+// key match instead of emitting the matched pairs. Kept rows come out in
+// probe order, which is already normalized.
 StatusOr<ExecContext::Result> ExecContext::RunHashJoin(const PhysicalOp* op,
                                                        const Result& l,
                                                        const Result& r,
                                                        OpStats& s) {
+  const bool anti = op->kind == PhysOpKind::kDiffAnti;
   const Relation& probe = *l.relation;
   const Relation& build = *r.relation;
   const size_t pn = probe.size();
   const size_t bn = build.size();  // size() normalizes both inputs
   s.rows_in += pn + bn;
+  // Nothing to subtract: the anti-join's answer is its probe input itself.
+  if (anti && bn == 0) {
+    s.rows_out += pn;
+    return l;
+  }
   auto out = std::make_shared<Relation>(op->arity);
   // Empty-input short-circuit: no pairs exist, so skip key computation and
   // table construction entirely.
@@ -332,6 +347,13 @@ StatusOr<ExecContext::Result> ExecContext::RunHashJoin(const PhysicalOp* op,
   const bool parallel = Parallel(bn) || Parallel(pn);
   const size_t max_workers = parallel ? threads : 1;
   std::vector<OpStats> shards(max_workers);
+  // A governor trip ends the join early; the counters gathered so far still
+  // reach the partial profile.
+  auto tripped = [&] {
+    if (!governor.tripped()) return false;
+    MergeShards(s, shards);
+    return true;
+  };
   // Per-worker scratch: key registers for both phases, and the candidate
   // rows of the probe phase.
   std::vector<BatchScratch> key_scratch(max_workers);
@@ -367,7 +389,7 @@ StatusOr<ExecContext::Result> ExecContext::RunHashJoin(const PhysicalOp* op,
   auto partition_of = [&](uint64_t hash) {
     return num_partitions == 1 ? size_t{0} : hash >> shift;
   };
-  if (governor.tripped()) return governor.status();
+  if (tripped()) return governor.status();
   std::vector<uint32_t> part_rows(bn);
   std::vector<size_t> part_start(num_partitions + 1, 0);
   std::vector<JoinTable> tables(num_partitions);
@@ -428,7 +450,7 @@ StatusOr<ExecContext::Result> ExecContext::RunHashJoin(const PhysicalOp* op,
         },
         &par.rs);
   }
-  if (governor.tripped()) return governor.status();
+  if (tripped()) return governor.status();
 
   // Phase 5: probe, emitting in morsel order.
   out->Reserve(pn);  // one match per probe row is the common shape here
@@ -452,6 +474,16 @@ StatusOr<ExecContext::Result> ExecContext::RunHashJoin(const PhysicalOp* op,
             const Value* key = keys + i * nk;
             const uint64_t h = KeyHash(key, nk);
             const TupleRef a = probe.row(b + i);
+            if (anti) {
+              bool matched = false;
+              tables[partition_of(h)].ForEachMatch(
+                  h, key, [&](uint32_t) { matched = true; });
+              if (!matched) {
+                sink.Add(a, TupleRef());
+                ++ws.tuple_copies;
+              }
+              continue;
+            }
             tables[partition_of(h)].ForEachMatch(
                 h, key, [&](uint32_t b_row) { sink.Add(a, build.row(b_row)); });
           }
@@ -459,7 +491,7 @@ StatusOr<ExecContext::Result> ExecContext::RunHashJoin(const PhysicalOp* op,
         }
         sink.Flush();
       });
-  if (governor.tripped()) return governor.status();
+  if (tripped()) return governor.status();
   NormalizeOutput(*out, s);
   MergeShards(s, shards);
   s.rows_out += out->size();
@@ -489,6 +521,25 @@ ExecContext::Result ExecContext::RunNestedLoopJoin(const PhysicalOp* op,
   }
   sink.Flush();
   NormalizeOutput(*out, s);
+  s.rows_out += out->size();
+  return Result{out, out};
+}
+
+// In place when the left input is exclusively owned, otherwise into fresh
+// storage.
+ExecContext::Result ExecContext::RunMergeDiff(const PhysicalOp* op,
+                                              const Result& l,
+                                              const Result& r, OpStats& s) {
+  s.rows_in += l.relation->size() + r.relation->size();
+  uint64_t copies_before = Relation::TuplesCopied();
+  Relation diff(op->arity);
+  if (l.owned != nullptr) {
+    diff = std::move(*l.owned).DifferenceWith(*r.relation);
+  } else {
+    diff = l.relation->DifferenceWith(*r.relation);
+  }
+  s.tuple_copies += Relation::TuplesCopied() - copies_before;
+  auto out = std::make_shared<Relation>(std::move(diff));
   s.rows_out += out->size();
   return Result{out, out};
 }
@@ -679,17 +730,21 @@ StatusOr<ExecContext::Result> ExecContext::Run(const PhysicalOp* op) {
       return finish(std::move(*v));
     }
     case PhysOpKind::kHashJoin:
-    case PhysOpKind::kNestedLoopJoin: {
+    case PhysOpKind::kNestedLoopJoin:
+    case PhysOpKind::kDiffAnti: {
       auto l = Run(op->left);
       if (!l.ok()) return done(l.status());
       auto r = Run(op->right);
       if (!r.ok()) return done(r.status());
-      if (op->kind == PhysOpKind::kHashJoin) {
-        auto j = RunHashJoin(op, *l, *r, s);
-        if (!j.ok()) return done(j.status());
-        return finish(std::move(*j));
+      if (op->kind == PhysOpKind::kNestedLoopJoin) {
+        return finish(RunNestedLoopJoin(op, *l, *r, s));
       }
-      return finish(RunNestedLoopJoin(op, *l, *r, s));
+      if (op->kind == PhysOpKind::kDiffAnti && op->keys.empty()) {
+        return finish(RunMergeDiff(op, *l, *r, s));
+      }
+      auto j = RunHashJoin(op, *l, *r, s);
+      if (!j.ok()) return done(j.status());
+      return finish(std::move(*j));
     }
     case PhysOpKind::kUnionMerge: {
       auto l = Run(op->left);
@@ -711,24 +766,6 @@ StatusOr<ExecContext::Result> ExecContext::Run(const PhysicalOp* op) {
       }
       s.tuple_copies += Relation::TuplesCopied() - copies_before;
       auto out = std::make_shared<Relation>(std::move(merged));
-      s.rows_out += out->size();
-      return finish(Result{out, out});
-    }
-    case PhysOpKind::kDiffAnti: {
-      auto l = Run(op->left);
-      if (!l.ok()) return done(l.status());
-      auto r = Run(op->right);
-      if (!r.ok()) return done(r.status());
-      s.rows_in += l->relation->size() + r->relation->size();
-      uint64_t copies_before = Relation::TuplesCopied();
-      Relation diff(op->arity);
-      if (l->owned != nullptr) {
-        diff = std::move(*l->owned).DifferenceWith(*r->relation);
-      } else {
-        diff = l->relation->DifferenceWith(*r->relation);
-      }
-      s.tuple_copies += Relation::TuplesCopied() - copies_before;
-      auto out = std::make_shared<Relation>(std::move(diff));
       s.rows_out += out->size();
       return finish(Result{out, out});
     }
@@ -825,7 +862,8 @@ void RenderProfile(const ExecProfile& p, int depth, std::string& out) {
   out += " arity=" + std::to_string(p.arity);
   out += " rows_in=" + std::to_string(p.stats.rows_in);
   out += " rows_out=" + std::to_string(p.stats.rows_out);
-  if (p.op == PhysOpKind::kHashJoin) {
+  if (p.op == PhysOpKind::kHashJoin ||
+      (p.op == PhysOpKind::kDiffAnti && !p.detail.empty())) {
     out += " build=" + std::to_string(p.stats.build_rows);
     out += " probes=" + std::to_string(p.stats.hash_probes);
   }

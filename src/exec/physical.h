@@ -15,7 +15,14 @@
 //   HashJoin       equi-join: build on the right input, probe with the left
 //   NestedLoopJoin fallback join when no equality key exists
 //   UnionMerge     set union (storage-reusing when an input is exclusive)
-//   DiffAnti       set difference (in-place when the left is exclusive)
+//   DiffAnti       set difference, in one of two forms:
+//                    merge form: sorted difference of two same-arity
+//                    inputs (in place when the left is exclusive);
+//                    anti-join form (`keys` non-empty): the lowering of
+//                    X - project[@1..@n](join(X, Y)) with equi-keys only;
+//                    builds HashJoin's table on Y (right), probes with X
+//                    (left) and keeps the X rows without a key match, in
+//                    probe order; EXPLAIN detail `keys=N`
 //   AdomScan       term^k closure of the active domain (AB88 baseline)
 //   Singleton      unit / empty constant relations
 //   Materialize    caches a shared subplan's result; plans are DAGs and
@@ -203,10 +210,10 @@ struct PhysicalOp {
   // The executor evaluates scalar expressions only through these programs,
   // compiled at lowering time (see src/exec/scalar_program.h):
   //   program        kProjectMap: one output per expression;
-  //                  kHashJoin: one probe key per KeyPair, over the left
-  //                  input
-  //   build_program  kHashJoin: one build key per KeyPair, over the right
-  //                  input
+  //                  kHashJoin and keyed kDiffAnti: one probe key per
+  //                  KeyPair, over the left input
+  //   build_program  kHashJoin and keyed kDiffAnti: one build key per
+  //                  KeyPair, over the right input
   //   cond_program   kFilterSelect: its conditions (always present);
   //                  joins: the residual conditions over the concatenated
   //                  schema, present exactly when `conds` is non-empty
@@ -215,14 +222,15 @@ struct PhysicalOp {
   std::shared_ptr<const ScalarProgram> program;
   std::shared_ptr<const ScalarProgram> build_program;
   std::shared_ptr<const ScalarProgram> cond_program;
-  // kHashJoin: equi-key pairs; left_key reads the left input's columns,
-  // right_key the right input's, numbered over the concatenated schema.
+  // kHashJoin and the anti-join form of kDiffAnti: equi-key pairs;
+  // left_key reads the left input's columns, right_key the right input's,
+  // numbered over the concatenated schema. Empty on a merge-form kDiffAnti.
   struct KeyPair {
     const ScalarExpr* left_key = nullptr;
     const ScalarExpr* right_key = nullptr;
   };
   std::vector<KeyPair> keys;
-  int split = 0;  // joins: left input arity
+  int split = 0;  // joins and keyed kDiffAnti: left input arity
 
   // kAdomScan: closure level, functions (name, arity), extra constants.
   int adom_level = 0;

@@ -8,6 +8,17 @@
 #include "src/safety/simplify.h"
 
 namespace emcalc {
+namespace {
+
+// ENF builds replacement nodes; each carries the source span of the node it
+// rewrites, so diagnostics after ENF still point into the query text.
+const Formula* Spanned(AstContext& ctx, const Formula* built,
+                       const Formula* from) {
+  ctx.InheritSpan(built, from);
+  return built;
+}
+
+}  // namespace
 
 const Formula* EliminateForall(AstContext& ctx, const Formula* f) {
   switch (f->kind()) {
@@ -21,7 +32,7 @@ const Formula* EliminateForall(AstContext& ctx, const Formula* f) {
       return f;
     case FormulaKind::kNot: {
       const Formula* c = EliminateForall(ctx, f->child());
-      return c == f->child() ? f : builder::Not(ctx, c);
+      return c == f->child() ? f : Spanned(ctx, builder::Not(ctx, c), f);
     }
     case FormulaKind::kAnd:
     case FormulaKind::kOr: {
@@ -33,22 +44,28 @@ const Formula* EliminateForall(AstContext& ctx, const Formula* f) {
         children.push_back(nc);
       }
       if (!changed) return f;
-      return f->kind() == FormulaKind::kAnd
-                 ? builder::And(ctx, std::move(children))
-                 : builder::Or(ctx, std::move(children));
+      return Spanned(ctx,
+                     f->kind() == FormulaKind::kAnd
+                         ? builder::And(ctx, std::move(children))
+                         : builder::Or(ctx, std::move(children)),
+                     f);
     }
     case FormulaKind::kExists: {
       const Formula* body = EliminateForall(ctx, f->child());
       if (body == f->child()) return f;
       std::vector<Symbol> vars(f->vars().begin(), f->vars().end());
-      return builder::Exists(ctx, std::move(vars), body);
+      return Spanned(ctx, builder::Exists(ctx, std::move(vars), body), f);
     }
     case FormulaKind::kForall: {
       const Formula* body = EliminateForall(ctx, f->child());
       std::vector<Symbol> vars(f->vars().begin(), f->vars().end());
-      return builder::Not(
-          ctx, builder::Exists(ctx, std::move(vars),
-                               builder::Not(ctx, body)));
+      // forall v phi -> not exists v (not phi): the inner negation stands
+      // for the body, the rest for the forall itself.
+      const Formula* negated =
+          Spanned(ctx, builder::Not(ctx, body), f->child());
+      const Formula* exists =
+          Spanned(ctx, builder::Exists(ctx, std::move(vars), negated), f);
+      return Spanned(ctx, builder::Not(ctx, exists), f);
     }
   }
   return f;
@@ -80,14 +97,17 @@ class EnfRewriter {
         for (const Formula* c : f->children()) {
           children.push_back(Rewrite(c));
         }
-        return f->kind() == FormulaKind::kAnd
-                   ? builder::And(ctx_, std::move(children))
-                   : builder::Or(ctx_, std::move(children));
+        return Spanned(ctx_,
+                       f->kind() == FormulaKind::kAnd
+                           ? builder::And(ctx_, std::move(children))
+                           : builder::Or(ctx_, std::move(children)),
+                       f);
       }
       case FormulaKind::kExists: {
         const Formula* body = Rewrite(f->child());
         std::vector<Symbol> vars(f->vars().begin(), f->vars().end());
-        return builder::Exists(ctx_, std::move(vars), body);
+        return Spanned(ctx_, builder::Exists(ctx_, std::move(vars), body),
+                       f);
       }
       case FormulaKind::kForall:
         // EliminateForall runs first; nothing should remain.
@@ -100,7 +120,8 @@ class EnfRewriter {
   const Formula* RewriteNot(const Formula* f) {
     const Formula* child = Rewrite(f->child());
     const Formula* nf =
-        child == f->child() ? f : builder::Not(ctx_, child);
+        child == f->child() ? f
+                            : Spanned(ctx_, builder::Not(ctx_, child), f);
     if (nf->kind() != FormulaKind::kNot) return Rewrite(nf);
     child = nf->child();
     switch (child->kind()) {

@@ -61,6 +61,9 @@ constexpr MutationInfo kMutations[] = {
      "phys.join-split"},
     {Mutation::kPhysJoinDropProgram, "phys-join-drop-program",
      "phys.program"},
+    {Mutation::kPhysAntiSplitSkew, "phys-anti-split-skew", "phys.arity"},
+    {Mutation::kPhysAntiKeyMismatch, "phys-anti-key-mismatch",
+     "phys.anti-shape"},
     {Mutation::kPhysScanArityUp, "phys-scan-arity-up", "phys.mirror"},
     {Mutation::kPhysUnionArityUp, "phys-union-arity-up", "phys.arity"},
     {Mutation::kPhysMemoDuplicate, "phys-memo-duplicate", "phys.memo-dup"},
@@ -291,6 +294,15 @@ bool PlanMutator::Corrupt(PhysicalPlan& plan, Mutation m) {
     }
     return nullptr;
   };
+  // First DiffAnti in anti-join form (non-empty keys).
+  auto anti_join = [&]() -> PhysicalOp* {
+    for (const auto& op : plan.ops_) {
+      if (op->kind == PhysOpKind::kDiffAnti && !op->keys.empty()) {
+        return op.get();
+      }
+    }
+    return nullptr;
+  };
 
   switch (m) {
     case Mutation::kPhysProjectDropExpr: {
@@ -355,6 +367,22 @@ bool PlanMutator::Corrupt(PhysicalPlan& plan, Mutation m) {
       PhysicalOp* op = find(PhysOpKind::kHashJoin);
       if (op == nullptr) return false;
       op->build_program = nullptr;
+      return true;
+    }
+    case Mutation::kPhysAntiSplitSkew: {
+      PhysicalOp* op = anti_join();
+      if (op == nullptr) return false;
+      op->split += 1;
+      return true;
+    }
+    case Mutation::kPhysAntiKeyMismatch: {
+      // The probe key computes a constant instead of the join condition's
+      // expression; programs, columns and sides all stay well-formed.
+      PhysicalOp* op = anti_join();
+      if (op == nullptr) return false;
+      const ScalarExpr* wrong = exprs.ConstValue(Value::Int(-1));
+      if (ScalarExprsEqual(op->keys[0].left_key, wrong)) return false;
+      op->keys[0].left_key = wrong;
       return true;
     }
     case Mutation::kPhysScanArityUp: {

@@ -53,6 +53,8 @@ enum class Mutation : uint8_t {
   kPhysJoinSplitSkew,      // join split != left input arity
   kPhysSwapJoinInputs,     // swapped join operands (unequal arities)
   kPhysJoinDropProgram,    // HashJoin loses its compiled build-key program
+  kPhysAntiSplitSkew,      // anti-join DiffAnti split != left input arity
+  kPhysAntiKeyMismatch,    // anti-join DiffAnti key is not a join condition
   kPhysScanArityUp,        // Scan arity disagrees with the algebra
   kPhysUnionArityUp,       // UnionMerge arity disagrees with its inputs
   kPhysMemoDuplicate,      // two Materialize ops share a cache slot

@@ -752,39 +752,22 @@ class PhysicalChecker {
               "NestedLoopJoin carries equi-keys (should have lowered to a "
               "HashJoin)");
         }
-        int i = 0;
-        for (const PhysicalOp::KeyPair& k : op->keys) {
-          int idx = i++;
-          if (k.left_key == nullptr || k.right_key == nullptr) {
-            Add(report_, "phys.key-null", path,
-                Label{"key ", idx}.Str() + " has a null side");
-            continue;
-          }
-          // left_key evaluates over the left tuple; right_key over the
-          // concatenated schema with an empty left part, so its columns
-          // must all land on the build side.
-          ScalarScan l, r;
-          ScanScalar(k.left_key, ctx(), l);
-          ScanScalar(k.right_key, ctx(), r);
-          ReportScalar(report_, l, op->split, plan_.NumParams(), path,
-                       Label{"key ", idx, " left side"}, /*physical=*/true);
-          ReportScalar(report_, r, combined, plan_.NumParams(), path,
-                       Label{"key ", idx, " right side"}, /*physical=*/true);
-          if (l.max_col >= op->split) {
-            Add(report_, "phys.key-side", path,
-                Label{"key ", idx}.Str() +
-                    " probe expression reads a build-side column");
-          }
-          if (r.min_col >= 0 && r.min_col < op->split) {
-            Add(report_, "phys.key-side", path,
-                Label{"key ", idx}.Str() +
-                    " build expression reads a probe-side column");
-          }
-        }
+        CheckKeys(op, combined, path);
         break;
       }
       case PhysOpKind::kUnionMerge:
       case PhysOpKind::kDiffAnti:
+        if (!op->keys.empty()) {  // anti-join form of DiffAnti
+          if (op->arity != op->split || op->split != op->left->arity) {
+            Add(report_, "phys.arity", path,
+                "anti-join DiffAnti arity " + std::to_string(op->arity) +
+                    ", split " + std::to_string(op->split) +
+                    " and left input arity " +
+                    std::to_string(op->left->arity) + " (all three must agree)");
+          }
+          CheckKeys(op, op->left->arity + op->right->arity, path);
+          break;
+        }
         if (op->left->arity != op->right->arity ||
             op->arity != op->left->arity) {
           Add(report_, "phys.arity", path,
@@ -852,6 +835,41 @@ class PhysicalChecker {
     state_.At(slot) = State::kDone;
   }
 
+  // Equi-keys of a HashJoin or an anti-join DiffAnti: both sides present,
+  // the probe side reading only left columns and the build side only right
+  // columns of the `combined` (left ++ right) schema.
+  void CheckKeys(const PhysicalOp* op, int combined, const PathNode& path) {
+    int i = 0;
+    for (const PhysicalOp::KeyPair& k : op->keys) {
+      int idx = i++;
+      if (k.left_key == nullptr || k.right_key == nullptr) {
+        Add(report_, "phys.key-null", path,
+            Label{"key ", idx}.Str() + " has a null side");
+        continue;
+      }
+      // left_key evaluates over the left tuple; right_key over the
+      // concatenated schema with an empty left part, so its columns
+      // must all land on the build side.
+      ScalarScan l, r;
+      ScanScalar(k.left_key, ctx(), l);
+      ScanScalar(k.right_key, ctx(), r);
+      ReportScalar(report_, l, op->split, plan_.NumParams(), path,
+                   Label{"key ", idx, " left side"}, /*physical=*/true);
+      ReportScalar(report_, r, combined, plan_.NumParams(), path,
+                   Label{"key ", idx, " right side"}, /*physical=*/true);
+      if (l.max_col >= op->split) {
+        Add(report_, "phys.key-side", path,
+            Label{"key ", idx}.Str() +
+                " probe expression reads a build-side column");
+      }
+      if (r.min_col >= 0 && r.min_col < op->split) {
+        Add(report_, "phys.key-side", path,
+            Label{"key ", idx}.Str() +
+                " build expression reads a probe-side column");
+      }
+    }
+  }
+
   // The executor evaluates scalar expressions only through the compiled
   // programs and dereferences them unconditionally: each operator must
   // carry the programs its kind needs, with one output per expression
@@ -873,6 +891,9 @@ class PhysicalChecker {
       case PhysOpKind::kProjectMap:
         outputs(op->program, "projection program", op->exprs.size());
         break;
+      case PhysOpKind::kDiffAnti:
+        if (op->keys.empty()) break;  // the merge form runs no program
+        [[fallthrough]];
       case PhysOpKind::kHashJoin:
         outputs(op->program, "probe-key program", op->keys.size());
         outputs(op->build_program, "build-key program", op->keys.size());
@@ -1001,8 +1022,13 @@ class PhysicalChecker {
       case AlgKind::kDiff: {
         PathNode left{&path, ".left", -1};
         PathNode right{&path, ".right", -1};
+        const AlgExpr* a_right = a->right();
+        if (kind_ok && body->kind == PhysOpKind::kDiffAnti &&
+            !body->keys.empty()) {
+          a_right = AntiJoinBuildSide(a, body, path);
+        }
         Mirror(a->left(), body->left, left);
-        Mirror(a->right(), body->right, right);
+        Mirror(a_right, body->right, right);
         break;
       }
       case AlgKind::kRel:
@@ -1011,6 +1037,43 @@ class PhysicalChecker {
       case AlgKind::kAdom:
         break;
     }
+  }
+
+  // An anti-join DiffAnti stands for diff = X - project[@1..@n](join(X, Y,
+  // C)), its keys exactly the conditions C, in order, with no residual.
+  // Returns Y, which the operator's right input mirrors, or null after
+  // reporting a wrong shape.
+  const AlgExpr* AntiJoinBuildSide(const AlgExpr* diff, const PhysicalOp* op,
+                                   const PathNode& path) {
+    const AlgExpr* proj = diff->right();
+    const AlgExpr* join =
+        proj->kind() == AlgKind::kProject ? proj->input() : nullptr;
+    bool ok = join != nullptr && join->kind() == AlgKind::kJoin &&
+              join->left() == diff->left() &&
+              static_cast<int>(proj->exprs().size()) == diff->arity() &&
+              op->conds.empty() && op->keys.size() == join->conds().size();
+    for (int i = 0; ok && i < diff->arity(); ++i) {
+      const ScalarExpr* e = proj->exprs()[static_cast<size_t>(i)];
+      ok = e != nullptr && e->kind() == ScalarExpr::Kind::kCol &&
+           e->col() == i;
+    }
+    for (size_t i = 0; ok && i < op->keys.size(); ++i) {
+      const PhysicalOp::KeyPair& k = op->keys[i];
+      const AlgCondition& c = join->conds()[i];
+      // Null sides (CheckKeys reports them) never match.
+      ok = k.left_key != nullptr && k.right_key != nullptr &&
+           c.op == AlgCompareOp::kEq &&
+           ((ScalarExprsEqual(k.left_key, c.lhs) &&
+             ScalarExprsEqual(k.right_key, c.rhs)) ||
+            (ScalarExprsEqual(k.left_key, c.rhs) &&
+             ScalarExprsEqual(k.right_key, c.lhs)));
+    }
+    if (ok) return join->right();
+    Add(report_, "phys.anti-shape", path,
+        "anti-join DiffAnti with " + std::to_string(op->keys.size()) +
+            " key(s) does not stand for X - project[@1..@n](join(X, Y, C)) "
+            "with its keys exactly C");
+    return nullptr;
   }
 
   const PhysicalPlan& plan_;

@@ -178,6 +178,44 @@ TEST_F(SpanTest, AtomSpansSurviveRectifyAndEnf) {
   }
 }
 
+// ENF replaces the forall and the negations it pushes with new nodes; each
+// inherits the span of the node it rewrites, so every ENF node (bar the
+// shared True/False singletons) points into the query text.
+TEST_F(SpanTest, EveryEnfNodeHasASpanInsideTheQuery) {
+  std::string text = "{x | R(x) and forall y (not S(x, y) or T(y))}";
+  SpanOfBody(text);
+  const Formula* enf = ToEnf(ctx_, Rectify(ctx_, body_));
+  int nodes = 0;
+  std::vector<const Formula*> stack{enf};
+  while (!stack.empty()) {
+    const Formula* f = stack.back();
+    stack.pop_back();
+    switch (f->kind()) {
+      case FormulaKind::kTrue:
+      case FormulaKind::kFalse:
+        continue;
+      case FormulaKind::kNot:
+      case FormulaKind::kExists:
+      case FormulaKind::kForall:
+        stack.push_back(f->child());
+        break;
+      case FormulaKind::kAnd:
+      case FormulaKind::kOr:
+        stack.insert(stack.end(), f->children().begin(), f->children().end());
+        break;
+      default:
+        break;
+    }
+    ++nodes;
+    const SourceSpan* span = ctx_.SpanOf(f);
+    ASSERT_NE(span, nullptr) << FormulaToString(ctx_, f) << " in "
+                             << FormulaToString(ctx_, enf);
+    EXPECT_LT(span->begin, span->end) << FormulaToString(ctx_, f);
+    EXPECT_LE(span->end, text.size()) << FormulaToString(ctx_, f);
+  }
+  EXPECT_EQ(nodes, 8) << FormulaToString(ctx_, enf);
+}
+
 TEST_F(SpanTest, ParseErrorReportsLineColumnAndCaret) {
   ParseErrorInfo info;
   auto q = ParseQuery(ctx_, "{x | R(x and}", &info);

@@ -878,7 +878,7 @@ TEST(ThreadPoolTelemetryTest, WorkerTelemetryAccumulatesAndRendersAsJson) {
         /*total=*/100'000, /*grain=*/64, /*max_workers=*/4,
         [](size_t /*worker*/, size_t begin, size_t end) {
           volatile uint64_t sink = 0;
-          for (size_t i = begin; i < end; ++i) sink += i;
+          for (size_t i = begin; i < end; ++i) sink = sink + i;
         });
     worker_morsels = 0;
     for (const ThreadPool::WorkerTelemetry& w :
