@@ -12,6 +12,9 @@
 // overhead and each reference query's sort work. The "normalize" series
 // times the set-semantics sort itself: shuffled rows sorted and deduped in
 // each layout, and a column-swapping projection whose output must sort.
+// Its rows pack into one 64-bit word each; "normalize_unpacked" runs the
+// same kernels on two columns of full-range ints, which do not, so it
+// times the row sort that Normalize falls back to.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -297,6 +300,7 @@ struct Plans {
   const AlgExpr* project = nullptr;
   const AlgExpr* chain = nullptr;
   const AlgExpr* swap = nullptr;
+  const AlgExpr* swap_unpacked = nullptr;
 };
 
 Plans MakePlans(AstContext& ctx, AlgebraFactory& factory) {
@@ -332,6 +336,8 @@ Plans MakePlans(AstContext& ctx, AlgebraFactory& factory) {
   // R(a, b) -> (b, a): R is sorted on a, so the output arrives out of
   // order and the operator's final normalize really sorts.
   p.swap = factory.Project({e.Col(1), e.Col(0)}, factory.Rel("R", 2));
+  p.swap_unpacked =
+      factory.Project({e.Col(1), e.Col(0)}, factory.Rel("W", 2));
   return p;
 }
 
@@ -394,20 +400,42 @@ void ReportProfile(const DataProfile& profile) {
   OldRelation old_r = ToOldLayout(flat_r);
   OldRelation old_s = ToOldLayout(flat_s);
   size_t rows_in = old_r.rows.size() + old_s.rows.size();
-  // R's rows in one fixed shuffled order, in both layouts, for the
-  // normalize kernels. Each rep sorts a fresh copy, and the copy is timed
-  // too: one vector copy for the flat layout, a heap row per tuple for the
-  // variant layout.
-  std::vector<size_t> perm(old_r.rows.size());
-  std::iota(perm.begin(), perm.end(), size_t{0});
-  std::shuffle(perm.begin(), perm.end(), std::mt19937(5));
-  OldRelation old_shuffled;
-  old_shuffled.arity = old_r.arity;
-  Relation flat_shuffled(flat_r.arity());
-  for (size_t i : perm) {
-    old_shuffled.rows.push_back(old_r.rows[i]);
-    flat_shuffled.AppendRow(flat_r.row(i).data());
+  // W(a, b): ints drawn from the whole inline range [-2^62, 2^62), so a
+  // row's two order keys need 126 bits and cannot pack into one word.
+  std::mt19937_64 wide_rng(31);
+  std::uniform_int_distribution<int64_t> wide(-(int64_t{1} << 62),
+                                              (int64_t{1} << 62) - 1);
+  for (size_t i = 0; i < kRows; ++i) {
+    const int64_t a = wide(wide_rng);
+    const int64_t b = wide(wide_rng);
+    if (!db.Insert("W", {Value::Int(a), Value::Int(b)}).ok()) {
+      std::printf("  !! cannot fill W\n");
+      return;
+    }
   }
+  const Relation& flat_w = *db.Find("W");
+  // A relation's rows in one fixed shuffled order, in both layouts, for
+  // the normalize kernels. Each rep sorts a fresh copy, and the copy is
+  // timed too: one vector copy for the flat layout, a heap row per tuple
+  // for the variant layout.
+  auto shuffled = [](const Relation& flat, const OldRelation& old,
+                     OldRelation& old_out, Relation& flat_out) {
+    std::vector<size_t> perm(old.rows.size());
+    std::iota(perm.begin(), perm.end(), size_t{0});
+    std::shuffle(perm.begin(), perm.end(), std::mt19937(5));
+    old_out.arity = old.arity;
+    for (size_t i : perm) {
+      old_out.rows.push_back(old.rows[i]);
+      flat_out.AppendRow(flat.row(i).data());
+    }
+  };
+  OldRelation old_shuffled;
+  Relation flat_shuffled(flat_r.arity());
+  shuffled(flat_r, old_r, old_shuffled, flat_shuffled);
+  OldRelation old_w = ToOldLayout(flat_w);
+  OldRelation old_w_shuffled;
+  Relation flat_w_shuffled(flat_w.arity());
+  shuffled(flat_w, old_w, old_w_shuffled, flat_w_shuffled);
 
   AstContext ctx;
   AlgebraFactory factory(ctx);
@@ -419,6 +447,7 @@ void ReportProfile(const DataProfile& profile) {
     const AlgExpr* plan;
     std::function<size_t()> old_kernel;
     std::function<size_t()> flat_kernel;
+    size_t rows_in = 0;
     size_t old_rows = 0;
     uint64_t old_ns = 0;
     size_t flat_rows = 0;
@@ -426,14 +455,14 @@ void ReportProfile(const DataProfile& profile) {
   };
   Series series[] = {
       {"hash_join", plans.join, [&] { return OldLayoutJoin(old_r, old_s); },
-       [&] { return FlatLayoutJoin(flat_r, flat_s); }},
+       [&] { return FlatLayoutJoin(flat_r, flat_s); }, rows_in},
       {"filter_select", plans.filter, [&] { return OldLayoutFilter(old_r); },
-       [&] { return FlatLayoutFilter(flat_r); }},
+       [&] { return FlatLayoutFilter(flat_r); }, old_r.rows.size()},
       {"project_map", plans.project, [&] { return OldLayoutProject(old_r); },
-       [&] { return FlatLayoutProject(flat_r); }},
+       [&] { return FlatLayoutProject(flat_r); }, old_r.rows.size()},
       {"scalar_chain", plans.chain,
        [&] { return OldLayoutScalarChain(old_r); },
-       [&] { return FlatLayoutScalarChain(flat_r); }},
+       [&] { return FlatLayoutScalarChain(flat_r); }, old_r.rows.size()},
       {"normalize", plans.swap,
        [&] {
          OldRelation rows = old_shuffled;
@@ -444,7 +473,19 @@ void ReportProfile(const DataProfile& profile) {
          Relation rows = flat_shuffled;
          rows.Normalize();
          return rows.size();
-       }},
+       },
+       old_r.rows.size()},
+      {"normalize_unpacked", plans.swap_unpacked,
+       [&] {
+         OldRelation rows = old_w_shuffled;
+         return rows.SizeNormalized();
+       },
+       [&] {
+         Relation rows = flat_w_shuffled;
+         rows.Normalize();
+         return rows.size();
+       },
+       old_w.rows.size()},
   };
   for (Series& s : series) {
     // The kernels mutate their output only; inputs stay shared.
@@ -458,8 +499,7 @@ void ReportProfile(const DataProfile& profile) {
   std::printf("%-14s %-14s %10s %12s %9s\n", "operator", "variant",
               "wall ms", "rows/sec", "speedup");
   for (const Series& s : series) {
-    size_t op_rows_in =
-        s.plan == plans.join ? rows_in : old_r.rows.size();
+    const size_t op_rows_in = s.rows_in;
     EmitRecord(profile.name, s.op, "legacy_layout", 1, op_rows_in, s.old_rows, s.old_ns);
     std::printf("%-14s %-14s %10.2f %12.0f %9s\n", s.op, "legacy_layout",
                 static_cast<double>(s.old_ns) / 1e6,

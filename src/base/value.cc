@@ -31,12 +31,7 @@ const std::string& Value::AsStr() const {
   return e.str;
 }
 
-bool operator<(const Value& a, const Value& b) {
-  if (a.rep_ == b.rep_) return false;
-  // Fast path: two inline ints compare without touching the pool.
-  if (((a.rep_ | b.rep_) & 1) == 0) {
-    return static_cast<int64_t>(a.rep_) < static_cast<int64_t>(b.rep_);
-  }
+bool Value::PooledLess(Value a, Value b) {
   // At least one side is pooled; fetch each pooled entry exactly once.
   const StringPool& pool = StringPool::Global();
   const StringPool::Entry* ea =

@@ -54,7 +54,15 @@ class Value {
   friend bool operator!=(const Value& a, const Value& b) {
     return !(a == b);
   }
-  friend bool operator<(const Value& a, const Value& b);
+  // Inline so the common compares (equal words, or two inline ints) cost a
+  // compare and a branch; a pooled side goes out of line to the pool.
+  friend bool operator<(const Value& a, const Value& b) {
+    if (a.rep_ == b.rep_) return false;
+    if (((a.rep_ | b.rep_) & 1) == 0) {
+      return static_cast<int64_t>(a.rep_) < static_cast<int64_t>(b.rep_);
+    }
+    return PooledLess(a, b);
+  }
 
   // Renders ints as digits and strings single-quoted (e.g. 42, 'bob').
   std::string ToString() const;
@@ -79,6 +87,8 @@ class Value {
   static uint64_t EncodeBigInt(int64_t v);
   static uint64_t EncodeStr(std::string_view v);
   bool PooledIsStr() const;
+  // operator< for distinct words at least one of which is pooled.
+  static bool PooledLess(Value a, Value b);
 
   uint64_t rep_;
 };

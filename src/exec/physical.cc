@@ -15,6 +15,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/storage/adom.h"
+#include "src/verify/verify.h"
 
 namespace emcalc {
 namespace {
@@ -308,7 +309,8 @@ struct ExecContext {
 // A keyed DiffAnti (the anti-join form of X - project(join(X, Y))) runs the
 // same build and probe; its emit step keeps each probe row that finds no
 // key match instead of emitting the matched pairs. Kept rows come out in
-// probe order, which is already normalized.
+// probe order, which is already normalized, so its output is marked
+// normalized instead of normalized again.
 StatusOr<ExecContext::Result> ExecContext::RunHashJoin(const PhysicalOp* op,
                                                        const Result& l,
                                                        const Result& r,
@@ -492,7 +494,20 @@ StatusOr<ExecContext::Result> ExecContext::RunHashJoin(const PhysicalOp* op,
         sink.Flush();
       });
   if (tripped()) return governor.status();
-  NormalizeOutput(*out, s);
+  if (anti) {
+    // The kept rows are a subsequence of the normalized probe input, in
+    // probe order (morsel buffers concatenate in order): already sorted and
+    // distinct, so they skip Normalize's ordered check.
+    out->MarkNormalized();
+    if (verify::Enabled()) {
+      for (size_t i = 1; i < out->size(); ++i) {
+        EMCALC_CHECK_MSG(out->row(i - 1) < out->row(i),
+                         "anti-join output row %zu does not ascend", i);
+      }
+    }
+  } else {
+    NormalizeOutput(*out, s);
+  }
   MergeShards(s, shards);
   s.rows_out += out->size();
   return Result{out, out};

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 
 #include "src/base/check.h"
@@ -22,6 +23,14 @@ void CountCopy(size_t tuples) {
   g_tuple_copies.fetch_add(tuples, std::memory_order_relaxed);
 }
 
+// Serializes the sort of a dirty relation among concurrent readers. Striped
+// by address, so readers of different relations rarely share a lock; only
+// a dirty relation's first read takes one.
+std::mutex& NormalizeMutex(const void* rel) {
+  static std::mutex stripes[64];
+  return stripes[(reinterpret_cast<uintptr_t>(rel) >> 6) % 64];
+}
+
 // Contiguous row sorting for small arities: reinterpret the arity-strided
 // buffer as an array of fixed-size rows, so std::sort moves whole rows
 // (A 8-byte words each) and comparisons walk sequential memory instead of
@@ -35,22 +44,23 @@ struct RowN {
   Value v[A];
 };
 
+// The row comparators are lambdas, not functions, so that std::sort and
+// friends inline them instead of calling through a function pointer.
 template <int A>
-bool RowLess(const RowN<A>& x, const RowN<A>& y) {
+constexpr auto RowLess = [](const RowN<A>& x, const RowN<A>& y) {
   for (int i = 0; i < A; ++i) {
-    if (x.v[i] < y.v[i]) return true;
-    if (y.v[i] < x.v[i]) return false;
+    if (x.v[i] != y.v[i]) return x.v[i] < y.v[i];
   }
   return false;
-}
+};
 
 template <int A>
-bool RowEq(const RowN<A>& x, const RowN<A>& y) {
+constexpr auto RowEq = [](const RowN<A>& x, const RowN<A>& y) {
   for (int i = 0; i < A; ++i) {
     if (x.v[i] != y.v[i]) return false;
   }
   return true;
-}
+};
 
 // Dedupes rows that one linear pass finds already non-decreasing (operator
 // output often arrives in order). Returns SIZE_MAX, leaving the rows
@@ -114,33 +124,47 @@ size_t MergeDedupeDispatch(size_t a, Value* data, size_t mid, size_t rows) {
 
 // ---- Order-key sort ------------------------------------------------------
 // Rows out of order are sorted on 64-bit order keys, not on Values: every
-// cell is encoded in place to a key whose unsigned order is Value order,
-// the rows are sorted and deduped comparing raw words, and the kept cells
-// are decoded back to their exact original words. Comparing two Values can
-// cost two pool lookups and a string compare; comparing two keys is one
-// word compare, and the pool is consulted only to rank the k distinct
-// pooled values once (k log k compares instead of n log n).
+// cell maps to a key whose unsigned order is Value order, the rows are
+// sorted and deduped comparing raw words, and the kept keys are decoded
+// back to their exact original words. Comparing two Values can cost two
+// pool lookups and a string compare; comparing two keys is one word
+// compare, and the pool is consulted only to rank the k distinct pooled
+// values once (k log k compares instead of n log n).
 //
-// The encoding is a bijection built per sort. Inline ints span
-// [-2^62, 2^62) and map arithmetically; pooled values map to their rank
-// among the distinct pooled values of this relation. Keys are laid out as
-//   [negative big ints by rank][inline ints, shifted past them]
+// The encoding is a bijection built per sort. Inline ints map
+// arithmetically, offset by the least inline int present; pooled values
+// map to their rank among the distinct pooled values of this relation.
+// Keys are laid out densely as
+//   [negative big ints by rank][inline ints from the least present]
 //   [positive big ints, then strings, by rank]
-// which is Value order (ints by value, then strings) and fits one word.
+// which is Value order (ints by value, then strings). Inline ints span
+// [-2^62, 2^62), so this fits one word, and a column that mixes small
+// ints with strings spans only the values this relation holds.
 class OrderKeys {
  public:
-  // Collects and ranks the distinct pooled values among `n` cells. Every
-  // allocation of the key sort happens here, before any cell changes.
+  // Collects and ranks the distinct pooled values among `n` cells, and
+  // finds the range of the inline ints.
   OrderKeys(const Value* cells, size_t n) {
+    int64_t lo = INT64_MAX;
+    int64_t hi = INT64_MIN;
     for (size_t i = 0; i < n; ++i) {
       const uint64_t w = cells[i].raw();
-      if ((w & 1) == 0) continue;  // inline int
+      if ((w & 1) == 0) {
+        const int64_t v = static_cast<int64_t>(w) >> 1;
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
+        continue;
+      }
       if (table_.empty()) Rehash(16);
       Entry& e = table_[Find(w)];
       if (e.word == w) continue;
       e.word = w;
       ranked_.push_back(cells[i]);
       if (ranked_.size() * 2 > table_.size()) Rehash(table_.size() * 2);
+    }
+    if (lo <= hi) {
+      lo_ = static_cast<uint64_t>(lo);
+      span_ = static_cast<uint64_t>(hi) - lo_ + 1;
     }
     if (ranked_.empty()) return;
     std::sort(ranked_.begin(), ranked_.end());
@@ -155,28 +179,26 @@ class OrderKeys {
     }
   }
 
-  Value Encode(Value v) const {
+  uint64_t Key(Value v) const {
     const uint64_t w = v.raw();
     if ((w & 1) == 0) {
-      // w is the int shifted left by one (mod 2^64); adding kTop and
-      // halving yields int + 2^62, in [0, 2^63).
-      return FromWord(negatives_ + ((w + kTop) >> 1));
+      // The int's offset from the least inline int, in [0, span_).
+      const auto i = static_cast<uint64_t>(static_cast<int64_t>(w) >> 1);
+      return negatives_ + (i - lo_);
     }
     const uint64_t r = table_[Find(w)].rank;
-    return FromWord(r < negatives_ ? r : kTop + r);
+    return r < negatives_ ? r : span_ + r;
   }
 
-  Value Decode(Value key) const {
-    const uint64_t k = key.raw();
+  Value Decode(uint64_t k) const {
     if (k < negatives_) return ranked_[k];
-    if (k - negatives_ < kTop) return FromWord(((k - negatives_) << 1) ^ kTop);
-    return ranked_[k - kTop];
+    if (k - negatives_ < span_) return FromWord((lo_ + (k - negatives_)) << 1);
+    return ranked_[k - span_];
   }
-
- private:
-  static constexpr uint64_t kTop = uint64_t{1} << 63;
 
   static Value FromWord(uint64_t w) { return std::bit_cast<Value>(w); }
+
+ private:
 
   // Pooled words are odd, so word 0 marks an empty slot.
   struct Entry {
@@ -204,16 +226,140 @@ class OrderKeys {
   std::vector<Entry> table_;   // open addressing, capacity a power of 2
   std::vector<Value> ranked_;  // distinct pooled values in Value order
   uint64_t negatives_ = 0;     // pooled ints below the inline range
+  uint64_t lo_ = 0;            // the least inline int, as a word
+  uint64_t span_ = 0;          // inline ints from lo_ to the greatest
   int shift_ = 64;             // 64 - log2(table_.size())
 };
 
+// ---- Packed rows ---------------------------------------------------------
+// When every column's keys, offset by the column's least key, fit into one
+// 64-bit word together, each row packs into a single word (column 0 most
+// significant), so word order is row order and equal words are equal
+// rows. Sorting then moves 8 bytes per row whatever the arity, and a
+// radix sort needs only as many digit passes as the packed width has.
+
+// Where one column's keys sit in the packed word: the key minus `min`,
+// masked to the column's width, shifted left by `shift`. A column whose
+// keys are all equal has width 0: its mask and shift are 0, so it takes
+// no bits and unpacks to `min`.
+struct PackedColumn {
+  uint64_t min = UINT64_MAX;
+  uint64_t max = 0;
+  uint64_t mask = 0;
+  int shift = 0;
+};
+
+struct Packing {
+  std::vector<PackedColumn> columns;
+  int bits = 0;  // packed width; the words are < 2^bits
+};
+
+// Finds each column's least and greatest key and lays the columns out in
+// one word. Returns false when their widths sum to more than 64 bits.
+bool PlanPacking(const OrderKeys& keys, const Value* cells, size_t rows,
+                 size_t a, Packing& packing) {
+  std::vector<PackedColumn>& cols = packing.columns;
+  cols.resize(a);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < a; ++c) {
+      const uint64_t k = keys.Key(cells[r * a + c]);
+      cols[c].min = std::min(cols[c].min, k);
+      cols[c].max = std::max(cols[c].max, k);
+    }
+  }
+  int bits = 0;
+  for (size_t c = a; c-- > 0;) {
+    const int width =
+        static_cast<int>(std::bit_width(cols[c].max - cols[c].min));
+    if (width > 64 - bits) return false;
+    cols[c].mask = width == 0 ? 0 : UINT64_MAX >> (64 - width);
+    cols[c].shift = width == 0 ? 0 : bits;
+    bits += width;
+  }
+  packing.bits = bits;
+  return true;
+}
+
+// LSD radix sort of the n words in `words`, all below 2^bits, with `tmp`
+// as the second buffer; returns whichever buffer holds the sorted words.
+// One pass per digit of at most kRadixDigitBits, and a pass whose digit is
+// the same in every word is skipped.
+constexpr int kRadixDigitBits = 11;
+
+uint64_t* RadixSort(uint64_t* words, uint64_t* tmp, size_t n, int bits) {
+  const int passes = (bits + kRadixDigitBits - 1) / kRadixDigitBits;
+  if (passes == 0) return words;
+  const int digit = (bits + passes - 1) / passes;
+  const size_t buckets = size_t{1} << digit;
+  const uint64_t mask = buckets - 1;
+  std::vector<size_t> counts(static_cast<size_t>(passes) * buckets);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t w = words[i];
+    for (int p = 0; p < passes; ++p) {
+      ++counts[static_cast<size_t>(p) * buckets + ((w >> (p * digit)) & mask)];
+    }
+  }
+  for (int p = 0; p < passes; ++p) {
+    const int shift = p * digit;
+    size_t* count = counts.data() + static_cast<size_t>(p) * buckets;
+    if (count[(words[0] >> shift) & mask] == n) continue;
+    size_t offset = 0;
+    for (size_t b = 0; b < buckets; ++b) {
+      const size_t c = count[b];
+      count[b] = offset;
+      offset += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      tmp[count[(words[i] >> shift) & mask]++] = words[i];
+    }
+    std::swap(words, tmp);
+  }
+  return words;
+}
+
+// Sorts and dedupes `rows` rows of arity `a` as packed words, then unpacks
+// and decodes the kept rows over the front of `cells`; returns how many
+// were kept. The cells are read until the unpack, which starts only after
+// every buffer exists.
+size_t SortDedupePacked(const OrderKeys& keys, const Packing& packing,
+                        Value* cells, size_t rows, size_t a) {
+  const std::vector<PackedColumn>& cols = packing.columns;
+  const bool radix = rows >= FlatRelation::kRadixSortMinRows;
+  std::vector<uint64_t> words(radix ? 2 * rows : rows);
+  for (size_t r = 0; r < rows; ++r) {
+    uint64_t w = 0;
+    for (size_t c = 0; c < a; ++c) {
+      w |= (keys.Key(cells[r * a + c]) - cols[c].min) << cols[c].shift;
+    }
+    words[r] = w;
+  }
+  uint64_t* sorted = words.data();
+  if (radix) {
+    sorted = RadixSort(sorted, sorted + rows, rows, packing.bits);
+  } else {
+    std::sort(sorted, sorted + rows);
+  }
+  const size_t kept = static_cast<size_t>(std::unique(sorted, sorted + rows) -
+                                          sorted);
+  for (size_t r = 0; r < kept; ++r) {
+    const uint64_t w = sorted[r];
+    for (size_t c = 0; c < a; ++c) {
+      cells[r * a + c] =
+          keys.Decode(((w >> cols[c].shift) & cols[c].mask) + cols[c].min);
+    }
+  }
+  return kept;
+}
+
+// ---- Row sort on keys (rows too wide for one word) -------------------------
+
 template <int A>
-bool KeyRowLess(const RowN<A>& x, const RowN<A>& y) {
+constexpr auto KeyRowLess = [](const RowN<A>& x, const RowN<A>& y) {
   for (int i = 0; i < A; ++i) {
     if (x.v[i] != y.v[i]) return x.v[i].raw() < y.v[i].raw();
   }
   return false;
-}
+};
 
 template <int A>
 size_t SortDedupeKeyRows(Value* data, size_t rows) {
@@ -222,23 +368,24 @@ size_t SortDedupeKeyRows(Value* data, size_t rows) {
   return static_cast<size_t>(std::unique(base, base + rows, RowEq<A>) - base);
 }
 
-// Sorts and dedupes `rows` rows of arity `a` on order keys; returns the
-// kept row count. Rows of arity up to kMaxContiguousSortArity sort in
-// place as RowN<A>; wider rows sort an index permutation and are gathered
-// into fresh storage (one pass of row moves instead of O(n log n)
-// row-sized swaps). Out of line so that Normalize's already-ordered path
-// stays small.
-[[gnu::noinline]] size_t SortDedupeOnKeys(std::vector<Value>& data,
-                                          size_t rows, size_t a) {
+// Encodes every cell in place to its key, sorts and dedupes the rows
+// comparing raw words, and decodes the kept cells; returns the kept row
+// count. Rows of arity up to kMaxContiguousSortArity sort in place as
+// RowN<A>; wider rows sort an index permutation and are gathered into
+// fresh storage (one pass of row moves instead of O(n log n) row-sized
+// swaps).
+size_t SortDedupeRows(const OrderKeys& keys, std::vector<Value>& data,
+                      size_t rows, size_t a) {
   const size_t n = rows * a;
-  const OrderKeys keys(data.data(), n);
   const bool wide = a > static_cast<size_t>(kMaxContiguousSortArity);
   std::vector<size_t> order(wide ? rows : 0);
   std::vector<Value> gathered;
   if (wide) gathered.reserve(n);
   // Nothing below allocates, so a bad_alloc above leaves no keys behind.
   Value* cells = data.data();
-  for (size_t i = 0; i < n; ++i) cells[i] = keys.Encode(cells[i]);
+  for (size_t i = 0; i < n; ++i) {
+    cells[i] = OrderKeys::FromWord(keys.Key(cells[i]));
+  }
   size_t kept = 0;
   switch (a) {
     case 1: kept = SortDedupeKeyRows<1>(cells, rows); break;
@@ -270,8 +417,23 @@ size_t SortDedupeKeyRows(Value* data, size_t rows) {
       cells = data.data();
     }
   }
-  for (size_t i = 0; i < kept * a; ++i) cells[i] = keys.Decode(cells[i]);
+  for (size_t i = 0; i < kept * a; ++i) cells[i] = keys.Decode(cells[i].raw());
   return kept;
+}
+
+// Sorts and dedupes `rows` rows of arity `a` on order keys; returns the
+// kept row count. Rows whose keys pack into one word sort as words;
+// others sort as rows of keys. Every allocation happens before the first
+// cell is overwritten, so a bad_alloc leaves the rows as they were. Out of
+// line so that Normalize's already-ordered path stays small.
+[[gnu::noinline]] size_t SortDedupeOnKeys(std::vector<Value>& data,
+                                          size_t rows, size_t a) {
+  const OrderKeys keys(data.data(), rows * a);
+  Packing packing;
+  if (PlanPacking(keys, data.data(), rows, a, packing)) {
+    return SortDedupePacked(keys, packing, data.data(), rows, a);
+  }
+  return SortDedupeRows(keys, data, rows, a);
 }
 
 }  // namespace
@@ -300,7 +462,7 @@ void FlatRelation::RechargeTo(int64_t now) const {
 
 FlatRelation::FlatRelation(const FlatRelation& other)
     : arity_(other.arity_),
-      dirty_(other.dirty_),
+      dirty_(other.dirty_.load(std::memory_order_relaxed)),
       rows_(other.rows_),
       data_(other.data_) {
   CountCopy(rows_);
@@ -310,7 +472,8 @@ FlatRelation::FlatRelation(const FlatRelation& other)
 FlatRelation& FlatRelation::operator=(const FlatRelation& other) {
   if (this == &other) return *this;
   arity_ = other.arity_;
-  dirty_ = other.dirty_;
+  dirty_.store(other.dirty_.load(std::memory_order_relaxed),
+               std::memory_order_relaxed);
   rows_ = other.rows_;
   data_ = other.data_;
   CountCopy(rows_);
@@ -326,7 +489,7 @@ Status FlatRelation::TryInsert(const Tuple& t) {
   }
   data_.insert(data_.end(), t.begin(), t.end());
   ++rows_;
-  dirty_ = true;
+  dirty_.store(true, std::memory_order_relaxed);
   SyncCharge();
   return Status::Ok();
 }
@@ -336,7 +499,7 @@ void FlatRelation::Insert(TupleRef t) {
                    "tuple arity %zu != relation arity %d", t.size(), arity_);
   data_.insert(data_.end(), t.begin(), t.end());
   ++rows_;
-  dirty_ = true;
+  dirty_.store(true, std::memory_order_relaxed);
   SyncCharge();
 }
 
@@ -345,29 +508,33 @@ void FlatRelation::AppendAll(const FlatRelation& other) {
   if (other.rows_ == 0) return;
   data_.insert(data_.end(), other.data_.begin(), other.data_.end());
   rows_ += other.rows_;
-  dirty_ = true;
+  dirty_.store(true, std::memory_order_relaxed);
   SyncCharge();
 }
 
 size_t FlatRelation::Normalize() const {
-  if (!dirty_) return 0;
-  dirty_ = false;
+  if (!dirty_.load(std::memory_order_acquire)) return 0;
+  // Concurrent readers of one dirty relation (two runs scanning the same
+  // base relation) meet here: the first sorts, the others wait on the lock
+  // and then find it clean.
+  std::lock_guard<std::mutex> lock(NormalizeMutex(this));
+  if (!dirty_.load(std::memory_order_relaxed)) return 0;
   const size_t a = static_cast<size_t>(arity_);
+  size_t sorted = 0;
   if (a == 0) {
     // The only tuple is the empty tuple; dedupe to at most one row.
     rows_ = rows_ > 0 ? 1 : 0;
-    return 0;
+  } else if (rows_ > 1) {
+    size_t kept = DedupeIfOrderedDispatch(a, data_.data(), rows_);
+    if (kept == SIZE_MAX) {
+      kept = SortDedupeOnKeys(data_, rows_, a);
+      sorted = rows_;
+    }
+    data_.resize(kept * a);
+    rows_ = kept;
+    SyncCharge();
   }
-  if (rows_ <= 1) return 0;
-  size_t sorted = 0;
-  size_t kept = DedupeIfOrderedDispatch(a, data_.data(), rows_);
-  if (kept == SIZE_MAX) {
-    kept = SortDedupeOnKeys(data_, rows_, a);
-    sorted = rows_;
-  }
-  data_.resize(kept * a);
-  rows_ = kept;
-  SyncCharge();
+  dirty_.store(false, std::memory_order_release);
   return sorted;
 }
 

@@ -13,6 +13,7 @@
 #ifndef EMCALC_STORAGE_FLAT_RELATION_H_
 #define EMCALC_STORAGE_FLAT_RELATION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -75,11 +76,11 @@ class FlatRelation {
   FlatRelation& operator=(const FlatRelation& other);
   FlatRelation(FlatRelation&& other) noexcept
       : arity_(other.arity_),
-        dirty_(other.dirty_),
+        dirty_(other.dirty_.load(std::memory_order_relaxed)),
         rows_(other.rows_),
         data_(std::move(other.data_)),
         charged_bytes_(other.charged_bytes_) {
-    other.dirty_ = false;
+    other.dirty_.store(false, std::memory_order_relaxed);
     other.rows_ = 0;
     other.charged_bytes_ = 0;
     other.SyncCharge();  // moved-from capacity is unspecified; reconcile
@@ -88,11 +89,12 @@ class FlatRelation {
     if (this == &other) return *this;
     RechargeTo(0);  // our buffer is about to be freed by the vector move
     arity_ = other.arity_;
-    dirty_ = other.dirty_;
+    dirty_.store(other.dirty_.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
     rows_ = other.rows_;
     data_ = std::move(other.data_);
     charged_bytes_ = other.charged_bytes_;
-    other.dirty_ = false;
+    other.dirty_.store(false, std::memory_order_relaxed);
     other.rows_ = 0;
     other.charged_bytes_ = 0;
     other.SyncCharge();
@@ -178,7 +180,7 @@ class FlatRelation {
   void AppendRow(const Value* values) {
     data_.insert(data_.end(), values, values + arity_);
     ++rows_;
-    dirty_ = true;
+    dirty_.store(true, std::memory_order_relaxed);
     SyncCharge();
   }
 
@@ -192,12 +194,17 @@ class FlatRelation {
                    values + n * static_cast<size_t>(arity_));
     }
     rows_ += n;
-    dirty_ = true;
+    dirty_.store(true, std::memory_order_relaxed);
     SyncCharge();
   }
 
   // Appends every row of `other` (same arity) without normalizing.
   void AppendAll(const FlatRelation& other);
+
+  // Declares the appended rows already ascending and duplicate-free (a
+  // kernel that emits a subsequence of a normalized input), so the next
+  // read skips Normalize's ordered check. The caller guarantees the order.
+  void MarkNormalized() { dirty_.store(false, std::memory_order_relaxed); }
 
   // The normalized arity-strided backing buffer (size() * arity() cells).
   // Valid until the next mutation; the batch kernels slice columns out of
@@ -228,18 +235,28 @@ class FlatRelation {
   // Multi-line "(1, 'a')\n(2, 'b')" rendering, for tests and examples.
   std::string ToString() const;
 
-  // Sorts and dedupes now (no-op when already normalized). Execution
-  // calls this before sharing a relation across worker threads: the lazy
-  // normalization mutates, so it must happen-before the parallel region.
+  // Sorts and dedupes now (no-op when already normalized). Safe to call
+  // from several threads at once: the first reader of a dirty relation
+  // sorts it under a lock and the others wait for it; a clean relation
+  // takes no lock.
+  //
   // One linear pass first checks whether the rows are already
   // non-decreasing; if so they are only deduped. Otherwise they are sorted
-  // on order keys: the distinct pooled values are ranked once, every cell
-  // is encoded in place to a 64-bit word whose unsigned order is Value
-  // order, rows are sorted and deduped as plain words, and the kept cells
-  // are decoded back to their original values. Returns the number of rows
-  // sorted: 0 when no sort ran (already normalized, at most one row, or
-  // found in order), otherwise the pre-dedupe row count.
+  // on order keys: the distinct pooled values are ranked once and every
+  // cell maps to a 64-bit key whose unsigned order is Value order. When
+  // each column's key range (greatest minus least key) needs few enough
+  // bits that the columns fit one 64-bit word together, each row packs
+  // into one word, column 0 most significant; the words are radix-sorted
+  // (std::sort below kRadixSortMinRows rows), deduped, and unpacked back to
+  // the original cells. Rows that do not fit one word sort as rows of keys.
+  // Returns the number of rows sorted: 0 when no sort ran (already
+  // normalized, at most one row, or found in order), otherwise the
+  // pre-dedupe row count.
   size_t Normalize() const;
+
+  // Below this many rows, packed rows sort with std::sort: a radix sort's
+  // histograms would cost more than the sort.
+  static constexpr size_t kRadixSortMinRows = 1024;
 
   // Process-wide copy instrumentation: whole-relation copies and tuples
   // copied into new storage by relation copies and the lvalue set
@@ -260,7 +277,9 @@ class FlatRelation {
   void RechargeTo(int64_t now) const;
 
   int arity_;
-  mutable bool dirty_ = false;
+  // Set by appends, cleared by Normalize. Atomic so that concurrent
+  // readers can test it without a lock (see Normalize).
+  mutable std::atomic<bool> dirty_{false};
   mutable size_t rows_ = 0;
   mutable std::vector<Value> data_;  // arity-strided, rows_ * arity_ cells
   mutable int64_t charged_bytes_ = 0;

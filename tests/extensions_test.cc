@@ -295,6 +295,37 @@ TEST_F(ParameterizedTest, ConcurrentRunsMatchPlanFor) {
   }
 }
 
+// The first runs over a base relation filled out of order race to its lazy
+// normalize: two threads each start a run before either has read it. The
+// relation must be sorted exactly once, with no data race, and both
+// answers must be right. Each round gets a fresh, dirty database.
+TEST(ConcurrentFirstRunTest, DirtyBaseRelationIsNormalizedOnce) {
+  Compiler compiler;
+  auto q = compiler.Compile("{x | exists y (R(x, y) and y = 3)}");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  Relation expected(1);
+  for (int64_t x = 0; x < 5'000; ++x) {
+    if (x % 7 == 3) expected.Insert({Value::Int(x)});
+  }
+  for (int round = 0; round < 10; ++round) {
+    Database db;
+    for (int64_t x = 5'000; x-- > 0;) {
+      ASSERT_TRUE(db.Insert("R", {Value::Int(x), Value::Int(x % 7)}).ok());
+    }
+    std::vector<int> wrong(2, 0);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        auto answer = q->Run(db);
+        if (!answer.ok() || !(*answer == expected)) wrong[t] = 1;
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(wrong, std::vector<int>({0, 0})) << "round " << round;
+    EXPECT_EQ(db.Find("R")->Normalize(), 0u);
+  }
+}
+
 TEST_F(ParameterizedTest, AgreesWithConstantSubstitutedQuery) {
   // Each query runs with d = 10 and cap = 70000 and must equal its closed
   // twin, the same text with those constants substituted for d and cap.

@@ -387,6 +387,128 @@ TEST(NormalizeModelTest, ManySharedPrefixStringsMatchSetModel) {
   }
 }
 
+// Packed rows. Normalize packs a row into one word when the columns' key
+// ranges (greatest minus least order key) fit 64 bits together, and sorts
+// rows of keys otherwise. Each case below sets the columns' ranges on
+// purpose: sums of 63, 64 and 65 bits, constant columns, a column spanning
+// the whole key range, shared-prefix strings and arity 12, each at row
+// counts either side of the radix cut-over and well above it.
+
+// One column's cells: drawn from `values`, or uniformly from the inline
+// ints [lo, hi] when `values` is empty.
+struct ColumnSpec {
+  int64_t lo = 0;
+  int64_t hi = 0;
+  std::vector<Value> values;
+};
+
+// Ints spanning exactly `width` bits from `lo`: key range 2^width - 1.
+ColumnSpec IntBits(int64_t lo, int width) {
+  return {lo, lo + static_cast<int64_t>((uint64_t{1} << width) - 1), {}};
+}
+
+ColumnSpec OneOf(std::vector<Value> values) { return {0, 0, std::move(values)}; }
+
+// `n` rows (duplicates included) in which every column reaches both ends
+// of its range, shuffled so that the first row is the greatest: Normalize
+// must sort.
+std::vector<Tuple> RowsOf(const std::vector<ColumnSpec>& cols, size_t n,
+                          uint32_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Tuple> rows;
+  for (size_t r = 0; r < n; ++r) {
+    Tuple t;
+    for (const ColumnSpec& c : cols) {
+      if (!c.values.empty()) {
+        t.push_back(r < c.values.size() ? c.values[r]
+                                        : c.values[rng() % c.values.size()]);
+      } else if (r < 2) {
+        t.push_back(Value::Int(r == 0 ? c.lo : c.hi));
+      } else {
+        std::uniform_int_distribution<int64_t> pick(c.lo, c.hi);
+        t.push_back(Value::Int(pick(rng)));
+      }
+    }
+    // Past the rows that place every listed value, every fifth row repeats
+    // an earlier one.
+    if (r >= 64 && r % 5 == 4) t = rows[rng() % rows.size()];
+    rows.push_back(std::move(t));
+  }
+  std::shuffle(rows.begin(), rows.end(), rng);
+  auto greatest = std::max_element(rows.begin(), rows.end());
+  std::iter_swap(rows.begin(), greatest);
+  if (std::adjacent_find(rows.begin(), rows.end(), std::not_equal_to<>()) ==
+      rows.end()) {
+    rows.clear();  // every row equal: nothing to sort
+  }
+  return rows;
+}
+
+TEST(NormalizeModelTest, PackedRowsMatchSetModel) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kSeam = int64_t{1} << 62;
+  // Negative big ints, both inline/pool seams, positive big ints and
+  // strings: the column's keys span from 0 to past 2^63, all 64 bits.
+  const ColumnSpec full = OneOf(
+      {Value::Int(kMin), Value::Int(kMin + 1), Value::Int(-kSeam - 1),
+       Value::Int(-kSeam), Value::Int(-kSeam + 1), Value::Int(-1),
+       Value::Int(0), Value::Int(kSeam - 1), Value::Int(kSeam),
+       Value::Int(kMax), Value::Str("a"), Value::Str("position-title-1")});
+  std::vector<Value> title_values;
+  for (int i = 0; i < 40; ++i) {
+    title_values.push_back(Value::Str("position-title-" + std::to_string(i)));
+  }
+  const ColumnSpec titles = OneOf(title_values);
+  const ColumnSpec seven = OneOf({Value::Int(7)});
+  const ColumnSpec bob = OneOf({Value::Str("bob")});
+  const ColumnSpec small_mixed =
+      OneOf({Value::Int(-3), Value::Int(5), Value::Int(1 << 20),
+             Value::Str("a"), Value::Str("position-title-1")});
+  std::vector<ColumnSpec> arity12;
+  for (int c = 0; c < 12; ++c) arity12.push_back(IntBits(c - 6, 5));
+  std::vector<ColumnSpec> arity12_wide = arity12;
+  arity12_wide[11] = IntBits(0, 10);  // 11 * 5 + 10 = 65 bits
+
+  const std::pair<const char*, std::vector<ColumnSpec>> cases[] = {
+      {"32 + 31 bits", {IntBits(0, 32), IntBits(-5, 31)}},
+      {"32 + 32 bits", {IntBits(0, 32), IntBits(-5, 32)}},
+      {"33 + 32 bits", {IntBits(0, 33), IntBits(-5, 32)}},
+      {"21 * 3 bits", {IntBits(100, 21), IntBits(-(1 << 20), 21),
+                       IntBits(7, 21)}},
+      {"22 + 21 + 21 bits", {IntBits(100, 22), IntBits(-(1 << 20), 21),
+                             IntBits(7, 21)}},
+      {"22 + 22 + 21 bits", {IntBits(100, 22), IntBits(-(1 << 20), 22),
+                             IntBits(7, 21)}},
+      {"constant columns", {seven, IntBits(0, 10), bob, IntBits(-3, 5)}},
+      {"constant column before 64 bits", {seven, full}},
+      {"full key range", {full}},
+      {"full key range + 1 bit", {full, IntBits(0, 1)}},
+      {"sparse digits", {OneOf({Value::Int(0), Value::Int(1 << 20)}),
+                         IntBits(0, 2)}},
+      {"shared-prefix strings", {titles, IntBits(0, 4), titles}},
+      {"ints and strings in each column", {small_mixed, small_mixed}},
+      {"arity 12, 60 bits", arity12},
+      {"arity 12, 65 bits", arity12_wide},
+  };
+  constexpr size_t kCut = FlatRelation::kRadixSortMinRows;
+  uint32_t seed = 1;
+  for (const auto& [name, cols] : cases) {
+    for (size_t n : {kCut - 1, kCut, kCut + 1, size_t{5'000}}) {
+      SCOPED_TRACE(std::string(name) + ", " + std::to_string(n) + " rows");
+      std::vector<Tuple> input = RowsOf(cols, n, seed++);
+      ASSERT_FALSE(input.empty());
+      const int arity = static_cast<int>(cols.size());
+      FlatRelation rel(arity);
+      for (const Tuple& t : input) rel.Insert(t);
+      EXPECT_EQ(rel.Normalize(), input.size());
+      RowModel model(input.begin(), input.end());
+      ExpectMatchesModel(rel, model);
+      EXPECT_EQ(rel.Normalize(), 0u);
+    }
+  }
+}
+
 TEST(DatabaseTest, CatalogOperations) {
   Database db;
   EXPECT_TRUE(db.AddRelation("R", 2).ok());
