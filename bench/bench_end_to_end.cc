@@ -4,11 +4,9 @@
 // data and the run-time phase scales with it.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/algebra/eval.h"
 #include "src/calculus/parser.h"
 #include "src/core/compiler.h"
 #include "src/core/workload.h"
@@ -60,41 +58,6 @@ void Report() {
     emcalc::Database db = emcalc::MakePayrollInstance(10000, 8, 3);
     auto analyzed = q->ExplainAnalyze(db);
     if (analyzed.ok()) std::printf("%s", analyzed->c_str());
-  }
-
-  // Acceptance check: the physical execution layer must not be slower than
-  // the legacy recursive interpreter on the payroll workload at |EMP|=1e4.
-  std::printf("\nexec layer vs legacy interpreter (|EMP|=10000, best of 5):\n");
-  for (const char* text : {kNetPay, kNoBonus}) {
-    auto q = compiler.Compile(text);
-    if (!q.ok()) continue;
-    emcalc::Database db = emcalc::MakePayrollInstance(10000, 8, 3);
-    auto best_ns = [](auto&& fn) {
-      uint64_t best = ~0ull;
-      for (int i = 0; i < 5; ++i) {
-        auto start = std::chrono::steady_clock::now();
-        fn();
-        auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-        if (static_cast<uint64_t>(ns) < best) best = static_cast<uint64_t>(ns);
-      }
-      return best;
-    };
-    uint64_t exec_ns = best_ns([&] {
-      auto r = q->Run(db);
-      benchmark::DoNotOptimize(r.ok());
-    });
-    uint64_t legacy_ns = best_ns([&] {
-      auto r = emcalc::EvaluateAlgebraLegacy(compiler.ctx(), q->plan(), db,
-                                             compiler.functions());
-      benchmark::DoNotOptimize(r.ok());
-    });
-    std::printf("  %-60s exec=%8.3fms legacy=%8.3fms speedup=%.2fx\n", text,
-                static_cast<double>(exec_ns) / 1e6,
-                static_cast<double>(legacy_ns) / 1e6,
-                static_cast<double>(legacy_ns) /
-                    static_cast<double>(exec_ns));
   }
   std::printf("\n");
 }

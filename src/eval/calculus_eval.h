@@ -6,7 +6,19 @@
 // once k >= ||q|| - 1, and the translated algebra plan must produce exactly
 // this answer.
 //
-// Complexity is O(|domain|^#vars); this evaluator exists for correctness
+// Every variable ranges over the domain D, but only candidate values are
+// enumerated. Each rule drops only valuations under which a (sub)formula
+// cannot hold, candidates are intersected with D, and every subformula is
+// evaluated before a valuation is accepted, so the answer is that of the
+// whole D^#vars enumeration. Rules: a plain argument of a positive atom
+// takes the column's values from the rows matching the bound arguments;
+// x = t (or not x != t) with t bound gives {eval(t)}; not flips polarity;
+// a disjunction (or negated conjunction) is enumerated once per disjunct;
+// exists (or not forall) enumerates its variables with the outer ones;
+// variables bind fewest candidates first, and over D where no rule applies.
+// No safety or translation code is used, so the oracle stays independent
+// of the translator. The worst case (e.g. a query that is not domain
+// independent) is still O(|D|^#vars): this evaluator is for correctness
 // checking and the baseline experiments, not production use.
 #ifndef EMCALC_EVAL_CALCULUS_EVAL_H_
 #define EMCALC_EVAL_CALCULUS_EVAL_H_

@@ -623,7 +623,7 @@ StatusOr<ExecContext::Result> ExecContext::RunBatchProject(
   MergeShards(s, shards);
   NormalizeOutput(*out, s);
   // In fused form this operator logically consumes the filter's output,
-  // so row accounting matches the unfused (and legacy) plans exactly.
+  // so row accounting matches the unfused plan exactly.
   s.rows_in += cond != nullptr ? survivors : n;
   s.rows_out += out->size();
   if (fstats != nullptr) {
@@ -1112,7 +1112,7 @@ StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(
         std::to_string(args.size()));
   }
   // Validate every Scan binding up front so a broken plan fails before any
-  // operator runs (mirrors the legacy evaluator's Validate pass).
+  // operator runs.
   for (const std::unique_ptr<PhysicalOp>& op : ops_) {
     if (op->kind != PhysOpKind::kScan) continue;
     auto rel = db.Get(op->rel_name);

@@ -140,7 +140,7 @@ struct ExecProfile {
 // Flat totals over a profile tree: the one flat-totals type, for callers
 // (EvaluateAlgebra, benches, tests) that need no per-operator breakdown.
 // Materialize nodes contribute no row counts: their child already counted
-// the work once, matching the legacy evaluator's memoization accounting.
+// the work once.
 struct ExecTotals {
   uint64_t rows_in = 0;
   uint64_t rows_out = 0;

@@ -1,9 +1,10 @@
 // Differential tests for the vectorized batch kernels (src/exec/
 // scalar_program.h, src/exec/selection.h): every num_threads setting must
-// produce output bit-identical to the legacy recursive evaluator, over the
-// paper corpus, a seeded random corpus, and hand-built join and filter
-// plans spanning several morsels; plus unit tests for Selection edge cases
-// and the compiled scalar program (CSE, constant folding, staged filters).
+// produce output bit-identical to the reference calculus evaluator, over
+// the paper corpus, a seeded random corpus, and hand-built join and filter
+// plans spanning several morsels (checked against their calculus twins);
+// plus unit tests for Selection edge cases and the compiled scalar program
+// (CSE, constant folding, staged filters).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,6 +17,7 @@
 #include "src/calculus/printer.h"
 #include "src/core/random_query.h"
 #include "src/core/workload.h"
+#include "src/eval/calculus_eval.h"
 #include "src/exec/lower.h"
 #include "src/exec/physical.h"
 #include "src/exec/scalar_program.h"
@@ -93,8 +95,7 @@ class BatchProgramTest : public ::testing::Test {
 };
 
 // A subtree repeated across output columns is computed once per batch:
-// runtime function_calls drop below the legacy evaluator's per-column
-// count.
+// runtime function_calls count each distinct application once per row.
 TEST_F(BatchProgramTest, CommonSubexpressionsShareWork) {
   ExprFactory& e = factory_.exprs();
   const ScalarExpr* shared = Apply1("succ", e.Col(0));
@@ -103,15 +104,16 @@ TEST_F(BatchProgramTest, CommonSubexpressionsShareWork) {
 
   ExecOptions batch_opts;
   batch_opts.num_threads = 1;
-  ExecTotals ls, bs;
-  auto legacy = EvaluateAlgebraLegacy(ctx_, plan, db_, registry_, &ls);
+  ExecTotals bs;
   auto batch = EvaluateAlgebra(ctx_, plan, db_, registry_, &bs, batch_opts);
-  ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(*legacy, *batch);
-  // Legacy: 4 applications per row (succ twice). Batch: 3 ops, the shared
-  // succ register evaluated once, so 3 counted lanes per row.
-  EXPECT_EQ(ls.function_calls, 4u * 50u);
+  Relation want(2);
+  for (int64_t i = 0; i < 50; ++i) {
+    want.Insert({Value::Int(2 * (i + 1)), Value::Int(-(i + 1))});
+  }
+  EXPECT_EQ(*batch, want);
+  // 4 applications per row in the plan (succ twice). Batch: 3 ops, the
+  // shared succ register evaluated once, so 3 counted lanes per row.
   EXPECT_EQ(bs.function_calls, 3u * 50u);
 }
 
@@ -132,8 +134,7 @@ TEST_F(BatchProgramTest, ConstantApplicationsFoldAtCompileTime) {
 }
 
 // Staged filter evaluation: a second condition only runs over lanes that
-// survived the first, so per-lane work equals the legacy evaluator's
-// short-circuit count.
+// survived the first, so per-lane work equals a short-circuit count.
 TEST_F(BatchProgramTest, StagedFilterMatchesShortCircuitCounts) {
   ExprFactory& e = factory_.exprs();
   const AlgExpr* plan = factory_.Select(
@@ -143,21 +144,20 @@ TEST_F(BatchProgramTest, StagedFilterMatchesShortCircuitCounts) {
 
   ExecOptions batch_opts;
   batch_opts.num_threads = 1;
-  ExecTotals ls, bs;
-  auto legacy = EvaluateAlgebraLegacy(ctx_, plan, db_, registry_, &ls);
+  ExecTotals bs;
   auto batch = EvaluateAlgebra(ctx_, plan, db_, registry_, &bs, batch_opts);
-  ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(*legacy, *batch);
-  // half runs on all 50 rows; succ only on the rows where half(i) < 100-i.
-  EXPECT_EQ(ls.function_calls, 100u);
-  EXPECT_EQ(bs.function_calls, ls.function_calls);
+  // Every row (i, 100-i) passes both: i/2 < 100-i and i+1 != 100-i.
+  EXPECT_EQ(*batch, *db_.Find("R"));
+  // half runs on all 50 rows; succ only on the rows where half(i) < 100-i,
+  // which is all 50 of them.
+  EXPECT_EQ(bs.function_calls, 100u);
 }
 
 // Mixed int/string comparison columns take the order-key gather path and
 // must order exactly like Value's total order (ints before strings,
 // strings lexicographic including 8-byte-prefix ties).
-TEST_F(BatchProgramTest, MixedOrderComparisonsMatchLegacy) {
+TEST_F(BatchProgramTest, MixedOrderComparisonsMatchValueOrder) {
   Database db;
   ASSERT_TRUE(db.AddRelation("M", 2).ok());
   const std::vector<Value> vals = {
@@ -180,11 +180,19 @@ TEST_F(BatchProgramTest, MixedOrderComparisonsMatchLegacy) {
                           AlgCompareOp::kEq, AlgCompareOp::kNe}) {
     const AlgExpr* plan =
         factory_.Select({{e.Col(0), op, e.Col(1)}}, factory_.Rel("M", 2));
-    auto legacy = EvaluateAlgebraLegacy(ctx_, plan, db, registry_);
+    Relation want(2);
+    for (const Value& a : vals) {
+      for (const Value& b : vals) {
+        const bool keep = op == AlgCompareOp::kLt   ? a < b
+                          : op == AlgCompareOp::kLe ? !(b < a)
+                          : op == AlgCompareOp::kEq ? a == b
+                                                    : a != b;
+        if (keep) want.Insert({a, b});
+      }
+    }
     auto batch = EvaluateAlgebra(ctx_, plan, db, registry_);
-    ASSERT_TRUE(legacy.ok());
     ASSERT_TRUE(batch.ok());
-    EXPECT_EQ(legacy->ToString(), batch->ToString())
+    EXPECT_EQ(want.ToString(), batch->ToString())
         << "op=" << static_cast<int>(op);
   }
 }
@@ -274,29 +282,19 @@ FunctionRegistry CorpusFunctions() {
 
 const size_t kThreadCounts[] = {1, 2, 4, 0};
 
-// True when lowering folds some X - project[@1..@n](join(X, Y)) into an
-// anti-join DiffAnti. Such a plan never runs the folded join and
-// projection, which the legacy interpreter still evaluates, so its row
-// totals may only be smaller.
-bool LowersAntiJoin(const AstContext& ctx, const AlgExpr* plan,
-                    const FunctionRegistry& registry) {
-  auto physical = Lower(ctx, plan, registry);
-  if (!physical.ok()) return false;
-  std::vector<const PhysicalOp*> stack{physical->root()};
-  while (!stack.empty()) {
-    const PhysicalOp* op = stack.back();
-    stack.pop_back();
-    if (op == nullptr) continue;
-    if (op->kind == PhysOpKind::kDiffAnti && !op->keys.empty()) return true;
-    stack.push_back(op->left);
-    stack.push_back(op->right);
-  }
-  return false;
+// The calculus answer of `q`, which must be within the oracle's budget.
+Relation Oracle(const AstContext& ctx, const Query& q, const Database& db,
+                const FunctionRegistry& registry) {
+  auto want = EvaluateCalculus(ctx, q, db, registry);
+  EXPECT_TRUE(want.ok()) << QueryToString(ctx, q) << ": "
+                         << want.status().ToString();
+  return want.ok() ? *std::move(want)
+                   : Relation(static_cast<int>(q.head.size()));
 }
 
 // Paper corpus on inputs large enough to exercise the parallel batch
-// kernels: every num_threads setting must match the legacy interpreter
-// bit-for-bit (ToString compares the normalized rendering).
+// kernels: every num_threads setting must match the calculus bit-for-bit
+// (ToString compares the normalized rendering).
 TEST(BatchDifferentialTest, PaperCorpusIdenticalAcrossBatchGrid) {
   FunctionRegistry registry = CorpusFunctions();
   for (const CorpusQuery& cq : kPaperCorpus) {
@@ -310,9 +308,7 @@ TEST(BatchDifferentialTest, PaperCorpusIdenticalAcrossBatchGrid) {
       AddRandomTuples(db, name, arity, /*rows=*/6000, /*value_pool=*/100000,
                       /*seed=*/arity * 7 + 1);
     }
-    auto legacy = EvaluateAlgebraLegacy(ctx, t->plan, db, registry);
-    ASSERT_TRUE(legacy.ok()) << cq.text;
-    const std::string want = legacy->ToString();
+    const std::string want = Oracle(ctx, *q, db, registry).ToString();
     for (size_t threads : kThreadCounts) {
       ExecOptions options;
       options.num_threads = threads;
@@ -327,8 +323,8 @@ TEST(BatchDifferentialTest, PaperCorpusIdenticalAcrossBatchGrid) {
 
 // 200 seeded random em-allowed queries at every thread count. Small
 // databases sweep plan shapes (including odd arities and empty inputs)
-// through the batched entry points; function-call counts must never
-// exceed the legacy evaluator's (CSE and folding only remove work).
+// through the batched entry points; answers must match the calculus, and
+// row and function-call counts must not depend on the thread count.
 TEST(BatchDifferentialTest, RandomQueriesIdenticalAcrossBatchGrid) {
   FunctionRegistry registry = CorpusFunctions();
   registry.Register("rf0", 1, [](std::span<const Value> a) {
@@ -356,11 +352,8 @@ TEST(BatchDifferentialTest, RandomQueriesIdenticalAcrossBatchGrid) {
         AddRandomTuples(db, "R" + std::to_string(r), arities[r], /*rows=*/6,
                         /*value_pool=*/6, seed * 613 + r * 31 + i);
       }
-      ExecTotals ls;
-      auto legacy = EvaluateAlgebraLegacy(ctx, t->plan, db, registry, &ls);
-      ASSERT_TRUE(legacy.ok()) << QueryToString(ctx, *q);
-      const std::string want = legacy->ToString();
-      const bool anti_join = LowersAntiJoin(ctx, t->plan, registry);
+      const std::string want = Oracle(ctx, *q, db, registry).ToString();
+      ExecTotals first;
       for (size_t threads : kThreadCounts) {
         ExecOptions options;
         options.num_threads = threads;
@@ -371,12 +364,10 @@ TEST(BatchDifferentialTest, RandomQueriesIdenticalAcrossBatchGrid) {
         ASSERT_EQ(phys->ToString(), want)
             << QueryToString(ctx, *q) << "\nplan: "
             << AlgExprToString(ctx, t->plan) << "\nnum_threads=" << threads;
-        if (anti_join) {
-          EXPECT_LE(ps.rows_out, ls.rows_out) << QueryToString(ctx, *q);
-        } else {
-          EXPECT_EQ(ls.rows_out, ps.rows_out) << QueryToString(ctx, *q);
-        }
-        EXPECT_LE(ps.function_calls, ls.function_calls)
+        if (threads == kThreadCounts[0]) first = ps;
+        EXPECT_EQ(ps.rows_in, first.rows_in) << QueryToString(ctx, *q);
+        EXPECT_EQ(ps.rows_out, first.rows_out) << QueryToString(ctx, *q);
+        EXPECT_EQ(ps.function_calls, first.function_calls)
             << QueryToString(ctx, *q);
       }
       ++checked;
@@ -422,7 +413,8 @@ TEST(BatchDifferentialTest, ParallelFloorControlsFanOut) {
 // Every scalar program the executor runs is exercised across those
 // boundaries: function-term and residual-filtered HashJoins, a
 // NestedLoopJoin with conditions, and a fused filter→project, each at
-// every thread count against the legacy evaluator.
+// every thread count. Each plan's answer comes from its calculus twin,
+// which must lower to the same root operator.
 TEST(BatchDifferentialTest, JoinsAndFusedFilterAcrossMorsels) {
   AstContext ctx;
   AlgebraFactory factory(ctx);
@@ -449,56 +441,70 @@ TEST(BatchDifferentialTest, JoinsAndFusedFilterAcrossMorsels) {
   };
   const AlgExpr* r = factory.Rel("R", 2);
   const AlgExpr* s = factory.Rel("S", 2);
+  // The R rows (i, i*7 % 3001) with m(i*7 % 3001) <= m(i).
+  uint64_t survivors = 0;
+  for (int i = 0; i < kRows; ++i) survivors += i * 7 % 3001 % 1000 <= i % 1000;
+  // Each case counts the m calls its plan makes: the function-term keys
+  // call m once per R row; the nested loop calls it only on the pairs that
+  // pass a < t; the fused filter calls it twice per R row, then once per
+  // surviving row in the projection.
   struct Case {
-    const char* name;
+    const char* twin;
     const AlgExpr* plan;
     PhysOpKind root;
+    uint64_t function_calls;
   };
   const Case cases[] = {
       // Function-term keys on both sides: m(@1) == @3 probes with m over
       // R's second column and builds on S's second column.
-      {"function-term key",
+      {"{a, b, c, d | R(a, b) and S(c, d) and m(b) = d}",
        factory.Join({{m(e.Col(1)), AlgCompareOp::kEq, e.Col(3)}}, r, s),
-       PhysOpKind::kHashJoin},
+       PhysOpKind::kHashJoin, kRows},
       // An equi-key plus a residual `<` over both sides.
-      {"residual <",
+      {"{a, b, c, d | R(a, b) and S(c, d) and c = m(a) and b < d}",
        factory.Join({{e.Col(2), AlgCompareOp::kEq, m(e.Col(0))},
                      {e.Col(1), AlgCompareOp::kLt, e.Col(3)}},
                     r, s),
-       PhysOpKind::kHashJoin},
+       PhysOpKind::kHashJoin, kRows},
       // No equi-key: every R × T pair is a candidate.
-      {"nested loop",
+      {"{a, b, t | R(a, b) and T(t) and a < t and m(b) != t}",
        factory.Join({{e.Col(0), AlgCompareOp::kLt, e.Col(2)},
                      {m(e.Col(1)), AlgCompareOp::kNe, e.Col(2)}},
                     r, factory.Rel("T", 1)),
-       PhysOpKind::kNestedLoopJoin},
-      {"fused filter-project",
+       PhysOpKind::kNestedLoopJoin, 100 + 2000 + 4000},
+      {"{u, b | exists a (R(a, b) and m(b) <= m(a) and u = m(a))}",
        factory.Project(
            {m(e.Col(0)), e.Col(1)},
            factory.Select({{m(e.Col(1)), AlgCompareOp::kLe, m(e.Col(0))}},
                           r)),
-       PhysOpKind::kProjectMap},
+       PhysOpKind::kProjectMap, 2 * kRows + survivors},
   };
   for (const Case& c : cases) {
-    ExecTotals ls;
-    auto legacy = EvaluateAlgebraLegacy(ctx, c.plan, db, registry, &ls);
-    ASSERT_TRUE(legacy.ok()) << c.name;
-    ASSERT_GT(legacy->size(), 1024u) << c.name << ": too few rows to batch";
-    const std::string want = legacy->ToString();
+    auto q = ParseQuery(ctx, c.twin);
+    ASSERT_TRUE(q.ok()) << c.twin;
+    auto t = TranslateQuery(ctx, *q);
+    ASSERT_TRUE(t.ok()) << c.twin << ": " << t.status().ToString();
+    auto twin = Lower(ctx, t->plan, registry);
+    ASSERT_TRUE(twin.ok()) << c.twin;
+    EXPECT_EQ(twin->root()->kind, c.root)
+        << c.twin << "\nplan: " << AlgExprToString(ctx, t->plan);
+    const Relation oracle = Oracle(ctx, *q, db, registry);
+    ASSERT_GT(oracle.size(), 1024u) << c.twin << ": too few rows to batch";
+    const std::string want = oracle.ToString();
     for (size_t threads : kThreadCounts) {
       ExecOptions options;
       options.num_threads = threads;
       auto physical = Lower(ctx, c.plan, registry, options);
-      ASSERT_TRUE(physical.ok()) << c.name;
-      ASSERT_EQ(physical->root()->kind, c.root) << c.name;
+      ASSERT_TRUE(physical.ok()) << c.twin;
+      ASSERT_EQ(physical->root()->kind, c.root) << c.twin;
       ExecProfile profile;
       auto got = physical->ExecuteToRelation(db, &profile);
-      ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
+      ASSERT_TRUE(got.ok()) << c.twin << ": " << got.status().ToString();
       EXPECT_EQ(got->ToString(), want)
-          << c.name << " differs at num_threads=" << threads;
-      EXPECT_EQ(profile.stats.rows_out, legacy->size()) << c.name;
-      EXPECT_LE(SumProfile(profile).function_calls, ls.function_calls)
-          << c.name;
+          << c.twin << " differs at num_threads=" << threads;
+      EXPECT_EQ(profile.stats.rows_out, oracle.size()) << c.twin;
+      EXPECT_EQ(SumProfile(profile).function_calls, c.function_calls)
+          << c.twin;
     }
   }
 }

@@ -140,6 +140,70 @@ TEST_F(CalculusEvalTest, ErrorsOnUnknownNames) {
   EXPECT_FALSE(EvaluateCalculus(ctx_, *q2, db_, registry_).ok());
 }
 
+// The term^k boundary: a valuation leaves the answer once a value it needs
+// is outside term^level(adom). Here adom = {1, 2, 3}, so succ(succ(2)) = 4
+// is in term^1 but not term^0, and double(double(2)) = 8 only in term^2.
+TEST_F(CalculusEvalTest, AnswersStopAtTheClosureLevel) {
+  auto at = [&](const char* text, int level) {
+    CalculusEvalOptions options;
+    options.level = level;
+    return Eval(text, options);
+  };
+  Relation pairs(2);
+  pairs.Insert({Value::Int(1), Value::Int(3)});
+  const char* succ2 = "{x, y | R(x) and succ(succ(x)) = y}";
+  EXPECT_EQ(at(succ2, 0), pairs);
+  pairs.Insert({Value::Int(2), Value::Int(4)});
+  EXPECT_EQ(at(succ2, 1), pairs);
+  EXPECT_EQ(at(succ2, 2), pairs);
+
+  Relation doubles(2);
+  doubles.Insert({Value::Int(1), Value::Int(4)});
+  const char* double2 = "{x, y | R(x) and double(double(x)) = y}";
+  EXPECT_EQ(at(double2, 1), doubles);
+  doubles.Insert({Value::Int(2), Value::Int(8)});
+  EXPECT_EQ(at(double2, 2), doubles);
+}
+
+// A disjunction that is not domain independent: each disjunct's other
+// variable ranges over the whole domain D = {1, 2, 3} (level 0), so the
+// answer is R x D union D x S.
+TEST_F(CalculusEvalTest, DisjunctionRangesOtherVariablesOverTheDomain) {
+  Relation want(2);
+  for (int64_t d = 1; d <= 3; ++d) {
+    for (int64_t r : {1, 2}) want.Insert({Value::Int(r), Value::Int(d)});
+    for (int64_t s : {2, 3}) want.Insert({Value::Int(d), Value::Int(s)});
+  }
+  EXPECT_EQ(Eval("{x, y | R(x) or S(y)}"), want);
+}
+
+// forall and not-exists take every domain value as a possible
+// counterexample, not only the values of the atoms under the negation.
+TEST_F(CalculusEvalTest, UniversalQuantifiersSeeTheWholeDomain) {
+  // E = {(1,2), (2,3)}: only 1's successor is in R.
+  Relation one(1);
+  one.Insert({Value::Int(1)});
+  EXPECT_EQ(Eval("{x | R(x) and forall y (not E(x, y) or R(y))}"), one);
+  // E(x, y) fails for y = 1 whatever x is.
+  EXPECT_TRUE(Eval("{x | R(x) and forall y (E(x, y))}").empty());
+  // S = {2, 3}: 2 has an E-predecessor outside S, 3 does not.
+  Relation three(1);
+  three.Insert({Value::Int(3)});
+  EXPECT_EQ(Eval("{x | S(x) and not exists y (E(y, x) and not S(y))}"),
+            three);
+  EXPECT_EQ(Eval("{x | R(x) and not exists y (not E(x, y))}").size(), 0u);
+}
+
+// A quantifier that rebinds a free variable hides the outer value in its
+// scope: the inner x ranges over S - R = {3}.
+TEST_F(CalculusEvalTest, ShadowedBinderHidesTheOuterValue) {
+  Relation r(1);
+  r.Insert({Value::Int(1)});
+  r.Insert({Value::Int(2)});
+  EXPECT_EQ(Eval("{x | R(x) and exists x (S(x) and not R(x))}"), r);
+  EXPECT_TRUE(Eval("{x | R(x) and forall x (R(x))}").empty());
+}
+
 TEST_F(CalculusEvalTest, DomainBudgetEnforced) {
   auto q = ParseQuery(ctx_, "{x, y | R(x) and succ(x) = y}");
   ASSERT_TRUE(q.ok());

@@ -2,9 +2,8 @@
 // parameterized queries must agree with the equivalent "manual" queries on
 // random inputs. Parameterized runs execute one plan prepared at compile
 // time; the differential suite checks it bit for bit against the
-// substitute-and-retranslate plan (PlanFor), run through both the physical
-// layer and the legacy algebra evaluator, and the reference calculus
-// evaluator.
+// substitute-and-retranslate plan (PlanFor), run through the physical
+// layer, and against the reference calculus evaluator.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -48,9 +47,9 @@ Value LongString(int i) {
 }
 
 // Checks one argument binding of `pq` against every oracle: Run and the
-// prepared plan must equal PlanFor(args) run through the physical layer
-// and through the legacy algebra evaluator, and the calculus evaluator on
-// the query with the arguments substituted as constants.
+// prepared plan must equal PlanFor(args) run through the physical layer,
+// and the calculus evaluator on the query with the arguments substituted
+// as constants.
 void ExpectRunMatchesOracles(Compiler& compiler, const ParameterizedQuery& pq,
                              const Database& db,
                              const std::vector<Value>& args,
@@ -74,10 +73,6 @@ void ExpectRunMatchesOracles(Compiler& compiler, const ParameterizedQuery& pq,
   ASSERT_TRUE(substituted.ok()) << label << ": "
                                 << substituted.status().ToString();
   EXPECT_TRUE(*run == *substituted) << label << " vs PlanFor";
-  auto legacy =
-      EvaluateAlgebraLegacy(ctx, *plan, db, compiler.functions());
-  ASSERT_TRUE(legacy.ok()) << label << ": " << legacy.status().ToString();
-  EXPECT_TRUE(*run == *legacy) << label << " vs PlanFor, legacy evaluator";
 
   auto prepared = Lower(ctx, pq.plan(), compiler.functions(), ExecOptions{},
                         static_cast<int>(pq.parameters().size()));
