@@ -156,79 +156,78 @@ StatusOr<const Formula*> ToRanf(AstContext& ctx, const Formula* f,
       return builder::Not(ctx, *inner);
     }
     case FormulaKind::kAnd: {
-      // Greedy FinD-driven ordering (subsumes T15 grouping): pick, in
-      // input order for determinism, any remaining conjunct that is
-      // translatable under the variables accumulated so far. Greedy is
-      // complete here because translatability is monotone in the context.
-      auto try_order = [&ctx, &x,
-                        &invertible](std::vector<const Formula*> remaining)
-          -> StatusOr<const Formula*> {
-        std::vector<const Formula*> ordered;
-        SymbolSet avail = x;
-        while (!remaining.empty()) {
-          bool progress = false;
-          for (size_t i = 0; i < remaining.size(); ++i) {
-            auto attempt = ToRanf(ctx, remaining[i], avail, invertible);
-            if (!attempt.ok()) continue;
-            avail = avail.Union(FreeVars(remaining[i]));
-            ordered.push_back(*attempt);
-            remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(i));
-            progress = true;
-            break;
-          }
-          if (!progress) {
-            std::string stuck;
-            for (const Formula* r : remaining) {
-              if (!stuck.empty()) stuck += " ; ";
-              stuck += FormulaToString(ctx, r);
-            }
-            return NotSafeError("cannot order conjunction under context " +
-                                avail.ToString(ctx.symbols()) +
-                                "; stuck on: " + stuck);
-          }
+      // The ordering walk (see the header). Translatability is monotone in
+      // the context, so taking a ready conjunct never blocks another.
+      std::vector<const Formula*> remaining(f->children().begin(),
+                                            f->children().end());
+      std::vector<const Formula*> ordered;
+      std::vector<Symbol> outer;  // bound by one ∃ around the result
+      SymbolSet avail = x;
+      auto take_ready = [&] {
+        for (auto it = remaining.begin(); it != remaining.end(); ++it) {
+          auto attempt = ToRanf(ctx, *it, avail, invertible);
+          if (!attempt.ok()) continue;
+          avail = avail.Union(FreeVars(*it));
+          ordered.push_back(*attempt);
+          remaining.erase(it);
+          return true;
         }
-        return builder::And(ctx, std::move(ordered));
+        return false;
       };
-
-      std::vector<const Formula*> children(f->children().begin(),
-                                           f->children().end());
-      auto direct = try_order(children);
-      if (direct.ok()) return direct;
-
-      // T16: a constructive atom whose function arguments and variable
-      // bindings are mutually dependent with sibling conjuncts (e.g.
-      // R(x, f(y)) alongside g(x) = y) cannot be ordered as-is. Flatten
-      // function arguments into fresh existential variables — R(x, w) and
-      // f(y) = w — which decouples the atom's bindings from its
-      // conditions, and order again.
-      std::vector<const Formula*> flattened;
-      std::vector<Symbol> fresh;
-      for (const Formula* c : children) {
-        if (c->kind() != FormulaKind::kRel) {
-          flattened.push_back(c);
-          continue;
-        }
-        std::vector<const Term*> args(c->terms().begin(), c->terms().end());
-        std::vector<const Formula*> extracted;
-        for (const Term*& arg : args) {
-          if (arg->kind() != Term::Kind::kApply) continue;
-          Symbol w = ctx.symbols().Fresh("w");
-          extracted.push_back(ctx.MakeEq(arg, ctx.MakeVar(w)));
-          arg = ctx.MakeVar(w);
-          fresh.push_back(w);
-        }
-        if (extracted.empty()) {
-          flattened.push_back(c);
+      auto unfold = [&](size_t i) {
+        const Formula* c = remaining[i];
+        std::vector<const Formula*> parts;
+        if (c->kind() == FormulaKind::kExists) {  // inverse T14
+          SymbolSet taken = x.Union(SymbolSet(outer));
+          for (const Formula* o : ordered) taken = taken.Union(AllVars(o));
+          for (size_t j = 0; j < remaining.size(); ++j) {
+            if (j != i) taken = taken.Union(AllVars(remaining[j]));
+          }
+          for (Symbol q : c->vars()) {
+            if (taken.Contains(q)) return false;
+          }
+          outer.insert(outer.end(), c->vars().begin(), c->vars().end());
+          const Formula* body = c->child();
+          if (body->kind() == FormulaKind::kAnd) {
+            parts.assign(body->children().begin(), body->children().end());
+          } else {
+            parts.push_back(body);
+          }
+        } else if (c->kind() == FormulaKind::kRel) {  // T16
+          std::vector<const Term*> args(c->terms().begin(), c->terms().end());
+          for (const Term*& arg : args) {
+            if (!arg->is_apply()) continue;
+            Symbol w = ctx.symbols().Fresh("w");
+            parts.push_back(ctx.MakeEq(arg, ctx.MakeVar(w)));
+            arg = ctx.MakeVar(w);
+            outer.push_back(w);
+          }
+          if (parts.empty()) return false;
+          parts.insert(parts.begin(), ctx.MakeRel(c->rel(), args));
         } else {
-          flattened.push_back(ctx.MakeRel(c->rel(), args));
-          flattened.insert(flattened.end(), extracted.begin(),
-                           extracted.end());
+          return false;
         }
+        remaining[i] = parts[0];
+        remaining.insert(remaining.begin() + static_cast<ptrdiff_t>(i) + 1,
+                         parts.begin() + 1, parts.end());
+        return true;
+      };
+      while (!remaining.empty()) {
+        if (take_ready()) continue;
+        size_t i = 0;
+        while (i < remaining.size() && !unfold(i)) ++i;
+        if (i < remaining.size()) continue;
+        std::string stuck;
+        for (const Formula* r : remaining) {
+          if (!stuck.empty()) stuck += " ; ";
+          stuck += FormulaToString(ctx, r);
+        }
+        return NotSafeError("cannot order conjunction under context " +
+                            avail.ToString(ctx.symbols()) +
+                            "; stuck on: " + stuck);
       }
-      if (fresh.empty()) return direct.status();
-      auto retry = try_order(std::move(flattened));
-      if (!retry.ok()) return direct.status();
-      return builder::Exists(ctx, std::move(fresh), *retry);
+      return builder::Exists(ctx, std::move(outer),
+                             builder::And(ctx, std::move(ordered)));
     }
     case FormulaKind::kOr: {
       SymbolSet expected = FreeVars(f->children()[0]).Minus(x);

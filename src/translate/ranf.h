@@ -18,13 +18,14 @@
 //   - conjunctions are *ordered*: each conjunct is RANF for X extended
 //     with the free variables of the conjuncts before it.
 //
-// ToRanf reorders conjunctions greedily, choosing at each step a conjunct
-// that is RANF for the variables accumulated so far — this is the paper's
-// FinD-driven ordering (the fd-closure sorting of [BB79] it cites) and
-// subsumes the grouping transformations T15/T16. Context is threaded into
-// disjunctions and existentials by the generator rather than by literal
-// syntactic distribution (T13/T14), which is semantically equivalent and
-// avoids duplicating the context subplan.
+// ToRanf orders each conjunction in one walk. Each step takes the first
+// conjunct, in input order, that is RANF for the variables bound so far
+// (the paper's FinD-driven ordering; it subsumes T15's grouping). When none
+// is ready, the first stuck conjunct that can unfold is replaced in place:
+// `exists q (B)` by B's conjuncts, if no q occurs elsewhere (inverse T14);
+// R(.., f(y), ..) by R(.., w, ..) and f(y) = w (T16). q and the fresh w join
+// one ∃ around the result. The generator threads context into disjunctions
+// and existentials instead of distributing it (T13/T14).
 #ifndef EMCALC_TRANSLATE_RANF_H_
 #define EMCALC_TRANSLATE_RANF_H_
 

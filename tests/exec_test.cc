@@ -5,6 +5,7 @@
 // execution's copy counts are pinned.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <functional>
 #include <set>
 #include <string>
@@ -22,6 +23,7 @@
 #include "src/exec/lower.h"
 #include "src/exec/physical.h"
 #include "src/translate/pipeline.h"
+#include "src/verify/verify.h"
 
 namespace emcalc {
 namespace {
@@ -42,6 +44,28 @@ FunctionRegistry CorpusFunctions() {
   reg.Register("k", 1, mod_fn(1, 4));
   return reg;
 }
+
+// CorpusFunctions plus small modular functions under the random query
+// generator's names rf0/rf1.
+FunctionRegistry GeneratorFunctions() {
+  FunctionRegistry reg = CorpusFunctions();
+  reg.Register("rf0", 1, [](std::span<const Value> a) {
+    int64_t n = a[0].is_int() ? a[0].AsInt() : 17;
+    return Value::Int((n + 1) % 7);
+  });
+  reg.Register("rf1", 2, [](std::span<const Value> a) {
+    int64_t n = a[0].is_int() ? a[0].AsInt() : 3;
+    int64_t m = a[1].is_int() ? a[1].AsInt() : 5;
+    return Value::Int((n * 3 + m) % 7);
+  });
+  return reg;
+}
+
+// Restores the environment/build-type default on scope exit.
+struct ScopedVerify {
+  explicit ScopedVerify(int mode) { verify::ForceEnabled(mode); }
+  ~ScopedVerify() { verify::ForceEnabled(-1); }
+};
 
 Value I(int64_t v) { return Value::Int(v); }
 
@@ -344,17 +368,7 @@ TEST(ExecCorpusTest, Q7StaysRejected) {
 // 500 seeded random em-allowed queries: the execution layer must agree
 // with the reference calculus evaluator on every one.
 TEST(ExecCorpusTest, RandomEmAllowedQueriesAgree) {
-  FunctionRegistry registry = CorpusFunctions();
-  // Small modular functions registered under the generator's names.
-  registry.Register("rf0", 1, [](std::span<const Value> a) {
-    int64_t n = a[0].is_int() ? a[0].AsInt() : 17;
-    return Value::Int((n + 1) % 7);
-  });
-  registry.Register("rf1", 2, [](std::span<const Value> a) {
-    int64_t n = a[0].is_int() ? a[0].AsInt() : 3;
-    int64_t m = a[1].is_int() ? a[1].AsInt() : 5;
-    return Value::Int((n * 3 + m) % 7);
-  });
+  FunctionRegistry registry = GeneratorFunctions();
 
   int checked = 0;
   for (uint64_t seed = 0; checked < 500 && seed < 200; ++seed) {
@@ -381,6 +395,47 @@ TEST(ExecCorpusTest, RandomEmAllowedQueriesAgree) {
     }
   }
   EXPECT_EQ(checked, 500) << "generator exhausted before 500 queries";
+}
+
+// The RANF ordering regression corpus (tests/testdata/ranf_order_corpus.txt):
+// every text compiles with the stage verifier on, and its plan answers as
+// the calculus does on seeded R0/R1/R2 instances.
+TEST(ExecCorpusTest, RanfOrderCorpusCompilesAndAgrees) {
+  ScopedVerify verify(1);
+  const FunctionRegistry registry = GeneratorFunctions();
+  std::ifstream in(std::string(EMCALC_TESTDATA_DIR) +
+                   "/ranf_order_corpus.txt");
+  ASSERT_TRUE(in.is_open());
+  int texts = 0;
+  int nonempty = 0;
+  std::string text;
+  while (std::getline(in, text)) {
+    if (text.empty() || text[0] == '#') continue;
+    ++texts;
+    Compiler compiler(registry);
+    auto cq = compiler.Compile(text);
+    if (!cq.ok()) {
+      ADD_FAILURE() << text << "\n" << cq.status().ToString();
+      continue;
+    }
+    AstContext ctx;
+    auto q = ParseQuery(ctx, text);
+    ASSERT_TRUE(q.ok()) << text;
+    for (uint64_t seed = 0; seed < 3; ++seed) {
+      Database db;
+      const size_t rows[] = {4, 12, 30};
+      for (int r = 0; r < 3; ++r) {
+        AddRandomTuples(db, "R" + std::to_string(r), r + 1, rows[r],
+                        /*value_pool=*/5, texts * 101 + seed * 7 + r);
+      }
+      auto got = cq->Run(db);
+      ASSERT_TRUE(got.ok()) << text << ": " << got.status().ToString();
+      EXPECT_EQ(*got, Oracle(ctx, *q, db, registry)) << text;
+      nonempty += got->empty() ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(texts, 268);
+  EXPECT_GT(nonempty, texts / 4) << "instances too sparse to test answers";
 }
 
 // The morsel-parallel operators must be bit-identical across thread
@@ -428,16 +483,7 @@ TEST(ExecDeterminismTest, PaperCorpusIdenticalAcrossThreadCounts) {
 // threaded entry points; the corpus test above covers the actual parallel
 // code paths on large inputs.)
 TEST(ExecDeterminismTest, RandomQueriesIdenticalAcrossThreadCounts) {
-  FunctionRegistry registry = CorpusFunctions();
-  registry.Register("rf0", 1, [](std::span<const Value> a) {
-    int64_t n = a[0].is_int() ? a[0].AsInt() : 17;
-    return Value::Int((n + 1) % 7);
-  });
-  registry.Register("rf1", 2, [](std::span<const Value> a) {
-    int64_t n = a[0].is_int() ? a[0].AsInt() : 3;
-    int64_t m = a[1].is_int() ? a[1].AsInt() : 5;
-    return Value::Int((n * 3 + m) % 7);
-  });
+  FunctionRegistry registry = GeneratorFunctions();
 
   ExecOptions one_thread;
   one_thread.num_threads = 1;

@@ -150,5 +150,74 @@ TEST_F(RanfOrderingTest, T16FlatteningIntroducesFreshExistential) {
   EXPECT_TRUE(IsRanf(*ranf, SymbolSet{}));
 }
 
+// The stuck `exists q (..)` is the only bounder of x2, while its body needs
+// x0, which rf0(x2) = x0 derives from x2: neither conjunct can go first.
+// The walk pulls the existential out (inverse T14) and interleaves its body
+// with the outer equality.
+TEST_F(RanfOrderingTest, StuckExistentialIsPulledOut) {
+  auto f = ParseFormula(ctx_,
+                        "rf0(x2) = x0 and exists q (R0(x2) and R1(q, x2) "
+                        "and not S(x0, q))");
+  ASSERT_TRUE(f.ok());
+  auto ranf = ToRanf(ctx_, ToEnf(ctx_, *f), SymbolSet{});
+  ASSERT_TRUE(ranf.ok()) << ranf.status().ToString();
+  ASSERT_EQ((*ranf)->kind(), FormulaKind::kExists);
+  EXPECT_EQ(FormulaToString(ctx_, *ranf),
+            "exists q (R0(x2) and rf0(x2) = x0 and R1(q, x2) and "
+            "not S(x0, q))");
+  EXPECT_TRUE(IsRanf(*ranf, SymbolSet{}));
+}
+
+// The pull-out exposes R2(x1, rf1(x0, x1), q420), whose function argument
+// needs x0, derived from x1, which the atom itself binds: T16 must then
+// flatten that atom in the same walk.
+TEST_F(RanfOrderingTest, PullOutThenFlattenTheExposedAtom) {
+  auto f = ParseFormula(ctx_,
+                        "R0(0) and exists q419, q420 (R2(x1, rf1(x0, x1), "
+                        "q420) and R0(q419) and R0(q420)) and rf0(x1) = x0");
+  ASSERT_TRUE(f.ok());
+  auto ranf = ToRanf(ctx_, ToEnf(ctx_, *f), SymbolSet{});
+  ASSERT_TRUE(ranf.ok()) << ranf.status().ToString();
+  ASSERT_EQ((*ranf)->kind(), FormulaKind::kExists);
+  EXPECT_EQ((*ranf)->vars().size(), 3u);  // q419, q420 and the fresh w
+  const Formula* body = (*ranf)->child();
+  ASSERT_EQ(body->kind(), FormulaKind::kAnd);
+  std::vector<std::string> order;
+  for (const Formula* c : body->children()) {
+    order.push_back(FormulaToString(ctx_, c));
+  }
+  ASSERT_EQ(order.size(), 6u);
+  EXPECT_EQ(order[0], "R0(0)");
+  EXPECT_EQ(order[1], "R0(q419)");
+  EXPECT_EQ(order[2], "R0(q420)");
+  EXPECT_EQ(order[3].substr(0, 6), "R2(x1,");
+  EXPECT_EQ(order[4], "rf0(x1) = x0");
+  EXPECT_EQ(order[5].substr(0, 15), "rf1(x0, x1) = w");
+  EXPECT_TRUE(IsRanf(*ranf, SymbolSet{}));
+}
+
+// An unrectified `exists q (..)` whose q also occurs free in a sibling
+// cannot be pulled out: A and exists q (B) is not exists q (A and B) there.
+// ToEnf renames the binder apart, and then the same formula orders.
+TEST_F(RanfOrderingTest, ExistentialSharingAVariableStaysPut) {
+  auto f = ParseFormula(
+      ctx_, "P(q) and exists q (R(q, x) and not T(y)) and f(x) = y");
+  ASSERT_TRUE(f.ok());
+  auto stuck = ToRanf(ctx_, *f, SymbolSet{});
+  ASSERT_FALSE(stuck.ok()) << FormulaToString(ctx_, *stuck);
+  EXPECT_EQ(stuck.status().code(), StatusCode::kNotSafe);
+  EXPECT_NE(stuck.status().message().find(
+                "cannot order conjunction under context {q}; stuck on: "
+                "exists q (R(q, x) and not T(y)) ; f(x) = y"),
+            std::string::npos)
+      << stuck.status().message();
+
+  auto ranf = ToRanf(ctx_, ToEnf(ctx_, *f), SymbolSet{});
+  ASSERT_TRUE(ranf.ok()) << ranf.status().ToString();
+  EXPECT_EQ(FormulaToString(ctx_, *ranf),
+            "exists q_0 (P(q) and R(q_0, x) and f(x) = y and not T(y))");
+  EXPECT_TRUE(IsRanf(*ranf, SymbolSet{}));
+}
+
 }  // namespace
 }  // namespace emcalc
