@@ -658,12 +658,11 @@ void ReportVerifyOverhead() {
       emcalc::verify::AlgebraOptions o3;
       o3.expected_arity = arity;
       auto r3 = emcalc::verify::VerifyRanfAlgebra(
-          ctx, t->ranf, emcalc::SymbolSet{}, emcalc::SymbolSet{},
-          t->raw_plan, o3);
+          t->ranf, emcalc::SymbolSet{}, emcalc::SymbolSet{}, t->raw_plan, o3);
       emcalc::verify::AlgebraOptions o4;
       o4.stage = emcalc::verify::Stage::kOptimizedAlgebra;
       o4.expected_arity = arity;
-      auto r4 = emcalc::verify::VerifyAlgebra(ctx, t->plan, o4);
+      auto r4 = emcalc::verify::VerifyAlgebra(t->plan, o4);
       auto r5 = emcalc::verify::VerifyPhysical(*p, t->plan);
       clean = clean && r1.ok() && r2.ok() && r3.ok() && r4.ok() && r5.ok();
     });

@@ -122,13 +122,13 @@ const AlgExpr* AlgebraFactory::Empty(int arity) {
 }
 
 const AlgExpr* AlgebraFactory::Adom(int level, std::vector<Symbol> fns,
-                                    std::vector<uint32_t> consts) {
+                                    std::vector<Value> consts) {
   AlgExpr* node = NewNode(AlgKind::kAdom, 1);
   node->adom_level_ = level;
   node->adom_fns_ = ctx_.arena().NewArray<Symbol>(fns.data(), fns.size());
   node->num_adom_fns_ = static_cast<uint32_t>(fns.size());
   node->adom_consts_ =
-      ctx_.arena().NewArray<uint32_t>(consts.data(), consts.size());
+      ctx_.arena().NewArray<Value>(consts.data(), consts.size());
   node->num_adom_consts_ = static_cast<uint32_t>(consts.size());
   return node;
 }

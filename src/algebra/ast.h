@@ -88,8 +88,8 @@ class AlgExpr {
   std::span<const Symbol> adom_fns() const {
     return std::span<const Symbol>(adom_fns_, num_adom_fns_);
   }
-  std::span<const uint32_t> adom_consts() const {
-    return std::span<const uint32_t>(adom_consts_, num_adom_consts_);
+  std::span<const Value> adom_consts() const {
+    return std::span<const Value>(adom_consts_, num_adom_consts_);
   }
 
   // Number of plan nodes (plan-size metric for the experiments).
@@ -116,7 +116,7 @@ class AlgExpr {
   int adom_level_ = 0;
   const Symbol* adom_fns_ = nullptr;
   uint32_t num_adom_fns_ = 0;
-  const uint32_t* adom_consts_ = nullptr;
+  const Value* adom_consts_ = nullptr;
   uint32_t num_adom_consts_ = 0;
 };
 
@@ -138,7 +138,7 @@ class AlgebraFactory {
   const AlgExpr* Unit();
   const AlgExpr* Empty(int arity);
   const AlgExpr* Adom(int level, std::vector<Symbol> fns,
-                      std::vector<uint32_t> consts);
+                      std::vector<Value> consts);
 
   ExprFactory& exprs() { return exprs_; }
   AstContext& ctx() { return ctx_; }

@@ -15,15 +15,11 @@ const ScalarExpr* ExprFactory::Col(int index) {
   return e;
 }
 
-const ScalarExpr* ExprFactory::Const(uint32_t const_id) {
+const ScalarExpr* ExprFactory::Const(const Value& v) {
   ScalarExpr* e = ctx_.arena().New<ScalarExpr>();
   e->kind_ = ScalarExpr::Kind::kConst;
-  e->const_id_ = const_id;
+  e->value_ = v;
   return e;
-}
-
-const ScalarExpr* ExprFactory::ConstValue(const Value& v) {
-  return Const(ctx_.InternConstant(v));
 }
 
 const ScalarExpr* ExprFactory::Param(int index, Symbol name) {
@@ -99,7 +95,7 @@ bool ScalarExprsEqual(const ScalarExpr* a, const ScalarExpr* b) {
     case ScalarExpr::Kind::kCol:
       return a->col() == b->col();
     case ScalarExpr::Kind::kConst:
-      return a->const_id() == b->const_id();
+      return a->value().raw() == b->value().raw();
     case ScalarExpr::Kind::kParam:
       return a->param() == b->param();
     case ScalarExpr::Kind::kApply: {

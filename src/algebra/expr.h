@@ -15,10 +15,10 @@ namespace emcalc {
 
 // A column reference (@i), constant, query parameter ($name), or scalar
 // function application. Arena-allocated in the same AstContext as the query
-// being translated (expressions reference the context's constant pool and
-// symbol table). A parameter is a constant whose value is supplied per
-// execution (PhysicalPlan::Execute's argument span), so plans over
-// parameters are built and lowered once.
+// being translated (function and parameter names are that context's
+// symbols; a constant holds its Value). A parameter is a constant whose
+// value is supplied per execution (PhysicalPlan::Execute's argument span),
+// so plans over parameters are built and lowered once.
 class ScalarExpr {
  public:
   enum class Kind : uint8_t { kCol, kConst, kParam, kApply };
@@ -28,8 +28,8 @@ class ScalarExpr {
 
   // kCol: 0-based column index (printed 1-based as @i).
   int col() const { return col_; }
-  // kConst: constant-pool id.
-  uint32_t const_id() const { return const_id_; }
+  // kConst: the constant's value.
+  Value value() const { return value_; }
   // kParam: 0-based position in the execution's argument list, and the
   // parameter variable it stands for (printed as $name).
   int param() const { return col_; }
@@ -48,7 +48,7 @@ class ScalarExpr {
   friend class ExprFactory;
   Kind kind_ = Kind::kCol;
   int col_ = 0;
-  uint32_t const_id_ = 0;
+  Value value_;
   uint32_t num_args_ = 0;
   Symbol fn_;
   const ScalarExpr* const* args_ = nullptr;
@@ -60,8 +60,7 @@ class ExprFactory {
   explicit ExprFactory(AstContext& ctx) : ctx_(ctx) {}
 
   const ScalarExpr* Col(int index);
-  const ScalarExpr* Const(uint32_t const_id);
-  const ScalarExpr* ConstValue(const Value& v);
+  const ScalarExpr* Const(const Value& v);
   const ScalarExpr* Param(int index, Symbol name);
   const ScalarExpr* Apply(Symbol fn, std::span<const ScalarExpr* const> args);
 

@@ -262,7 +262,7 @@ class PlanParser {
       }
       std::string body(text_.substr(start, pos_ - start));
       ++pos_;
-      return factory_.exprs().ConstValue(Value::Str(std::move(body)));
+      return factory_.exprs().Const(Value::Str(std::move(body)));
     }
     if (pos_ < text_.size() &&
         (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
@@ -277,7 +277,7 @@ class PlanParser {
       int64_t v = std::strtoll(
           std::string(text_.substr(start, pos_ - start)).c_str(), nullptr,
           10);
-      return factory_.exprs().ConstValue(Value::Int(v));
+      return factory_.exprs().Const(Value::Int(v));
     }
     auto name = Ident();
     if (!name.ok()) return name.status();

@@ -9,7 +9,7 @@ void PrintExpr(const AstContext& ctx, const ScalarExpr* e, std::string& out) {
       out += "@" + std::to_string(e->col() + 1);
       break;
     case ScalarExpr::Kind::kConst:
-      out += ctx.ConstantAt(e->const_id()).ToString();
+      out += e->value().ToString();
       break;
     case ScalarExpr::Kind::kParam:
       out += "$";

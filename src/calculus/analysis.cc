@@ -249,10 +249,10 @@ void CollectRelationsInto(const Formula* f, std::map<Symbol, int>& out) {
   }
 }
 
-void CollectTermConstants(const Term* t, std::vector<uint32_t>& out) {
+void CollectTermConstants(const Term* t, std::vector<Value>& out) {
   switch (t->kind()) {
     case Term::Kind::kConst:
-      out.push_back(t->const_id());
+      out.push_back(t->value());
       break;
     case Term::Kind::kApply:
       for (const Term* a : t->args()) CollectTermConstants(a, out);
@@ -276,8 +276,8 @@ std::map<Symbol, int> CollectFunctions(const Formula* f) {
   return out;
 }
 
-std::vector<uint32_t> CollectConstants(const Formula* f) {
-  std::vector<uint32_t> out;
+std::vector<Value> CollectConstants(const Formula* f) {
+  std::vector<Value> out;
   ForEachTerm(f, [&out](const Term* t) { CollectTermConstants(t, out); });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

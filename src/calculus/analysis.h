@@ -53,8 +53,8 @@ std::map<Symbol, int> CollectRelations(const Formula* f);
 // The function symbols used in `f` with their arities.
 std::map<Symbol, int> CollectFunctions(const Formula* f);
 
-// The constant-pool ids of constants appearing in `f`.
-std::vector<uint32_t> CollectConstants(const Formula* f);
+// The constants appearing in `f`, sorted and duplicate-free.
+std::vector<Value> CollectConstants(const Formula* f);
 
 // Structural sanity: every relation symbol used with one arity, every
 // function symbol used with one arity, quantified variable lists are

@@ -4,22 +4,8 @@
 
 namespace emcalc {
 
-uint32_t AstContext::InternConstant(const Value& v) {
-  auto it = constant_ids_.find(v);
-  if (it != constant_ids_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(constants_.size());
-  constants_.push_back(v);
-  constant_ids_.emplace(v, id);
-  return id;
-}
-
-const Value& AstContext::ConstantAt(uint32_t id) const {
-  EMCALC_CHECK_MSG(id < constants_.size(), "bad constant id %u", id);
-  return constants_[id];
-}
-
 const Term* AstContext::MakeVar(Symbol v) {
-  return arena_.New<Term>(Term(Term::Kind::kVar, v, 0, nullptr, 0));
+  return arena_.New<Term>(Term(Term::Kind::kVar, v, nullptr, 0));
 }
 
 const Term* AstContext::MakeVar(std::string_view name) {
@@ -27,15 +13,14 @@ const Term* AstContext::MakeVar(std::string_view name) {
 }
 
 const Term* AstContext::MakeConst(const Value& v) {
-  return arena_.New<Term>(
-      Term(Term::Kind::kConst, Symbol{}, InternConstant(v), nullptr, 0));
+  return arena_.New<Term>(Term(v));
 }
 
 const Term* AstContext::MakeApply(Symbol fn,
                                   std::span<const Term* const> args) {
   const Term** copy = const_cast<const Term**>(
       arena_.NewArray<const Term*>(args.data(), args.size()));
-  return arena_.New<Term>(Term(Term::Kind::kApply, fn, 0, copy,
+  return arena_.New<Term>(Term(Term::Kind::kApply, fn, copy,
                                static_cast<uint32_t>(args.size())));
 }
 
@@ -207,7 +192,7 @@ bool TermsEqual(const Term* a, const Term* b) {
     case Term::Kind::kVar:
       return a->symbol() == b->symbol();
     case Term::Kind::kConst:
-      return a->const_id() == b->const_id();
+      return a->value().raw() == b->value().raw();
     case Term::Kind::kApply: {
       if (a->symbol() != b->symbol()) return false;
       if (a->args().size() != b->args().size()) return false;

@@ -7,9 +7,10 @@
 // A query is {x1,...,xn | phi}.
 //
 // Nodes are immutable and arena-allocated; rewrites build new nodes that
-// share unchanged subtrees. All nodes are trivially destructible (constants
-// are interned in a pool owned by the AstContext). Each node has room for
-// the source span it was parsed from (see AstContext::SpanOf).
+// share unchanged subtrees. All nodes are trivially destructible: a constant
+// holds its Value inline (a trivially copyable word; strings and big ints
+// are interned process-wide). Each node has room for the source span it was
+// parsed from (see AstContext::SpanOf).
 #ifndef EMCALC_CALCULUS_AST_H_
 #define EMCALC_CALCULUS_AST_H_
 
@@ -30,7 +31,7 @@ class AstContext;
 // Terms
 // ---------------------------------------------------------------------------
 
-// A term over variables, interned constants, and scalar function symbols.
+// A term over variables, constants, and scalar function symbols.
 class Term {
  public:
   enum class Kind : uint8_t { kVar, kConst, kApply };
@@ -43,30 +44,31 @@ class Term {
   // kVar: the variable symbol. kApply: the function symbol.
   Symbol symbol() const { return symbol_; }
 
-  // kConst: index into the owning AstContext's constant pool.
-  uint32_t const_id() const { return const_id_; }
+  // kConst: the constant's value.
+  Value value() const { return value_; }
 
-  // kApply: argument terms.
+  // kApply: argument terms (empty for a variable or a constant).
   std::span<const Term* const> args() const {
+    if (kind_ != Kind::kApply) return {};
     return std::span<const Term* const>(args_, num_args_);
   }
 
  private:
   friend class AstContext;
-  Term(Kind kind, Symbol symbol, uint32_t const_id, const Term* const* args,
-       uint32_t num_args)
-      : kind_(kind),
-        symbol_(symbol),
-        const_id_(const_id),
-        num_args_(num_args),
-        args_(args) {}
+  Term(Kind kind, Symbol symbol, const Term* const* args, uint32_t num_args)
+      : kind_(kind), symbol_(symbol), num_args_(num_args), args_(args) {}
+  explicit Term(Value value)
+      : kind_(Kind::kConst), num_args_(0), value_(value) {}
 
   Kind kind_;
   bool has_span_ = false;
   Symbol symbol_;
-  uint32_t const_id_;
   uint32_t num_args_;
-  const Term* const* args_;
+  // kApply reads args_, kConst reads value_; nothing reads the other.
+  union {
+    const Term* const* args_;
+    Value value_;
+  };
   diag::SourceSpan span_;
 };
 static_assert(sizeof(Term) <= 32, "Term grew past 32 bytes");
@@ -158,9 +160,10 @@ struct Query {
 // AstContext
 // ---------------------------------------------------------------------------
 
-// Owns the arena, the symbol table, and the constant pool for a set of
-// formulas. Every node-producing pass takes the context it should build
-// into; nodes from the same context may be mixed freely.
+// Owns the arena and the symbol table for a set of formulas. Every
+// node-producing pass takes the context it should build into; nodes from
+// the same context may be mixed freely. Constants need no context: a kConst
+// node holds its Value.
 class AstContext {
  public:
   AstContext() = default;
@@ -170,13 +173,10 @@ class AstContext {
   SymbolTable& symbols() { return symbols_; }
   const SymbolTable& symbols() const { return symbols_; }
 
-  // Interns `v` and returns its pool index.
-  uint32_t InternConstant(const Value& v);
-  // The value for a pool index.
-  const Value& ConstantAt(uint32_t id) const;
-  // Number of interned constants; valid pool ids are [0, NumConstants()).
-  // The stage-boundary verifier range-checks every kConst against this.
-  size_t NumConstants() const { return constants_.size(); }
+  // Always 0: constants live in their nodes, and the context keeps no pool.
+  // Kept only because perfbench/prepared.cc reads it for its
+  // `core.constants_per_run` metric; it goes once that reader does.
+  size_t NumConstants() const { return 0; }
 
   // --- term constructors ---
   const Term* MakeVar(Symbol v);
@@ -228,14 +228,13 @@ class AstContext {
 
   Arena arena_;
   SymbolTable symbols_;
-  std::vector<Value> constants_;
-  std::unordered_map<Value, uint32_t> constant_ids_;
   const Formula* true_ = nullptr;
   const Formula* false_ = nullptr;
 };
 
-// Structural equality of terms/formulas (same context assumed; bound
-// variables are compared by name, i.e. no alpha-equivalence).
+// Structural equality of terms/formulas (constants by value, symbols by id,
+// so the two sides share a symbol table; bound variables are compared by
+// name, i.e. no alpha-equivalence).
 bool TermsEqual(const Term* a, const Term* b);
 bool FormulasEqual(const Formula* a, const Formula* b);
 

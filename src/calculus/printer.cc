@@ -12,7 +12,7 @@ void PrintTerm(const AstContext& ctx, const Term* t, std::string& out) {
       out += ctx.symbols().Name(t->symbol());
       break;
     case Term::Kind::kConst:
-      out += ctx.ConstantAt(t->const_id()).ToString();
+      out += t->value().ToString();
       break;
     case Term::Kind::kApply: {
       out += ctx.symbols().Name(t->symbol());

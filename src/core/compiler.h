@@ -157,8 +157,8 @@ class ParameterizedQuery {
   // are substituted as constants into the stored RANF, which is then
   // translated and optimized afresh. For inspection and as a differential
   // oracle only — every call allocates into the compiler's AstContext
-  // (arena and constant pool), which never frees, and so must not race
-  // with other users of the compiler.
+  // arena (constants included; there is no constant pool), which never
+  // frees, and so must not race with other users of the compiler.
   StatusOr<const AlgExpr*> PlanFor(const std::vector<Value>& args) const;
 
  private:

@@ -76,13 +76,13 @@ class Linter {
   // x = c1 and x = c2 with c1 != c2 (or two unequal constants compared)
   // makes the whole conjunction empty.
   void CheckUnsatEqualities(const Formula* conj) {
-    std::map<Symbol, std::pair<uint32_t, const Formula*>> pinned;
+    std::map<Symbol, Value> pinned;
     for (const Formula* c : conj->children()) {
       if (!c->is(FormulaKind::kEq)) continue;
       const Term* l = c->lhs();
       const Term* r = c->rhs();
       if (l->is_const() && r->is_const()) {
-        if (l->const_id() != r->const_id()) {
+        if (l->value() != r->value()) {
           Report(c, "lint.unsat-equality",
                  "equality between distinct constants is always false");
         }
@@ -90,12 +90,11 @@ class Linter {
       }
       if (r->is_var() && l->is_const()) std::swap(l, r);
       if (!(l->is_var() && r->is_const())) continue;
-      auto [it, inserted] =
-          pinned.emplace(l->symbol(), std::make_pair(r->const_id(), c));
-      if (!inserted && it->second.first != r->const_id()) {
+      auto [it, inserted] = pinned.emplace(l->symbol(), r->value());
+      if (!inserted && it->second != r->value()) {
         Report(c, "lint.unsat-equality",
                "'" + Name(l->symbol()) + "' is already pinned to " +
-                   ctx_.ConstantAt(it->second.first).ToString() +
+                   it->second.ToString() +
                    " in this conjunction; the conjunction is always false");
       }
     }

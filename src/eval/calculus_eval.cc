@@ -65,7 +65,7 @@ class CalculusEvaluator {
         return it->second;
       }
       case Term::Kind::kConst:
-        return ctx_.ConstantAt(t->const_id());
+        return t->value();
       case Term::Kind::kApply: {
         std::vector<Value> args;
         args.reserve(t->args().size());
@@ -340,7 +340,7 @@ StatusOr<ValueSet> EvaluationDomain(const AstContext& ctx, const Formula* f,
                                     const Database& db,
                                     const FunctionRegistry& registry,
                                     const CalculusEvalOptions& options) {
-  ValueSet base = ActiveDomain(ctx, f, db);
+  ValueSet base = ActiveDomain(f, db);
   base.insert(base.end(), options.extra_domain.begin(),
               options.extra_domain.end());
   NormalizeValueSet(base);

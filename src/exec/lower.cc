@@ -77,7 +77,6 @@ class Lowerer {
   Lowerer(const AstContext& ctx, const FunctionRegistry& registry,
           const ExecOptions& options, int num_params)
       : ctx_(ctx), registry_(registry) {
-    plan_.ctx_ = &ctx;
     plan_.registry_ = &registry;
     plan_.options_ = options;
     plan_.num_params_ = num_params;
@@ -205,7 +204,7 @@ class Lowerer {
         // Compiled once here: constant folding, per-stage CSE, and
         // function-pointer binding all happen at lowering time.
         op->program = std::make_shared<const ScalarProgram>(
-            ScalarProgram::CompileProject(op->exprs, ctx_, fns_));
+            ScalarProgram::CompileProject(op->exprs, fns_));
         return op;
       }
       case AlgKind::kSelect: {
@@ -216,7 +215,7 @@ class Lowerer {
         op->conds.assign(node->conds().begin(), node->conds().end());
         op->left = *in;
         op->cond_program = std::make_shared<const ScalarProgram>(
-            ScalarProgram::CompileFilter(op->conds, ctx_, fns_));
+            ScalarProgram::CompileFilter(op->conds, fns_));
         return op;
       }
       case AlgKind::kJoin:
@@ -256,9 +255,8 @@ class Lowerer {
           }
           op->adom_fns.emplace_back(std::move(name), f->arity);
         }
-        for (uint32_t id : node->adom_consts()) {
-          op->adom_consts.push_back(ctx_.ConstantAt(id));
-        }
+        op->adom_consts.assign(node->adom_consts().begin(),
+                               node->adom_consts().end());
         return op;
       }
     }
@@ -307,13 +305,13 @@ class Lowerer {
         build.push_back(k.right_key);
       }
       op->program = std::make_shared<const ScalarProgram>(
-          ScalarProgram::CompileProject(probe, ctx_, fns_));
+          ScalarProgram::CompileProject(probe, fns_));
       op->build_program = std::make_shared<const ScalarProgram>(
-          ScalarProgram::CompileProject(build, ctx_, fns_, split));
+          ScalarProgram::CompileProject(build, fns_, split));
     }
     if (!op->conds.empty()) {
       op->cond_program = std::make_shared<const ScalarProgram>(
-          ScalarProgram::CompileFilter(op->conds, ctx_, fns_));
+          ScalarProgram::CompileFilter(op->conds, fns_));
     }
     return op;
   }

@@ -184,7 +184,7 @@ struct ExecOptions {
   // still filled in.
   obs::ResourceLimits limits;
   // Unread. perfbench still assigns it; the field goes once perfbench
-  // stops doing so (ROADMAP item 9).
+  // stops doing so (ROADMAP item 12).
   uint64_t query_hash = 0;
 };
 
@@ -289,9 +289,6 @@ class PhysicalPlan {
   int NumMemoSlots() const { return num_memo_slots_; }
   // Parameters the plan's kParam expressions index (0 for a closed query).
   int NumParams() const { return num_params_; }
-  // The constant pool kConst expressions resolve against (null only on a
-  // default-constructed plan).
-  const AstContext* ctx() const { return ctx_; }
   const ExecOptions& options() const { return options_; }
 
  private:
@@ -303,7 +300,6 @@ class PhysicalPlan {
 
   std::vector<std::unique_ptr<PhysicalOp>> ops_;
   const PhysicalOp* root_ = nullptr;
-  const AstContext* ctx_ = nullptr;  // constant pool for kConst expressions
   const FunctionRegistry* registry_ = nullptr;  // AdomScan term closures
   int num_memo_slots_ = 0;
   int num_params_ = 0;

@@ -136,10 +136,10 @@ size_t ScalarProgram::ScratchBytes(size_t batch_size,
 // within a stage, all-constant applications folded at compile time.
 class ScalarProgram::Builder {
  public:
-  Builder(ScalarProgram* prog, const AstContext& ctx,
+  Builder(ScalarProgram* prog,
           const std::unordered_map<Symbol, const ScalarFunction*>& fns,
           int col_base = 0)
-      : prog_(prog), ctx_(ctx), fns_(fns), col_base_(col_base) {}
+      : prog_(prog), fns_(fns), col_base_(col_base) {}
 
   // Registers computed by earlier stages cover lanes the current (smaller)
   // selection may not align with, so each stage numbers its values anew.
@@ -153,7 +153,7 @@ class ScalarProgram::Builder {
         insn.col = e->col() - col_base_;
         break;
       case ScalarExpr::Kind::kConst:
-        return EmitConst(ctx_.ConstantAt(e->const_id()));
+        return EmitConst(e->value());
       case ScalarExpr::Kind::kParam:
         // Splatted per batch from the execution's arguments; never a
         // constant register, so applications over it are not folded.
@@ -218,18 +218,17 @@ class ScalarProgram::Builder {
   }
 
   ScalarProgram* prog_;
-  const AstContext& ctx_;
   const std::unordered_map<Symbol, const ScalarFunction*>& fns_;
   const int col_base_;
   std::vector<std::optional<Value>> constants_;  // per register, for folding
 };
 
 ScalarProgram ScalarProgram::CompileProject(
-    std::span<const ScalarExpr* const> exprs, const AstContext& ctx,
+    std::span<const ScalarExpr* const> exprs,
     const std::unordered_map<Symbol, const ScalarFunction*>& fns,
     int col_base) {
   ScalarProgram prog;
-  Builder builder(&prog, ctx, fns, col_base);
+  Builder builder(&prog, fns, col_base);
   builder.BeginStage();
   prog.outputs_.reserve(exprs.size());
   for (const ScalarExpr* e : exprs) {
@@ -239,10 +238,10 @@ ScalarProgram ScalarProgram::CompileProject(
 }
 
 ScalarProgram ScalarProgram::CompileFilter(
-    std::span<const AlgCondition> conds, const AstContext& ctx,
+    std::span<const AlgCondition> conds,
     const std::unordered_map<Symbol, const ScalarFunction*>& fns) {
   ScalarProgram prog;
-  Builder builder(&prog, ctx, fns);
+  Builder builder(&prog, fns);
   for (const AlgCondition& c : conds) {
     builder.BeginStage();
     uint16_t lhs = builder.Emit(c.lhs);

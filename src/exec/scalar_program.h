@@ -103,13 +103,13 @@ class ScalarProgram {
   // loads column i of the input, so a join's build keys, written over the
   // concatenated schema, run directly over the build input.
   static ScalarProgram CompileProject(
-      std::span<const ScalarExpr* const> exprs, const AstContext& ctx,
+      std::span<const ScalarExpr* const> exprs,
       const std::unordered_map<Symbol, const ScalarFunction*>& fns,
       int col_base = 0);
 
   // Compiles a selection's conditions into one stage per condition.
   static ScalarProgram CompileFilter(
-      std::span<const AlgCondition> conds, const AstContext& ctx,
+      std::span<const AlgCondition> conds,
       const std::unordered_map<Symbol, const ScalarFunction*>& fns);
 
   ScalarProgram() = default;

@@ -24,19 +24,9 @@ ValueSet ActiveDomain(const Database& db) {
   return out;
 }
 
-ValueSet QueryConstants(const AstContext& ctx, const Formula* f) {
-  ValueSet out;
-  for (uint32_t id : CollectConstants(f)) {
-    out.push_back(ctx.ConstantAt(id));
-  }
-  NormalizeValueSet(out);
-  return out;
-}
-
-ValueSet ActiveDomain(const AstContext& ctx, const Formula* f,
-                      const Database& db) {
+ValueSet ActiveDomain(const Formula* f, const Database& db) {
   ValueSet out = ActiveDomain(db);
-  ValueSet consts = QueryConstants(ctx, f);
+  ValueSet consts = CollectConstants(f);
   out.insert(out.end(), consts.begin(), consts.end());
   NormalizeValueSet(out);
   return out;

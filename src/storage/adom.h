@@ -30,12 +30,8 @@ void NormalizeValueSet(ValueSet& values);
 // All values occurring in any relation of `db`.
 ValueSet ActiveDomain(const Database& db);
 
-// The constants of `f`, as values.
-ValueSet QueryConstants(const AstContext& ctx, const Formula* f);
-
 // adom(q, I): instance values plus query constants.
-ValueSet ActiveDomain(const AstContext& ctx, const Formula* f,
-                      const Database& db);
+ValueSet ActiveDomain(const Formula* f, const Database& db);
 
 // term^level(base) under the functions `fns` (name/arity pairs, resolved in
 // `registry`). Fails with kUnsupported when the closure would exceed

@@ -43,7 +43,7 @@ class AdomTranslator {
         return ef.Col(static_cast<int>(it - vars.begin()));
       }
       case Term::Kind::kConst:
-        return ef.Const(t->const_id());
+        return ef.Const(t->value());
       case Term::Kind::kApply: {
         std::vector<const ScalarExpr*> args;
         for (const Term* a : t->args()) {
@@ -282,7 +282,7 @@ StatusOr<const AlgExpr*> TranslateActiveDomain(
   int level = options.level >= 0 ? options.level : CountApplications(body);
   std::vector<Symbol> fns;
   for (const auto& [fn, arity] : CollectFunctions(body)) fns.push_back(fn);
-  std::vector<uint32_t> consts = CollectConstants(body);
+  std::vector<Value> consts = CollectConstants(body);
 
   AlgebraFactory bootstrap(ctx);
   const AlgExpr* adom = bootstrap.Adom(level, std::move(fns),

@@ -36,7 +36,7 @@ StatusOr<const ScalarExpr*> AlgebraGenerator::CompileTerm(
       return ef.Col(col);
     }
     case Term::Kind::kConst:
-      return ef.Const(t->const_id());
+      return ef.Const(t->value());
     case Term::Kind::kApply: {
       std::vector<const ScalarExpr*> args;
       args.reserve(t->args().size());

@@ -139,9 +139,8 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
   verify_options.num_params = static_cast<int>(params.size());
   if (verify::Enabled()) {
     verify::VerifyReport vr =
-        verify::VerifyRanfAlgebra(ctx, out.ranf, param_set,
-                                  bound.invertible_fns, out.raw_plan,
-                                  verify_options);
+        verify::VerifyRanfAlgebra(out.ranf, param_set, bound.invertible_fns,
+                                  out.raw_plan, verify_options);
     if (!vr.ok()) return vr.ToStatus();
   }
 
@@ -160,7 +159,7 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
   if (options.optimize && verify::Enabled()) {
     verify_options.stage = verify::Stage::kOptimizedAlgebra;
     verify::VerifyReport vr =
-        verify::VerifyAlgebra(ctx, out.plan, verify_options);
+        verify::VerifyAlgebra(out.plan, verify_options);
     if (!vr.ok()) return vr.ToStatus();
   }
 

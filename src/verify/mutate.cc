@@ -36,7 +36,6 @@ constexpr MutationInfo kMutations[] = {
      "alg.rel-arity"},
     {Mutation::kAlgUnitNonZeroArity, "alg-unit-nonzero-arity",
      "alg.unit-arity"},
-    {Mutation::kAlgConstOutOfPool, "alg-const-out-of-pool", "alg.const-pool"},
     {Mutation::kAlgParamOutOfRange, "alg-param-out-of-range",
      "alg.param-range"},
     {Mutation::kAlgDropInputChild, "alg-drop-input-child",
@@ -234,15 +233,6 @@ const AlgExpr* PlanMutator::Corrupt(const AlgExpr* plan, Mutation m) {
       node->arity_ = 1;
       return root;
     }
-    case Mutation::kAlgConstOutOfPool: {
-      AlgExpr* node = FindFirst(plan, AlgKind::kProject);
-      if (node == nullptr || node->num_exprs_ == 0) return nullptr;
-      std::vector<const ScalarExpr*> es = project_exprs(node);
-      es[0] = exprs.Const(
-          static_cast<uint32_t>(ctx_.NumConstants()) + 7);
-      set_exprs(node, std::move(es));
-      return root;
-    }
     case Mutation::kAlgParamOutOfRange: {
       AlgExpr* node = FindFirst(plan, AlgKind::kProject);
       if (node == nullptr || node->num_exprs_ == 0) return nullptr;
@@ -380,7 +370,7 @@ bool PlanMutator::Corrupt(PhysicalPlan& plan, Mutation m) {
       // expression; programs, columns and sides all stay well-formed.
       PhysicalOp* op = anti_join();
       if (op == nullptr) return false;
-      const ScalarExpr* wrong = exprs.ConstValue(Value::Int(-1));
+      const ScalarExpr* wrong = exprs.Const(Value::Int(-1));
       if (ScalarExprsEqual(op->keys[0].left_key, wrong)) return false;
       op->keys[0].left_key = wrong;
       return true;

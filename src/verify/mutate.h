@@ -37,7 +37,6 @@ enum class Mutation : uint8_t {
   kAlgDiffOperandMismatch, // kDiff operands of different arity
   kAlgRelNegativeArity,    // kRel arity -1
   kAlgUnitNonZeroArity,    // kUnit with arity 1
-  kAlgConstOutOfPool,      // kConst id beyond the constant pool
   kAlgParamOutOfRange,     // kParam index beyond the query's parameters
   kAlgDropInputChild,      // unary node loses its input
   kAlgLeafExtraChild,      // leaf node grows a child

@@ -15,14 +15,6 @@ namespace {
 // -1 = environment/build-type default; 0/1 = forced by ForceEnabled.
 std::atomic<int> g_force{-1};
 
-bool EnvEnabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("EMCALC_VERIFY");
-    return v != nullptr && *v != '\0' && std::string_view(v) != "0";
-  }();
-  return enabled;
-}
-
 // Verification runs inside every compile (always in Debug), so the clean
 // path must not allocate per node. Node paths are kept as a stack-chained
 // list of segments and rendered to a string only when a violation is
@@ -159,12 +151,10 @@ struct ScalarScan {
   bool has_null = false;       // a null node or application argument
   int min_col = -1;            // smallest column referenced, -1 if none
   int max_col = -1;            // largest column referenced, -1 if none
-  uint32_t bad_const = 0;      // an out-of-range constant-pool id
-  bool has_bad_const = false;
   int max_param = -1;          // largest parameter index, -1 if none
 };
 
-void ScanScalar(const ScalarExpr* e, const AstContext& ctx, ScalarScan& out) {
+void ScanScalar(const ScalarExpr* e, ScalarScan& out) {
   if (e == nullptr) {
     out.has_null = true;
     return;
@@ -175,16 +165,12 @@ void ScanScalar(const ScalarExpr* e, const AstContext& ctx, ScalarScan& out) {
       if (out.min_col < 0 || e->col() < out.min_col) out.min_col = e->col();
       break;
     case ScalarExpr::Kind::kConst:
-      if (e->const_id() >= ctx.NumConstants()) {
-        out.has_bad_const = true;
-        out.bad_const = e->const_id();
-      }
       break;
     case ScalarExpr::Kind::kParam:
       if (out.max_param < e->param()) out.max_param = e->param();
       break;
     case ScalarExpr::Kind::kApply:
-      for (const ScalarExpr* a : e->args()) ScanScalar(a, ctx, out);
+      for (const ScalarExpr* a : e->args()) ScanScalar(a, out);
       break;
   }
 }
@@ -199,11 +185,6 @@ void ReportScalar(VerifyReport& report, const ScalarScan& scan,
   if (scan.has_null) {
     Add(report, physical ? "phys.expr-null" : "alg.expr-null", path,
         what.Str() + " is (or contains) a null expression");
-  }
-  if (scan.has_bad_const) {
-    Add(report, physical ? "phys.const-pool" : "alg.const-pool", path,
-        what.Str() + " references constant-pool id " +
-            std::to_string(scan.bad_const) + " beyond the pool");
   }
   if (scan.max_col >= input_arity) {
     Add(report, physical ? "phys.col-range" : "alg.col-range", path,
@@ -259,11 +240,6 @@ class FormulaChecker {
         }
         break;
       case Term::Kind::kConst:
-        if (t->const_id() >= ctx_.NumConstants()) {
-          Add(report_, "form.const-pool", path,
-              "term references constant-pool id " +
-                  std::to_string(t->const_id()) + " beyond the pool");
-        }
         break;
       case Term::Kind::kApply: {
         int arity = static_cast<int>(t->args().size());
@@ -396,9 +372,8 @@ class FormulaChecker {
 
 class AlgebraChecker {
  public:
-  AlgebraChecker(const AstContext& ctx, VerifyReport& report,
-                 const AlgebraOptions& options)
-      : ctx_(ctx), report_(report), options_(options) {}
+  AlgebraChecker(VerifyReport& report, const AlgebraOptions& options)
+      : report_(report), options_(options) {}
 
   void Check(const AlgExpr* root) {
     if (root == nullptr) {
@@ -422,7 +397,7 @@ class AlgebraChecker {
   void CheckExpr(const ScalarExpr* e, int input_arity, const PathNode& path,
                  const Label& what) {
     ScalarScan scan;
-    ScanScalar(e, ctx_, scan);
+    ScanScalar(e, scan);
     ReportScalar(report_, scan, input_arity, options_.num_params, path, what,
                  /*physical=*/false);
   }
@@ -568,13 +543,6 @@ class AlgebraChecker {
                   std::to_string(node->arity()) + ", level " +
                   std::to_string(node->adom_level()) + ")");
         }
-        for (uint32_t id : node->adom_consts()) {
-          if (id >= ctx_.NumConstants()) {
-            Add(report_, "alg.const-pool", path,
-                "kAdom references constant-pool id " + std::to_string(id) +
-                    " beyond the pool");
-          }
-        }
         CheckLeaf(node, path);
         break;
       }
@@ -598,7 +566,6 @@ class AlgebraChecker {
     }
   }
 
-  const AstContext& ctx_;
   VerifyReport& report_;
   AlgebraOptions options_;
   PtrMap<const AlgExpr*, State> state_;
@@ -619,11 +586,6 @@ class PhysicalChecker {
       Add(report_, "phys.root-null", "root", "physical plan has no root");
       return;
     }
-    if (plan_.ctx() == nullptr) {
-      Add(report_, "phys.root-null", "root",
-          "physical plan has no AstContext (constant pool unavailable)");
-      return;
-    }
     PathNode path{nullptr, "root", -1};
     Walk(root, path);
     if (algebra != nullptr) Mirror(algebra, root, path);
@@ -632,14 +594,10 @@ class PhysicalChecker {
  private:
   enum class State : uint8_t { kOpen, kDone };
 
-  // The AstContext the plan's constant pool resolves against; scalar
-  // expressions were built into it at translation time.
-  const AstContext& ctx() const { return *plan_.ctx(); }
-
   void CheckExpr(const ScalarExpr* e, int input_arity, const PathNode& path,
                  const Label& what) {
     ScalarScan scan;
-    ScanScalar(e, ctx(), scan);
+    ScanScalar(e, scan);
     ReportScalar(report_, scan, input_arity, plan_.NumParams(), path, what,
                  /*physical=*/true);
   }
@@ -851,8 +809,8 @@ class PhysicalChecker {
       // concatenated schema with an empty left part, so its columns
       // must all land on the build side.
       ScalarScan l, r;
-      ScanScalar(k.left_key, ctx(), l);
-      ScanScalar(k.right_key, ctx(), r);
+      ScanScalar(k.left_key, l);
+      ScanScalar(k.right_key, r);
       ReportScalar(report_, l, op->split, plan_.NumParams(), path,
                    Label{"key ", idx, " left side"}, /*physical=*/true);
       ReportScalar(report_, r, combined, plan_.NumParams(), path,
@@ -1177,7 +1135,11 @@ bool Enabled() {
 #ifndef NDEBUG
   return true;
 #else
-  return EnvEnabled();
+  static const bool env_enabled = [] {
+    const char* v = std::getenv("EMCALC_VERIFY");
+    return v != nullptr && *v != '\0' && std::string_view(v) != "0";
+  }();
+  return env_enabled;
 #endif
 }
 
@@ -1239,23 +1201,21 @@ VerifyReport VerifySafetyFormula(const AstContext& ctx, const Formula* f,
   return report;
 }
 
-VerifyReport VerifyAlgebra(const AstContext& ctx, const AlgExpr* plan,
-                           const AlgebraOptions& options) {
+VerifyReport VerifyAlgebra(const AlgExpr* plan, const AlgebraOptions& options) {
   VerifyReport report;
   report.stage = options.stage;
-  AlgebraChecker checker(ctx, report, options);
+  AlgebraChecker checker(report, options);
   checker.Check(plan);
   return report;
 }
 
-VerifyReport VerifyRanfAlgebra(const AstContext& ctx, const Formula* ranf,
-                               const SymbolSet& context,
+VerifyReport VerifyRanfAlgebra(const Formula* ranf, const SymbolSet& context,
                                const SymbolSet& invertible,
                                const AlgExpr* plan,
                                const AlgebraOptions& options) {
   AlgebraOptions opts = options;
   opts.stage = Stage::kRanfAlgebra;
-  VerifyReport report = VerifyAlgebra(ctx, plan, opts);
+  VerifyReport report = VerifyAlgebra(plan, opts);
   if (ranf == nullptr) {
     Add(report, "form.null-node", "ranf", "null RANF formula");
   } else if (!IsRanf(ranf, context, invertible)) {

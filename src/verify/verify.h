@@ -9,13 +9,12 @@
 //
 // Each boundary gets a static verifier: a battery of named rules that walk
 // the artifact and report structural invariant violations (arity
-// disagreements, dangling column indices, null operands, out-of-range
-// constant-pool ids, broken algebra/physical mirroring). A violation means
-// a compiler bug, never a user error — user-facing validation (parse
-// errors, well-formedness, safety) happens before translation. The rules
-// exist so a miscompilation is caught at the boundary that introduced it,
-// with a rule id and node path, instead of surfacing as wrong rows or a
-// crash at execution time.
+// disagreements, dangling column indices, null operands, broken
+// algebra/physical mirroring). A violation means a compiler bug, never a
+// user error — user-facing validation (parse errors, well-formedness,
+// safety) happens before translation. The rules exist so a miscompilation
+// is caught at the boundary that introduced it, with a rule id and node
+// path, instead of surfacing as wrong rows or a crash at execution time.
 //
 // Verification is always on in Debug builds and opt-in elsewhere via
 // EMCALC_VERIFY=1 (see Enabled()); the call sites in core/compiler,
@@ -91,9 +90,8 @@ void ForceEnabled(int mode);
 
 // --- Stage 1: calculus -----------------------------------------------------
 // Scope/shadowing of bound variables, head coverage, consistent relation
-// and function arities, in-range constant-pool ids, and (for parsed
-// queries, when `require_spans` is set) a source span on every formula
-// node.
+// and function arities, and (for parsed queries, when `require_spans` is
+// set) a source span on every formula node.
 VerifyReport VerifyCalculus(const AstContext& ctx, const Query& q,
                             bool require_spans);
 
@@ -116,14 +114,12 @@ struct AlgebraOptions {
 
 // Per-node arity agreement, column indices in range of the (concatenated,
 // for joins) input schema, non-null condition/projection expressions,
-// constant-pool ids and parameter indices in range, and acyclicity.
-VerifyReport VerifyAlgebra(const AstContext& ctx, const AlgExpr* plan,
-                           const AlgebraOptions& options);
+// parameter indices in range, and acyclicity.
+VerifyReport VerifyAlgebra(const AlgExpr* plan, const AlgebraOptions& options);
 
 // Stage 3 entry point: checks IsRanf(`ranf`) (rule "ranf.shape") and then
 // the raw plan under `options`.
-VerifyReport VerifyRanfAlgebra(const AstContext& ctx, const Formula* ranf,
-                               const SymbolSet& context,
+VerifyReport VerifyRanfAlgebra(const Formula* ranf, const SymbolSet& context,
                                const SymbolSet& invertible,
                                const AlgExpr* plan,
                                const AlgebraOptions& options);

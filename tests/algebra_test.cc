@@ -63,17 +63,17 @@ TEST_F(AlgebraTest, ExtendedProjectionAppliesFunctions) {
 TEST_F(AlgebraTest, ProjectionDeduplicates) {
   ExprFactory& e = factory_.exprs();
   const AlgExpr* plan = factory_.Project(
-      {e.ConstValue(Value::Int(7))}, factory_.Rel("R", 2));
+      {e.Const(Value::Int(7))}, factory_.Rel("R", 2));
   EXPECT_EQ(Run(plan).size(), 1u);
 }
 
 TEST_F(AlgebraTest, SelectEqualAndNotEqual) {
   ExprFactory& e = factory_.exprs();
   const AlgExpr* eq = factory_.Select(
-      {{e.Col(0), AlgCompareOp::kEq, e.ConstValue(Value::Int(2))}}, factory_.Rel("R", 2));
+      {{e.Col(0), AlgCompareOp::kEq, e.Const(Value::Int(2))}}, factory_.Rel("R", 2));
   EXPECT_EQ(Run(eq).size(), 1u);
   const AlgExpr* ne = factory_.Select(
-      {{e.Col(0), AlgCompareOp::kNe, e.ConstValue(Value::Int(2))}}, factory_.Rel("R", 2));
+      {{e.Col(0), AlgCompareOp::kNe, e.Const(Value::Int(2))}}, factory_.Rel("R", 2));
   EXPECT_EQ(Run(ne).size(), 2u);
 }
 
@@ -83,7 +83,7 @@ TEST_F(AlgebraTest, SelectWithFunctionCondition) {
   const AlgExpr* plan = factory_.Select(
       {{e.Apply(ctx_.symbols().Intern("times"),
                 std::vector<const ScalarExpr*>{
-                    e.Col(0), e.ConstValue(Value::Int(10))}),
+                    e.Col(0), e.Const(Value::Int(10))}),
         AlgCompareOp::kEq, e.Col(1)}},
       factory_.Rel("R", 2));
   EXPECT_EQ(Run(plan).size(), 3u);
@@ -116,7 +116,7 @@ TEST_F(AlgebraTest, JoinWithComputedKey) {
   const AlgExpr* plan = factory_.Join(
       {{e.Apply(ctx_.symbols().Intern("times"),
                 std::vector<const ScalarExpr*>{
-                    e.Col(0), e.ConstValue(Value::Int(10))}),
+                    e.Col(0), e.Const(Value::Int(10))}),
         AlgCompareOp::kEq, e.Col(2)}},
       factory_.Rel("R", 2), factory_.Rel("S", 1));
   EXPECT_EQ(Run(plan).size(), 1u);
@@ -148,9 +148,10 @@ TEST_F(AlgebraTest, UnitAndEmpty) {
 }
 
 TEST_F(AlgebraTest, AdomComputesTermClosure) {
-  const AlgExpr* adom = factory_.Adom(
-      1, {ctx_.symbols().Intern("succ")}, {ctx_.InternConstant(
-                                              Value::Int(500))});
+  const AlgExpr* adom =
+      factory_.Adom(1, {ctx_.symbols().Intern("succ")}, {Value::Int(500)});
+  ASSERT_EQ(adom->adom_consts().size(), 1u);
+  EXPECT_EQ(adom->adom_consts()[0], Value::Int(500));
   Relation out = Run(adom);
   // Base: {1,2,3,10,20,30,99,500} plus succ of each; succ(1)=2 and
   // succ(2)=3 already belong to the base, so 8 + 6 new values.
@@ -205,7 +206,7 @@ TEST_F(AlgebraTest, OptimizerComposesProjections) {
 TEST_F(AlgebraTest, OptimizerEliminatesUnitJoin) {
   ExprFactory& e = factory_.exprs();
   const AlgExpr* join = factory_.Join(
-      {{e.Col(0), AlgCompareOp::kEq, e.ConstValue(Value::Int(10))}}, factory_.Unit(),
+      {{e.Col(0), AlgCompareOp::kEq, e.Const(Value::Int(10))}}, factory_.Unit(),
       factory_.Rel("S", 1));
   const AlgExpr* opt = OptimizePlan(factory_, join);
   EXPECT_EQ(AlgExprToString(ctx_, opt), "select({@1==10}, S)");
@@ -228,8 +229,8 @@ TEST_F(AlgebraTest, OptimizerPropagatesEmpty) {
 TEST_F(AlgebraTest, OptimizerMergesSelects) {
   ExprFactory& e = factory_.exprs();
   const AlgExpr* plan = factory_.Select(
-      {{e.Col(0), AlgCompareOp::kNe, e.ConstValue(Value::Int(1))}},
-      factory_.Select({{e.Col(1), AlgCompareOp::kEq, e.ConstValue(Value::Int(20))}},
+      {{e.Col(0), AlgCompareOp::kNe, e.Const(Value::Int(1))}},
+      factory_.Select({{e.Col(1), AlgCompareOp::kEq, e.Const(Value::Int(20))}},
                       factory_.Rel("R", 2)));
   const AlgExpr* opt = OptimizePlan(factory_, plan);
   EXPECT_EQ(opt->kind(), AlgKind::kSelect);
@@ -267,7 +268,7 @@ TEST_F(AlgebraTest, OptimizerPushesSelectThroughProject) {
                std::vector<const ScalarExpr*>{e.Col(0)})},
       factory_.Rel("R", 2));
   const AlgExpr* plan = factory_.Select(
-      {{e.Col(0), AlgCompareOp::kEq, e.ConstValue(Value::Int(20))}}, proj);
+      {{e.Col(0), AlgCompareOp::kEq, e.Const(Value::Int(20))}}, proj);
   const AlgExpr* opt = OptimizePlan(factory_, plan);
   // The selection moves below: project([...], select({@2==20}, R)).
   ASSERT_EQ(opt->kind(), AlgKind::kProject);

@@ -121,7 +121,7 @@ TEST_F(BatchProgramTest, CommonSubexpressionsShareWork) {
 TEST_F(BatchProgramTest, ConstantApplicationsFoldAtCompileTime) {
   ExprFactory& e = factory_.exprs();
   const AlgExpr* plan = factory_.Project(
-      {e.Col(0), Apply1("succ", e.ConstValue(Value::Int(41)))},
+      {e.Col(0), Apply1("succ", e.Const(Value::Int(41)))},
       factory_.Rel("R", 2));
 
   ExecOptions batch_opts;

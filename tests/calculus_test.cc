@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 
+#include "src/algebra/expr.h"
 #include "src/calculus/analysis.h"
 #include "src/calculus/ast.h"
 #include "src/calculus/builder.h"
@@ -35,7 +36,8 @@ TEST_F(CalculusTest, TermConstruction) {
   EXPECT_TRUE(x->is_var());
   const Term* c = IntConst(ctx_, 7);
   EXPECT_TRUE(c->is_const());
-  EXPECT_EQ(ctx_.ConstantAt(c->const_id()), Value::Int(7));
+  EXPECT_EQ(c->value(), Value::Int(7));
+  EXPECT_TRUE(c->args().empty());
   const Term* fx = Apply(ctx_, "f", {x});
   EXPECT_TRUE(fx->is_apply());
   EXPECT_EQ(fx->args().size(), 1u);
@@ -45,9 +47,35 @@ TEST_F(CalculusTest, TermConstruction) {
 TEST_F(CalculusTest, ConstantsAreInterned) {
   const Term* a = IntConst(ctx_, 7);
   const Term* b = IntConst(ctx_, 7);
-  EXPECT_EQ(a->const_id(), b->const_id());
+  EXPECT_EQ(a->value(), b->value());
+  EXPECT_TRUE(TermsEqual(a, b));
   const Term* c = builder::StrConst(ctx_, "7");
-  EXPECT_NE(a->const_id(), c->const_id());
+  EXPECT_NE(a->value(), c->value());
+  EXPECT_FALSE(TermsEqual(a, c));
+}
+
+// A constant is its value: nodes built in different contexts compare by
+// value, never by where they were allocated.
+TEST(ConstantEqualityTest, ComparesValuesAcrossContexts) {
+  AstContext a;
+  AstContext b;
+  EXPECT_FALSE(TermsEqual(a.MakeConst(Value::Int(1)),
+                          b.MakeConst(Value::Int(2))));
+  EXPECT_FALSE(TermsEqual(a.MakeConst(Value::Int(1)),
+                          b.MakeConst(Value::Str("1"))));
+  const Value big = Value::Int(std::numeric_limits<int64_t>::min());
+  EXPECT_TRUE(TermsEqual(a.MakeConst(big), b.MakeConst(big)));
+  EXPECT_TRUE(TermsEqual(a.MakeConst(Value::Str("bob")),
+                         b.MakeConst(Value::Str("bob"))));
+
+  ExprFactory ea(a);
+  ExprFactory eb(b);
+  EXPECT_FALSE(ScalarExprsEqual(ea.Const(Value::Int(1)),
+                                eb.Const(Value::Int(2))));
+  EXPECT_FALSE(ScalarExprsEqual(ea.Const(big), eb.Const(Value::Int(0))));
+  EXPECT_TRUE(ScalarExprsEqual(ea.Const(big), eb.Const(big)));
+  EXPECT_TRUE(ScalarExprsEqual(ea.Const(Value::Str("bob")),
+                               eb.Const(Value::Str("bob"))));
 }
 
 TEST_F(CalculusTest, BuilderAndNormalizes) {
@@ -139,7 +167,9 @@ TEST_F(CalculusTest, CollectConstants) {
   auto f = ParseFormula(ctx_, "R(1) and x = 'a' and y = 1");
   ASSERT_TRUE(f.ok());
   auto consts = CollectConstants(*f);
-  EXPECT_EQ(consts.size(), 2u);
+  ASSERT_EQ(consts.size(), 2u);
+  EXPECT_EQ(consts[0], Value::Int(1));
+  EXPECT_EQ(consts[1], Value::Str("a"));
 }
 
 // --- parser ---
@@ -209,10 +239,8 @@ TEST_F(CalculusTest, ParseIntLiteralsAtTheInt64Limits) {
   const Term* min = (*f)->children()[1]->rhs();
   ASSERT_TRUE(max->is_const());
   ASSERT_TRUE(min->is_const());
-  EXPECT_EQ(ctx_.ConstantAt(max->const_id()),
-            Value::Int(std::numeric_limits<int64_t>::max()));
-  EXPECT_EQ(ctx_.ConstantAt(min->const_id()),
-            Value::Int(std::numeric_limits<int64_t>::min()));
+  EXPECT_EQ(max->value(), Value::Int(std::numeric_limits<int64_t>::max()));
+  EXPECT_EQ(min->value(), Value::Int(std::numeric_limits<int64_t>::min()));
 }
 
 TEST_F(CalculusTest, ParseRejectsOutOfRangeIntLiterals) {

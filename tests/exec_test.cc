@@ -7,6 +7,7 @@
 
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 
 #include "src/algebra/eval.h"
 #include "src/algebra/printer.h"
+#include "src/calculus/builder.h"
 #include "src/calculus/parser.h"
 #include "src/calculus/printer.h"
 #include "src/core/compiler.h"
@@ -179,7 +181,7 @@ TEST_F(ExecTest, OperatorsMatchExpectedRelations) {
                        rel),
       Rows(2, {{I(10), I(2)}, {I(20), I(3)}, {I(30), I(4)}}));
   ExpectAnswer(factory_.Select({{e.Col(0), AlgCompareOp::kNe,
-                                 e.ConstValue(Value::Int(2))}},
+                                 e.Const(Value::Int(2))}},
                                rel),
                Rows(2, {{I(1), I(10)}, {I(3), I(30)}}));
   ExpectAnswer(factory_.Join({{e.Col(1), AlgCompareOp::kEq, e.Col(2)}}, rel,
@@ -195,7 +197,7 @@ TEST_F(ExecTest, OperatorsMatchExpectedRelations) {
   ExpectAnswer(factory_.Union(rel, rel), r);
   ExpectAnswer(
       factory_.Diff(rel, factory_.Select({{e.Col(0), AlgCompareOp::kEq,
-                                           e.ConstValue(Value::Int(1))}},
+                                           e.Const(Value::Int(1))}},
                                          rel)),
       Rows(2, {{I(2), I(20)}, {I(3), I(30)}}));
   ExpectAnswer(factory_.Unit(), Rows(0, {{}}));
@@ -217,7 +219,7 @@ TEST_F(ExecTest, WrapperStatsCountEachOperatorOnce) {
   ExprFactory& e = factory_.exprs();
   Symbol succ = ctx_.symbols().Intern("succ");
   const AlgExpr* shared = factory_.Select(
-      {{e.Col(0), AlgCompareOp::kNe, e.ConstValue(Value::Int(9))}},
+      {{e.Col(0), AlgCompareOp::kNe, e.Const(Value::Int(9))}},
       factory_.Rel("R", 2));
   const AlgExpr* plan = factory_.Diff(
       shared, factory_.Project(
@@ -264,14 +266,14 @@ TEST_F(ExecTest, ValidationErrorsMatchLegacy) {
 TEST_F(ExecTest, MaterializeSharesWithoutCopying) {
   ExprFactory& e = factory_.exprs();
   const AlgExpr* shared = factory_.Select(
-      {{e.Col(0), AlgCompareOp::kNe, e.ConstValue(Value::Int(0))}},
+      {{e.Col(0), AlgCompareOp::kNe, e.Const(Value::Int(0))}},
       factory_.Rel("R", 2));
   const AlgExpr* plan = factory_.Union(
       factory_.Select({{e.Col(0), AlgCompareOp::kEq,
-                        e.ConstValue(Value::Int(1))}},
+                        e.Const(Value::Int(1))}},
                       shared),
       factory_.Select({{e.Col(0), AlgCompareOp::kEq,
-                        e.ConstValue(Value::Int(2))}},
+                        e.Const(Value::Int(2))}},
                       shared));
 
   uint64_t before = Relation::CopiesMade();
@@ -395,6 +397,78 @@ TEST(ExecCorpusTest, RandomEmAllowedQueriesAgree) {
     }
   }
   EXPECT_EQ(checked, 500) << "generator exhausted before 500 queries";
+}
+
+// Constants at the edges of Value's encoding: the int64 limits, both sides
+// of the inline/pooled seam at +-2^62, a negative big int, and strings that
+// share a 12-byte prefix. Each goes into query text (the grammar takes
+// every one of them) and into a query built with MakeConst; the printed
+// text re-parses to an equal query, and the compiled plan answers as the
+// calculus does on an instance holding the same values.
+TEST(ExecCorpusTest, BoundaryConstantsAgreeWithOracle) {
+  constexpr int64_t kSeam = int64_t{1} << 62;
+  const std::vector<Value> constants = {
+      Value::Int(std::numeric_limits<int64_t>::min()),
+      Value::Int(std::numeric_limits<int64_t>::max()),
+      Value::Int(kSeam - 1),   // largest inline int
+      Value::Int(kSeam),       // smallest pooled positive int
+      Value::Int(-kSeam),      // smallest inline int
+      Value::Int(-kSeam - 1),  // pooled negative int
+      Value::Int(-5'000'000'000'000'000'000),
+      Value::Str("twelve-bytes-x"),
+      Value::Str("twelve-bytes-y"),
+  };
+  const FunctionRegistry registry = BuiltinFunctions();
+  Database db;
+  ASSERT_TRUE(db.AddRelation("R", 1).ok());
+  ASSERT_TRUE(db.AddRelation("S", 2).ok());
+  std::vector<Value> domain = constants;
+  for (int64_t v : {-1, 0, 1}) domain.push_back(Value::Int(v));
+  domain.push_back(Value::Str("twelve-bytes"));
+  for (size_t i = 0; i < domain.size(); ++i) {
+    ASSERT_TRUE(db.Insert("R", {domain[i]}).ok());
+    ASSERT_TRUE(db.Insert("S", {domain[i], domain[(i * 5 + 3) % domain.size()]})
+                    .ok());
+  }
+  const char* const shapes[] = {
+      "{x | R(x) and x = C}",         "{x | R(x) and x != C}",
+      "{x | R(x) and x < C}",         "{x | R(x) and C <= x}",
+      "{x, y | R(x) and y = C}",      "{x | S(x, C)}",
+      "{x | R(x) and not S(x, C)}",   "{x | R(x) and not S(C, x)}",
+  };
+
+  Compiler compiler(registry);
+  AstContext& ctx = compiler.ctx();
+  auto check = [&](const Query& q) {
+    const std::string text = QueryToString(ctx, q);
+    auto again = ParseQuery(ctx, text);
+    ASSERT_TRUE(again.ok()) << text << ": " << again.status().ToString();
+    EXPECT_EQ(again->head, q.head) << text;
+    EXPECT_TRUE(FormulasEqual(again->body, q.body))
+        << text << " re-printed as " << QueryToString(ctx, *again);
+    auto cq = compiler.Compile(text);
+    ASSERT_TRUE(cq.ok()) << text << ": " << cq.status().ToString();
+    auto got = cq->Run(db);
+    ASSERT_TRUE(got.ok()) << text << ": " << got.status().ToString();
+    EXPECT_EQ(*got, Oracle(ctx, q, db, registry)) << text;
+  };
+  int nonempty = 0;
+  for (const Value& c : constants) {
+    for (std::string text : shapes) {
+      text.replace(text.find('C'), 1, c.ToString());
+      auto q = ParseQuery(ctx, text);
+      ASSERT_TRUE(q.ok()) << text << ": " << q.status().ToString();
+      check(*q);
+      auto oracle = EvaluateCalculus(ctx, *q, db, registry);
+      nonempty += oracle.ok() && !oracle->empty() ? 1 : 0;
+    }
+    const Term* x = builder::Var(ctx, "x");
+    Query built{{ctx.symbols().Intern("x")},
+                builder::And(ctx, {builder::Rel(ctx, "R", {x}),
+                                   ctx.MakeEq(x, ctx.MakeConst(c))})};
+    check(built);
+  }
+  EXPECT_GT(nonempty, 50) << "instance too sparse to test answers";
 }
 
 // The RANF ordering regression corpus (tests/testdata/ranf_order_corpus.txt):

@@ -153,7 +153,7 @@ TEST(OptimizerCornerTest, SharedSubplansStayShared) {
   ExprFactory& e = factory.exprs();
   const AlgExpr* shared = factory.Project(
       {e.Col(0)}, factory.Select({{e.Col(1), AlgCompareOp::kEq,
-                                   e.ConstValue(Value::Int(1))}},
+                                   e.Const(Value::Int(1))}},
                                  factory.Rel("R", 2)));
   const AlgExpr* plan = factory.Diff(shared, shared);
   const AlgExpr* opt = OptimizePlan(factory, plan);

@@ -135,7 +135,7 @@ TEST(PipelineInvariantsTest, PlansOnlyApplyFunctionsInsideTheNeighborhood) {
       return Value::Int(rf1(a[0].is_int() ? a[0].AsInt() : 0,
                             a[1].is_int() ? a[1].AsInt() : 0));
     });
-    ValueSet base = ActiveDomain(ctx, q->body, db);
+    ValueSet base = ActiveDomain(q->body, db);
     auto closure = TermClosure(base, {{"rf0", 1}, {"rf1", 2}}, plain,
                                level, 100000);
     ASSERT_TRUE(closure.ok());
@@ -237,7 +237,7 @@ TEST(PipelineInvariantsTest, PaperCorpusVerifiesCleanAtEveryStage) {
     verify::AlgebraOptions opts;
     opts.stage = verify::Stage::kOptimizedAlgebra;
     opts.expected_arity = static_cast<int>(q->head.size());
-    verify::VerifyReport alg = verify::VerifyAlgebra(ctx, t->plan, opts);
+    verify::VerifyReport alg = verify::VerifyAlgebra(t->plan, opts);
     EXPECT_TRUE(alg.ok()) << text << "\n" << alg.ToString();
     auto lowered = Lower(ctx, t->plan, registry);
     ASSERT_TRUE(lowered.ok()) << text << ": " << lowered.status().ToString();

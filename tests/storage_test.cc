@@ -674,7 +674,7 @@ TEST(AdomTest, QueryConstantsJoinActiveDomain) {
   ASSERT_TRUE(f.ok());
   Database db;
   EXPECT_TRUE(db.Insert("R", {Value::Int(1)}).ok());
-  ValueSet adom = ActiveDomain(ctx, *f, db);
+  ValueSet adom = ActiveDomain(*f, db);
   EXPECT_EQ(adom.size(), 2u);
   EXPECT_TRUE(std::binary_search(adom.begin(), adom.end(), Value::Int(99)));
 }

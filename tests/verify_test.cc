@@ -117,7 +117,7 @@ TEST(VerifyMutationTest, EveryAlgebraMutationIsCaughtWithItsRule) {
   for (const AlgExpr* plan : plans) {
     AlgebraOptions opts;
     opts.stage = Stage::kOptimizedAlgebra;
-    VerifyReport clean = VerifyAlgebra(ctx, plan, opts);
+    VerifyReport clean = VerifyAlgebra(plan, opts);
     EXPECT_TRUE(clean.ok()) << clean.ToString();
   }
 
@@ -131,7 +131,7 @@ TEST(VerifyMutationTest, EveryAlgebraMutationIsCaughtWithItsRule) {
       ++applicable;
       AlgebraOptions opts;
       opts.stage = Stage::kOptimizedAlgebra;
-      VerifyReport report = VerifyAlgebra(ctx, bad, opts);
+      VerifyReport report = VerifyAlgebra(bad, opts);
       EXPECT_FALSE(report.ok())
           << MutationName(m) << " on " << AlgExprToString(ctx, plan);
       EXPECT_TRUE(report.Has(ExpectedRule(m)))
@@ -157,11 +157,11 @@ TEST(VerifyMutationTest, ParameterIndicesMatchTheParameterCount) {
   AlgebraOptions opts;
   opts.stage = Stage::kOptimizedAlgebra;
   opts.num_params = 2;
-  EXPECT_TRUE(VerifyAlgebra(ctx, q->plan(), opts).ok());
+  EXPECT_TRUE(VerifyAlgebra(q->plan(), opts).ok());
   opts.num_params = 1;  // $q is argument 1
-  EXPECT_TRUE(VerifyAlgebra(ctx, q->plan(), opts).Has("alg.param-range"));
+  EXPECT_TRUE(VerifyAlgebra(q->plan(), opts).Has("alg.param-range"));
   opts.num_params = 0;  // a closed query admits no parameter at all
-  EXPECT_TRUE(VerifyAlgebra(ctx, q->plan(), opts).Has("alg.param-range"));
+  EXPECT_TRUE(VerifyAlgebra(q->plan(), opts).Has("alg.param-range"));
 
   auto prepared = Lower(ctx, q->plan(), compiler.functions(), {}, 2);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
@@ -177,7 +177,7 @@ TEST(VerifyMutationTest, ParameterIndicesMatchTheParameterCount) {
       mutator.Corrupt(q->plan(), Mutation::kAlgParamOutOfRange);
   ASSERT_NE(bad, nullptr);
   opts.num_params = 2;
-  EXPECT_TRUE(VerifyAlgebra(ctx, bad, opts).Has("alg.param-range"));
+  EXPECT_TRUE(VerifyAlgebra(bad, opts).Has("alg.param-range"));
 }
 
 TEST(VerifyMutationTest, EveryPhysicalMutationIsCaughtWithItsRule) {
@@ -240,7 +240,7 @@ TEST(VerifyFuzzTest, RandomValidQueriesVerifyCleanAtEveryStage) {
     AlgebraOptions opts;
     opts.stage = Stage::kOptimizedAlgebra;
     opts.expected_arity = static_cast<int>(q->head.size());
-    VerifyReport alg = VerifyAlgebra(ctx, t->plan, opts);
+    VerifyReport alg = VerifyAlgebra(t->plan, opts);
     EXPECT_TRUE(alg.ok()) << text << "\n" << alg.ToString();
     VerifyReport phys = VerifyPhysical(*lowered, t->plan);
     EXPECT_TRUE(phys.ok()) << text << "\n" << phys.ToString();
@@ -332,7 +332,7 @@ TEST(VerifyRanfTest, NonRanfFormulaFailsTheShapeRule) {
   AlgebraFactory factory(ctx);
   AlgebraOptions opts;
   VerifyReport report = VerifyRanfAlgebra(
-      ctx, q->body, SymbolSet{}, SymbolSet{}, factory.Rel("R", 1), opts);
+      q->body, SymbolSet{}, SymbolSet{}, factory.Rel("R", 1), opts);
   EXPECT_TRUE(report.Has("ranf.shape")) << report.ToString();
 }
 
@@ -341,7 +341,7 @@ TEST(VerifyAlgebraTest, RootArityMismatchIsRejected) {
   AlgebraFactory factory(ctx);
   AlgebraOptions opts;
   opts.expected_arity = 2;
-  VerifyReport report = VerifyAlgebra(ctx, factory.Rel("R", 1), opts);
+  VerifyReport report = VerifyAlgebra(factory.Rel("R", 1), opts);
   EXPECT_TRUE(report.Has("alg.root-arity")) << report.ToString();
 }
 
