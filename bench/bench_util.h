@@ -46,13 +46,6 @@ inline std::string JsonEscape(const std::string& s) {
   return obs::JsonEscape(s);
 }
 
-// Renders an ExecProfile subtree as a JSON object (nested children) in
-// the canonical ExecProfileToJson layout, so bench records round-trip
-// through ExecProfileFromJson like any other serialized profile.
-inline void ProfileToJson(const ExecProfile& p, std::string& out) {
-  out += ExecProfileToJson(p);
-}
-
 // Appends one JSON-Lines record to `file`, completing `fields` (the
 // record's own "key":value pairs, comma-separated, no braces) with the
 // shared schema-version field and the current metrics snapshot.
@@ -88,8 +81,10 @@ inline void AppendExecRecord(const std::string& bench,
   fields += ",\"tuples_produced\":" + std::to_string(totals.rows_out);
   fields += ",\"function_calls\":" + std::to_string(totals.function_calls);
   fields += ",\"tuple_copies\":" + std::to_string(totals.tuple_copies);
+  // The one profile encoder, as in run records, so bench records
+  // round-trip through ExecProfileFromJson like any other profile.
   fields += ",\"profile\":";
-  ProfileToJson(profile, fields);
+  obs::AppendJson(ExecProfileToJson(profile), fields);
   AppendRecordLine("BENCH_exec.json", fields);
 }
 

@@ -14,10 +14,10 @@
 //   .trace FILE | .trace off   capture spans, write Chrome trace JSON
 //   .metrics                print a metrics registry snapshot
 //   .mem                    print process memory accounting
-//   .log FILE | .log off    append per-query JSON-Lines records to FILE
+//   .log FILE | .log off    append one JSON-Lines run record per compile
+//                           and per run (profile tree included) to FILE
 //   .postmortem DIR | off | status | now   abort/crash bundle control
 //   .prometheus             metrics in Prometheus text format
-//   .pool                   thread-pool contention telemetry
 //   help
 //   quit
 //
@@ -33,7 +33,6 @@
 
 #include "src/algebra/printer.h"
 #include "src/base/string_pool.h"
-#include "src/base/thread_pool.h"
 #include "src/calculus/printer.h"
 #include "src/core/compiler.h"
 #include "src/obs/metrics.h"
@@ -60,10 +59,10 @@ void PrintHelp() {
       "  .trace FILE | off       capture spans to a Chrome trace file\n"
       "  .metrics                print the metrics registry snapshot\n"
       "  .mem                    print process memory accounting\n"
-      "  .log FILE | off         per-query JSON-Lines log\n"
+      "  .log FILE | off         JSON-Lines log: one record per compile\n"
+      "                          and per run, with its profile tree\n"
       "  .postmortem DIR | off | status | now   abort/crash bundles\n"
       "  .prometheus             metrics in Prometheus text format\n"
-      "  .pool                   thread-pool contention telemetry\n"
       "  .verify on | off | status   stage-boundary plan verification\n"
       "  help | quit\n"
       "anything else is evaluated as a query, e.g. {x | EDGE(x, y)}\n");
@@ -243,11 +242,6 @@ int main() {
                             .c_str());
       continue;
     }
-    if (command == ".pool") {
-      std::printf("%s\n",
-                  emcalc::ThreadPool::GlobalTelemetryJson().c_str());
-      continue;
-    }
     if (command == ".postmortem") {
       std::string arg;
       words >> arg;
@@ -261,7 +255,7 @@ int main() {
         emcalc::obs::SetPostmortemDir("");
         std::printf("postmortem off\n");
       } else if (arg == "now") {
-        auto path = emcalc::obs::WritePostmortem("manual", nullptr, "");
+        auto path = emcalc::obs::WritePostmortem("manual", nullptr);
         if (path.ok()) {
           std::printf("wrote %s\n", path->c_str());
         } else {

@@ -1,6 +1,7 @@
 #include "src/algebra/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <vector>
 
@@ -274,9 +275,12 @@ class PlanParser {
              std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
         ++pos_;
       }
-      int64_t v = std::strtoll(
-          std::string(text_.substr(start, pos_ - start)).c_str(), nullptr,
-          10);
+      int64_t v = 0;
+      std::from_chars_result r =
+          std::from_chars(text_.data() + start, text_.data() + pos_, v);
+      if (r.ec != std::errc()) {
+        return InvalidArgumentError("integer literal out of range");
+      }
       return factory_.exprs().Const(Value::Int(v));
     }
     auto name = Ident();

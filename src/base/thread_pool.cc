@@ -3,24 +3,14 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace emcalc {
 
-namespace {
-
-// The global pool, observable without forcing construction (telemetry
-// reporting must not spin up workers as a side effect).
-std::atomic<ThreadPool*> g_global_pool{nullptr};
-
-}  // namespace
-
 ThreadPool::ThreadPool(size_t threads) {
   workers_.reserve(threads);
-  slots_ = std::make_unique<WorkerSlot[]>(threads);
   for (size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -36,11 +26,8 @@ ThreadPool::~ThreadPool() {
 ThreadPool& ThreadPool::Global() {
   // Leaked on purpose: worker threads must never outlive the pool, and
   // static destruction order cannot guarantee that.
-  static ThreadPool* pool = [] {
-    auto* p = new ThreadPool(HardwareThreads() > 0 ? HardwareThreads() - 1 : 0);
-    g_global_pool.store(p, std::memory_order_release);
-    return p;
-  }();
+  static ThreadPool* pool =
+      new ThreadPool(HardwareThreads() > 0 ? HardwareThreads() - 1 : 0);
   return *pool;
 }
 
@@ -63,8 +50,7 @@ size_t ThreadPool::HardwareThreads() {
   return resolved;
 }
 
-void ThreadPool::Drain(Region& region, size_t worker, uint64_t* busy_ns,
-                       uint64_t* morsels) {
+void ThreadPool::Drain(Region& region, size_t worker) {
   const size_t n = region.n;
   const size_t grain = region.grain;
   const uint64_t start = obs::NowNs();
@@ -80,19 +66,13 @@ void ThreadPool::Drain(Region& region, size_t worker, uint64_t* busy_ns,
   region.busy_ns.fetch_add(busy, std::memory_order_relaxed);
   region.morsels.fetch_add(claimed, std::memory_order_relaxed);
   if (claimed > 0) region.participants.fetch_add(1, std::memory_order_relaxed);
-  *busy_ns = busy;
-  *morsels = claimed;
 }
 
-void ThreadPool::WorkerLoop(size_t index) {
-  static obs::Histogram& queue_wait =
-      obs::MetricsRegistry::Instance().GetHistogram("pool.queue_wait_ns");
-  WorkerSlot& slot = slots_[index];
+void ThreadPool::WorkerLoop() {
   uint64_t last_seq = 0;
   for (;;) {
     Region* region = nullptr;
     size_t worker = 0;
-    uint64_t idle_start = obs::NowNs();
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
@@ -104,30 +84,15 @@ void ThreadPool::WorkerLoop(size_t index) {
       // region out (and wait for the next one).
       size_t id =
           region_->next_worker.fetch_add(1, std::memory_order_relaxed);
-      if (id >= region_->max_workers) {
-        slot.idle_ns.fetch_add(obs::NowNs() - idle_start,
-                               std::memory_order_relaxed);
-        continue;
-      }
+      if (id >= region_->max_workers) continue;
       worker = id;
       region = region_;
       region->active.fetch_add(1, std::memory_order_relaxed);
     }
-    // Queue wait: publication of the region to this worker's first claim.
-    uint64_t woke = obs::NowNs();
-    slot.idle_ns.fetch_add(woke - idle_start, std::memory_order_relaxed);
-    if (woke > region->publish_ns) {
-      queue_wait.Observe(static_cast<double>(woke - region->publish_ns));
-    }
-    uint64_t busy = 0;
-    uint64_t claimed = 0;
     {
       obs::MemoryScope adopt(region->scope);
-      Drain(*region, worker, &busy, &claimed);
+      Drain(*region, worker);
     }
-    slot.busy_ns.fetch_add(busy, std::memory_order_relaxed);
-    slot.morsels.fetch_add(claimed, std::memory_order_relaxed);
-    slot.regions.fetch_add(1, std::memory_order_relaxed);
     if (region->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(mu_);
       done_cv_.notify_all();
@@ -165,15 +130,6 @@ void ThreadPool::ParallelFor(
     return;
   }
 
-  static obs::Counter& regions_total =
-      obs::MetricsRegistry::Instance().GetCounter("pool.regions");
-  static obs::Counter& morsels_total =
-      obs::MetricsRegistry::Instance().GetCounter("pool.morsels");
-  static obs::Counter& busy_total =
-      obs::MetricsRegistry::Instance().GetCounter("pool.busy_ns");
-  static obs::Counter& wall_total =
-      obs::MetricsRegistry::Instance().GetCounter("pool.region_wall_ns");
-
   std::lock_guard<std::mutex> serial(region_serial_);
   Region region;
   region.fn = &fn;
@@ -183,16 +139,14 @@ void ThreadPool::ParallelFor(
   region.max_workers = max_workers;
   // The caller is worker 0; pool workers claim ids from 1.
   region.next_worker.store(1, std::memory_order_relaxed);
-  region.publish_ns = obs::NowNs();
+  const uint64_t start = obs::NowNs();
   {
     std::lock_guard<std::mutex> lock(mu_);
     region_ = &region;
     ++region_seq_;
   }
   work_cv_.notify_all();
-  uint64_t caller_busy = 0;
-  uint64_t caller_morsels = 0;
-  Drain(region, 0, &caller_busy, &caller_morsels);
+  Drain(region, 0);
   // Unpublish before waiting: once region_ is null no new worker can
   // join, so active can only fall. Without this a late-waking worker
   // could enter the region while we are destroying it.
@@ -203,56 +157,14 @@ void ThreadPool::ParallelFor(
       return region.active.load(std::memory_order_acquire) == 0;
     });
   }
-  const uint64_t wall = obs::NowNs() - region.publish_ns;
-  const uint64_t busy = region.busy_ns.load(std::memory_order_relaxed);
-  const uint64_t morsels = region.morsels.load(std::memory_order_relaxed);
+  if (stats == nullptr) return;
+  stats->wall_ns += obs::NowNs() - start;
+  stats->busy_ns += region.busy_ns.load(std::memory_order_relaxed);
+  stats->morsels += region.morsels.load(std::memory_order_relaxed);
   const auto participants = static_cast<uint32_t>(
       region.participants.load(std::memory_order_relaxed));
-  regions_total.Add();
-  morsels_total.Add(morsels);
-  busy_total.Add(busy);
-  wall_total.Add(wall);
-  if (stats != nullptr) {
-    stats->wall_ns += wall;
-    stats->busy_ns += busy;
-    stats->morsels += morsels;
-    stats->max_workers =
-        std::max(stats->max_workers, std::max<uint32_t>(participants, 1));
-  }
-}
-
-std::vector<ThreadPool::WorkerTelemetry> ThreadPool::Telemetry() const {
-  std::vector<WorkerTelemetry> out(workers_.size());
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    out[i].busy_ns = slots_[i].busy_ns.load(std::memory_order_relaxed);
-    out[i].idle_ns = slots_[i].idle_ns.load(std::memory_order_relaxed);
-    out[i].morsels = slots_[i].morsels.load(std::memory_order_relaxed);
-    out[i].regions = slots_[i].regions.load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-std::string ThreadPool::TelemetryJson() const {
-  std::vector<WorkerTelemetry> workers = Telemetry();
-  std::string out = "{\"parallelism\":" + std::to_string(parallelism());
-  out += ",\"workers\":[";
-  bool first = true;
-  for (const WorkerTelemetry& w : workers) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"busy_ns\":" + std::to_string(w.busy_ns);
-    out += ",\"idle_ns\":" + std::to_string(w.idle_ns);
-    out += ",\"morsels\":" + std::to_string(w.morsels);
-    out += ",\"regions\":" + std::to_string(w.regions) + "}";
-  }
-  out += "]}";
-  return out;
-}
-
-std::string ThreadPool::GlobalTelemetryJson() {
-  ThreadPool* pool = g_global_pool.load(std::memory_order_acquire);
-  if (pool == nullptr) return "{\"parallelism\":0,\"workers\":[]}";
-  return pool->TelemetryJson();
+  stats->max_workers =
+      std::max(stats->max_workers, std::max<uint32_t>(participants, 1));
 }
 
 }  // namespace emcalc

@@ -19,9 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -62,23 +60,6 @@ class ThreadPool {
     uint32_t max_workers = 0;  // most threads that did work in one region
   };
 
-  // Cumulative per-pool-worker counters since construction. idle_ns is
-  // time parked waiting for a region (the caller thread has no slot here:
-  // its drain time is accounted in RegionStats and the pool.* metrics).
-  struct WorkerTelemetry {
-    uint64_t busy_ns = 0;
-    uint64_t idle_ns = 0;
-    uint64_t morsels = 0;
-    uint64_t regions = 0;
-  };
-  std::vector<WorkerTelemetry> Telemetry() const;
-  // {"parallelism":P,"workers":[{"busy_ns":..,..},..]} for postmortem
-  // bundles and the repl.
-  std::string TelemetryJson() const;
-  // Telemetry of the global pool without creating it: spinning up workers
-  // just to report they never ran would skew the numbers.
-  static std::string GlobalTelemetryJson();
-
   // Runs fn(worker, begin, end) over disjoint morsels covering [0, n).
   // `worker` is a dense id in [0, max_workers) identifying the executing
   // thread within this region — use it to index per-worker accumulators.
@@ -107,26 +88,14 @@ class ThreadPool {
     std::atomic<uint64_t> busy_ns{0};
     std::atomic<uint64_t> morsels{0};
     std::atomic<size_t> participants{0};  // threads that claimed >=1 morsel
-    uint64_t publish_ns = 0;  // written before publication under mu_
   };
 
-  // Cache-line-padded per-worker counter slot (workers update their own
-  // slot with relaxed stores; Telemetry() reads across threads).
-  struct alignas(64) WorkerSlot {
-    std::atomic<uint64_t> busy_ns{0};
-    std::atomic<uint64_t> idle_ns{0};
-    std::atomic<uint64_t> morsels{0};
-    std::atomic<uint64_t> regions{0};
-  };
-
-  void WorkerLoop(size_t index);
-  // Claims morsels from `region` until the cursor passes n; reports this
-  // thread's drain time and morsel count.
-  static void Drain(Region& region, size_t worker, uint64_t* busy_ns,
-                    uint64_t* morsels);
+  void WorkerLoop();
+  // Claims morsels from `region` until the cursor passes n, and folds this
+  // thread's drain time and morsel count into the region's telemetry.
+  static void Drain(Region& region, size_t worker);
 
   std::vector<std::thread> workers_;
-  std::unique_ptr<WorkerSlot[]> slots_;  // one per pool worker
   std::mutex mu_;
   std::condition_variable work_cv_;   // workers wait here for a region
   std::condition_variable done_cv_;   // the caller waits here for drain

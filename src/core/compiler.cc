@@ -92,14 +92,14 @@ void LogCompile(const std::string& text, const Status& status,
                 std::vector<diag::Diagnostic> diagnostics = {}) {
   obs::QueryLog* log = obs::GetQueryLog();
   if (log == nullptr) return;
-  obs::QueryLogRecord r;
+  obs::RunRecord r;
   r.event = "compile";
-  r.run.query = text;
-  r.run.query_hash = obs::HashQueryText(text);
-  r.run.ok = status.ok();
-  if (!status.ok()) r.run.error = status.ToString();
-  r.run.wall_ns = profile.wall_ns;
-  r.phase_ns = obs::FlattenPhases(profile);
+  r.query = text;
+  r.query_hash = obs::HashQueryText(text);
+  r.ok = status.ok();
+  if (!status.ok()) r.error = status.ToString();
+  r.wall_ns = profile.wall_ns;
+  r.phases = obs::FlattenPhases(profile);
   if (t != nullptr) {
     r.em_allowed = t->safety.em_allowed;
     r.find_count = static_cast<int>(t->find_count);
@@ -134,8 +134,8 @@ class QueryObsScope {
 
 // Updates run metrics for one execution attempt. `observed_profile` is the
 // run's profile when a sink (query log, postmortem directory) is installed
-// and null otherwise; with a profile, the run's one RunRecord is built and
-// handed to every installed sink.
+// and null otherwise; with a profile, the run's one RunRecord, profile tree
+// included, is built and handed to every installed sink.
 void ObserveRun(const PreparedPlan& p, const StatusOr<Relation>& result,
                 uint64_t start_ns, uint64_t exec_threads,
                 const ExecProfile* observed_profile) {
@@ -156,16 +156,9 @@ void ObserveRun(const PreparedPlan& p, const StatusOr<Relation>& result,
   if (!run.ok && obs::PostmortemEnabled()) {
     // Best-effort bundle: failure to write must not mask the run error.
     (void)obs::WritePostmortem(
-        run.aborted_limit.empty() ? "run_error" : "governor_abort", &run,
-        ExecProfileToJson(*observed_profile));
+        run.aborted_limit.empty() ? "run_error" : "governor_abort", &run);
   }
-  if (obs::QueryLog* log = obs::GetQueryLog()) {
-    obs::QueryLogRecord r;
-    r.event = "run";
-    r.run = std::move(run);
-    r.string_pool_size = StringPool::Global().size();
-    log->Write(r);
-  }
+  if (obs::QueryLog* log = obs::GetQueryLog()) log->Write(run);
 }
 
 // The one run path of CompiledQuery and ParameterizedQuery: executes the

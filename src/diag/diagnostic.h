@@ -47,6 +47,8 @@ struct Diagnostic {
 
   // Appends a child note (severity kNote unless overridden).
   Diagnostic& AddNote(std::string message, std::string code = "note");
+
+  bool operator==(const Diagnostic&) const = default;
 };
 
 // Human-readable rendering:

@@ -1,43 +1,17 @@
 #include "src/exec/feedback.h"
 
 #include <algorithm>
-#include <utility>
+
+#include "src/base/string_pool.h"
 
 namespace emcalc {
-
-namespace {
-
-// Profile DFS: children are stored in (left, right) order and shared
-// re-visits are shared_ref stubs, so each operator is sampled once, under
-// the path of its first visit.
-void CollectRunOps(const ExecProfile& p, const std::string& path,
-                   std::vector<obs::RunRecord::Op>& ops) {
-  if (p.shared_ref) return;
-  if (p.op != PhysOpKind::kMaterialize) {
-    obs::RunRecord::Op op;
-    op.path = path;
-    op.op = PhysOpKindName(p.op);
-    if (!p.detail.empty()) op.op += "(" + p.detail + ")";
-    op.actual_rows = p.stats.rows_out;
-    op.rows_sorted = p.stats.rows_sorted;
-    op.normalize_ns = p.stats.normalize_ns;
-    ops.push_back(std::move(op));
-  }
-  for (size_t i = 0; i < p.children.size(); ++i) {
-    CollectRunOps(p.children[i],
-                  path + "/" + std::to_string(i) + ":" +
-                      PhysOpKindName(p.children[i].op),
-                  ops);
-  }
-}
-
-}  // namespace
 
 obs::RunRecord BuildRunRecord(uint64_t query_hash, const std::string& query,
                               const Status& status, uint64_t rows_out,
                               uint64_t wall_ns, uint64_t exec_threads,
                               const ExecProfile& profile) {
   obs::RunRecord run;
+  run.event = "run";
   run.query_hash = query_hash;
   run.query = query;
   run.ok = status.ok();
@@ -59,7 +33,8 @@ obs::RunRecord BuildRunRecord(uint64_t query_hash, const std::string& query,
     run.parallel_efficiency = par.Efficiency();
     run.par_workers = par.max_workers;
   }
-  CollectRunOps(profile, PhysOpKindName(profile.op), run.ops);
+  run.profile = ExecProfileToJson(profile);
+  run.string_pool_size = StringPool::Global().size();
   return run;
 }
 

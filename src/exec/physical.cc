@@ -34,6 +34,9 @@ constexpr size_t kBatchSize = 1024;
 // Hash partitions of the parallel join build (top bits of the key hash).
 constexpr size_t kJoinPartitionBits = 6;
 constexpr size_t kJoinPartitions = size_t{1} << kJoinPartitionBits;
+// Ceiling on an AdomScan's term closure (values). A query's own bound is
+// ResourceLimits::max_term_closure_size, which the governor enforces.
+constexpr size_t kAdomClosureCeiling = 10'000'000;
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -791,7 +794,7 @@ StatusOr<ExecContext::Result> ExecContext::Run(const PhysicalOp* op) {
       ParFold par(s);
       auto closed = TermClosure(std::move(base), op->adom_fns,
                                 *plan.registry_, op->adom_level,
-                                plan.options_.adom_budget, threads,
+                                kAdomClosureCeiling, threads,
                                 governor.enabled() ? &governor : nullptr,
                                 &par.rs);
       if (!closed.ok()) return done(closed.status());
@@ -976,54 +979,53 @@ std::string ExecProfileToString(const ExecProfile& profile) {
   return out;
 }
 
-namespace {
-
-void ProfileJson(const ExecProfile& p, std::string& out) {
-  out += "{\"op\":\"";
-  out += PhysOpKindName(p.op);
-  out += "\",\"detail\":\"" + obs::JsonEscape(p.detail) + "\"";
-  out += ",\"arity\":" + std::to_string(p.arity);
-  out += ",\"shared_ref\":";
-  out += p.shared_ref ? "true" : "false";
+obs::JsonValue ExecProfileToJson(const ExecProfile& p) {
+  using obs::JsonValue;
   const OpStats& s = p.stats;
   // Every field is emitted, even when zero: FromJson must reproduce the
   // profile exactly (round-trip tested in resource_test).
-  out += ",\"stats\":{";
-  out += "\"invocations\":" + std::to_string(s.invocations);
-  out += ",\"rows_in\":" + std::to_string(s.rows_in);
-  out += ",\"rows_out\":" + std::to_string(s.rows_out);
-  out += ",\"build_rows\":" + std::to_string(s.build_rows);
-  out += ",\"hash_probes\":" + std::to_string(s.hash_probes);
-  out += ",\"function_calls\":" + std::to_string(s.function_calls);
-  out += ",\"tuple_copies\":" + std::to_string(s.tuple_copies);
-  out += ",\"cache_hits\":" + std::to_string(s.cache_hits);
-  out += ",\"wall_ns\":" + std::to_string(s.wall_ns);
-  out += ",\"rows_sorted\":" + std::to_string(s.rows_sorted);
-  out += ",\"normalize_ns\":" + std::to_string(s.normalize_ns);
-  out += ",\"bytes_allocated\":" + std::to_string(s.bytes_allocated);
-  out += ",\"peak_bytes\":" + std::to_string(s.peak_bytes);
-  out += ",\"par_wall_ns\":" + std::to_string(s.par_wall_ns);
-  out += ",\"par_busy_ns\":" + std::to_string(s.par_busy_ns);
-  out += ",\"par_morsels\":" + std::to_string(s.par_morsels);
-  out += ",\"par_workers\":" + std::to_string(s.par_workers);
-  out += ",\"batches\":" + std::to_string(s.batches);
-  out += ",\"batch_rows\":" + std::to_string(s.batch_rows);
-  out += ",\"batch_sel_rows\":" + std::to_string(s.batch_sel_rows);
-  out += "}";
+  JsonValue stats = JsonValue::Object();
+  stats.object = {{"invocations", JsonValue::Number(s.invocations)},
+                  {"rows_in", JsonValue::Number(s.rows_in)},
+                  {"rows_out", JsonValue::Number(s.rows_out)},
+                  {"build_rows", JsonValue::Number(s.build_rows)},
+                  {"hash_probes", JsonValue::Number(s.hash_probes)},
+                  {"function_calls", JsonValue::Number(s.function_calls)},
+                  {"tuple_copies", JsonValue::Number(s.tuple_copies)},
+                  {"cache_hits", JsonValue::Number(s.cache_hits)},
+                  {"wall_ns", JsonValue::Number(s.wall_ns)},
+                  {"rows_sorted", JsonValue::Number(s.rows_sorted)},
+                  {"normalize_ns", JsonValue::Number(s.normalize_ns)},
+                  {"bytes_allocated", JsonValue::Number(s.bytes_allocated)},
+                  {"peak_bytes", JsonValue::Number(s.peak_bytes)},
+                  {"par_wall_ns", JsonValue::Number(s.par_wall_ns)},
+                  {"par_busy_ns", JsonValue::Number(s.par_busy_ns)},
+                  {"par_morsels", JsonValue::Number(s.par_morsels)},
+                  {"par_workers", JsonValue::Number(s.par_workers)},
+                  {"batches", JsonValue::Number(s.batches)},
+                  {"batch_rows", JsonValue::Number(s.batch_rows)},
+                  {"batch_sel_rows", JsonValue::Number(s.batch_sel_rows)}};
+  JsonValue out = JsonValue::Object();
+  out.object = {{"op", JsonValue::String(PhysOpKindName(p.op))},
+                {"detail", JsonValue::String(p.detail)},
+                {"arity", JsonValue::Number(p.arity)},
+                {"shared_ref", JsonValue::Bool(p.shared_ref)},
+                {"stats", std::move(stats)}};
   if (p.total_peak_bytes != 0 || p.total_bytes_allocated != 0) {
-    out += ",\"total_peak_bytes\":" + std::to_string(p.total_peak_bytes);
-    out += ",\"total_bytes_allocated\":" +
-           std::to_string(p.total_bytes_allocated);
+    out.object.emplace_back("total_peak_bytes",
+                            JsonValue::Number(p.total_peak_bytes));
+    out.object.emplace_back("total_bytes_allocated",
+                            JsonValue::Number(p.total_bytes_allocated));
   }
-  out += ",\"children\":[";
-  for (size_t i = 0; i < p.children.size(); ++i) {
-    if (i > 0) out += ",";
-    ProfileJson(p.children[i], out);
+  JsonValue children = JsonValue::Array();
+  for (const ExecProfile& c : p.children) {
+    children.array.push_back(ExecProfileToJson(c));
   }
-  out += "]}";
+  out.object.emplace_back("children", std::move(children));
+  return out;
 }
 
-StatusOr<ExecProfile> ProfileFromJsonValue(const obs::JsonValue& v) {
+StatusOr<ExecProfile> ExecProfileFromJson(const obs::JsonValue& v) {
   if (!v.is_object()) {
     return InvalidArgumentError("profile node is not a JSON object");
   }
@@ -1074,26 +1076,12 @@ StatusOr<ExecProfile> ProfileFromJsonValue(const obs::JsonValue& v) {
   if (const obs::JsonValue* ch = v.Find("children");
       ch != nullptr && ch->is_array()) {
     for (const obs::JsonValue& c : ch->array) {
-      auto child = ProfileFromJsonValue(c);
+      auto child = ExecProfileFromJson(c);
       if (!child.ok()) return child.status();
       p.children.push_back(std::move(*child));
     }
   }
   return p;
-}
-
-}  // namespace
-
-std::string ExecProfileToJson(const ExecProfile& profile) {
-  std::string out;
-  ProfileJson(profile, out);
-  return out;
-}
-
-StatusOr<ExecProfile> ExecProfileFromJson(std::string_view json) {
-  auto parsed = obs::ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  return ProfileFromJsonValue(*parsed);
 }
 
 StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(

@@ -41,6 +41,7 @@
 #include "src/algebra/ast.h"
 #include "src/base/status.h"
 #include "src/exec/scalar_program.h"
+#include "src/obs/json.h"
 #include "src/obs/resource.h"
 #include "src/storage/database.h"
 #include "src/storage/interpretation.h"
@@ -159,17 +160,16 @@ ParallelSummary SumParallel(const ExecProfile& profile);
 //   probes=50 rows_sorted=40 peak_bytes=4096 time=0.120ms normalize=0.010ms
 std::string ExecProfileToString(const ExecProfile& profile);
 
-// Canonical JSON encoding of a profile tree. Every stats field is emitted
-// unconditionally so ExecProfileFromJson reproduces the profile exactly
-// (round-trip tested); the bench harness and query log build on this.
-std::string ExecProfileToJson(const ExecProfile& profile);
-StatusOr<ExecProfile> ExecProfileFromJson(std::string_view json);
+// The one encoder of a profile tree: its canonical JSON document. Every
+// stats field is emitted unconditionally so ExecProfileFromJson reproduces
+// the profile exactly (round-trip tested). Run records (query-log lines,
+// postmortem bundles) hold this document; bench records write it with
+// obs::AppendJson.
+obs::JsonValue ExecProfileToJson(const ExecProfile& profile);
+StatusOr<ExecProfile> ExecProfileFromJson(const obs::JsonValue& json);
 
 // Execution knobs.
 struct ExecOptions {
-  // Budget for AdomScan term closures (values). The direct translation
-  // never emits kAdom; only the AB88-style baseline does.
-  size_t adom_budget = 10'000'000;
   // Worker threads for morsel-parallel operators (FilterSelect,
   // ProjectMap, the partitioned HashJoin, AdomScan closure rounds).
   // 0 means hardware concurrency; 1 disables parallelism entirely.

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <utility>
 
+#include "src/obs/query_log.h"
+
 namespace emcalc::obs {
 
 namespace {
@@ -48,7 +50,7 @@ QueryLogScan ParseQueryLogText(std::string_view text) {
         pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
     pos = nl == std::string_view::npos ? text.size() : nl + 1;
     if (line.empty()) continue;
-    auto record = ParseQueryLogRecord(line);
+    auto record = ParseQueryLogLine(line);
     if (record.ok()) {
       scan.records.push_back(std::move(record).value());
     } else {
@@ -83,8 +85,8 @@ StatusOr<QueryLogScan> ReadQueryLogWithRotation(const std::string& path) {
 
 std::string RenderTopSlowest(const QueryLogScan& scan, size_t k) {
   std::vector<const RunRecord*> runs;
-  for (const QueryLogRecord& r : scan.records) {
-    if (r.event == "run") runs.push_back(&r.run);
+  for (const RunRecord& r : scan.records) {
+    if (r.event == "run") runs.push_back(&r);
   }
   // Ties break on query hash so the listing is stable across qsorts.
   std::sort(runs.begin(), runs.end(),
@@ -115,9 +117,8 @@ std::string RenderAborts(const QueryLogScan& scan) {
   size_t plain_errors = 0;
   // limit -> (count, example query)
   std::map<std::string, std::pair<size_t, std::string>> by_limit;
-  for (const QueryLogRecord& record : scan.records) {
-    if (record.event != "run") continue;
-    const RunRecord& r = record.run;
+  for (const RunRecord& r : scan.records) {
+    if (r.event != "run") continue;
     ++runs;
     if (r.ok) continue;
     if (r.aborted_limit.empty()) {
@@ -160,13 +161,12 @@ std::string RenderLogSummary(const QueryLogScan& scan) {
   uint64_t wall_max = 0;
   uint64_t rows_total = 0;
   double eff_sum = 0;
-  for (const QueryLogRecord& record : scan.records) {
-    if (record.event == "compile") {
+  for (const RunRecord& r : scan.records) {
+    if (r.event == "compile") {
       ++compiles;
       continue;
     }
-    if (record.event != "run") continue;
-    const RunRecord& r = record.run;
+    if (r.event != "run") continue;
     ++runs;
     wall_total += r.wall_ns;
     wall_max = std::max(wall_max, r.wall_ns);
@@ -213,9 +213,7 @@ StatusOr<PostmortemBundle> ParsePostmortemBundle(std::string_view json) {
   bundle.reason = doc->StringOr("reason", "");
   bundle.signal_name = doc->StringOr("signal_name", "");
   bundle.run = RunRecordFromJson(*doc);
-  if (const JsonValue* v = doc->Find("profile")) bundle.profile = *v;
   if (const JsonValue* v = doc->Find("metrics")) bundle.metrics = *v;
-  if (const JsonValue* v = doc->Find("pool")) bundle.pool = *v;
   if (const JsonValue* ring = doc->Find("flight_recorder");
       ring != nullptr && ring->is_array()) {
     bundle.events.reserve(ring->array.size());

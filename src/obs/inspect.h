@@ -1,8 +1,10 @@
 // Offline analysis of emcalc's observability artifacts: JSON-Lines query
 // logs (src/obs/query_log.h) and postmortem bundles (src/obs/postmortem.h).
-// This is the library behind the `emcalc-inspect` CLI (tools/inspect.cc);
-// every renderer returns plain text so the CLI stays a thin argv shim and
-// tests can golden-match the output.
+// Both carry the one run record (src/obs/run_record.h) and are read with
+// its one reader, so a log line and a bundle of the same run load into
+// equal RunRecords. This is the library behind the `emcalc-inspect` CLI
+// (tools/inspect.cc); every renderer returns plain text so the CLI stays a
+// thin argv shim and tests can golden-match the output.
 #ifndef EMCALC_OBS_INSPECT_H_
 #define EMCALC_OBS_INSPECT_H_
 
@@ -13,7 +15,6 @@
 
 #include "src/base/status.h"
 #include "src/obs/json.h"
-#include "src/obs/query_log.h"
 #include "src/obs/run_record.h"
 
 namespace emcalc::obs {
@@ -21,7 +22,7 @@ namespace emcalc::obs {
 // A parsed query log. Unparseable lines are counted, not fatal — a log cut
 // off mid-line by a crash must still analyze.
 struct QueryLogScan {
-  std::vector<QueryLogRecord> records;
+  std::vector<RunRecord> records;
   size_t bad_lines = 0;
 };
 
@@ -57,18 +58,16 @@ struct BundleEvent {
   std::string name;
 };
 
-// A parsed postmortem bundle. `run` holds the failed run's RunRecord
-// (defaults for a manual bundle; query and hash only for a signal bundle).
-// `profile` / `metrics` / `pool` hold the embedded sub-documents verbatim
+// A parsed postmortem bundle. `run` holds the failed run's RunRecord,
+// profile tree included (defaults for a manual bundle; query and hash only
+// for a signal bundle). `metrics` holds the embedded snapshot verbatim
 // (kind kNull when absent) so callers can drill in without re-reading the
 // file.
 struct PostmortemBundle {
   std::string reason;  // "governor_abort" | "run_error" | "signal" | ...
   std::string signal_name;
   RunRecord run;
-  JsonValue profile;
   JsonValue metrics;
-  JsonValue pool;
   std::vector<BundleEvent> events;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace emcalc::obs {
@@ -54,6 +55,77 @@ bool JsonValue::BoolOr(std::string_view key, bool fallback) const {
 
 namespace {
 
+void AppendNumber(double d, std::string& out) {
+  if (!std::isfinite(d)) {
+    out += "null";  // JSON has no spelling for NaN or infinity
+    return;
+  }
+  char buf[32];  // the longest shortest-form double is 24 characters
+  char* end;
+  if (d >= 0 && d < 0x1p64 && std::trunc(d) == d) {
+    end = std::to_chars(buf, buf + sizeof(buf), static_cast<uint64_t>(d)).ptr;
+  } else if (d < 0 && d >= -0x1p63 && std::trunc(d) == d) {
+    end = std::to_chars(buf, buf + sizeof(buf), static_cast<int64_t>(d)).ptr;
+  } else {
+    end = std::to_chars(buf, buf + sizeof(buf), d).ptr;
+  }
+  out.append(buf, end);
+}
+
+}  // namespace
+
+void AppendJson(const JsonValue& v, std::string& out) {
+  switch (v.kind) {
+    case JsonValue::Kind::kNull:
+      out += "null";
+      return;
+    case JsonValue::Kind::kBool:
+      out += v.boolean ? "true" : "false";
+      return;
+    case JsonValue::Kind::kNumber:
+      AppendNumber(v.number, out);
+      return;
+    case JsonValue::Kind::kString:
+      out += '"';
+      out += JsonEscape(v.string);
+      out += '"';
+      return;
+    case JsonValue::Kind::kObject:
+      out += '{';
+      for (size_t i = 0; i < v.object.size(); ++i) {
+        if (i > 0) out += ',';
+        out += '"';
+        out += JsonEscape(v.object[i].first);
+        out += "\":";
+        AppendJson(v.object[i].second, out);
+      }
+      out += '}';
+      return;
+    case JsonValue::Kind::kArray:
+      out += '[';
+      for (size_t i = 0; i < v.array.size(); ++i) {
+        if (i > 0) out += ',';
+        AppendJson(v.array[i], out);
+      }
+      out += ']';
+      return;
+  }
+}
+
+std::string ToJson(const JsonValue& v) {
+  std::string out;
+  AppendJson(v, out);
+  return out;
+}
+
+namespace {
+
+// Bounds the parser's recursion on hostile input. A run record's profile
+// tree takes two levels per operator, so this admits plans about 250
+// operators deep (a query with 20 nested negations lowers to a plan 43
+// operators deep).
+constexpr int kMaxDepth = 512;
+
 struct Parser {
   std::string_view text;
   size_t pos = 0;
@@ -71,7 +143,7 @@ struct Parser {
   }
 
   StatusOr<JsonValue> ParseValue(int depth) {
-    if (depth > 64) return Err("nesting too deep");
+    if (depth > kMaxDepth) return Err("nesting too deep");
     SkipSpace();
     if (AtEnd()) return Err("unexpected end of input");
     char c = Peek();

@@ -1,9 +1,10 @@
 // Minimal JSON support for the observability subsystem: escaping for the
-// emitters (trace, metrics, query log, bench records) and a small parser
-// used to validate and round-trip our own output. The parser handles the
-// full JSON grammar (objects, arrays, strings, numbers, bools, null) but
-// is tuned for machine-generated single-line documents, not arbitrary
-// user input.
+// emitters (trace, metrics, query log, bench records), a document type
+// with a writer for the records built as trees (run records and their
+// profile), and a small parser used to validate and round-trip our own
+// output. The parser handles the full JSON grammar (objects, arrays,
+// strings, numbers, bools, null) but is tuned for machine-generated
+// single-line documents, not arbitrary user input.
 #ifndef EMCALC_OBS_JSON_H_
 #define EMCALC_OBS_JSON_H_
 
@@ -23,7 +24,9 @@ namespace emcalc::obs {
 // included). Control characters become \uXXXX.
 std::string JsonEscape(std::string_view s);
 
-// A parsed JSON document. Object member order is preserved.
+// A JSON document, parsed or built in memory. Object member order is
+// preserved. Numbers are doubles, so an integer above 2^53 loses its low
+// bits; counts and nanosecond times stay far below that.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
 
@@ -38,6 +41,27 @@ struct JsonValue {
   bool is_array() const { return kind == Kind::kArray; }
   bool is_string() const { return kind == Kind::kString; }
   bool is_number() const { return kind == Kind::kNumber; }
+
+  // Builders for documents assembled in memory.
+  static JsonValue Object() { return Of(Kind::kObject); }
+  static JsonValue Array() { return Of(Kind::kArray); }
+  static JsonValue Bool(bool b) {
+    JsonValue v = Of(Kind::kBool);
+    v.boolean = b;
+    return v;
+  }
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  static JsonValue Number(T n) {
+    JsonValue v = Of(Kind::kNumber);
+    v.number = static_cast<double>(n);
+    return v;
+  }
+  static JsonValue String(std::string s) {
+    JsonValue v = Of(Kind::kString);
+    v.string = std::move(s);
+    return v;
+  }
 
   // First member named `key`, or nullptr (objects only).
   const JsonValue* Find(std::string_view key) const;
@@ -62,7 +86,23 @@ struct JsonValue {
     if (!(v >= 0) || !(v < kLimit)) return fallback;
     return static_cast<T>(v);
   }
+
+  bool operator==(const JsonValue&) const = default;
+
+ private:
+  static JsonValue Of(Kind k) {
+    JsonValue v;
+    v.kind = k;
+    return v;
+  }
 };
+
+// Writes `v` as single-line JSON with no whitespace. A number that holds
+// an integer is written in integer form ("1000000", not "1e+06"); any
+// other number in its shortest round-trip form. Parsing the output gives
+// back an equal document.
+void AppendJson(const JsonValue& v, std::string& out);
+std::string ToJson(const JsonValue& v);
 
 // Parses one JSON document; trailing non-whitespace is an error.
 StatusOr<JsonValue> ParseJson(std::string_view text);

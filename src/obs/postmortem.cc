@@ -14,7 +14,6 @@
 #include <mutex>
 #include <system_error>
 
-#include "src/base/thread_pool.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
@@ -217,8 +216,7 @@ void ClearCurrentQuery() {
 }
 
 StatusOr<std::string> WritePostmortem(std::string_view reason,
-                                      const RunRecord* run,
-                                      std::string_view profile_json) {
+                                      const RunRecord* run) {
   std::string dir = PostmortemDir();
   if (dir.empty()) {
     return InvalidArgumentError(
@@ -231,12 +229,7 @@ StatusOr<std::string> WritePostmortem(std::string_view reason,
 
   std::string out = "{\"schema\":1,\"reason\":\"" + JsonEscape(reason) + "\"";
   if (run != nullptr) AppendRunRecordJson(*run, out);
-  if (!profile_json.empty()) {
-    out += ",\"profile\":";
-    out += profile_json;
-  }
   out += ",\"metrics\":" + MetricsRegistry::Instance().JsonSnapshot();
-  out += ",\"pool\":" + ThreadPool::GlobalTelemetryJson();
   out += ",\"flight_recorder\":" + FlightEventsToJson(DrainFlightRecorder());
   out += "}\n";
 

@@ -3,12 +3,12 @@
 // process takes a fatal signal. A bundle contains everything needed to
 // reconstruct the last moments of the query offline:
 //
-//   - the drained flight-recorder rings (recent span/governor/memory events)
-//   - the partial ExecProfile (per-operator rows, wall time, and memory
-//     attribution), passed in pre-rendered as JSON so obs/ stays below exec/
-//   - a metrics-registry snapshot
 //   - the run's RunRecord (query text and FNV-1a hash, error, tripped
-//     limit, wall time, memory, per-operator est vs actual)
+//     limit, wall time, memory, and the partial per-operator profile tree:
+//     rows, wall time and memory attribution per operator), the same
+//     record the query log writes for the run
+//   - a metrics-registry snapshot
+//   - the drained flight-recorder rings (recent span/governor/memory events)
 //
 // Bundles land in the directory configured with SetPostmortemDir (or the
 // EMCALC_POSTMORTEM_DIR env knob); with no directory configured the writer
@@ -63,15 +63,13 @@ class CurrentQueryScope {
   CurrentQueryScope& operator=(const CurrentQueryScope&) = delete;
 };
 
-// Writes one bundle (drains the flight recorder, snapshots metrics and pool
-// telemetry) and returns its path. `reason` is "governor_abort",
-// "run_error" or "manual"; `run` (null for a manual bundle) contributes
-// its RunRecord members; `profile_json` is the pre-rendered ExecProfile
-// (may be empty). Fails when no directory is configured or the file cannot
-// be created.
+// Writes one bundle (drains the flight recorder, snapshots metrics) and
+// returns its path. `reason` is "governor_abort", "run_error" or "manual";
+// `run` (null for a manual bundle) contributes its RunRecord members,
+// profile included. Fails when no directory is configured or the file
+// cannot be created.
 StatusOr<std::string> WritePostmortem(std::string_view reason,
-                                      const RunRecord* run,
-                                      std::string_view profile_json);
+                                      const RunRecord* run);
 
 // Total bundles written by this process (normal path only).
 uint64_t PostmortemCount();

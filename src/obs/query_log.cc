@@ -22,64 +22,15 @@ uint64_t HashQueryText(std::string_view text) {
   return h;
 }
 
-std::string QueryLogRecordToJson(const QueryLogRecord& r) {
-  std::string out = "{\"event\":\"" + JsonEscape(r.event) + "\"";
-  AppendRunRecordJson(r.run, out);
-  if (r.event == "compile") {
-    out += ",\"em_allowed\":";
-    out += r.em_allowed ? "true" : "false";
-    out += ",\"level\":" + std::to_string(r.level);
-    out += ",\"find_count\":" + std::to_string(r.find_count);
-    out += ",\"ranf_size\":" + std::to_string(r.ranf_size);
-    out += ",\"plan_nodes\":" + std::to_string(r.plan_nodes);
-  }
-  out += ",\"string_pool_size\":" + std::to_string(r.string_pool_size);
-  if (!r.diagnostics.empty()) {
-    out += ",\"diagnostics\":" + diag::ToJson(r.diagnostics);
-  }
-  if (!r.phase_ns.empty()) {
-    out += ",\"phases\":{";
-    bool first = true;
-    for (const auto& [name, ns] : r.phase_ns) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + JsonEscape(name) + "\":" + std::to_string(ns);
-    }
-    out += "}";
-  }
-  out += "}";
-  return out;
-}
-
-StatusOr<QueryLogRecord> ParseQueryLogRecord(std::string_view line) {
+StatusOr<RunRecord> ParseQueryLogLine(std::string_view line) {
   auto json = ParseJson(line);
   if (!json.ok()) return json.status();
   if (!json->is_object()) {
     return InvalidArgumentError("query-log line is not a JSON object");
   }
-  QueryLogRecord r;
-  r.event = json->StringOr("event", "");
+  RunRecord r = RunRecordFromJson(*json);
   if (r.event.empty()) {
     return InvalidArgumentError("query-log line lacks an event field");
-  }
-  r.run = RunRecordFromJson(*json);
-  r.em_allowed = json->BoolOr("em_allowed", false);
-  r.level = json->UintOr<int>("level", 0);
-  r.find_count = json->UintOr<int>("find_count", 0);
-  r.ranf_size = json->UintOr<int>("ranf_size", 0);
-  r.plan_nodes = json->UintOr<int>("plan_nodes", 0);
-  r.string_pool_size = json->UintOr("string_pool_size", 0);
-  if (const JsonValue* diags = json->Find("diagnostics");
-      diags != nullptr && diags->is_array()) {
-    r.diagnostics = diag::DiagnosticsFromJson(*diags);
-  }
-  if (const JsonValue* phases = json->Find("phases");
-      phases != nullptr && phases->is_object()) {
-    for (const auto& [name, v] : phases->object) {
-      if (v.is_number()) {
-        r.phase_ns.emplace_back(name, phases->UintOr(name, 0));
-      }
-    }
   }
   return r;
 }
@@ -135,8 +86,8 @@ QueryLog::~QueryLog() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void QueryLog::Write(const QueryLogRecord& record) {
-  std::string line = QueryLogRecordToJson(record);
+void QueryLog::Write(const RunRecord& record) {
+  std::string line = RunRecordToJson(record);
   std::lock_guard<std::mutex> lock(mu_);
   if (sink_ != nullptr) {
     *sink_ << line << "\n";
@@ -148,7 +99,7 @@ void QueryLog::Write(const QueryLogRecord& record) {
   buf_ += '\n';
   // Error and abort records must not sit in the buffer: the process may be
   // about to die (fatal signal after a governor trip, operator crash).
-  bool urgent = !record.run.ok || !record.run.aborted_limit.empty();
+  bool urgent = !record.ok || !record.aborted_limit.empty();
   if (urgent || buf_.size() >= kQueryLogBufferFlushBytes) FlushLocked();
 }
 

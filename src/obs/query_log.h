@@ -1,11 +1,12 @@
-// Structured per-query logging: one JSON object per line (JSON Lines).
+// Structured per-query logging: one JSON object per line (JSON Lines),
+// each line one RunRecord (src/obs/run_record.h).
 //
 // The compiler emits a "compile" record per Compile, CompileQuery or
 // CompileParameterized call (safety verdict, ||phi|| level proxy, FinD
 // count, RANF size, plan node count, per-phase durations, error status)
-// and a "run" record per execution carrying the run's RunRecord
-// (src/obs/run_record.h). A query has one text, logged by both kinds of
-// record: the text as written for Compile and CompileParameterized, the
+// and a "run" record per execution (outcome, memory, and the run's
+// per-operator profile tree). A query has one text, logged by both kinds
+// of record: the text as written for Compile and CompileParameterized, the
 // printed query for CompileQuery. Records share that text's hash, so
 // compile and run lines join.
 //
@@ -22,45 +23,18 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "src/base/status.h"
-#include "src/diag/diagnostic.h"
 #include "src/obs/run_record.h"
 
 namespace emcalc::obs {
 
-// One query-log line. The identity, outcome and wall time of either event
-// live in `run`; its execution fields are filled on "run" records only.
-// The analysis fields below are "compile" records only.
-struct QueryLogRecord {
-  std::string event;  // "compile" | "run"
-  RunRecord run;
-  bool em_allowed = false;
-  int level = 0;          // function-application count (||phi|| proxy)
-  int find_count = 0;     // |bd(body)| after the safety check
-  int ranf_size = 0;      // formula nodes in the RANF form
-  int plan_nodes = 0;     // nodes in the optimized plan
-  // Interned values in the process StringPool when the record was emitted
-  // (both events): tracks intern-pool growth across a workload.
-  uint64_t string_pool_size = 0;
-  std::vector<std::pair<std::string, uint64_t>> phase_ns;  // per-phase
-  // Front-end diagnostics attached to "compile" records (lint findings and,
-  // on rejection, the safety blame trace). Populated when the compiler runs
-  // with EMCALC_LINT=1; see docs/diagnostics.md for the JSON schema.
-  std::vector<diag::Diagnostic> diagnostics;
-};
-
 // FNV-1a of the query text; stable across processes.
 uint64_t HashQueryText(std::string_view text);
 
-// One line, no trailing newline.
-std::string QueryLogRecordToJson(const QueryLogRecord& record);
-
-// Inverse of QueryLogRecordToJson (accepts any JSON object with the
-// record's fields; unknown fields are ignored).
-StatusOr<QueryLogRecord> ParseQueryLogRecord(std::string_view line);
+// Reads one query-log line (RunRecordToJson's output) back into its
+// record. Fails when the line is not a JSON object or has no event.
+StatusOr<RunRecord> ParseQueryLogLine(std::string_view line);
 
 // A thread-safe JSON-Lines sink.
 //
@@ -82,7 +56,8 @@ class QueryLog {
 
   ~QueryLog();
 
-  void Write(const QueryLogRecord& record);
+  // Writes the record as one line (RunRecordToJson).
+  void Write(const RunRecord& record);
 
   // Forces buffered lines to disk (file mode; no-op in stream mode).
   void Flush();

@@ -1,40 +1,42 @@
 #include "src/obs/run_record.h"
 
-#include <charconv>
 #include <cstdlib>
-#include <utility>
+#include <string_view>
 
 namespace emcalc::obs {
 
 namespace {
 
-void AppendString(std::string& out, const char* key, const std::string& s) {
-  out += ",\"";
-  out += key;
-  out += "\":\"" + JsonEscape(s) + "\"";
-}
-
-void AppendUint(std::string& out, const char* key, uint64_t v) {
-  out += ",\"";
-  out += key;
-  out += "\":" + std::to_string(v);
-}
-
-void AppendDouble(std::string& out, const char* key, double v) {
-  char buf[32];  // the longest shortest-form double is 24 characters
-  out += ",\"";
-  out += key;
+void AppendKey(std::string& out, std::string_view key) {
+  if (out.back() != '{') out += ',';
+  out += '"';
+  out += JsonEscape(key);
   out += "\":";
-  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void AppendString(std::string& out, std::string_view key,
+                  const std::string& s) {
+  AppendKey(out, key);
+  out += "\"" + JsonEscape(s) + "\"";
+}
+
+void AppendUint(std::string& out, std::string_view key, uint64_t v) {
+  AppendKey(out, key);
+  out += std::to_string(v);
+}
+
+void AppendBool(std::string& out, std::string_view key, bool v) {
+  AppendKey(out, key);
+  out += v ? "true" : "false";
 }
 
 }  // namespace
 
 void AppendRunRecordJson(const RunRecord& r, std::string& out) {
+  if (!r.event.empty()) AppendString(out, "event", r.event);
   AppendString(out, "query_hash", std::to_string(r.query_hash));
   if (!r.query.empty()) AppendString(out, "query", r.query);
-  out += ",\"ok\":";
-  out += r.ok ? "true" : "false";
+  AppendBool(out, "ok", r.ok);
   if (!r.error.empty()) AppendString(out, "error", r.error);
   if (!r.aborted_limit.empty()) {
     AppendString(out, "aborted_limit", r.aborted_limit);
@@ -47,26 +49,46 @@ void AppendRunRecordJson(const RunRecord& r, std::string& out) {
     AppendUint(out, "bytes_allocated", r.bytes_allocated);
   }
   if (r.par_workers > 0) {
-    AppendDouble(out, "parallel_efficiency", r.parallel_efficiency);
+    AppendKey(out, "parallel_efficiency");
+    AppendJson(JsonValue::Number(r.parallel_efficiency), out);
     AppendUint(out, "par_workers", r.par_workers);
   }
-  if (r.ops.empty()) return;
-  out += ",\"ops\":[";
-  for (size_t i = 0; i < r.ops.size(); ++i) {
-    const RunRecord::Op& op = r.ops[i];
-    out += i == 0 ? "{\"path\":\"" : ",{\"path\":\"";
-    out += JsonEscape(op.path) + "\"";
-    AppendString(out, "op", op.op);
-    AppendUint(out, "actual", op.actual_rows);
-    if (op.rows_sorted > 0) AppendUint(out, "rows_sorted", op.rows_sorted);
-    if (op.normalize_ns > 0) AppendUint(out, "normalize_ns", op.normalize_ns);
-    out += "}";
+  if (r.event == "compile") {
+    AppendBool(out, "em_allowed", r.em_allowed);
+    AppendUint(out, "level", static_cast<uint64_t>(r.level));
+    AppendUint(out, "find_count", static_cast<uint64_t>(r.find_count));
+    AppendUint(out, "ranf_size", static_cast<uint64_t>(r.ranf_size));
+    AppendUint(out, "plan_nodes", static_cast<uint64_t>(r.plan_nodes));
   }
-  out += "]";
+  if (r.string_pool_size > 0) {
+    AppendUint(out, "string_pool_size", r.string_pool_size);
+  }
+  if (!r.diagnostics.empty()) {
+    AppendKey(out, "diagnostics");
+    out += diag::ToJson(r.diagnostics);
+  }
+  if (!r.phases.empty()) {
+    AppendKey(out, "phases");
+    out += '{';
+    for (const auto& [name, ns] : r.phases) AppendUint(out, name, ns);
+    out += '}';
+  }
+  if (r.profile.kind != JsonValue::Kind::kNull) {
+    AppendKey(out, "profile");
+    AppendJson(r.profile, out);
+  }
+}
+
+std::string RunRecordToJson(const RunRecord& r) {
+  std::string out = "{";
+  AppendRunRecordJson(r, out);
+  out += '}';
+  return out;
 }
 
 RunRecord RunRecordFromJson(const JsonValue& v) {
   RunRecord r;
+  r.event = v.StringOr("event", "");
   r.query_hash =
       std::strtoull(v.StringOr("query_hash", "0").c_str(), nullptr, 10);
   r.query = v.StringOr("query", "");
@@ -80,20 +102,25 @@ RunRecord RunRecordFromJson(const JsonValue& v) {
   r.bytes_allocated = v.UintOr("bytes_allocated", 0);
   r.parallel_efficiency = v.NumberOr("parallel_efficiency", 0);
   r.par_workers = v.UintOr<uint32_t>("par_workers", 0);
-  if (const JsonValue* ops = v.Find("ops");
-      ops != nullptr && ops->is_array()) {
-    r.ops.reserve(ops->array.size());
-    for (const JsonValue& o : ops->array) {
-      if (!o.is_object()) continue;
-      RunRecord::Op op;
-      op.path = o.StringOr("path", "");
-      op.op = o.StringOr("op", "");
-      op.actual_rows = o.UintOr("actual", 0);
-      op.rows_sorted = o.UintOr("rows_sorted", 0);
-      op.normalize_ns = o.UintOr("normalize_ns", 0);
-      r.ops.push_back(std::move(op));
+  if (const JsonValue* p = v.Find("profile")) r.profile = *p;
+  r.em_allowed = v.BoolOr("em_allowed", false);
+  r.level = v.UintOr<int>("level", 0);
+  r.find_count = v.UintOr<int>("find_count", 0);
+  r.ranf_size = v.UintOr<int>("ranf_size", 0);
+  r.plan_nodes = v.UintOr<int>("plan_nodes", 0);
+  if (const JsonValue* phases = v.Find("phases");
+      phases != nullptr && phases->is_object()) {
+    for (const auto& [name, ns] : phases->object) {
+      if (ns.is_number()) {
+        r.phases.emplace_back(name, phases->UintOr(name, 0));
+      }
     }
   }
+  if (const JsonValue* diags = v.Find("diagnostics");
+      diags != nullptr && diags->is_array()) {
+    r.diagnostics = diag::DiagnosticsFromJson(*diags);
+  }
+  r.string_pool_size = v.UintOr("string_pool_size", 0);
   return r;
 }
 

@@ -804,12 +804,12 @@ class QueryLogLintTest : public ::testing::Test {
     obs::SetQueryLog(nullptr);
   }
 
-  std::vector<obs::QueryLogRecord> Records() {
-    std::vector<obs::QueryLogRecord> out;
+  std::vector<obs::RunRecord> Records() {
+    std::vector<obs::RunRecord> out;
     std::istringstream in(sink_.str());
     std::string line;
     while (std::getline(in, line)) {
-      auto r = obs::ParseQueryLogRecord(line);
+      auto r = obs::ParseQueryLogLine(line);
       EXPECT_TRUE(r.ok()) << line;
       if (r.ok()) out.push_back(*std::move(r));
     }
@@ -827,7 +827,7 @@ TEST_F(QueryLogLintTest, LintWarningsAttachToCompileRecords) {
   auto records = Records();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].event, "compile");
-  EXPECT_TRUE(records[0].run.ok);
+  EXPECT_TRUE(records[0].ok);
   ASSERT_EQ(records[0].diagnostics.size(), 1u);
   EXPECT_EQ(records[0].diagnostics[0].code, "lint.cross-product");
   EXPECT_EQ(records[0].diagnostics[0].severity, Severity::kWarning);
@@ -839,7 +839,7 @@ TEST_F(QueryLogLintTest, SafetyBlameAttachesOnRejection) {
   ASSERT_FALSE(q.ok());
   auto records = Records();
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_FALSE(records[0].run.ok);
+  EXPECT_FALSE(records[0].ok);
   EXPECT_FALSE(records[0].em_allowed);
   ASSERT_FALSE(records[0].diagnostics.empty());
   const Diagnostic& blame = records[0].diagnostics[0];
@@ -854,7 +854,7 @@ TEST_F(QueryLogLintTest, SafetyBlameAttachesOnRejection) {
   ASSERT_FALSE(pq.ok());
   records = Records();
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_FALSE(records[1].run.ok);
+  EXPECT_FALSE(records[1].ok);
   const Diagnostic* param_blame = nullptr;
   for (const Diagnostic& d : records[1].diagnostics) {
     if (d.code.rfind("safety.", 0) == 0) param_blame = &d;

@@ -70,7 +70,7 @@ TEST(InspectSampleLogTest, AbortsBreakDownByLimit) {
 TEST(InspectSampleLogTest, OldFormatLinesRenderUnchanged) {
   obs::QueryLogScan scan = SampleScan();
   size_t runs = 0;
-  for (const obs::QueryLogRecord& r : scan.records) {
+  for (const obs::RunRecord& r : scan.records) {
     if (r.event == "run") ++runs;
   }
   EXPECT_EQ(runs, 9u);
@@ -117,9 +117,8 @@ TEST(InspectSampleLogTest, SummaryRollsUpRunsAndWall) {
 obs::QueryLogScan GeneratedScan() {
   std::string text;
   for (int i = 0; i < 1000; ++i) {
-    obs::QueryLogRecord r;
-    r.event = "run";
-    obs::RunRecord& run = r.run;
+    obs::RunRecord run;
+    run.event = "run";
     run.query = "q" + std::to_string(i);
     run.query_hash = obs::HashQueryText(run.query);
     run.wall_ns = static_cast<uint64_t>(i + 1) * 1000;
@@ -132,7 +131,7 @@ obs::QueryLogScan GeneratedScan() {
       run.ok = false;
       run.error = "INVALID_ARGUMENT: bad";
     }
-    text += obs::QueryLogRecordToJson(r) + "\n";
+    text += obs::RunRecordToJson(run) + "\n";
   }
   return obs::ParseQueryLogText(text);
 }
@@ -176,12 +175,12 @@ class ScopedTempDir {
 };
 
 std::string RunLine(const std::string& query, uint64_t wall_ns) {
-  obs::QueryLogRecord r;
+  obs::RunRecord r;
   r.event = "run";
-  r.run.query = query;
-  r.run.query_hash = obs::HashQueryText(query);
-  r.run.wall_ns = wall_ns;
-  return obs::QueryLogRecordToJson(r) + "\n";
+  r.query = query;
+  r.query_hash = obs::HashQueryText(query);
+  r.wall_ns = wall_ns;
+  return obs::RunRecordToJson(r) + "\n";
 }
 
 TEST(InspectRotationTest, ReadsRotatedSegmentOldestFirst) {
@@ -199,9 +198,9 @@ TEST(InspectRotationTest, ReadsRotatedSegmentOldestFirst) {
   auto scan = obs::ReadQueryLogWithRotation(log);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   ASSERT_EQ(scan->records.size(), 3u);
-  EXPECT_EQ(scan->records[0].run.query, "q_oldest");
-  EXPECT_EQ(scan->records[1].run.query, "q_older");
-  EXPECT_EQ(scan->records[2].run.query, "q_newest");
+  EXPECT_EQ(scan->records[0].query, "q_oldest");
+  EXPECT_EQ(scan->records[1].query, "q_older");
+  EXPECT_EQ(scan->records[2].query, "q_newest");
   EXPECT_EQ(scan->bad_lines, 1u);  // summed across both segments
 }
 
@@ -215,7 +214,7 @@ TEST(InspectRotationTest, NoRotatedSegmentReadsLiveFileOnly) {
   auto scan = obs::ReadQueryLogWithRotation(log);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   ASSERT_EQ(scan->records.size(), 1u);
-  EXPECT_EQ(scan->records[0].run.query, "q_only");
+  EXPECT_EQ(scan->records[0].query, "q_only");
   // A missing live file is an error even if a `.1` segment existed.
   EXPECT_FALSE(
       obs::ReadQueryLogWithRotation(dir.path() + "/no_such_log").ok());
@@ -239,6 +238,7 @@ TEST(InspectBundleTest, ParsesRendersAndConvertsToChromeTrace) {
   EXPECT_EQ(bundle->reason, "governor_abort");
   EXPECT_EQ(bundle->run.aborted_limit, "max_bytes");
   EXPECT_EQ(bundle->run.query_hash, 42u);
+  EXPECT_EQ(bundle->run.profile.StringOr("op", ""), "Scan");
   ASSERT_EQ(bundle->events.size(), 3u);
   EXPECT_EQ(bundle->events[1].kind, "governor_trip");
   EXPECT_EQ(bundle->events[1].arg, 4096u);

@@ -150,6 +150,37 @@ TEST_F(PlanParseTest, Rejections) {
   EXPECT_FALSE(ParseAlgebra(ctx_, "R extra", arities_).ok());
   EXPECT_FALSE(ParseAlgebra(ctx_, "adom", arities_).ok());
   EXPECT_FALSE(ParseAlgebra(ctx_, "select({@1==@2}, )", arities_).ok());
+  // Integer literals one past either int64 end are rejected, as the
+  // calculus parser and the CSV reader reject them, not clamped.
+  for (const char* text : {"project([9223372036854775808], R)",
+                           "project([-9223372036854775809], R)"}) {
+    auto plan = ParseAlgebra(ctx_, text, arities_);
+    ASSERT_FALSE(plan.ok()) << text;
+    EXPECT_EQ(plan.status().message(), "integer literal out of range")
+        << text;
+  }
+}
+
+// Integer literals at the int64 ends and at the +-2^62 seam between
+// inline and pooled ints print and reparse to the same plan and value.
+TEST_F(PlanParseTest, IntegerLiteralsRoundTripAtTheBoundaries) {
+  constexpr int64_t kSeam = int64_t{1} << 62;
+  for (int64_t v : {std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max(), -kSeam - 1, -kSeam,
+                    kSeam - 1, kSeam}) {
+    const std::string text = "project([" + std::to_string(v) + "], R)";
+    auto plan = ParseAlgebra(ctx_, text, arities_);
+    ASSERT_TRUE(plan.ok()) << text << ": " << plan.status().ToString();
+    std::string printed = AlgExprToString(ctx_, *plan);
+    auto reparsed = ParseAlgebra(ctx_, printed, arities_);
+    ASSERT_TRUE(reparsed.ok()) << printed;
+    EXPECT_TRUE(AlgExprsEqual(*plan, *reparsed)) << printed;
+    auto answer = EvaluateAlgebra(ctx_, *reparsed, db_, registry_);
+    ASSERT_TRUE(answer.ok()) << printed;
+    Relation want(1);
+    want.Insert({Value::Int(v)});
+    EXPECT_EQ(*answer, want) << printed;
+  }
 }
 
 // Round-trip property over real translator output.

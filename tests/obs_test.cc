@@ -315,44 +315,71 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
   EXPECT_TRUE(obs::ParseJson("{\"a\":[1,2.5,\"s\",true,null]}").ok());
 }
 
+// A compile record round-trips through its query-log line: the analysis,
+// the phases and the diagnostics all survive, and no execution member is
+// written.
 TEST(QueryLogTest, RecordRoundTripsThroughJson) {
-  obs::QueryLogRecord r;
+  obs::RunRecord r;
   r.event = "compile";
-  r.run.query = "{x | R(x) and \"quoted\"}";
-  r.run.query_hash = obs::HashQueryText(r.run.query);
-  r.run.ok = false;
-  r.run.error = "NOT_SAFE: unbounded variable";
-  r.run.wall_ns = 123456;
+  r.query = "{x | R(x) and \"quoted\"}";
+  r.query_hash = obs::HashQueryText(r.query);
+  r.ok = false;
+  r.error = "NOT_SAFE: unbounded variable";
+  r.wall_ns = 123456;
   r.em_allowed = false;
   r.level = 3;
   r.find_count = 4;
   r.ranf_size = 17;
   r.plan_nodes = 9;
   r.string_pool_size = 42;
-  r.phase_ns = {{"parse", 1000}, {"translate.safety", 2500}};
+  r.phases = {{"parse", 1000}, {"translate.safety", 2500}};
+  diag::Diagnostic blame("safety.unbounded-free", diag::Severity::kError,
+                         "free variable {x} is not bounded");
+  blame.WithSpan(diag::SourceSpan{5, 9}).AddNote("bd(body) = {}");
+  r.diagnostics = {blame};
 
-  std::string line = obs::QueryLogRecordToJson(r);
-  auto parsed = obs::ParseQueryLogRecord(line);
+  std::string line = obs::RunRecordToJson(r);
+  auto parsed = obs::ParseQueryLogLine(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << line;
-  EXPECT_EQ(parsed->event, r.event);
-  EXPECT_EQ(parsed->run, r.run);
-  EXPECT_EQ(parsed->em_allowed, r.em_allowed);
-  EXPECT_EQ(parsed->level, r.level);
-  EXPECT_EQ(parsed->find_count, r.find_count);
-  EXPECT_EQ(parsed->ranf_size, r.ranf_size);
-  EXPECT_EQ(parsed->plan_nodes, r.plan_nodes);
-  EXPECT_EQ(parsed->string_pool_size, r.string_pool_size);
-  EXPECT_EQ(parsed->phase_ns, r.phase_ns);
+  EXPECT_EQ(*parsed, r) << line;
   // A compile record carries no execution fields.
   EXPECT_EQ(line.find("rows_out"), std::string::npos) << line;
-  EXPECT_EQ(line.find("\"ops\""), std::string::npos) << line;
+  EXPECT_EQ(line.find("\"profile\""), std::string::npos) << line;
+  // A line without an event is not a query-log record.
+  EXPECT_FALSE(obs::ParseQueryLogLine("{\"query_hash\":\"1\"}").ok());
+}
+
+// Writes `run` into an object that already has a member, the way a
+// postmortem bundle embeds it, and reads it back.
+obs::RunRecord WriteThenRead(const obs::RunRecord& run) {
+  std::string json = "{\"k\":0";
+  obs::AppendRunRecordJson(run, json);
+  json += "}";
+  auto doc = obs::ParseJson(json);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << json;
+  return doc.ok() ? obs::RunRecordFromJson(*doc) : obs::RunRecord{};
 }
 
 // The one RunRecord writer and reader are inverse: every field survives,
-// including the per-op samples and a hash above 2^53 (which a JSON number
-// would round).
+// for a run record with its profile tree and a hash above 2^53 (which a
+// JSON number would round), and for a compile record with phases and
+// diagnostics.
 TEST(RunRecordTest, WriterThenReaderIsTheIdentity) {
+  ExecProfile scan;
+  scan.op = PhysOpKind::kScan;
+  scan.detail = "R";
+  scan.stats.rows_out = 100'000'000;
+  scan.stats.normalize_ns = 89;
+  ExecProfile diff;
+  diff.op = PhysOpKind::kDiffAnti;
+  diff.stats.rows_out = 3;
+  diff.stats.rows_sorted = 9900;
+  diff.stats.normalize_ns = 1'234'567;
+  diff.total_peak_bytes = 1 << 20;
+  diff.children.push_back(scan);
+
   obs::RunRecord run;
+  run.event = "run";
   run.query_hash = (uint64_t{1} << 53) + 12345;
   run.query = "{x | R(x) and \"quoted\"}";
   run.ok = false;
@@ -364,37 +391,69 @@ TEST(RunRecordTest, WriterThenReaderIsTheIdentity) {
   run.bytes_allocated = 3 << 20;
   run.parallel_efficiency = 0.6180339887498949;
   run.par_workers = 4;
-  run.ops = {{"Diff", "Diff", 3},
-             {"Diff/0:HashJoin", "HashJoin(keys=1)", 100000000},
-             {"Diff/1:Scan", "Scan(R)", 0}};
-  // The sort split: an operator that sorted, and one that only deduped.
-  run.ops[0].rows_sorted = 9900;
-  run.ops[0].normalize_ns = 1'234'567;
-  run.ops[1].normalize_ns = 89;
+  run.profile = ExecProfileToJson(diff);
+  run.string_pool_size = 17;
+  EXPECT_EQ(WriteThenRead(run), run);
 
-  std::string json = "{\"k\":0";
-  obs::AppendRunRecordJson(run, json);
-  json += "}";
-  auto doc = obs::ParseJson(json);
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << json;
-  EXPECT_EQ(obs::RunRecordFromJson(*doc), run) << json;
+  obs::RunRecord compile;
+  compile.event = "compile";
+  compile.query = "{x | R(x)}";
+  compile.em_allowed = true;
+  compile.level = 1;
+  compile.find_count = 2;
+  compile.ranf_size = 5;
+  compile.plan_nodes = 3;
+  compile.phases = {{"parse", 10}, {"translate.ranf", 20}};
+  compile.diagnostics = {diag::Diagnostic(
+      "lint.cross-product", diag::Severity::kWarning, "cross product")};
+  EXPECT_EQ(WriteThenRead(compile), compile);
 
   // Zero and empty members are omitted and read back as their defaults.
   obs::RunRecord empty;
-  json = "{\"k\":0";
+  std::string json = "{\"k\":0";
   obs::AppendRunRecordJson(empty, json);
   json += "}";
   EXPECT_EQ(json,
             "{\"k\":0,\"query_hash\":\"0\",\"ok\":true,\"wall_ns\":0}");
-  doc = obs::ParseJson(json);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(obs::RunRecordFromJson(*doc), empty);
+  EXPECT_EQ(WriteThenRead(empty), empty);
+  // As a line of its own, the first member takes no comma.
+  EXPECT_EQ(obs::RunRecordToJson(empty),
+            "{\"query_hash\":\"0\",\"ok\":true,\"wall_ns\":0}");
 }
 
-// A record built from a real run writes only the members RunRecord has:
-// none of the estimate keys older records carry (est, factor,
-// est_history_runs, est_history_ops, misestimate_*). Those keys in an old
-// line are ignored, and the rest of the line still loads.
+// A query-log line holds the whole profile tree, so the reader must take
+// a deep plan: a 200-operator chain round-trips, while a document nested
+// past the parser's bound is still refused.
+TEST(RunRecordTest, DeepProfileLineParses) {
+  ExecProfile chain;
+  chain.op = PhysOpKind::kScan;
+  chain.detail = "R";
+  for (int i = 0; i < 199; ++i) {
+    ExecProfile parent;
+    parent.op = PhysOpKind::kFilterSelect;
+    parent.children.push_back(std::move(chain));
+    chain = std::move(parent);
+  }
+  obs::RunRecord run;
+  run.event = "run";
+  run.profile = ExecProfileToJson(chain);
+  auto parsed = obs::ParseQueryLogLine(obs::RunRecordToJson(run));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(*parsed, run);
+
+  std::string deep(600, '[');
+  deep += std::string(600, ']');
+  auto refused = obs::ParseJson(deep);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("nesting too deep"),
+            std::string::npos);
+}
+
+// A record built from a real run carries the run's profile tree, written
+// by the one profile encoder, and none of the per-operator keys older
+// records carry (ops, est, factor, est_history_*, misestimate_*). Lines in
+// the parent's formats still load: their ops samples and estimate keys
+// are ignored, and the rest of the line keeps its values.
 TEST(RunRecordTest, FreshRecordsWriteNoEstimateKeys) {
   Compiler compiler;
   Database db;
@@ -407,17 +466,18 @@ TEST(RunRecordTest, FreshRecordsWriteNoEstimateKeys) {
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   obs::RunRecord run = BuildRunRecord(7, "q", answer.status(),
                                       answer->size(), 1000, 1, profile);
-  ASSERT_FALSE(run.ops.empty());
-  std::string json = "{\"k\":0";
-  obs::AppendRunRecordJson(run, json);
-  json += "}";
-  for (const char* key : {"\"est\"", "\"factor\"", "\"est_history_runs\"",
-                          "\"est_history_ops\"", "misestimate"}) {
+  EXPECT_EQ(run.profile, ExecProfileToJson(profile));
+  std::string json = obs::RunRecordToJson(run);
+  for (const char* key : {"\"ops\"", "\"est\"", "\"factor\"",
+                          "\"est_history_runs\"", "\"est_history_ops\"",
+                          "misestimate"}) {
     EXPECT_EQ(json.find(key), std::string::npos) << key << " in " << json;
   }
-  auto doc = obs::ParseJson(json);
-  ASSERT_TRUE(doc.ok()) << json;
-  EXPECT_EQ(obs::RunRecordFromJson(*doc), run) << json;
+  EXPECT_EQ(WriteThenRead(run), run) << json;
+  // The record's tree reads back into the profile it was encoded from.
+  auto tree = ExecProfileFromJson(run.profile);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(obs::ToJson(ExecProfileToJson(*tree)), obs::ToJson(run.profile));
 
   auto old = obs::ParseJson(
       "{\"query_hash\":\"9\",\"ok\":true,\"wall_ns\":5,\"rows_out\":2,"
@@ -430,8 +490,27 @@ TEST(RunRecordTest, FreshRecordsWriteNoEstimateKeys) {
   EXPECT_EQ(loaded.query_hash, 9u);
   EXPECT_EQ(loaded.wall_ns, 5u);
   EXPECT_EQ(loaded.rows_out, 2u);
-  ASSERT_EQ(loaded.ops.size(), 1u);
-  EXPECT_EQ(loaded.ops[0], (obs::RunRecord::Op{"Scan", "Scan(R)", 2}));
+  EXPECT_EQ(loaded.profile.kind, obs::JsonValue::Kind::kNull);
+
+  // A parent-format run line: the operator-path samples beside the
+  // parallel summary.
+  auto parent = obs::ParseQueryLogLine(
+      "{\"event\":\"run\",\"query_hash\":\"11\",\"query\":\"{x | R(x)}\","
+      "\"ok\":true,\"wall_ns\":7000,\"rows_out\":3,\"exec_threads\":2,"
+      "\"peak_bytes\":4096,\"parallel_efficiency\":0.75,"
+      "\"par_workers\":2,\"ops\":[{\"path\":\"Scan\",\"op\":\"Scan(R)\","
+      "\"actual\":3,\"rows_sorted\":3,\"normalize_ns\":40}],"
+      "\"string_pool_size\":6}");
+  ASSERT_TRUE(parent.ok()) << parent.status().ToString();
+  EXPECT_EQ(parent->event, "run");
+  EXPECT_EQ(parent->query_hash, 11u);
+  EXPECT_EQ(parent->rows_out, 3u);
+  EXPECT_EQ(parent->exec_threads, 2u);
+  EXPECT_EQ(parent->peak_bytes, 4096u);
+  EXPECT_DOUBLE_EQ(parent->parallel_efficiency, 0.75);
+  EXPECT_EQ(parent->par_workers, 2u);
+  EXPECT_EQ(parent->string_pool_size, 6u);
+  EXPECT_EQ(parent->profile.kind, obs::JsonValue::Kind::kNull);
 }
 
 // Counts read from JSON are checked, never cast blindly: a negative,
@@ -474,8 +553,8 @@ TEST(QueryLogTest, NegativeCountsReadAsZero) {
       "{\"event\":\"run\",\"query_hash\":\"1\",\"query\":\"{x | R(x)}\","
       "\"ok\":true,\"wall_ns\":-1,\"rows_out\":-3}\n");
   ASSERT_EQ(scan.records.size(), 1u);
-  EXPECT_EQ(scan.records[0].run.wall_ns, 0u);
-  EXPECT_EQ(scan.records[0].run.rows_out, 0u);
+  EXPECT_EQ(scan.records[0].wall_ns, 0u);
+  EXPECT_EQ(scan.records[0].rows_out, 0u);
   EXPECT_EQ(obs::RenderTopSlowest(scan, 1),
             "top 1 slowest runs\n"
             "  1. 0.000ms rows=0  {x | R(x)}\n");
@@ -491,12 +570,12 @@ TEST(QueryLogTest, HashIsStableFnv1a) {
 TEST(QueryLogTest, SinkEmitsOneValidJsonObjectPerLine) {
   std::ostringstream out;
   obs::QueryLog log(&out);
-  obs::QueryLogRecord r;
+  obs::RunRecord r;
   r.event = "run";
-  r.run.query = "{x | R(x)}";
-  r.run.rows_out = 2;
+  r.query = "{x | R(x)}";
+  r.rows_out = 2;
   log.Write(r);
-  r.run.rows_out = 5;
+  r.rows_out = 5;
   log.Write(r);
 
   std::istringstream in(out.str());
@@ -674,43 +753,45 @@ TEST_F(ObsEndToEndTest, QueryLogRecordsCompileAndRunWithSharedHash) {
   ASSERT_TRUE(pq->Run(db_, {Value::Int(1)}).ok());
   obs::SetQueryLog(saved);
 
-  std::vector<obs::QueryLogRecord> records;
+  std::vector<obs::RunRecord> records;
   std::istringstream in(out.str());
   std::string line;
   while (std::getline(in, line)) {
-    auto r = obs::ParseQueryLogRecord(line);
+    auto r = obs::ParseQueryLogLine(line);
     ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << line;
     records.push_back(*std::move(r));
   }
   ASSERT_EQ(records.size(), 5u);
 
   EXPECT_EQ(records[0].event, "compile");
-  EXPECT_TRUE(records[0].run.ok);
+  EXPECT_TRUE(records[0].ok);
   EXPECT_TRUE(records[0].em_allowed);
   EXPECT_GT(records[0].plan_nodes, 0);
-  EXPECT_GT(records[0].run.wall_ns, 0u);
-  EXPECT_FALSE(records[0].phase_ns.empty());
-  EXPECT_EQ(records[0].run.query_hash, obs::HashQueryText(text));
+  EXPECT_GT(records[0].wall_ns, 0u);
+  EXPECT_FALSE(records[0].phases.empty());
+  EXPECT_EQ(records[0].query_hash, obs::HashQueryText(text));
 
   EXPECT_EQ(records[1].event, "run");
-  EXPECT_TRUE(records[1].run.ok);
-  EXPECT_EQ(records[1].run.rows_out, 3u);  // every EDGE node has a successor
-  EXPECT_EQ(records[1].run.query_hash, records[0].run.query_hash);
-  EXPECT_GE(records[1].run.exec_threads, 1u);  // 0 = hardware is resolved
+  EXPECT_TRUE(records[1].ok);
+  EXPECT_EQ(records[1].rows_out, 3u);  // every EDGE node has a successor
+  EXPECT_EQ(records[1].query_hash, records[0].query_hash);
+  EXPECT_GE(records[1].exec_threads, 1u);  // 0 = hardware is resolved
+  EXPECT_TRUE(records[1].profile.is_object());
+  EXPECT_EQ(records[1].profile.StringOr("op", ""), "ProjectMap");
 
   EXPECT_EQ(records[2].event, "compile");
-  EXPECT_FALSE(records[2].run.ok);
+  EXPECT_FALSE(records[2].ok);
   EXPECT_FALSE(records[2].em_allowed);
-  EXPECT_FALSE(records[2].run.error.empty());
+  EXPECT_FALSE(records[2].error.empty());
 
   EXPECT_EQ(records[3].event, "compile");
-  EXPECT_TRUE(records[3].run.ok);
-  EXPECT_EQ(records[3].run.query, param_text);
-  EXPECT_EQ(records[3].run.query_hash, obs::HashQueryText(param_text));
+  EXPECT_TRUE(records[3].ok);
+  EXPECT_EQ(records[3].query, param_text);
+  EXPECT_EQ(records[3].query_hash, obs::HashQueryText(param_text));
   EXPECT_EQ(records[4].event, "run");
-  EXPECT_TRUE(records[4].run.ok);
-  EXPECT_EQ(records[4].run.query, param_text);
-  EXPECT_EQ(records[4].run.query_hash, records[3].run.query_hash);
+  EXPECT_TRUE(records[4].ok);
+  EXPECT_EQ(records[4].query, param_text);
+  EXPECT_EQ(records[4].query_hash, records[3].query_hash);
 }
 
 TEST(MetricsTest, PrometheusExpositionRendersAllMetricKinds) {
@@ -763,17 +844,15 @@ class QueryLogFileTest : public ::testing::Test {
     return buf.str();
   }
 
-  static obs::QueryLogRecord RunLine(const std::string& query, bool ok,
-                                     const std::string& aborted_limit) {
-    obs::QueryLogRecord r;
+  static obs::RunRecord RunLine(const std::string& query, bool ok,
+                                const std::string& aborted_limit) {
+    obs::RunRecord r;
     r.event = "run";
-    r.run.query = query;
-    r.run.query_hash = obs::HashQueryText(query);
-    r.run.ok = ok;
-    r.run.aborted_limit = aborted_limit;
-    if (!ok) {
-      r.run.error = "RESOURCE_EXHAUSTED: " + aborted_limit + " exceeded";
-    }
+    r.query = query;
+    r.query_hash = obs::HashQueryText(query);
+    r.ok = ok;
+    r.aborted_limit = aborted_limit;
+    if (!ok) r.error = "RESOURCE_EXHAUSTED: " + aborted_limit + " exceeded";
     return r;
   }
 
@@ -825,10 +904,10 @@ TEST_F(QueryLogFileTest, RotatesToDotOneAtSizeCap) {
   EXPECT_GT(rotated.records.size(), 0u);
   bool newest_present = false;
   for (const auto& r : live.records) {
-    if (r.run.query == "{x | R39(x)}") newest_present = true;
+    if (r.query == "{x | R39(x)}") newest_present = true;
   }
   for (const auto& r : rotated.records) {
-    if (r.run.query == "{x | R39(x)}") newest_present = true;
+    if (r.query == "{x | R39(x)}") newest_present = true;
   }
   EXPECT_TRUE(newest_present);
 }
@@ -862,47 +941,6 @@ TEST(ThreadPoolTelemetryTest, RegionStatsCountMorselsAndBusyTime) {
   EXPECT_GT(stats.busy_ns, 0u);
   EXPECT_EQ(stats.morsels, (10'000u + 255) / 256);
   EXPECT_GE(stats.max_workers, 1u);
-}
-
-TEST(ThreadPoolTelemetryTest, WorkerTelemetryAccumulatesAndRendersAsJson) {
-  if (ThreadPool::Global().parallelism() <= 1) {
-    // Single-core box without EMCALC_HARDWARE_THREADS: the pool has no
-    // workers and every region inlines. The TSAN CI leg pins 4 threads.
-    GTEST_SKIP() << "thread pool has no workers";
-  }
-  // The caller drains morsels alongside the workers, so one region may
-  // finish before any pool thread wakes; repeat until a worker shows up.
-  uint64_t worker_morsels = 0;
-  for (int attempt = 0; attempt < 100 && worker_morsels == 0; ++attempt) {
-    ThreadPool::Global().ParallelFor(
-        /*total=*/100'000, /*grain=*/64, /*max_workers=*/4,
-        [](size_t /*worker*/, size_t begin, size_t end) {
-          volatile uint64_t sink = 0;
-          for (size_t i = begin; i < end; ++i) sink = sink + i;
-        });
-    worker_morsels = 0;
-    for (const ThreadPool::WorkerTelemetry& w :
-         ThreadPool::Global().Telemetry()) {
-      worker_morsels += w.morsels;
-    }
-  }
-  EXPECT_GT(worker_morsels, 0u);
-
-  auto json = obs::ParseJson(ThreadPool::GlobalTelemetryJson());
-  ASSERT_TRUE(json.ok()) << ThreadPool::GlobalTelemetryJson();
-  EXPECT_GT(json->NumberOr("parallelism", 0), 0);
-  const obs::JsonValue* workers = json->Find("workers");
-  ASSERT_NE(workers, nullptr);
-  ASSERT_TRUE(workers->is_array());
-  ASSERT_FALSE(workers->array.empty());
-  uint64_t json_morsels = 0;
-  for (const obs::JsonValue& w : workers->array) {
-    json_morsels += static_cast<uint64_t>(w.NumberOr("morsels", 0));
-    EXPECT_GE(w.NumberOr("busy_ns", -1), 0);
-    EXPECT_GE(w.NumberOr("idle_ns", -1), 0);
-    EXPECT_GE(w.NumberOr("regions", -1), 0);
-  }
-  EXPECT_GE(json_morsels, worker_morsels);
 }
 
 TEST_F(ObsEndToEndTest, ParameterizedQueryProfileParity) {

@@ -271,10 +271,10 @@ TEST(PipelineInvariantsTest, VerifyViolationsAttachToCompileRecords) {
   std::istringstream in(sink.str());
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
-  auto record = obs::ParseQueryLogRecord(line);
+  auto record = obs::ParseQueryLogLine(line);
   ASSERT_TRUE(record.ok()) << line;
   EXPECT_EQ(record->event, "compile");
-  EXPECT_FALSE(record->run.ok);
+  EXPECT_FALSE(record->ok);
   bool found = false;
   for (const diag::Diagnostic& d : record->diagnostics) {
     if (d.code == "verify.form.rel-arity") found = true;

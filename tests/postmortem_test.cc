@@ -169,15 +169,21 @@ TEST(PostmortemTest, BundleRoundTripsThroughInspect) {
   run.aborted_limit = "max_bytes";
   run.wall_ns = 4242;
   run.peak_bytes = 1 << 12;
-  run.ops = {{"Scan", "Scan(R)", 10, 40, 4}};
-  auto path = obs::WritePostmortem("manual", &run, "{\"op\":\"Scan\"}");
+  ExecProfile scan;
+  scan.op = PhysOpKind::kScan;
+  scan.detail = "R";
+  scan.stats.rows_out = 10;
+  scan.stats.rows_sorted = 40;
+  scan.stats.normalize_ns = 4;
+  run.profile = ExecProfileToJson(scan);
+  auto path = obs::WritePostmortem("manual", &run);
   ASSERT_TRUE(path.ok()) << path.status().ToString();
 
   auto bundle = obs::ReadPostmortemBundle(*path);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_EQ(bundle->reason, "manual");
   EXPECT_EQ(bundle->run, run);
-  EXPECT_EQ(bundle->profile.StringOr("op", ""), "Scan");
+  EXPECT_EQ(bundle->run.profile.StringOr("op", ""), "Scan");
   ASSERT_GE(bundle->events.size(), 2u);
 
   std::string rendered = obs::RenderBundle(*bundle);
@@ -195,7 +201,57 @@ TEST(PostmortemTest, BundleRoundTripsThroughInspect) {
 
 TEST(PostmortemTest, DisabledWriterFails) {
   ScopedPostmortemDir postmortem("");
-  EXPECT_FALSE(obs::WritePostmortem("manual", nullptr, "").ok());
+  EXPECT_FALSE(obs::WritePostmortem("manual", nullptr).ok());
+}
+
+// A bundle in the parent's format (as its writer produced it for a
+// governor abort, with the metrics and flight events trimmed): the
+// operator-path samples "ops" and the pool's "pool" telemetry beside a
+// top-level "profile". It loads: the profile becomes the record's, and the
+// dropped members are ignored.
+TEST(PostmortemTest, ParentFormatBundleLoads) {
+  const std::string profile =
+      "{\"op\":\"ProjectMap\",\"detail\":\"cols=1\",\"arity\":1,"
+      "\"shared_ref\":false,\"stats\":{\"invocations\":1,\"rows_in\":3,"
+      "\"rows_out\":0,\"build_rows\":0,\"hash_probes\":0,"
+      "\"function_calls\":0,\"tuple_copies\":0,\"cache_hits\":0,"
+      "\"wall_ns\":13896,\"rows_sorted\":0,\"normalize_ns\":52,"
+      "\"bytes_allocated\":24,\"peak_bytes\":24,\"par_wall_ns\":0,"
+      "\"par_busy_ns\":0,\"par_morsels\":0,\"par_workers\":0,"
+      "\"batches\":0,\"batch_rows\":0,\"batch_sel_rows\":0},"
+      "\"total_peak_bytes\":24,\"total_bytes_allocated\":24,"
+      "\"children\":[]}";
+  const std::string bundle_json =
+      "{\"schema\":1,\"reason\":\"governor_abort\","
+      "\"query_hash\":\"3707546605564466764\","
+      "\"query\":\"{x | exists y (EDGE(x, y))}\",\"ok\":false,"
+      "\"error\":\"RESOURCE_EXHAUSTED: max_bytes exceeded: used 24 bytes, "
+      "limit 1\",\"aborted_limit\":\"max_bytes\",\"wall_ns\":58275,"
+      "\"exec_threads\":4,\"peak_bytes\":24,\"bytes_allocated\":24,"
+      "\"ops\":[{\"path\":\"ProjectMap\",\"op\":\"ProjectMap(cols=1)\","
+      "\"actual\":0,\"normalize_ns\":52}],"
+      "\"profile\":" + profile + ","
+      "\"metrics\":{\"counters\":{\"exec.runs\":1}},"
+      "\"pool\":{\"parallelism\":4,\"workers\":[{\"busy_ns\":10,"
+      "\"idle_ns\":20,\"morsels\":1,\"regions\":1}]},"
+      "\"flight_recorder\":[{\"ts_ns\":1,\"tid\":1,\"kind\":\"span_begin\","
+      "\"name\":\"exec.run\",\"arg\":0}]}";
+  auto bundle = obs::ParsePostmortemBundle(bundle_json);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  EXPECT_EQ(bundle->reason, "governor_abort");
+  EXPECT_EQ(bundle->run.query_hash, 3707546605564466764u);
+  EXPECT_EQ(bundle->run.aborted_limit, "max_bytes");
+  EXPECT_EQ(bundle->run.peak_bytes, 24u);
+  auto expected = obs::ParseJson(profile);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(bundle->run.profile, *expected);
+  auto tree = ExecProfileFromJson(bundle->run.profile);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(tree->stats.normalize_ns, 52u);
+  EXPECT_EQ(bundle->metrics.Find("counters")->UintOr("exec.runs", 0), 1u);
+  ASSERT_EQ(bundle->events.size(), 1u);
+  // The profile is written back by the one encoder, byte for byte.
+  EXPECT_EQ(obs::ToJson(ExecProfileToJson(*tree)), profile);
 }
 
 TEST(PostmortemTest, GovernorAbortWritesBundleMatchingQueryLog) {
@@ -251,20 +307,21 @@ TEST(PostmortemTest, GovernorAbortWritesBundleMatchingQueryLog) {
   obs::QueryLogScan scan = obs::ParseQueryLogText(log_buffer.str());
   ASSERT_EQ(scan.bad_lines, 0u);
   bool found_run = false;
-  for (const obs::QueryLogRecord& r : scan.records) {
+  for (const obs::RunRecord& r : scan.records) {
     if (r.event != "run") continue;
     found_run = true;
-    EXPECT_FALSE(r.run.ok);
-    EXPECT_EQ(r.run.aborted_limit, bundle->run.aborted_limit);
-    EXPECT_EQ(r.run.query_hash, bundle->run.query_hash);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.aborted_limit, bundle->run.aborted_limit);
+    EXPECT_EQ(r.query_hash, bundle->run.query_hash);
   }
   EXPECT_TRUE(found_run);
   obs::ResetFlightRingForTesting(obs::FlightRingCapacity());
 }
 
 // One aborted run, two sinks: the query log and the postmortem bundle
-// serialize the same RunRecord, so every field agrees, and rows_out is 0
-// rather than the aborted root's partial count (1000 here).
+// serialize the same RunRecord, so every field agrees, the profile tree
+// included, and rows_out is 0 rather than the aborted root's partial count
+// (1000 here).
 TEST(PostmortemTest, AllSinksAgreeOnAnAbortedRun) {
   ScopedTempDir dir("sinks_agree");
   ScopedPostmortemDir postmortem(dir.path() + "/bundles");
@@ -289,9 +346,9 @@ TEST(PostmortemTest, AllSinksAgreeOnAnAbortedRun) {
   ASSERT_FALSE(aborted.ok());
 
   std::vector<obs::RunRecord> logged;
-  for (const obs::QueryLogRecord& r :
+  for (obs::RunRecord& r :
        obs::ParseQueryLogText(log_buffer.str()).records) {
-    if (r.event == "run") logged.push_back(r.run);
+    if (r.event == "run") logged.push_back(std::move(r));
   }
   ASSERT_EQ(logged.size(), 1u);
 
@@ -310,7 +367,12 @@ TEST(PostmortemTest, AllSinksAgreeOnAnAbortedRun) {
   EXPECT_EQ(run.aborted_limit, "max_bytes");
   EXPECT_EQ(run.rows_out, 0u);
   EXPECT_GT(run.peak_bytes, 0u);
-  EXPECT_FALSE(run.ops.empty());
+  // The partial profile: the aborted root with its inputs below it.
+  ASSERT_TRUE(run.profile.is_object());
+  auto tree = ExecProfileFromJson(run.profile);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_FALSE(tree->children.empty());
+  EXPECT_EQ(static_cast<uint64_t>(tree->total_peak_bytes), run.peak_bytes);
   const obs::RunRecord& other = bundle->run;
   EXPECT_EQ(other.query_hash, run.query_hash);
   EXPECT_EQ(other.ok, run.ok);
@@ -319,7 +381,7 @@ TEST(PostmortemTest, AllSinksAgreeOnAnAbortedRun) {
   EXPECT_EQ(other.wall_ns, run.wall_ns);
   EXPECT_EQ(other.rows_out, 0u);
   EXPECT_EQ(other.peak_bytes, run.peak_bytes);
-  EXPECT_EQ(other.ops, run.ops);
+  EXPECT_EQ(other.profile, run.profile);
   EXPECT_EQ(other, run);  // and every other field
 }
 

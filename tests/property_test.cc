@@ -145,7 +145,7 @@ TEST_P(PropertyTest, BaselineAgreesWithDirectTranslation) {
     auto a = EvaluateAlgebra(ctx, direct->plan, db, registry);
     ASSERT_TRUE(a.ok());
     ExecOptions budget;
-    budget.adom_budget = 100000;
+    budget.limits.max_term_closure_size = 100000;
     auto b = EvaluateAlgebra(ctx, *baseline, db, registry, nullptr, budget);
     if (!b.ok()) continue;  // closure budget blown: skip
     EXPECT_EQ(*a, *b) << QueryToString(ctx, *q) << "\nbaseline: "

@@ -418,8 +418,10 @@ TEST(ExecProfileTest, JsonRoundTripIsExact) {
   profile.children[0].stats.rows_sorted = 7;
   profile.children[0].stats.normalize_ns = 11;
 
-  std::string json = ExecProfileToJson(profile);
-  auto parsed = ExecProfileFromJson(json);
+  std::string json = obs::ToJson(ExecProfileToJson(profile));
+  auto doc = obs::ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << json;
+  auto parsed = ExecProfileFromJson(*doc);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << json;
   EXPECT_EQ(parsed->op, profile.op);
   EXPECT_EQ(parsed->children.size(), profile.children.size());
@@ -433,7 +435,7 @@ TEST(ExecProfileTest, JsonRoundTripIsExact) {
   EXPECT_EQ(parsed->total_peak_bytes, profile.total_peak_bytes);
   EXPECT_EQ(parsed->total_bytes_allocated, profile.total_bytes_allocated);
   // Byte-exact round trip: re-serializing reproduces the document.
-  EXPECT_EQ(ExecProfileToJson(*parsed), json);
+  EXPECT_EQ(obs::ToJson(ExecProfileToJson(*parsed)), json);
 }
 
 // Recursively sums the par_* contention fields over a profile tree.
@@ -464,10 +466,12 @@ TEST(ExecProfileTest, ParallelRegionsFillContentionTelemetry) {
   EXPECT_GT(wall, 0u);
 
   // The par_* fields survive the JSON round trip byte-exactly.
-  std::string json = ExecProfileToJson(profile);
-  auto parsed = ExecProfileFromJson(json);
+  std::string json = obs::ToJson(ExecProfileToJson(profile));
+  auto doc = obs::ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << json;
+  auto parsed = ExecProfileFromJson(*doc);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(ExecProfileToJson(*parsed), json);
+  EXPECT_EQ(obs::ToJson(ExecProfileToJson(*parsed)), json);
   EXPECT_EQ(parsed->stats.par_morsels, profile.stats.par_morsels);
   EXPECT_EQ(parsed->stats.par_workers, profile.stats.par_workers);
 }
@@ -509,9 +513,11 @@ TEST(ExecProfileTest, ParallelSummaryAggregatesAndClampsEfficiency) {
   EXPECT_DOUBLE_EQ(ParallelSummary{}.Efficiency(), 0.0);
 }
 
-// One sample per operator in DFS order, left input first, each under its
-// path; Materialize nodes and shared-reference stubs contribute none.
-TEST(RunFeedbackTest, OpsSkipMaterializeAndSharedStubs) {
+// The run record carries the whole profile tree, written by the one
+// profile encoder: Materialize nodes and shared-reference stubs stay in
+// place, left input first, and every operator keeps its rows and sort
+// split.
+TEST(RunFeedbackTest, RecordCarriesTheWholeProfileTree) {
   ExecProfile scan;
   scan.op = PhysOpKind::kScan;
   scan.detail = "R";
@@ -537,15 +543,26 @@ TEST(RunFeedbackTest, OpsSkipMaterializeAndSharedStubs) {
 
   obs::RunRecord run =
       BuildRunRecord(0, "", Status::Ok(), 1000, 0, 1, join);
-  ASSERT_EQ(run.ops.size(), 2u);
-  EXPECT_EQ(run.ops[0].path, "HashJoin");
-  EXPECT_EQ(run.ops[0].op, "HashJoin(keys=1)");
-  EXPECT_EQ(run.ops[0].actual_rows, 1000u);
-  EXPECT_EQ(run.ops[0].normalize_ns, 40u);
-  EXPECT_EQ(run.ops[1].path, "HashJoin/0:Materialize/0:Scan");
-  EXPECT_EQ(run.ops[1].op, "Scan(R)");
-  EXPECT_EQ(run.ops[1].actual_rows, 500u);
-  EXPECT_EQ(run.ops[1].rows_sorted, 7u);
+  EXPECT_EQ(run.event, "run");
+  EXPECT_EQ(run.profile, ExecProfileToJson(join));
+  const obs::JsonValue& root = run.profile;
+  EXPECT_EQ(root.StringOr("op", ""), "HashJoin");
+  EXPECT_EQ(root.StringOr("detail", ""), "keys=1");
+  EXPECT_EQ(root.Find("stats")->UintOr("rows_out", 0), 1000u);
+  EXPECT_EQ(root.Find("stats")->UintOr("normalize_ns", 0), 40u);
+  const obs::JsonValue* inputs = root.Find("children");
+  ASSERT_NE(inputs, nullptr);
+  ASSERT_EQ(inputs->array.size(), 2u);
+  const obs::JsonValue& memo_json = inputs->array[0];
+  EXPECT_EQ(memo_json.StringOr("op", ""), "Materialize");
+  ASSERT_EQ(memo_json.Find("children")->array.size(), 1u);
+  const obs::JsonValue& scan_json = memo_json.Find("children")->array[0];
+  EXPECT_EQ(scan_json.StringOr("op", ""), "Scan");
+  EXPECT_EQ(scan_json.StringOr("detail", ""), "R");
+  EXPECT_EQ(scan_json.Find("stats")->UintOr("rows_out", 0), 500u);
+  EXPECT_EQ(scan_json.Find("stats")->UintOr("rows_sorted", 0), 7u);
+  EXPECT_EQ(inputs->array[1].StringOr("op", ""), "Materialize");
+  EXPECT_TRUE(inputs->array[1].BoolOr("shared_ref", false));
 }
 
 TEST(RunFeedbackTest, ExplainAnalyzeShowsMemory) {
@@ -572,12 +589,12 @@ class ScopedQueryLog {
   }
   ~ScopedQueryLog() { obs::SetQueryLog(saved_); }
 
-  std::vector<obs::QueryLogRecord> RunRecords() {
-    std::vector<obs::QueryLogRecord> out;
+  std::vector<obs::RunRecord> RunRecords() {
+    std::vector<obs::RunRecord> out;
     std::istringstream lines(buffer_.str());
     std::string line;
     while (std::getline(lines, line)) {
-      auto record = obs::ParseQueryLogRecord(line);
+      auto record = obs::ParseQueryLogLine(line);
       if (record.ok() && record->event == "run") {
         out.push_back(std::move(record).value());
       }
@@ -609,16 +626,19 @@ TEST(QueryLogResourceTest, RunRecordsCarryMemoryAndAbortFields) {
   unsetenv("EMCALC_MAX_QUERY_BYTES");
   ASSERT_FALSE(aborted.ok());
 
-  std::vector<obs::QueryLogRecord> runs = log.RunRecords();
+  std::vector<obs::RunRecord> runs = log.RunRecords();
   ASSERT_EQ(runs.size(), 2u);
-  EXPECT_TRUE(runs[0].run.ok);
-  EXPECT_GT(runs[0].run.peak_bytes, 0u);
-  EXPECT_GT(runs[0].run.bytes_allocated, 0u);
-  EXPECT_TRUE(runs[0].run.aborted_limit.empty());
-  EXPECT_FALSE(runs[0].run.ops.empty());
+  EXPECT_TRUE(runs[0].ok);
+  EXPECT_GT(runs[0].peak_bytes, 0u);
+  EXPECT_GT(runs[0].bytes_allocated, 0u);
+  EXPECT_TRUE(runs[0].aborted_limit.empty());
+  // The profile's root carries the query's totals.
+  ASSERT_TRUE(runs[0].profile.is_object());
+  EXPECT_EQ(runs[0].profile.UintOr("total_peak_bytes", 0),
+            runs[0].peak_bytes);
 
-  EXPECT_FALSE(runs[1].run.ok);
-  EXPECT_EQ(runs[1].run.aborted_limit, "max_bytes");
+  EXPECT_FALSE(runs[1].ok);
+  EXPECT_EQ(runs[1].aborted_limit, "max_bytes");
 }
 
 }  // namespace
