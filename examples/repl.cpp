@@ -11,7 +11,9 @@
 //   profile QUERY           run + EXPLAIN COMPILE / EXPLAIN ANALYZE
 //   .lint QUERY             static analysis only: lint + safety diagnostics
 //   .why QUERY              explain a safety verdict (FinD blame trace)
-//   .trace FILE | .trace off   capture spans, write Chrome trace JSON
+//   .trace FILE | .trace off   start a capture; off (or quit) writes the
+//                           flight rings' events since then as Chrome
+//                           trace JSON
 //   .metrics                print a metrics registry snapshot
 //   .mem                    print process memory accounting
 //   .log FILE | .log off    append one JSON-Lines run record per compile
@@ -22,9 +24,10 @@
 //   quit
 //
 // The EMCALC_TRACE / EMCALC_QUERY_LOG / EMCALC_POSTMORTEM_DIR environment
-// variables enable the same sinks without commands (trace flushed at exit;
-// postmortem bundles written on governor aborts, run errors, and fatal
-// signals).
+// variables enable the same sinks without commands (trace written from the
+// flight rings at exit; postmortem bundles written on governor aborts, run
+// errors, and fatal signals).
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -56,7 +59,9 @@ void PrintHelp() {
       "  profile QUERY           run with compile + execution profiles\n"
       "  .lint QUERY             lint + safety diagnostics, don't run\n"
       "  .why QUERY              explain the safety verdict for QUERY\n"
-      "  .trace FILE | off       capture spans to a Chrome trace file\n"
+      "  .trace FILE | off       capture spans from now; off (or quit)\n"
+      "                          writes them as a Chrome trace, at most\n"
+      "                          EMCALC_FLIGHT_RING_EVENTS per thread\n"
       "  .metrics                print the metrics registry snapshot\n"
       "  .mem                    print process memory accounting\n"
       "  .log FILE | off         JSON-Lines log: one record per compile\n"
@@ -155,27 +160,26 @@ void ExplainSafety(emcalc::Compiler& compiler, const std::string& text) {
   }
 }
 
-// Repl-owned trace capture (the `.trace` command). Separate from the
-// EMCALC_TRACE-driven process tracer, which flushes via atexit.
+// The `.trace` command: a capture is the flight rings' events from its
+// start time on, written when it stops.
 struct TraceCapture {
-  emcalc::obs::Tracer tracer;
   std::string path;
+  uint64_t since_ns = 0;
 
   void Flush() {
     if (path.empty()) return;
-    emcalc::Status s = tracer.WriteChromeTrace(path);
-    if (s.ok()) {
-      std::printf("wrote %zu spans to %s\n", tracer.size(), path.c_str());
+    auto written = emcalc::obs::WriteChromeTrace(path, since_ns);
+    if (written.ok()) {
+      std::printf("wrote %zu events to %s\n", *written, path.c_str());
     } else {
-      std::printf("error: %s\n", s.ToString().c_str());
+      std::printf("error: %s\n", written.status().ToString().c_str());
     }
   }
 
   void Start(const std::string& new_path) {
     Flush();
-    tracer.Clear();
     path = new_path;
-    emcalc::obs::SetTracer(&tracer);
+    since_ns = emcalc::obs::NowNs();
     std::printf("tracing to %s\n", path.c_str());
   }
 
@@ -185,10 +189,6 @@ struct TraceCapture {
       return;
     }
     Flush();
-    if (emcalc::obs::GetTracer() == &tracer) {
-      emcalc::obs::SetTracer(nullptr);
-    }
-    tracer.Clear();
     path.clear();
   }
 };

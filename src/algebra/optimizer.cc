@@ -182,7 +182,6 @@ const AlgExpr* OptimizePlan(AlgebraFactory& factory, const AlgExpr* plan) {
   static obs::Counter& passes =
       obs::MetricsRegistry::Instance().GetCounter("optimizer.passes");
   runs.Add();
-  const AlgExpr* original = plan;
   // Rewrite() is single-pass bottom-up with local re-runs; iterate to a
   // fixpoint (plans are small, a handful of passes suffices).
   for (int i = 0; i < 8; ++i) {
@@ -191,10 +190,6 @@ const AlgExpr* OptimizePlan(AlgebraFactory& factory, const AlgExpr* plan) {
     const AlgExpr* next = Rewrite(factory, cache, plan);
     if (next == plan) break;
     plan = next;
-  }
-  if (span.enabled()) {
-    span.SetDetail("nodes " + std::to_string(original->NodeCount()) + "->" +
-                   std::to_string(plan->NodeCount()));
   }
   return plan;
 }

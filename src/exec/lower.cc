@@ -343,9 +343,6 @@ StatusOr<PhysicalPlan> Lower(const AstContext& ctx, const AlgExpr* plan,
     verify::VerifyReport vr = verify::VerifyPhysical(*physical, plan);
     if (!vr.ok()) return vr.ToStatus();
   }
-  if (physical.ok() && span.enabled()) {
-    span.SetDetail("ops=" + std::to_string(physical->NumOperators()));
-  }
   return physical;
 }
 

@@ -693,7 +693,6 @@ StatusOr<ExecContext::Result> ExecContext::Run(const PhysicalOp* op) {
   // One trace span per operator invocation: nested operator spans render
   // as the plan's flame graph next to the compile-phase spans.
   obs::Span span(PhysOpKindName(op->kind));
-  if (span.enabled()) span.SetDetail(OpDetail(op));
   OpStats& s = stats[static_cast<size_t>(op->id)];
   ++s.invocations;
   // All tracked allocations until this frame returns (including child
@@ -1088,9 +1087,6 @@ StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(
     const Database& db, ExecProfile* profile,
     std::span<const Value> args) const {
   obs::Span span("exec.execute");
-  if (span.enabled()) {
-    span.SetDetail("ops=" + std::to_string(ops_.size()));
-  }
   static obs::Counter& executions =
       obs::MetricsRegistry::Instance().GetCounter("exec.plan_executions");
   executions.Add();

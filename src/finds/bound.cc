@@ -42,11 +42,7 @@ const FinDSet& BoundAnalyzer::Bound(const Formula* f) {
   computations.Add();
   // Cache misses only: nested bd spans trace the FinD closure recursion.
   obs::Span span("finds.bd");
-  FinDSet result = Compute(f);
-  if (span.enabled()) {
-    span.SetDetail("finds=" + std::to_string(result.size()));
-  }
-  return cache_.emplace(f, std::move(result)).first->second;
+  return cache_.emplace(f, Compute(f)).first->second;
 }
 
 FinDSet BoundAnalyzer::Compute(const Formula* f) {

@@ -72,9 +72,4 @@ PhaseTimer::PhaseTimer(CompilePhase* parent, const char* name,
 
 PhaseTimer::~PhaseTimer() { phase_->wall_ns = NowNs() - start_ns_; }
 
-void PhaseTimer::SetDetail(std::string detail) {
-  span_.SetDetail(detail);
-  phase_->detail = std::move(detail);
-}
-
 }  // namespace emcalc::obs

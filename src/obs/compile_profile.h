@@ -4,11 +4,11 @@
 // with inclusive wall time and a phase-specific detail string.
 //
 // PhaseTimer is the RAII filler: it appends a child phase to its parent,
-// times the enclosing scope into it, and emits a matching tracer span so
-// the same phase boundaries appear in captured traces. Phase timing is
-// always on (one clock read per phase, independent of whether a tracer is
-// installed), which is what lets CompiledQuery::ExplainCompile() report
-// real durations unconditionally.
+// times the enclosing scope into it, and emits a matching span so the same
+// phase boundaries appear in captured traces. Phase timing is always on
+// (one clock read per phase), which is what lets
+// CompiledQuery::ExplainCompile() report real durations unconditionally.
+// The detail string lives only here: spans carry names, not details.
 //
 // Usage contract: sibling timers on one parent must be sequential (close
 // one before opening the next) — the timer holds a pointer into the
@@ -53,8 +53,8 @@ std::vector<std::pair<std::string, uint64_t>> FlattenPhases(
     const CompilePhase& root);
 
 // RAII: appends a phase named `name` to `parent->children`, times the
-// scope into it, and emits a tracer span named `span_name` (a static
-// string, conventionally "compile.<name>").
+// scope into it, and emits a span named `span_name` (a static string,
+// conventionally "compile.<name>").
 class PhaseTimer {
  public:
   PhaseTimer(CompilePhase* parent, const char* name, const char* span_name);
@@ -64,8 +64,7 @@ class PhaseTimer {
 
   // The phase being timed; valid until the next sibling phase is opened.
   CompilePhase* phase() { return phase_; }
-  // Sets the detail on both the phase and the span.
-  void SetDetail(std::string detail);
+  void SetDetail(std::string detail) { phase_->detail = std::move(detail); }
 
  private:
   CompilePhase* phase_;

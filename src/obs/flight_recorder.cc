@@ -92,8 +92,18 @@ Ring* CreateRing(size_t capacity) {
   return ring;
 }
 
+// One slot as read, name still the writer's pointer (no allocation, so the
+// signal-safe dump can use it).
+struct Slot {
+  uint64_t ts_ns = 0;
+  uint64_t arg = 0;
+  const char* name = "";
+  uint32_t tid = 0;
+  FlightEventKind kind = FlightEventKind::kNone;
+};
+
 // Reads one slot; returns false if it looks unwritten or torn.
-bool ReadSlot(const Ring& ring, uint64_t seq, FlightEvent* out) {
+bool ReadSlot(const Ring& ring, uint64_t seq, Slot* out) {
   size_t base = (seq & (ring.capacity - 1)) * kWordsPerSlot;
   uint64_t ts = ring.words[base].load(std::memory_order_relaxed);
   uint64_t name = ring.words[base + 1].load(std::memory_order_relaxed);
@@ -125,6 +135,14 @@ const char* FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kMark: return "mark";
   }
   return "unknown";
+}
+
+FlightEventKind FlightEventKindFromName(std::string_view name) {
+  for (uint8_t k = 1; k <= kMaxKind; ++k) {
+    auto kind = static_cast<FlightEventKind>(k);
+    if (name == FlightEventKindName(kind)) return kind;
+  }
+  return FlightEventKind::kNone;
 }
 
 bool FlightRecorderEnabled() {
@@ -172,14 +190,18 @@ std::vector<FlightEvent> DrainFlightRecorder() {
     uint64_t head = ring->head.load(std::memory_order_acquire);
     uint64_t start = head > ring->capacity ? head - ring->capacity : 0;
     for (uint64_t seq = start; seq < head; ++seq) {
-      FlightEvent e;
-      if (ReadSlot(*ring, seq, &e)) events.push_back(e);
+      Slot slot;
+      if (!ReadSlot(*ring, seq, &slot)) continue;
+      events.push_back(FlightEvent{slot.ts_ns, slot.arg, slot.name, slot.tid,
+                                   slot.kind});
     }
   }
-  std::sort(events.begin(), events.end(),
-            [](const FlightEvent& a, const FlightEvent& b) {
-              return a.ts_ns < b.ts_ns;
-            });
+  // Stable: a span's begin and a nested begin can share a timestamp, and
+  // their order in the ring is what nests them.
+  std::stable_sort(events.begin(), events.end(),
+                   [](const FlightEvent& a, const FlightEvent& b) {
+                     return a.ts_ns < b.ts_ns;
+                   });
   return events;
 }
 
@@ -251,7 +273,7 @@ void DumpFlightRingsJson(int fd) {
     uint64_t head = ring->head.load(std::memory_order_acquire);
     uint64_t start = head > ring->capacity ? head - ring->capacity : 0;
     for (uint64_t seq = start; seq < head; ++seq) {
-      FlightEvent e;
+      Slot e;
       if (!ReadSlot(*ring, seq, &e)) continue;
       if (!first) RawWriteStr(fd, ",");
       first = false;

@@ -1,9 +1,9 @@
 // Always-on flight recorder: a per-thread, lock-free ring buffer of recent
 // observability events (span begin/end, governor trips, large memory deltas,
-// query start/end). Unlike the Tracer, which must be armed up front and
-// retains everything, the recorder is on by default and keeps only the last
-// few thousand events per thread, so the moments before an abort or crash
-// are recoverable after the fact.
+// query start/end). It is the one sink of obs::Span (src/obs/trace.h): on
+// by default, it keeps the last few thousand events per thread, so the
+// moments before an abort or crash are recoverable after the fact, and a
+// trace is a drain of the rings.
 //
 // Design constraints:
 //  - Recording must be cheap enough to leave on in production (<1% of query
@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace emcalc::obs {
@@ -38,12 +39,14 @@ enum class FlightEventKind : uint8_t {
 // Stable lower-case name for JSON output ("span_begin", ...).
 const char* FlightEventKindName(FlightEventKind kind);
 
-// A drained event. `name` points at a string literal recorded by the writer
-// (span names, limit names); it is never freed.
+// The kind FlightEventKindName names `name`; kNone for an unknown name.
+FlightEventKind FlightEventKindFromName(std::string_view name);
+
+// One event, drained from the rings or read back from a bundle.
 struct FlightEvent {
   uint64_t ts_ns = 0;
   uint64_t arg = 0;
-  const char* name = "";
+  std::string name;
   uint32_t tid = 0;
   FlightEventKind kind = FlightEventKind::kNone;
 };
@@ -60,7 +63,8 @@ size_t FlightRingCapacity();
 void FlightRecord(FlightEventKind kind, const char* name, uint64_t arg = 0);
 
 // Merges all rings into one timestamp-sorted vector of the most recent
-// events (up to capacity per thread). Safe to call while writers run.
+// events (up to capacity per thread); events of one thread keep their
+// recording order. Safe to call while writers run.
 std::vector<FlightEvent> DrainFlightRecorder();
 
 // Renders events as a JSON array of objects

@@ -219,13 +219,10 @@ StatusOr<PostmortemBundle> ParsePostmortemBundle(std::string_view json) {
     bundle.events.reserve(ring->array.size());
     for (const JsonValue& e : ring->array) {
       if (!e.is_object()) continue;
-      BundleEvent event;
-      event.ts_ns = e.UintOr("ts_ns", 0);
-      event.arg = e.UintOr("arg", 0);
-      event.tid = e.UintOr<uint32_t>("tid", 0);
-      event.kind = e.StringOr("kind", "");
-      event.name = e.StringOr("name", "");
-      bundle.events.push_back(std::move(event));
+      bundle.events.push_back(FlightEvent{
+          e.UintOr("ts_ns", 0), e.UintOr("arg", 0), e.StringOr("name", ""),
+          e.UintOr<uint32_t>("tid", 0),
+          FlightEventKindFromName(e.StringOr("kind", ""))});
     }
   }
   return bundle;
@@ -256,7 +253,9 @@ std::string RenderBundle(const PostmortemBundle& bundle) {
     out += "query: " + ClipQuery(run.query, 200) + "\n";
   }
   std::map<std::string, size_t> by_kind;
-  for (const BundleEvent& e : bundle.events) ++by_kind[e.kind];
+  for (const FlightEvent& e : bundle.events) {
+    ++by_kind[FlightEventKindName(e.kind)];
+  }
   out += "flight events: " + std::to_string(bundle.events.size());
   if (!by_kind.empty()) {
     out += " (";
@@ -273,39 +272,12 @@ std::string RenderBundle(const PostmortemBundle& bundle) {
   size_t start = bundle.events.size() > kTail ? bundle.events.size() - kTail : 0;
   if (start < bundle.events.size()) out += "newest events:\n";
   for (size_t i = start; i < bundle.events.size(); ++i) {
-    const BundleEvent& e = bundle.events[i];
+    const FlightEvent& e = bundle.events[i];
     out += "  " + std::to_string(e.ts_ns) + " tid=" + std::to_string(e.tid) +
-           " " + e.kind + " " + e.name;
+           " " + FlightEventKindName(e.kind) + " " + e.name;
     if (e.arg != 0) out += " arg=" + std::to_string(e.arg);
     out += "\n";
   }
-  return out;
-}
-
-std::string BundleToChromeTrace(const PostmortemBundle& bundle) {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  for (const BundleEvent& e : bundle.events) {
-    const char* ph = "i";
-    if (e.kind == "span_begin") {
-      ph = "B";
-    } else if (e.kind == "span_end") {
-      ph = "E";
-    }
-    if (!first) out += ",";
-    first = false;
-    char ts[40];
-    std::snprintf(ts, sizeof(ts), "%.3f",
-                  static_cast<double>(e.ts_ns) / 1e3);  // us
-    out += "{\"name\":\"" + JsonEscape(e.name) + "\",\"cat\":\"" +
-           JsonEscape(e.kind) + "\",\"ph\":\"" + ph + "\",\"ts\":" + ts +
-           ",\"pid\":1,\"tid\":" + std::to_string(e.tid);
-    // Instants need a scope; args carry the event payload either way.
-    if (ph[0] == 'i') out += ",\"s\":\"t\"";
-    if (e.arg != 0) out += ",\"args\":{\"arg\":" + std::to_string(e.arg) + "}";
-    out += "}";
-  }
-  out += "]}";
   return out;
 }
 

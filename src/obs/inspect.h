@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/base/status.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/json.h"
 #include "src/obs/run_record.h"
 
@@ -49,15 +50,6 @@ std::string RenderAborts(const QueryLogScan& scan);
 // parallel-efficiency aggregates.
 std::string RenderLogSummary(const QueryLogScan& scan);
 
-// One flight-recorder event from a bundle's "flight_recorder" array.
-struct BundleEvent {
-  uint64_t ts_ns = 0;
-  uint64_t arg = 0;
-  uint32_t tid = 0;
-  std::string kind;  // "span_begin", "governor_trip", ...
-  std::string name;
-};
-
 // A parsed postmortem bundle. `run` holds the failed run's RunRecord,
 // profile tree included (defaults for a manual bundle; query and hash only
 // for a signal bundle). `metrics` holds the embedded snapshot verbatim
@@ -68,20 +60,16 @@ struct PostmortemBundle {
   std::string signal_name;
   RunRecord run;
   JsonValue metrics;
-  std::vector<BundleEvent> events;
+  std::vector<FlightEvent> events;  // the "flight_recorder" array
 };
 
 StatusOr<PostmortemBundle> ParsePostmortemBundle(std::string_view json);
 StatusOr<PostmortemBundle> ReadPostmortemBundle(const std::string& path);
 
 // Human-readable bundle digest: reason, query, tripped limit, event counts
-// by kind, and the newest flight events.
+// by kind, and the newest flight events. (`emcalc-inspect trace` renders
+// the events with ChromeTraceJson, src/obs/trace.h.)
 std::string RenderBundle(const PostmortemBundle& bundle);
-
-// The bundle's flight events as a Chrome trace (chrome://tracing /
-// Perfetto "traceEvents" JSON): span begin/end pairs become "B"/"E"
-// duration events, everything else an "i" instant.
-std::string BundleToChromeTrace(const PostmortemBundle& bundle);
 
 }  // namespace emcalc::obs
 

@@ -39,7 +39,8 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
 
 double JsonValue::NumberOr(std::string_view key, double fallback) const {
   const JsonValue* v = Find(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
+  if (v == nullptr || !v->is_number()) return fallback;
+  return std::visit([](auto n) { return static_cast<double>(n); }, v->number);
 }
 
 std::string JsonValue::StringOr(std::string_view key,
@@ -53,22 +54,28 @@ bool JsonValue::BoolOr(std::string_view key, bool fallback) const {
   return v != nullptr && v->kind == Kind::kBool ? v->boolean : fallback;
 }
 
+JsonNumber JsonValue::NumberFromDouble(double d) {
+  if (d >= 0 && d < 0x1p64 && std::trunc(d) == d) {
+    return static_cast<uint64_t>(d);
+  }
+  if (d < 0 && d >= -0x1p63 && std::trunc(d) == d) {
+    return static_cast<int64_t>(d);
+  }
+  return d;
+}
+
 namespace {
 
-void AppendNumber(double d, std::string& out) {
-  if (!std::isfinite(d)) {
+void AppendNumber(const JsonNumber& n, std::string& out) {
+  const double* d = std::get_if<double>(&n);
+  if (d != nullptr && !std::isfinite(*d)) {
     out += "null";  // JSON has no spelling for NaN or infinity
     return;
   }
   char buf[32];  // the longest shortest-form double is 24 characters
-  char* end;
-  if (d >= 0 && d < 0x1p64 && std::trunc(d) == d) {
-    end = std::to_chars(buf, buf + sizeof(buf), static_cast<uint64_t>(d)).ptr;
-  } else if (d < 0 && d >= -0x1p63 && std::trunc(d) == d) {
-    end = std::to_chars(buf, buf + sizeof(buf), static_cast<int64_t>(d)).ptr;
-  } else {
-    end = std::to_chars(buf, buf + sizeof(buf), d).ptr;
-  }
+  char* end = std::visit(
+      [&buf](auto v) { return std::to_chars(buf, buf + sizeof(buf), v).ptr; },
+      n);
   out.append(buf, end);
 }
 
@@ -296,24 +303,52 @@ struct Parser {
     return Err("expected 'null'");
   }
 
+  // An integer literal in [-2^63, 2^64) parses exactly (see JsonNumber);
+  // every other number, as a double.
   StatusOr<JsonValue> ParseNumber() {
     size_t start = pos;
     if (!AtEnd() && (Peek() == '-' || Peek() == '+')) ++pos;
+    bool integral = true;
     while (!AtEnd() &&
            (std::isdigit(static_cast<unsigned char>(Peek())) || Peek() == '.' ||
             Peek() == 'e' || Peek() == 'E' || Peek() == '-' || Peek() == '+')) {
+      if (!std::isdigit(static_cast<unsigned char>(Peek()))) integral = false;
       ++pos;
     }
     JsonValue out;
     out.kind = JsonValue::Kind::kNumber;
     const char* first = text.data() + start;
     const char* last = text.data() + pos;
-    auto [end, ec] = std::from_chars(first, last, out.number);
+    if (integral && ParseInteger(first, last, out.number)) return out;
+    double d = 0;
+    auto [end, ec] = std::from_chars(first, last, d);
     if (ec != std::errc() || end != last) {
       pos = start;
       return Err("malformed number");
     }
+    out.number = d;
     return out;
+  }
+
+  // [first, last) as an exact integer; false when it is no integer
+  // literal or lies outside [-2^63, 2^64).
+  static bool ParseInteger(const char* first, const char* last,
+                           JsonNumber& out) {
+    std::from_chars_result r;
+    if (*first == '-') {
+      int64_t v = 0;
+      r = std::from_chars(first, last, v);
+      if (v < 0) {
+        out = v;
+      } else {
+        out = uint64_t{0};  // "-0"
+      }
+    } else {
+      uint64_t v = 0;
+      r = std::from_chars(first, last, v);
+      out = v;
+    }
+    return r.ec == std::errc() && r.ptr == last;
   }
 };
 

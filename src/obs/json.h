@@ -14,6 +14,7 @@
 #include <string_view>
 #include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/base/status.h"
@@ -24,15 +25,19 @@ namespace emcalc::obs {
 // included). Control characters become \uXXXX.
 std::string JsonEscape(std::string_view s);
 
+// A JSON number. An integral one in [-2^63, 2^64) is held exactly: as
+// uint64_t when it is not negative, as int64_t when it is; any other as a
+// double. So a 64-bit hash or event argument reads back with every bit.
+using JsonNumber = std::variant<double, int64_t, uint64_t>;
+
 // A JSON document, parsed or built in memory. Object member order is
-// preserved. Numbers are doubles, so an integer above 2^53 loses its low
-// bits; counts and nanosecond times stay far below that.
+// preserved.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
 
   Kind kind = Kind::kNull;
   bool boolean = false;
-  double number = 0;
+  JsonNumber number;
   std::string string;
   std::vector<std::pair<std::string, JsonValue>> object;
   std::vector<JsonValue> array;
@@ -54,7 +59,17 @@ struct JsonValue {
     requires std::is_arithmetic_v<T>
   static JsonValue Number(T n) {
     JsonValue v = Of(Kind::kNumber);
-    v.number = static_cast<double>(n);
+    if constexpr (std::is_floating_point_v<T>) {
+      v.number = NumberFromDouble(static_cast<double>(n));
+    } else if constexpr (std::is_signed_v<T>) {
+      if (n < 0) {
+        v.number = static_cast<int64_t>(n);
+      } else {
+        v.number = static_cast<uint64_t>(n);
+      }
+    } else {
+      v.number = static_cast<uint64_t>(n);
+    }
     return v;
   }
   static JsonValue String(std::string s) {
@@ -73,23 +88,32 @@ struct JsonValue {
 
   // The member as a count, size or time of integer type T: `fallback` when
   // the member is absent, not a number, not finite, negative or beyond T's
-  // range. Readers of logs, bundles and profiles go through this instead
-  // of casting the double, so a hostile value never reaches an undefined
-  // conversion.
+  // range. An integer reads exactly; a fraction truncates toward zero.
+  // Readers of logs, bundles and profiles go through this instead of
+  // casting, so a hostile value never reaches an undefined conversion.
   template <typename T = uint64_t>
   T UintOr(std::string_view key, std::type_identity_t<T> fallback) const {
-    double v = NumberOr(key, -1);
-    // 2^N for T's N value bits: for 64-bit T the cast of max() already
+    const JsonValue* v = Find(key);
+    if (v == nullptr || !v->is_number()) return fallback;
+    constexpr auto kMax = static_cast<uint64_t>(std::numeric_limits<T>::max());
+    if (const auto* u = std::get_if<uint64_t>(&v->number)) {
+      return *u <= kMax ? static_cast<T>(*u) : fallback;
+    }
+    const auto* d = std::get_if<double>(&v->number);  // null if negative
+    // 2^N for T's N value bits: for 64-bit T the cast of kMax already
     // rounds up to it and the + 1 is absorbed. NaN fails both tests.
-    constexpr double kLimit =
-        static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
-    if (!(v >= 0) || !(v < kLimit)) return fallback;
-    return static_cast<T>(v);
+    constexpr double kLimit = static_cast<double>(kMax) + 1.0;
+    if (d == nullptr || !(*d >= 0) || !(*d < kLimit)) return fallback;
+    return static_cast<T>(*d);
   }
 
   bool operator==(const JsonValue&) const = default;
 
  private:
+  // `d` as an exact integer when it is integral and in range, else as is,
+  // so a built document equals the parse of its own output.
+  static JsonNumber NumberFromDouble(double d);
+
   static JsonValue Of(Kind k) {
     JsonValue v;
     v.kind = k;
@@ -97,10 +121,10 @@ struct JsonValue {
   }
 };
 
-// Writes `v` as single-line JSON with no whitespace. A number that holds
-// an integer is written in integer form ("1000000", not "1e+06"); any
-// other number in its shortest round-trip form. Parsing the output gives
-// back an equal document.
+// Writes `v` as single-line JSON with no whitespace. An integer is written
+// in integer form ("1000000", not "1e+06"); any other number in its
+// shortest round-trip form. Parsing the output gives back an equal
+// document.
 void AppendJson(const JsonValue& v, std::string& out);
 std::string ToJson(const JsonValue& v);
 

@@ -111,8 +111,10 @@ void ResourceGovernor::Trip(ResourceLimitKind kind, uint64_t used,
 bool ResourceGovernor::Check() {
   if (!enabled_) return false;
   if (tripped_.load(std::memory_order_acquire)) return true;
+  // The tracked peak, not the live sum: a buffer allocated and freed
+  // between two checkpoints still counts against the limit.
   if (limits_.max_bytes != 0 && memory_ != nullptr) {
-    int64_t bytes = memory_->bytes();
+    int64_t bytes = memory_->peak_bytes();
     if (bytes > 0 && static_cast<uint64_t>(bytes) > limits_.max_bytes) {
       Trip(ResourceLimitKind::kBytes, static_cast<uint64_t>(bytes),
            limits_.max_bytes);

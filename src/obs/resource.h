@@ -122,7 +122,8 @@ class QueryMemory {
   }
 
   // Query-level running byte sum (can dip negative when buffers allocated
-  // before the query are freed inside it; limits clamp at zero).
+  // before the query are freed inside it) and its high-water mark, which
+  // the governor's byte limit compares.
   int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
   int64_t peak_bytes() const { return peak_.load(std::memory_order_relaxed); }
   uint64_t bytes_allocated() const {
@@ -209,7 +210,7 @@ class MemoryCharge {
 
 // Per-query ceilings; 0 means unlimited.
 struct ResourceLimits {
-  uint64_t max_bytes = 0;              // live tracked bytes (query scope)
+  uint64_t max_bytes = 0;              // tracked peak bytes (query scope)
   uint64_t max_rows = 0;               // total operator output rows
   uint64_t max_term_closure_size = 0;  // values in one term closure
   uint64_t max_wall_ms = 0;            // wall-clock deadline

@@ -1,9 +1,13 @@
 #include "src/obs/trace.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <unordered_map>
 
 #include "src/obs/json.h"
 
@@ -22,97 +26,78 @@ uint32_t CurrentThreadId() {
   return id;
 }
 
-namespace {
-std::atomic<Tracer*> g_tracer{nullptr};
-}  // namespace
-
-Tracer* GetTracer() { return g_tracer.load(std::memory_order_acquire); }
-
-void SetTracer(Tracer* tracer) {
-  g_tracer.store(tracer, std::memory_order_release);
-}
-
-void Tracer::Record(const char* name, std::string detail, uint64_t start_ns,
-                    uint64_t dur_ns) {
-  uint32_t tid = CurrentThreadId();
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(TraceEvent{name, std::move(detail), start_ns, dur_ns, tid});
-}
-
-size_t Tracer::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-void Tracer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-}
-
-std::vector<TraceEvent> Tracer::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
-std::string Tracer::ToChromeTraceJson() const {
-  std::vector<TraceEvent> events = Snapshot();
+std::string ChromeTraceJson(const std::vector<FlightEvent>& events) {
   std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  char buf[64];
+  std::unordered_map<uint32_t, size_t> open_spans;  // by tid
   bool first = true;
-  for (const TraceEvent& e : events) {
+  for (const FlightEvent& e : events) {
+    char ph = 'i';
+    if (e.kind == FlightEventKind::kSpanBegin) {
+      ph = 'B';
+      ++open_spans[e.tid];
+    } else if (e.kind == FlightEventKind::kSpanEnd) {
+      size_t& open = open_spans[e.tid];
+      if (open == 0) continue;
+      --open;
+      ph = 'E';
+    }
     if (!first) out += ",";
     first = false;
-    out += "{\"name\":\"";
-    out += JsonEscape(e.name);
-    out += "\",\"cat\":\"emcalc\",\"ph\":\"X\",\"pid\":1,\"tid\":";
-    out += std::to_string(e.tid);
-    // Trace-event timestamps are microseconds; keep sub-us precision with
-    // fractional values (both viewers accept doubles).
-    std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f",
-                  static_cast<double>(e.start_ns) / 1e3,
-                  static_cast<double>(e.dur_ns) / 1e3);
-    out += buf;
-    if (!e.detail.empty()) {
-      out += ",\"args\":{\"detail\":\"" + JsonEscape(e.detail) + "\"}";
-    }
+    // Trace-event timestamps are microseconds; the nanoseconds stay exact
+    // as three decimals.
+    char ts[48];
+    std::snprintf(ts, sizeof(ts), "%" PRIu64 ".%03" PRIu64, e.ts_ns / 1000,
+                  e.ts_ns % 1000);
+    out += "{\"name\":\"" + JsonEscape(e.name) + "\",\"cat\":\"";
+    out += FlightEventKindName(e.kind);
+    out += "\",\"ph\":\"";
+    out += ph;
+    out += "\",\"ts\":";
+    out += ts;
+    out += ",\"pid\":1,\"tid\":" + std::to_string(e.tid);
+    // Instants need a scope; args carry the event payload either way.
+    if (ph == 'i') out += ",\"s\":\"t\"";
+    if (e.arg != 0) out += ",\"args\":{\"arg\":" + std::to_string(e.arg) + "}";
     out += "}";
   }
   out += "]}";
   return out;
 }
 
-Status Tracer::WriteChromeTrace(const std::string& path) const {
+StatusOr<size_t> WriteChromeTrace(const std::string& path, uint64_t since_ns) {
+  std::vector<FlightEvent> events = DrainFlightRecorder();
+  events.erase(events.begin(),
+               std::partition_point(events.begin(), events.end(),
+                                    [since_ns](const FlightEvent& e) {
+                                      return e.ts_ns < since_ns;
+                                    }));
   std::ofstream file(path, std::ios::trunc);
   if (!file) return InvalidArgumentError("cannot open trace file " + path);
-  file << ToChromeTraceJson() << "\n";
+  file << ChromeTraceJson(events) << "\n";
   if (!file.good()) return InternalError("write to trace file " + path + " failed");
-  return Status::Ok();
+  return events.size();
 }
 
 namespace {
 
-// Process-lifetime tracer driven by EMCALC_TRACE; flushed via atexit.
-Tracer* g_env_tracer = nullptr;
+// The EMCALC_TRACE path; written via atexit.
 std::string* g_env_trace_path = nullptr;
 
 void FlushEnvTrace() {
-  if (g_env_tracer == nullptr || g_env_trace_path == nullptr) return;
-  Status s = g_env_tracer->WriteChromeTrace(*g_env_trace_path);
-  if (!s.ok()) {
+  auto written = WriteChromeTrace(*g_env_trace_path, 0);
+  if (!written.ok()) {
     std::fprintf(stderr, "emcalc: EMCALC_TRACE flush failed: %s\n",
-                 s.ToString().c_str());
+                 written.status().ToString().c_str());
   }
 }
 
 }  // namespace
 
 bool InitTracingFromEnv() {
-  if (g_env_tracer != nullptr) return true;
+  if (g_env_trace_path != nullptr) return true;
   const char* path = std::getenv("EMCALC_TRACE");
   if (path == nullptr || *path == '\0') return false;
-  g_env_tracer = new Tracer();           // lives until process exit
-  g_env_trace_path = new std::string(path);
-  SetTracer(g_env_tracer);
+  g_env_trace_path = new std::string(path);  // lives until process exit
   std::atexit(FlushEnvTrace);
   return true;
 }

@@ -1,28 +1,26 @@
-// Lightweight span tracing with Chrome trace-event export.
+// Spans and their Chrome trace-event export.
 //
-// A Span is an RAII guard that records one complete event (name, start,
-// duration, thread) into the process-global Tracer when one is installed:
+// A Span is an RAII guard that records a span_begin event at construction
+// and a span_end event at destruction into the calling thread's flight-
+// recorder ring (src/obs/flight_recorder.h), the one sink of every span:
 //
-//   obs::Tracer tracer;
-//   obs::SetTracer(&tracer);
-//   { obs::Span span("compile.parse"); ... }       // one event
-//   tracer.WriteChromeTrace("trace.json");         // Perfetto-loadable
+//   { obs::Span span("compile.parse"); ... }     // one begin/end pair
+//   obs::WriteChromeTrace("trace.json", since);  // Perfetto-loadable
 //
-// With no tracer installed (the default), constructing a Span costs one
-// relaxed atomic load and destroying it one branch — instrumentation stays
-// compiled in on hot paths unconditionally. Span names must be string
-// literals (or otherwise outlive the span); the optional detail string is
-// only materialized when tracing is enabled.
+// Recording costs what the recorder costs (four relaxed stores plus a
+// release store per event; one relaxed load when it is disabled), so the
+// instrumentation stays compiled in on hot paths unconditionally. Span
+// names must be string literals (or otherwise outlive the process): the
+// ring stores the pointer. Per-phase and per-operator details live in
+// CompilePhase and ExecProfile, not in spans.
 //
-// Events nest by time containment per thread, which is exactly how
-// chrome://tracing and Perfetto render "X" (complete) events, so nested
-// Spans show up as a flame graph without explicit parent links.
+// A trace is a drain of the rings, so a capture holds at most the ring
+// capacity per thread (EMCALC_FLIGHT_RING_EVENTS, default 4096) and is
+// empty when the recorder is off (EMCALC_FLIGHT_RECORDER=0).
 #ifndef EMCALC_OBS_TRACE_H_
 #define EMCALC_OBS_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -37,77 +35,35 @@ uint64_t NowNs();
 // Small dense id for the calling thread (first use assigns the next id).
 uint32_t CurrentThreadId();
 
-// One completed span.
-struct TraceEvent {
-  const char* name = "";   // static string (span names are literals)
-  std::string detail;      // exported as args.detail when non-empty
-  uint64_t start_ns = 0;
-  uint64_t dur_ns = 0;
-  uint32_t tid = 0;
-};
-
-// A thread-safe append-only buffer of completed spans.
-class Tracer {
- public:
-  void Record(const char* name, std::string detail, uint64_t start_ns,
-              uint64_t dur_ns);
-
-  size_t size() const;
-  void Clear();
-  std::vector<TraceEvent> Snapshot() const;
-
-  // {"traceEvents":[{"name":...,"ph":"X","ts":us,"dur":us,"pid":1,"tid":n}]}
-  std::string ToChromeTraceJson() const;
-  Status WriteChromeTrace(const std::string& path) const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<TraceEvent> events_;
-};
-
-// The process-global tracer; null (tracing disabled) by default. The
-// pointer is borrowed, never owned: the caller keeps the Tracer alive for
-// as long as it is installed.
-Tracer* GetTracer();
-void SetTracer(Tracer* tracer);
-
-// RAII span guard. Records [construction, destruction) into the tracer
-// that was installed at construction time, and mirrors begin/end into the
-// always-on flight recorder (FlightRecord is its own cheap fast path when
-// the recorder is disabled).
+// RAII span guard: a span_begin/span_end pair in the calling thread's ring.
 class Span {
  public:
-  explicit Span(const char* name) : tracer_(GetTracer()), name_(name) {
-    if (tracer_ != nullptr) start_ns_ = NowNs();
+  explicit Span(const char* name) : name_(name) {
     FlightRecord(FlightEventKind::kSpanBegin, name);
   }
-  ~Span() {
-    FlightRecord(FlightEventKind::kSpanEnd, name_);
-    if (tracer_ != nullptr) {
-      tracer_->Record(name_, std::move(detail_), start_ns_,
-                      NowNs() - start_ns_);
-    }
-  }
+  ~Span() { FlightRecord(FlightEventKind::kSpanEnd, name_); }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  // True when this span will be recorded; callers use it to skip building
-  // detail strings on the disabled path.
-  bool enabled() const { return tracer_ != nullptr; }
-  void SetDetail(std::string detail) {
-    if (tracer_ != nullptr) detail_ = std::move(detail);
-  }
-
  private:
-  Tracer* tracer_;
   const char* name_;
-  std::string detail_;
-  uint64_t start_ns_ = 0;
 };
 
-// EMCALC_TRACE=<path>: installs a process-lifetime tracer whose buffer is
-// written to <path> at normal process exit. Returns true when tracing was
-// enabled. Idempotent.
+// Flight events as Chrome trace-event JSON (chrome://tracing, Perfetto):
+// {"displayTimeUnit":"ns","traceEvents":[...]}. Span begin/end become "B"/
+// "E" duration events, which nest per thread; every other event is an "i"
+// instant carrying its argument. An end whose begin is not among `events`
+// (lost to a lapped ring or before a capture's start) is dropped, so each
+// thread's spans stay balanced. The one Chrome-trace writer: the repl's
+// `.trace`, EMCALC_TRACE and `emcalc-inspect trace` all use it.
+std::string ChromeTraceJson(const std::vector<FlightEvent>& events);
+
+// Drains the rings and writes the events recorded at or after `since_ns`
+// to `path` as ChromeTraceJson. Returns the number of events drained.
+StatusOr<size_t> WriteChromeTrace(const std::string& path, uint64_t since_ns);
+
+// EMCALC_TRACE=<path>: at normal process exit, writes the drained rings to
+// <path>. Returns true when the variable is set. Idempotent.
 bool InitTracingFromEnv();
 
 }  // namespace emcalc::obs

@@ -31,10 +31,7 @@ SafetyResult EmAllowedChecker::CheckFormula(const Formula* f,
       obs::MetricsRegistry::Instance().GetCounter("safety.rejections");
   checks.Add();
   SafetyResult result = CheckImpl(f, context);
-  if (!result.em_allowed) {
-    rejections.Add();
-    span.SetDetail("rejected: " + result.reason);
-  }
+  if (!result.em_allowed) rejections.Add();
   return result;
 }
 

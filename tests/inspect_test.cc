@@ -1,11 +1,13 @@
 // Tests for the offline analyzer library behind emcalc-inspect
 // (src/obs/inspect.h): golden output over the checked-in sample query log,
 // aggregate correctness over a generated 1000-record log, rotation-aware
-// log reading, and the bundle / Chrome-trace renderers.
+// log reading, and the bundle renderer and the Chrome-trace writer over a
+// bundle's flight events.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -14,6 +16,7 @@
 #include "src/obs/inspect.h"
 #include "src/obs/json.h"
 #include "src/obs/query_log.h"
+#include "src/obs/trace.h"
 
 #ifndef EMCALC_TESTDATA_DIR
 #error "EMCALC_TESTDATA_DIR must point at tests/testdata"
@@ -240,7 +243,7 @@ TEST(InspectBundleTest, ParsesRendersAndConvertsToChromeTrace) {
   EXPECT_EQ(bundle->run.query_hash, 42u);
   EXPECT_EQ(bundle->run.profile.StringOr("op", ""), "Scan");
   ASSERT_EQ(bundle->events.size(), 3u);
-  EXPECT_EQ(bundle->events[1].kind, "governor_trip");
+  EXPECT_EQ(bundle->events[1].kind, obs::FlightEventKind::kGovernorTrip);
   EXPECT_EQ(bundle->events[1].arg, 4096u);
 
   std::string rendered = obs::RenderBundle(*bundle);
@@ -251,7 +254,7 @@ TEST(InspectBundleTest, ParsesRendersAndConvertsToChromeTrace) {
             std::string::npos)
       << rendered;
 
-  std::string trace = obs::BundleToChromeTrace(*bundle);
+  std::string trace = obs::ChromeTraceJson(bundle->events);
   auto doc = obs::ParseJson(trace);
   ASSERT_TRUE(doc.ok()) << trace;
   const obs::JsonValue* events = doc->Find("traceEvents");
@@ -265,6 +268,44 @@ TEST(InspectBundleTest, ParsesRendersAndConvertsToChromeTrace) {
             events->array[2].StringOr("name", ""));
   EXPECT_EQ(events->array[0].NumberOr("tid", -1),
             events->array[2].NumberOr("tid", -1));
+}
+
+// A flight event's 64-bit argument (a query hash, say) survives the
+// bundle's JSON exactly, beyond a double's 53 bits, into both renderers.
+TEST(InspectBundleTest, FlightEventArgsRoundTripExactly) {
+  const std::string above_2_63 = "9223372036854775809";  // 2^63 + 1
+  const std::string u64_max = "18446744073709551615";
+  std::string json =
+      "{\"reason\":\"manual\",\"flight_recorder\":["
+      "{\"ts_ns\":100,\"tid\":1,\"kind\":\"query_start\",\"name\":\"query\","
+      "\"arg\":" + above_2_63 + "},"
+      "{\"ts_ns\":200,\"tid\":1,\"kind\":\"query_end\",\"name\":\"query\","
+      "\"arg\":" + u64_max + "}]}";
+  auto bundle = obs::ParsePostmortemBundle(json);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  ASSERT_EQ(bundle->events.size(), 2u);
+  EXPECT_EQ(bundle->events[0].arg, (uint64_t{1} << 63) + 1);
+  EXPECT_EQ(bundle->events[1].arg, UINT64_MAX);
+  EXPECT_EQ(bundle->events[0].kind, obs::FlightEventKind::kQueryStart);
+
+  std::string rendered = obs::RenderBundle(*bundle);
+  EXPECT_NE(rendered.find("query_start query arg=" + above_2_63),
+            std::string::npos)
+      << rendered;
+  EXPECT_NE(rendered.find("query_end query arg=" + u64_max), std::string::npos)
+      << rendered;
+
+  std::string trace = obs::ChromeTraceJson(bundle->events);
+  EXPECT_NE(trace.find("\"arg\":" + above_2_63 + "}"), std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"arg\":" + u64_max + "}"), std::string::npos)
+      << trace;
+  auto doc = obs::ParseJson(trace);
+  ASSERT_TRUE(doc.ok()) << trace;
+  const obs::JsonValue* events = doc->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array.size(), 2u);
+  EXPECT_EQ(events->array[1].Find("args")->UintOr("arg", 0), UINT64_MAX);
 }
 
 TEST(InspectBundleTest, RejectsNonObjectAndBadJson) {

@@ -1,7 +1,7 @@
-// Tests for the observability subsystem (src/obs/): span tracer, metrics
-// registry, compile profiling, query log — plus the end-to-end acceptance
-// check that a single trace captures both compile-phase and per-operator
-// execution spans.
+// Tests for the observability subsystem (src/obs/): spans in the flight
+// recorder and their Chrome-trace writer, metrics registry, compile
+// profiling, query log — plus the end-to-end acceptance check that a
+// single capture holds both compile-phase and per-operator execution spans.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -25,6 +25,7 @@
 #include "src/core/compiler.h"
 #include "src/exec/feedback.h"
 #include "src/obs/compile_profile.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/inspect.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
@@ -36,53 +37,93 @@
 namespace emcalc {
 namespace {
 
-// Installs `tracer` for the test's scope; restores the previous tracer.
-class ScopedTracer {
- public:
-  explicit ScopedTracer(obs::Tracer* tracer) : saved_(obs::GetTracer()) {
-    obs::SetTracer(tracer);
+// The events recorded at or after `since_ns`, drained from every ring.
+std::vector<obs::FlightEvent> EventsSince(uint64_t since_ns) {
+  std::vector<obs::FlightEvent> out;
+  for (obs::FlightEvent& e : obs::DrainFlightRecorder()) {
+    if (e.ts_ns >= since_ns) out.push_back(std::move(e));
   }
-  ~ScopedTracer() { obs::SetTracer(saved_); }
-
- private:
-  obs::Tracer* saved_;
-};
-
-TEST(TraceTest, DisabledSpanIsInert) {
-  ScopedTracer scope(nullptr);
-  obs::Span span("test.disabled");
-  EXPECT_FALSE(span.enabled());
-  span.SetDetail("ignored");  // must not crash or allocate into a tracer
+  return out;
 }
 
-TEST(TraceTest, SpansRecordNamesDetailsAndNesting) {
-  obs::Tracer tracer;
-  ScopedTracer scope(&tracer);
-  {
-    obs::Span outer("test.outer");
-    {
-      obs::Span inner("test.inner");
-      ASSERT_TRUE(inner.enabled());
-      inner.SetDetail("rows=3");
+// Parses a Chrome trace and checks that each thread's "B"/"E" events
+// nest: no end without an open begin, and none left open. Returns the
+// parsed "traceEvents" array.
+std::vector<obs::JsonValue> ParseBalancedTrace(const std::string& json) {
+  auto doc = obs::ParseJson(json);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << json;
+  if (!doc.ok()) return {};
+  const obs::JsonValue* events = doc->Find("traceEvents");
+  EXPECT_TRUE(events != nullptr && events->is_array()) << json;
+  if (events == nullptr) return {};
+  std::map<uint64_t, int> open;
+  for (const obs::JsonValue& e : events->array) {
+    EXPECT_EQ(e.UintOr("pid", 0), 1u);
+    EXPECT_NE(e.Find("ts"), nullptr);
+    int& depth = open[e.UintOr("tid", 0)];
+    std::string ph = e.StringOr("ph", "");
+    if (ph == "B") ++depth;
+    if (ph == "E") {
+      EXPECT_GT(depth, 0) << "end without a begin: " << json;
+      --depth;
     }
   }
-  std::vector<obs::TraceEvent> events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  // Inner destructs first, so it is recorded first.
-  EXPECT_STREQ(events[0].name, "test.inner");
-  EXPECT_EQ(events[0].detail, "rows=3");
-  EXPECT_STREQ(events[1].name, "test.outer");
-  // Time containment: inner lies within [outer.start, outer.end].
-  EXPECT_GE(events[0].start_ns, events[1].start_ns);
-  EXPECT_LE(events[0].start_ns + events[0].dur_ns,
-            events[1].start_ns + events[1].dur_ns);
-  EXPECT_EQ(events[0].tid, events[1].tid);
+  for (const auto& [tid, depth] : open) {
+    EXPECT_EQ(depth, 0) << "tid " << tid << " left spans open";
+  }
+  return events->array;
+}
+
+TEST(TraceTest, DisabledSpanIsInert) {
+  bool saved = obs::FlightRecorderEnabled();
+  obs::SetFlightRecorderEnabled(false);
+  uint64_t since = obs::NowNs();
+  { obs::Span span("test.disabled"); }
+  obs::SetFlightRecorderEnabled(saved);
+  for (const obs::FlightEvent& e : EventsSince(since)) {
+    EXPECT_NE(e.name, "test.disabled");
+  }
+}
+
+TEST(TraceTest, SpansRecordNamesAndNesting) {
+  uint64_t since = obs::NowNs();
+  {
+    obs::Span outer("test.outer");
+    { obs::Span inner("test.inner"); }
+  }
+  std::vector<obs::FlightEvent> events;
+  for (obs::FlightEvent& e : EventsSince(since)) {
+    if (e.name == "test.outer" || e.name == "test.inner") {
+      events.push_back(std::move(e));
+    }
+  }
+  ASSERT_EQ(events.size(), 4u);
+  using Kind = obs::FlightEventKind;
+  const std::pair<Kind, const char*> expected[] = {
+      {Kind::kSpanBegin, "test.outer"},
+      {Kind::kSpanBegin, "test.inner"},
+      {Kind::kSpanEnd, "test.inner"},
+      {Kind::kSpanEnd, "test.outer"}};
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].kind, expected[i].first) << i;
+    EXPECT_EQ(events[i].name, expected[i].second) << i;
+    EXPECT_EQ(events[i].tid, obs::CurrentThreadId());
+    if (i > 0) {
+      EXPECT_LE(events[i - 1].ts_ns, events[i].ts_ns);
+    }
+  }
+  std::vector<obs::JsonValue> trace =
+      ParseBalancedTrace(obs::ChromeTraceJson(events));
+  ASSERT_EQ(trace.size(), 4u);
+  EXPECT_EQ(trace[0].StringOr("ph", ""), "B");
+  EXPECT_EQ(trace[1].StringOr("ph", ""), "B");
+  EXPECT_EQ(trace[2].StringOr("ph", ""), "E");
+  EXPECT_EQ(trace[3].StringOr("name", ""), "test.outer");
 }
 
 TEST(TraceTest, ConcurrentSpansNestPerThread) {
-  obs::Tracer tracer;
-  ScopedTracer scope(&tracer);
   constexpr int kThreads = 8;
+  uint64_t since = obs::NowNs();
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -95,64 +136,53 @@ TEST(TraceTest, ConcurrentSpansNestPerThread) {
   }
   for (std::thread& t : threads) t.join();
 
-  std::vector<obs::TraceEvent> events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), static_cast<size_t>(kThreads * 3));
-  // Group by thread: each thread contributes one outer and two inner
-  // events, and the inners are time-contained in that thread's outer.
-  std::map<uint32_t, std::vector<const obs::TraceEvent*>> by_tid;
-  for (const obs::TraceEvent& e : events) by_tid[e.tid].push_back(&e);
-  ASSERT_EQ(by_tid.size(), static_cast<size_t>(kThreads));
-  for (const auto& [tid, own] : by_tid) {
-    ASSERT_EQ(own.size(), 3u);
-    const obs::TraceEvent* outer = nullptr;
-    for (const obs::TraceEvent* e : own) {
-      if (std::string(e->name) == "test.thread_outer") outer = e;
-    }
-    ASSERT_NE(outer, nullptr);
-    for (const obs::TraceEvent* e : own) {
-      if (e == outer) continue;
-      EXPECT_STREQ(e->name, "test.thread_inner");
-      EXPECT_GE(e->start_ns, outer->start_ns);
-      EXPECT_LE(e->start_ns + e->dur_ns, outer->start_ns + outer->dur_ns);
-    }
+  std::vector<obs::FlightEvent> events;
+  for (obs::FlightEvent& e : EventsSince(since)) {
+    if (e.name.rfind("test.thread_", 0) == 0) events.push_back(std::move(e));
   }
+  ASSERT_EQ(events.size(), static_cast<size_t>(kThreads * 6));
+  // Each thread's own events, in drain order, are one outer span around
+  // two sequential inner spans.
+  std::map<uint32_t, std::string> shape_by_tid;
+  for (const obs::FlightEvent& e : events) {
+    std::string& shape = shape_by_tid[e.tid];
+    shape += e.kind == obs::FlightEventKind::kSpanBegin ? "B" : "E";
+    shape += e.name == "test.thread_outer" ? "o" : "i";
+  }
+  ASSERT_EQ(shape_by_tid.size(), static_cast<size_t>(kThreads));
+  for (const auto& [tid, shape] : shape_by_tid) {
+    EXPECT_EQ(shape, "BoBiEiBiEiEo") << "tid " << tid;
+  }
+  EXPECT_EQ(ParseBalancedTrace(obs::ChromeTraceJson(events)).size(),
+            events.size());
 }
 
 TEST(TraceTest, ChromeTraceJsonIsValidAndComplete) {
-  obs::Tracer tracer;
-  ScopedTracer scope(&tracer);
-  {
-    obs::Span span("test.escaped");
-    span.SetDetail("quote=\" backslash=\\ newline=\n");
-  }
-  { obs::Span span("test.plain"); }
-
-  std::string json = tracer.ToChromeTraceJson();
-  auto doc = obs::ParseJson(json);
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << json;
-  const obs::JsonValue* events = doc->Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  ASSERT_EQ(events->array.size(), 2u);
-  std::set<std::string> names;
-  for (const obs::JsonValue& e : events->array) {
-    ASSERT_TRUE(e.is_object());
-    names.insert(e.StringOr("name", ""));
-    EXPECT_EQ(e.StringOr("ph", ""), "X");
-    EXPECT_EQ(e.NumberOr("pid", -1), 1);
-    EXPECT_NE(e.Find("ts"), nullptr);
-    EXPECT_NE(e.Find("dur"), nullptr);
-  }
-  EXPECT_TRUE(names.count("test.escaped"));
-  EXPECT_TRUE(names.count("test.plain"));
-  // The escaped detail survives the JSON round-trip.
-  for (const obs::JsonValue& e : events->array) {
-    if (e.StringOr("name", "") != "test.escaped") continue;
-    const obs::JsonValue* args = e.Find("args");
-    ASSERT_NE(args, nullptr);
-    EXPECT_EQ(args->StringOr("detail", ""),
-              "quote=\" backslash=\\ newline=\n");
-  }
+  using Kind = obs::FlightEventKind;
+  const std::vector<obs::FlightEvent> events = {
+      // An end whose begin a lapped ring (or the capture start) cut off.
+      {100, 0, "test.cut", 1, Kind::kSpanEnd},
+      {110, 0, "test.outer", 1, Kind::kSpanBegin},
+      {120, 0, "test.\"quoted\\\" name", 2, Kind::kSpanBegin},
+      {130, 42, "max_bytes", 1, Kind::kGovernorTrip},
+      {140, 0, "test.\"quoted\\\" name", 2, Kind::kSpanEnd},
+      {1234567, 0, "test.outer", 1, Kind::kSpanEnd},
+  };
+  std::vector<obs::JsonValue> trace =
+      ParseBalancedTrace(obs::ChromeTraceJson(events));
+  ASSERT_EQ(trace.size(), 5u);
+  EXPECT_EQ(trace[0].StringOr("name", ""), "test.outer");
+  // The escaped name survives the JSON round trip.
+  EXPECT_EQ(trace[1].StringOr("name", ""), "test.\"quoted\\\" name");
+  EXPECT_EQ(trace[1].UintOr("tid", 0), 2u);
+  // Everything but a span is an instant with its argument.
+  EXPECT_EQ(trace[2].StringOr("ph", ""), "i");
+  EXPECT_EQ(trace[2].StringOr("s", ""), "t");
+  EXPECT_EQ(trace[2].StringOr("cat", ""), "governor_trip");
+  ASSERT_NE(trace[2].Find("args"), nullptr);
+  EXPECT_EQ(trace[2].Find("args")->UintOr("arg", 0), 42u);
+  // Timestamps are microseconds with the nanoseconds kept exactly.
+  EXPECT_DOUBLE_EQ(trace[4].NumberOr("ts", 0), 1234.567);
 }
 
 TEST(MetricsTest, CountersAndGauges) {
@@ -637,16 +667,20 @@ class ObsEndToEndTest : public ::testing::Test {
 };
 
 TEST_F(ObsEndToEndTest, SingleTraceContainsCompileAndExecSpans) {
-  obs::Tracer tracer;
-  ScopedTracer scope(&tracer);
-
+  uint64_t since = obs::NowNs();
   auto q = compiler_.Compile("{x | exists y (EDGE(x, y) and EDGE(y, x))}");
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto answer = q->Run(db_);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
 
+  std::vector<obs::FlightEvent> events = EventsSince(since);
   std::set<std::string> names;
-  for (const obs::TraceEvent& e : tracer.Snapshot()) names.insert(e.name);
+  size_t begins = 0;
+  for (const obs::FlightEvent& e : events) {
+    if (e.kind != obs::FlightEventKind::kSpanBegin) continue;
+    names.insert(e.name);
+    ++begins;
+  }
   // Compile-phase spans...
   for (const char* expected :
        {"compile", "compile.parse", "compile.translate", "compile.rectify",
@@ -655,17 +689,57 @@ TEST_F(ObsEndToEndTest, SingleTraceContainsCompileAndExecSpans) {
         "safety.em_allowed", "finds.bd", "algebra.optimize", "exec.lower"}) {
     EXPECT_TRUE(names.count(expected)) << "missing span: " << expected;
   }
-  // ...and per-operator execution spans in the same trace.
+  // ...and per-operator execution spans in the same capture.
   EXPECT_TRUE(names.count("exec.run"));
   EXPECT_TRUE(names.count("exec.execute"));
   EXPECT_TRUE(names.count("Scan")) << "no per-operator span recorded";
 
-  // The whole trace exports as valid Chrome trace JSON.
-  auto doc = obs::ParseJson(tracer.ToChromeTraceJson());
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  const obs::JsonValue* events = doc->Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  EXPECT_EQ(events->array.size(), tracer.size());
+  // The whole capture exports as valid Chrome trace JSON, every span a
+  // balanced begin/end pair.
+  size_t trace_begins = 0;
+  for (const obs::JsonValue& e :
+       ParseBalancedTrace(obs::ChromeTraceJson(events))) {
+    if (e.StringOr("ph", "") == "B") ++trace_begins;
+  }
+  EXPECT_EQ(trace_begins, begins);
+}
+
+// A capture is the rings' events from its start on (the repl's `.trace`):
+// a query run before the start is not in the written trace.
+TEST_F(ObsEndToEndTest, CaptureStartedAfterAQueryExcludesIt) {
+  const std::string before_text = "{x | EDGE(x, x)}";
+  const std::string after_text = "{x | exists y (EDGE(y, x))}";
+  auto before = compiler_.Compile(before_text);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(before->Run(db_).ok());
+
+  uint64_t since = obs::NowNs();
+  auto after = compiler_.Compile(after_text);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_TRUE(after->Run(db_).ok());
+  std::string path = ::testing::TempDir() + "emcalc_capture_" +
+                     std::to_string(::getpid()) + ".json";
+  auto written = obs::WriteChromeTrace(path, since);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_GT(*written, 0u);
+  std::ifstream in(path);
+  std::stringstream json;
+  json << in.rdbuf();
+  std::filesystem::remove(path);
+
+  // Each run's query_start instant carries its query hash.
+  std::set<uint64_t> started;
+  size_t compiles = 0;
+  for (const obs::JsonValue& e : ParseBalancedTrace(json.str())) {
+    if (e.StringOr("cat", "") == "query_start") {
+      started.insert(e.Find("args")->UintOr("arg", 0));
+    }
+    if (e.StringOr("ph", "") == "B" && e.StringOr("name", "") == "compile") {
+      ++compiles;
+    }
+  }
+  EXPECT_EQ(started, std::set<uint64_t>{obs::HashQueryText(after_text)});
+  EXPECT_EQ(compiles, 1u);
 }
 
 TEST_F(ObsEndToEndTest, ExplainCompilePhasesCoverTotalWall) {

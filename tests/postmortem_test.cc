@@ -23,6 +23,7 @@
 #include "src/obs/postmortem.h"
 #include "src/obs/query_log.h"
 #include "src/obs/run_record.h"
+#include "src/obs/trace.h"
 #include "src/storage/csv.h"
 
 namespace emcalc {
@@ -60,7 +61,7 @@ class ScopedPostmortemDir {
 std::vector<obs::FlightEvent> EventsNamed(const char* name) {
   std::vector<obs::FlightEvent> out;
   for (const obs::FlightEvent& e : obs::DrainFlightRecorder()) {
-    if (e.name != nullptr && std::string(e.name) == name) out.push_back(e);
+    if (e.name == name) out.push_back(e);
   }
   return out;
 }
@@ -190,7 +191,7 @@ TEST(PostmortemTest, BundleRoundTripsThroughInspect) {
   EXPECT_NE(rendered.find("reason: manual"), std::string::npos);
   EXPECT_NE(rendered.find("aborted_limit: max_bytes"), std::string::npos);
 
-  auto trace = obs::ParseJson(obs::BundleToChromeTrace(*bundle));
+  auto trace = obs::ParseJson(obs::ChromeTraceJson(bundle->events));
   ASSERT_TRUE(trace.ok());
   const obs::JsonValue* events = trace->Find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -296,9 +297,13 @@ TEST(PostmortemTest, GovernorAbortWritesBundleMatchingQueryLog) {
   // The ring shows the aborting operator's span and the governor trip.
   bool saw_exec_span = false;
   bool saw_trip = false;
-  for (const obs::BundleEvent& e : bundle->events) {
-    if (e.kind == "span_begin" && e.name == "exec.run") saw_exec_span = true;
-    if (e.kind == "governor_trip" && e.name == "max_bytes") saw_trip = true;
+  for (const obs::FlightEvent& e : bundle->events) {
+    if (e.kind == obs::FlightEventKind::kSpanBegin && e.name == "exec.run") {
+      saw_exec_span = true;
+    }
+    if (e.kind == obs::FlightEventKind::kGovernorTrip && e.name == "max_bytes") {
+      saw_trip = true;
+    }
   }
   EXPECT_TRUE(saw_exec_span);
   EXPECT_TRUE(saw_trip);

@@ -204,6 +204,24 @@ TEST(ResourceGovernorTest, FirstTripWinsAndIsSticky) {
   EXPECT_EQ(governor.status().message().rfind("max_rows", 0), 0u);
 }
 
+// The byte limit compares the tracked peak: a buffer allocated and freed
+// between two checkpoints still trips it.
+TEST(ResourceGovernorTest, ByteLimitComparesTheTrackedPeak) {
+  obs::QueryMemory qmem(1);
+  obs::ResourceLimits limits;
+  limits.max_bytes = 100;
+  obs::ResourceGovernor governor(limits, &qmem, obs::NowNs());
+  EXPECT_FALSE(governor.Check());
+  qmem.Charge(150, 0);
+  qmem.Charge(-150, 0);
+  ASSERT_EQ(qmem.bytes(), 0);
+  EXPECT_TRUE(governor.Check());
+  EXPECT_EQ(governor.tripped_limit(), obs::ResourceLimitKind::kBytes);
+  EXPECT_NE(governor.status().message().find("used 150 bytes"),
+            std::string::npos)
+      << governor.status().ToString();
+}
+
 TEST(ResourceGovernorTest, TermClosureHonorsGovernor) {
   FunctionRegistry registry = BuiltinFunctions();
   ValueSet base;
@@ -308,6 +326,25 @@ TEST(GovernedExecutionTest, EnvByteLimitGovernsCompiledQueries) {
   auto ok = q->Run(db);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->size(), 500u);
+}
+
+// A run whose tracked peak passes the limit aborts even when every buffer
+// is freed again before the next checkpoint (here a 3-row scan whose
+// peak is about a hundred bytes).
+TEST(GovernedExecutionTest, ByteLimitAbortsARunWhosePeakPassedIt) {
+  Compiler compiler;
+  Database db;
+  ASSERT_TRUE(LoadCsvText(db, "EDGE", "1,2\n2,3\n3,1\n").ok());
+  auto q = compiler.Compile("{x | EDGE(x, x)}");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+
+  setenv("EMCALC_MAX_QUERY_BYTES", "1", 1);
+  ExecProfile profile;
+  auto aborted = q->Run(db, &profile);
+  unsetenv("EMCALC_MAX_QUERY_BYTES");
+  ASSERT_FALSE(aborted.ok()) << "peak_bytes=" << profile.total_peak_bytes;
+  EXPECT_EQ(aborted.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(aborted.status().message().find("max_bytes"), std::string::npos);
 }
 
 // ---- Profiles: memory columns, JSON round trip, run records ------------

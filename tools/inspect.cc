@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/obs/inspect.h"
+#include "src/obs/trace.h"
 
 namespace {
 
@@ -99,7 +100,7 @@ int main(int argc, char** argv) {
     if (!bundle.ok()) return Fail(bundle.status().ToString());
     std::string out = command == "bundle"
                           ? emcalc::obs::RenderBundle(*bundle)
-                          : emcalc::obs::BundleToChromeTrace(*bundle);
+                          : emcalc::obs::ChromeTraceJson(bundle->events);
     if (out_path.empty()) {
       std::fputs(out.c_str(), stdout);
       if (command == "trace") std::fputc('\n', stdout);
