@@ -5,8 +5,8 @@
 #                      and per-query sort work (bench_flat_exec)
 #   BENCH_obs.json     observability overhead guard (bench_obs_overhead)
 #
-# bench_plan_quality runs too; it prints its plan-size tables (E10) and
-# writes no record file.
+# bench_plan_quality runs too; it prints its plan-simplifier table (E10)
+# and writes no record file.
 #
 # Usage: bench/run_benches.sh [BUILD_DIR]
 #

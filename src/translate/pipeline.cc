@@ -6,7 +6,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/translate/algebra_gen.h"
-#include "src/translate/distribute.h"
 #include "src/translate/ranf.h"
 #include "src/verify/verify.h"
 
@@ -107,16 +106,9 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
     if (!vr.ok()) return vr.ToStatus();
   }
 
-  const Formula* pre_ranf = out.enf;
-  if (options.distribute_disjunctions) {
-    obs::PhaseTimer timer(&out.profile, "distribute", "compile.distribute");
-    pre_ranf = DistributeDisjunctions(ctx, pre_ranf);
-    timer.SetDetail("size=" + std::to_string(FormulaSize(pre_ranf)));
-  }
-
   {
     obs::PhaseTimer timer(&out.profile, "ranf", "compile.ranf");
-    auto ranf = ToRanf(ctx, pre_ranf, param_set, bound.invertible_fns);
+    auto ranf = ToRanf(ctx, out.enf, param_set, bound.invertible_fns);
     if (!ranf.ok()) return ranf.status();
     out.ranf = *ranf;
     timer.SetDetail("size=" + std::to_string(FormulaSize(out.ranf)));

@@ -2,8 +2,11 @@
 //
 //   (1) eliminate universal quantifiers,
 //   (2) transform to ENF (with T10),
-//   (3) transform to RANF (FinD-driven ordering; T13–T16),
-//   (4) generate an extended-algebra plan,
+//   (3) transform to RANF: one ordering walk per conjunction, which
+//       unfolds a stuck conjunct in place (inverse T14, T16) and applies
+//       T13 only when nothing else moves it on (see ranf.h),
+//   (4) generate an extended-algebra plan, threading each conjunction's
+//       context into its disjunctions and existentials,
 //   plus a final plan-simplification pass.
 //
 // Every stage runs relative to a set X of parameter variables: free in the
@@ -13,8 +16,9 @@
 // each run binds; it is never a column.
 //
 // Safety is checked first: only em-allowed queries are translated, and the
-// pipeline is total on them — an em-allowed query that fails to translate
-// is a bug (kInternal), which the test suite treats as such.
+// pipeline is meant to be total on them. A RANF walk that stalls on an
+// em-allowed query still returns kNotSafe; the exhaustive sweep over every
+// formula up to size 5 (tests/exhaustive_test.cc) pins such stalls at zero.
 #ifndef EMCALC_TRANSLATE_PIPELINE_H_
 #define EMCALC_TRANSLATE_PIPELINE_H_
 
@@ -30,7 +34,8 @@
 
 namespace emcalc {
 
-// Pipeline knobs (the ablation experiments toggle these).
+// Pipeline settings: the ablations of experiments E3 and E6, the declared
+// inverses, and the plan simplifier.
 struct TranslateOptions {
   // Transformation T10 (ENF): disable to reproduce GT91's transformation
   // set; translation then fails on queries like q4 (experiment E6).
@@ -41,10 +46,6 @@ struct TranslateOptions {
   // Extends bd/em-allowed/translation per the [BM92a] comparison (see
   // finds/bound.h); empty by default — the paper's own setting.
   std::map<Symbol, Symbol> inverse_fns;
-  // Apply literal T13/T14 disjunction distribution before RANF instead of
-  // relying on context-threading in the generator (experiment E10 measures
-  // the plan-size cost of the syntactic strategy).
-  bool distribute_disjunctions = false;
   // Run the plan simplifier after generation.
   bool optimize = true;
 };

@@ -1,5 +1,6 @@
 #include "src/translate/ranf.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "src/calculus/analysis.h"
@@ -212,11 +213,30 @@ StatusOr<const Formula*> ToRanf(AstContext& ctx, const Formula* f,
                          parts.begin() + 1, parts.end());
         return true;
       };
+      // T13, only on a stall: C and (A or B) -> (C and A) or (C and B),
+      // with C the other remaining conjuncts in input order. The ordered
+      // conjuncts stay outside. A lone disjunction has nothing to take in.
+      auto distribute = [&] {
+        if (remaining.size() < 2) return false;
+        auto it = std::find_if(remaining.begin(), remaining.end(),
+                               [](const Formula* c) {
+                                 return c->kind() == FormulaKind::kOr;
+                               });
+        if (it == remaining.end()) return false;
+        const Formula* disjunction = *it;
+        std::vector<const Formula*> branches;
+        for (const Formula* d : disjunction->children()) {
+          *it = d;
+          branches.push_back(builder::And(ctx, remaining));
+        }
+        remaining = {builder::Or(ctx, std::move(branches))};
+        return true;
+      };
       while (!remaining.empty()) {
         if (take_ready()) continue;
         size_t i = 0;
         while (i < remaining.size() && !unfold(i)) ++i;
-        if (i < remaining.size()) continue;
+        if (i < remaining.size() || distribute()) continue;
         std::string stuck;
         for (const Formula* r : remaining) {
           if (!stuck.empty()) stuck += " ; ";

@@ -24,8 +24,13 @@
 // is ready, the first stuck conjunct that can unfold is replaced in place:
 // `exists q (B)` by B's conjuncts, if no q occurs elsewhere (inverse T14);
 // R(.., f(y), ..) by R(.., w, ..) and f(y) = w (T16). q and the fresh w join
-// one ∃ around the result. The generator threads context into disjunctions
-// and existentials instead of distributing it (T13/T14).
+// one ∃ around the result. When no remaining conjunct can unfold either, the
+// third step applies T13 to the first remaining disjunction: the remaining
+// conjuncts C and (A or B) become (C and A) or (C and B), translated under
+// the variables already bound, so ordered conjuncts stay outside. It fires
+// only on such a stall; everywhere else the generator threads the context
+// into disjunctions and existentials instead of duplicating it, which keeps
+// plans linear in the number of disjunctions (experiment E10).
 #ifndef EMCALC_TRANSLATE_RANF_H_
 #define EMCALC_TRANSLATE_RANF_H_
 

@@ -508,7 +508,7 @@ TEST(ExecCorpusTest, RanfOrderCorpusCompilesAndAgrees) {
       nonempty += got->empty() ? 0 : 1;
     }
   }
-  EXPECT_EQ(texts, 268);
+  EXPECT_EQ(texts, 764);
   EXPECT_GT(nonempty, texts / 4) << "instances too sparse to test answers";
 }
 

@@ -1,16 +1,22 @@
-// Exhaustive soundness sweep: enumerate EVERY formula up to a small AST
-// size over a fixed signature (R/1, S/2, f/1, variables x and y, constant
-// 0) and verify the chain
+// Exhaustive soundness sweep: enumerate EVERY formula up to AST size 5
+// over a fixed signature (R/1, S/2, f/1, variables x and y, constant 0)
+// and verify the chain
 //
 //     em-allowed accepted  ==>  translation succeeds
 //                          ==>  plan answer == reference answer
 //                          ==>  answer invariant under junk domain values
+//                          ==>  answer at level ||phi|| == at ||phi|| + 2
 //
-// on fixed instances. Unlike the random property tests this covers the
-// complete space of small formulas, including every pathological corner
-// (vacuous quantifiers, trivial equalities, double negations, ...).
+// on fixed instances, under a non-injective and an injective f (the last
+// link is Theorem 6.6's level, checked under the injective one). Unlike
+// the random property tests this covers the complete space of small
+// formulas, including every pathological corner (vacuous quantifiers,
+// trivial equalities, double negations, ...). The counts are pinned, so an
+// enumerator that yields nothing fails.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "src/algebra/eval.h"
@@ -97,11 +103,13 @@ class Enumerator {
   std::vector<std::vector<const Formula*>> by_size_;
 };
 
-FunctionRegistry SweepFunctions() {
+// f is (n + 1) mod 4, which folds the domain onto itself, or the injective
+// n + 1, under which term^k(adom) grows with every level.
+FunctionRegistry SweepFunctions(bool injective) {
   FunctionRegistry reg;
-  reg.Register("f", 1, [](std::span<const Value> a) {
+  reg.Register("f", 1, [injective](std::span<const Value> a) {
     int64_t n = a[0].is_int() ? a[0].AsInt() : 9;
-    return Value::Int((n + 1) % 4);
+    return Value::Int(injective ? n + 1 : (n + 1) % 4);
   });
   return reg;
 }
@@ -121,79 +129,107 @@ Database SweepInstance(int variant) {
   return db;
 }
 
-class ExhaustiveTest : public ::testing::TestWithParam<int> {};
+// One slice of the sweep: the formulas of `size` whose index in the
+// enumeration, halved, is `shard` modulo `shards`. Halving keeps the kAnd
+// and the kOr built from one pair in one shard; a stride over single
+// formulas would send every kAnd, most of the em-allowed ones, to the even
+// shards.
+struct Slice {
+  int size;
+  int shard = 0;
+  int shards = 1;
+};
+
+// Whole sizes print as the size, so their test names end in /1 ... /4.
+void PrintTo(const Slice& s, std::ostream* os) {
+  *os << s.size;
+  if (s.shards > 1) *os << "-shard" << s.shard;
+}
+
+constexpr int kShards = 8;
+// Formulas of each size 1..5, and the em-allowed ones among them; size 5's
+// em-allowed count is split by shard.
+constexpr size_t kFormulas[] = {0, 52, 112, 5604, 37632, 1277364};
+constexpr int kAccepted[] = {0, 20, 26, 1154, 4244};
+constexpr int kAcceptedSize5[kShards] = {24401, 16564, 34323, 16112,
+                                          25781, 18076, 33139, 15280};
+static_assert(std::accumulate(kAcceptedSize5, kAcceptedSize5 + kShards, 0) ==
+              183676);
+
+class ExhaustiveTest : public ::testing::TestWithParam<Slice> {};
 
 TEST_P(ExhaustiveTest, AcceptedFormulasTranslateAndMatchOracle) {
   AstContext ctx;
   Enumerator en(ctx);
-  FunctionRegistry registry = SweepFunctions();
-  int size = GetParam();
-  int total = 0;
+  const FunctionRegistry registries[] = {SweepFunctions(false),
+                                         SweepFunctions(true)};
+  const Database instances[] = {SweepInstance(0), SweepInstance(1)};
+  CalculusEvalOptions junk;
+  junk.extra_domain = {Value::Int(77), Value::Str("junk")};
+  const Slice slice = GetParam();
+  const auto& formulas = en.OfSize(slice.size);
   int accepted = 0;
-  for (const Formula* f : en.OfSize(size)) {
-    ++total;
+  for (size_t i = 0; i < formulas.size(); ++i) {
+    if (static_cast<int>(i / 2 % static_cast<size_t>(slice.shards)) !=
+        slice.shard) {
+      continue;
+    }
+    const Formula* f = formulas[i];
     SymbolSet free = FreeVars(f);
     Query q{{free.begin(), free.end()}, f};
     EmAllowedChecker checker(ctx);
     if (!checker.Check(q).em_allowed) continue;
     ++accepted;
+    SCOPED_TRACE(QueryToString(ctx, q));
     auto t = TranslateQuery(ctx, q);
     ASSERT_TRUE(t.ok()) << "accepted but untranslatable: "
-                        << QueryToString(ctx, q) << "\n"
                         << t.status().ToString();
-    for (int variant = 0; variant < 2; ++variant) {
-      Database db = SweepInstance(variant);
-      auto plan_answer = EvaluateAlgebra(ctx, t->plan, db, registry);
-      ASSERT_TRUE(plan_answer.ok()) << QueryToString(ctx, q);
-      auto oracle = EvaluateCalculus(ctx, q, db, registry);
-      ASSERT_TRUE(oracle.ok()) << QueryToString(ctx, q);
-      ASSERT_EQ(*plan_answer, *oracle)
-          << QueryToString(ctx, q)
-          << "\nplan: " << AlgExprToString(ctx, t->plan) << "\ninstance "
-          << variant;
-      // Domain independence: junk values must not change the answer.
-      CalculusEvalOptions junk;
-      junk.extra_domain = {Value::Int(77), Value::Str("junk")};
-      auto bigger = EvaluateCalculus(ctx, q, db, registry, junk);
-      ASSERT_TRUE(bigger.ok());
-      ASSERT_EQ(*oracle, *bigger)
-          << "accepted query is domain-dependent: " << QueryToString(ctx, q);
+    for (bool injective : {false, true}) {
+      const FunctionRegistry& registry = registries[injective ? 1 : 0];
+      for (int variant = 0; variant < 2; ++variant) {
+        SCOPED_TRACE(::testing::Message()
+                     << "instance " << variant << ", f(n) = "
+                     << (injective ? "n + 1" : "(n + 1) % 4"));
+        const Database& db = instances[variant];
+        auto plan_answer = EvaluateAlgebra(ctx, t->plan, db, registry);
+        ASSERT_TRUE(plan_answer.ok());
+        auto oracle = EvaluateCalculus(ctx, q, db, registry);
+        ASSERT_TRUE(oracle.ok());
+        ASSERT_EQ(*plan_answer, *oracle)
+            << "plan: " << AlgExprToString(ctx, t->plan);
+        // Domain independence: junk values must not change the answer.
+        auto bigger = EvaluateCalculus(ctx, q, db, registry, junk);
+        ASSERT_TRUE(bigger.ok());
+        ASSERT_EQ(*oracle, *bigger) << "accepted query is domain-dependent";
+        if (!injective) continue;
+        // Theorem 6.6: term^k(adom) at k = ||phi|| already holds the answer.
+        CalculusEvalOptions higher;
+        higher.level = CountApplications(q.body) + 2;
+        auto deeper = EvaluateCalculus(ctx, q, db, registry, higher);
+        ASSERT_TRUE(deeper.ok());
+        ASSERT_EQ(*oracle, *deeper) << "answer grows past level ||phi||";
+      }
     }
   }
-  std::printf("size %d: %d formulas, %d em-allowed\n", size, total, accepted);
-  EXPECT_GT(total, 0);
-  EXPECT_GT(accepted, 0);
+  std::printf("size %d shard %d/%d: %zu formulas, %d em-allowed\n",
+              slice.size, slice.shard, slice.shards, formulas.size(),
+              accepted);
+  EXPECT_EQ(formulas.size(), kFormulas[slice.size]);
+  EXPECT_EQ(accepted, slice.shards > 1 ? kAcceptedSize5[slice.shard]
+                                       : kAccepted[slice.size]);
 }
 
-// Sizes 1-3 are fully exhaustive; size 4 covers every unary wrap of size-3
-// and every binary split (1,2)/(2,1).
-INSTANTIATE_TEST_SUITE_P(Sizes, ExhaustiveTest, ::testing::Values(1, 2, 3));
-
-TEST(ExhaustiveSampledTest, SizeFourSample) {
-  // Size 4 has ~10^5-10^6 formulas; check a deterministic stride sample.
-  AstContext ctx;
-  Enumerator en(ctx);
-  FunctionRegistry registry = SweepFunctions();
-  const auto& formulas = en.OfSize(4);
-  ASSERT_GT(formulas.size(), 1000u);
-  int accepted = 0;
-  size_t stride = formulas.size() / 400 + 1;
-  for (size_t i = 0; i < formulas.size(); i += stride) {
-    const Formula* f = formulas[i];
-    SymbolSet free = FreeVars(f);
-    Query q{{free.begin(), free.end()}, f};
-    if (!CheckEmAllowed(ctx, q).em_allowed) continue;
-    ++accepted;
-    auto t = TranslateQuery(ctx, q);
-    ASSERT_TRUE(t.ok()) << QueryToString(ctx, q);
-    Database db = SweepInstance(0);
-    auto plan_answer = EvaluateAlgebra(ctx, t->plan, db, registry);
-    auto oracle = EvaluateCalculus(ctx, q, db, registry);
-    ASSERT_TRUE(plan_answer.ok() && oracle.ok());
-    ASSERT_EQ(*plan_answer, *oracle) << QueryToString(ctx, q);
+std::vector<Slice> AllSlices() {
+  std::vector<Slice> slices;
+  for (int size = 1; size <= 4; ++size) slices.push_back({size});
+  for (int shard = 0; shard < kShards; ++shard) {
+    slices.push_back({5, shard, kShards});
   }
-  EXPECT_GT(accepted, 0);
+  return slices;
 }
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ExhaustiveTest,
+                         ::testing::ValuesIn(AllSlices()));
 
 }  // namespace
 }  // namespace emcalc

@@ -373,14 +373,12 @@ TEST(ParameterizedPipelineTest, ZeroParametersGiveCompilesPlan) {
   };
   TranslateOptions no_optimize;
   no_optimize.optimize = false;
-  TranslateOptions distribute;
-  distribute.distribute_disjunctions = true;
   FunctionRegistry functions = BuiltinFunctions();
   for (const char* fn : {"f", "g", "h", "k"}) {
     functions.Register(fn, 1, [](std::span<const Value> a) { return a[0]; });
   }
   for (const TranslateOptions& options :
-       {TranslateOptions{}, no_optimize, distribute}) {
+       {TranslateOptions{}, no_optimize}) {
     for (const char* text : corpus) {
       SCOPED_TRACE(text);
       Compiler compiler(functions);

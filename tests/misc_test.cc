@@ -1,6 +1,6 @@
-// Assorted edge-case and robustness tests: SameAs vs EquivalentTo,
-// distribution structure, parser fuzzing (no crashes on garbage), random
-// query print/parse round-trips, and optimizer corner cases.
+// Assorted edge-case and robustness tests: SameAs vs EquivalentTo, parser
+// fuzzing (no crashes on garbage), random query print/parse round-trips,
+// and optimizer corner cases.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -15,7 +15,6 @@
 #include "src/core/random_query.h"
 #include "src/finds/find_set.h"
 #include "src/safety/pushnot.h"
-#include "src/translate/distribute.h"
 #include "src/translate/enf.h"
 
 namespace emcalc {
@@ -44,48 +43,6 @@ TEST(PushNotTest, TripleNegationNormalizes) {
   // The parser preserves the shape; NNF collapses the double negation.
   EXPECT_EQ(FormulaToString(ctx, *f), "not not not R(x)");
   EXPECT_EQ(FormulaToString(ctx, NegationNormalForm(ctx, *f)), "not R(x)");
-}
-
-TEST(DistributeTest, NoOrRemainsUnderAnd) {
-  AstContext ctx;
-  const char* corpus[] = {
-      "R(x) and (S(x) or T(x))",
-      "R(x) and (S(x) or T(x)) and (A(x) or B(x) or C(x))",
-      "exists y (R(y) and (S(y) or T(y))) and U(x)",
-  };
-  struct Check {
-    static bool NoOrUnderAnd(const Formula* f) {
-      switch (f->kind()) {
-        case FormulaKind::kAnd: {
-          for (const Formula* c : f->children()) {
-            if (c->kind() == FormulaKind::kOr) return false;
-            if (!NoOrUnderAnd(c)) return false;
-          }
-          return true;
-        }
-        case FormulaKind::kOr: {
-          for (const Formula* c : f->children()) {
-            if (!NoOrUnderAnd(c)) return false;
-          }
-          return true;
-        }
-        case FormulaKind::kExists:
-          if (f->child()->kind() == FormulaKind::kOr) return false;
-          return NoOrUnderAnd(f->child());
-        case FormulaKind::kNot:
-          return true;  // negations translate as a unit
-        default:
-          return true;
-      }
-    }
-  };
-  for (const char* text : corpus) {
-    auto f = ParseFormula(ctx, text);
-    ASSERT_TRUE(f.ok());
-    const Formula* enf = ToEnf(ctx, *f);
-    const Formula* d = DistributeDisjunctions(ctx, enf);
-    EXPECT_TRUE(Check::NoOrUnderAnd(d)) << FormulaToString(ctx, d);
-  }
 }
 
 TEST(ParserFuzzTest, GarbageNeverCrashes) {
